@@ -2,7 +2,8 @@
 //!
 //! These quantify the "lower lock management overhead" and "summarized
 //! data structure" arguments of the paper at the component level: XML
-//! parsing, DataGuide construction and matching, lock-request generation
+//! parsing, DataGuide construction and matching, XPath evaluation,
+//! document clone (snapshot publish) cost, lock-request generation
 //! per protocol, lock-table throughput, and wait-for-graph cycle checks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -42,6 +43,19 @@ fn xpath_eval(c: &mut Criterion) {
         ("child_path", "/site/people/person/name"),
         ("predicate", "/site/people/person[profile/age>40]/name"),
         ("descendant", "//item/name"),
+        // The shapes the workloads run: a keyed lookup (one predicate per
+        // candidate — by child element, and by an attribute these persons
+        // do not carry, the per-candidate miss) and a predicate path two
+        // steps deep.
+        ("keyed_lookup", "/site/people/person[id=7]/name"),
+        (
+            "attribute_predicate",
+            "/site/people/person[@id=\"person7\"]/name",
+        ),
+        (
+            "nested_predicate",
+            "/site/open_auctions/open_auction[bidder/increase>10]/current",
+        ),
     ];
     let mut group = c.benchmark_group("xpath_eval");
     for (name, q) in queries {
@@ -50,6 +64,26 @@ fn xpath_eval(c: &mut Criterion) {
             b.iter(|| eval(black_box(&doc), black_box(&query)))
         });
     }
+    group.finish();
+}
+
+/// What a commit pays to publish a snapshot (`clone`) and what the next
+/// writer pays for its first write to a chunk the snapshot still shares.
+fn document_clone(c: &mut Criterion) {
+    let doc = generate(XmarkConfig::sized(200_000, 3)).parse();
+    let target = eval(&doc, &Query::parse("/site/people/person/name").unwrap())[0];
+    let mut group = c.benchmark_group("document_clone");
+    group.bench_function("clone", |b| b.iter(|| black_box(&doc).clone()));
+    group.bench_function("first_write_after_clone", |b| {
+        b.iter_batched(
+            || doc.clone(),
+            |mut copy| {
+                copy.change_value(target, "changed").unwrap();
+                copy
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
@@ -141,6 +175,7 @@ criterion_group!(
     xml_parse,
     dataguide_build,
     xpath_eval,
+    document_clone,
     lock_requests_per_protocol,
     lock_table_throughput,
     wfg_cycle_detection

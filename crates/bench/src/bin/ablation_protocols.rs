@@ -1,6 +1,6 @@
 //! A1 — ablation: lock granularity (XDGL vs Node2PL vs DocLock).
 //!
-//! DESIGN.md's design-choice #1: the paper's headline claim is that
+//! Design choice #1: the paper's headline claim is that
 //! DataGuide-granularity locking buys lower response time at the price of
 //! more deadlocks. This ablation adds the third point the paper only
 //! mentions in passing ("a traditional technique which makes use \[of\] a

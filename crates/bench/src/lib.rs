@@ -7,7 +7,7 @@
 //!
 //! Scale note: the paper ran 8 physical PCs against 40–200 MB databases.
 //! This harness runs everything in one process against ~100× smaller
-//! bases (see DESIGN.md's substitution table); the *comparisons* between
+//! bases (see EXPERIMENTS.md's scale-factor mapping); the *comparisons* between
 //! protocols and replication modes are the reproduction target, not the
 //! absolute times.
 

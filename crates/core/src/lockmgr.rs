@@ -66,8 +66,8 @@ struct UndoEntry {
     record: UndoRecord,
 }
 
-/// One acquired lock: guide node, mode, owning document.
-type AcquiredLock = (dtx_dataguide::GuideId, dtx_locks::LockMode, String);
+/// One acquired lock: document-scoped guide node and mode.
+type AcquiredLock = (dtx_dataguide::GuideId, dtx_locks::LockMode);
 
 /// Wall-clock cost charged per operation, modelling the work a real
 /// deployment spends that this in-memory reproduction otherwise wouldn't:
@@ -76,8 +76,9 @@ type AcquiredLock = (dtx_dataguide::GuideId, dtx_locks::LockMode, String);
 /// per DataGuide node) and data processing (per node produced/affected).
 ///
 /// Defaults are calibrated so that at the default experiment scale the
-/// storage/lock/CPU cost *ratios* resemble the paper's Sedna deployment;
-/// see DESIGN.md. Tests use [`OpCostModel::zero`].
+/// storage/lock/CPU cost *ratios* resemble the paper's Sedna deployment
+/// (EXPERIMENTS.md records the calibration). Tests use
+/// [`OpCostModel::zero`].
 #[derive(Debug, Clone, Copy)]
 pub struct OpCostModel {
     /// Cost per lock-management work unit.
@@ -267,8 +268,10 @@ impl LockManager {
 
     /// Publishes a new immutable snapshot of `name` from the current
     /// in-memory state, sharing the previous guide `Arc` when no applied
-    /// or undone update moved extents since the last publication. Returns
-    /// the new per-document commit sequence (`None`: not hosted).
+    /// or undone update moved extents since the last publication. The
+    /// document clone shares every arena chunk with the live document;
+    /// later writes copy only the chunks they touch. Returns the new
+    /// per-document commit sequence (`None`: not hosted).
     fn publish_snapshot(&mut self, name: &str) -> Option<u64> {
         let state = self.docs.get_mut(name)?;
         if state.guide_dirty {
@@ -381,19 +384,16 @@ impl LockManager {
         //    (Alg. 3 l. 3-4). Guide ids are offset by the document tag so
         //    replicas of different documents never alias in the shared
         //    table.
-        let mut acquired: Vec<(dtx_dataguide::GuideId, dtx_locks::LockMode, String)> = Vec::new();
+        let mut acquired: Vec<AcquiredLock> = Vec::new();
         for req in &requests {
             match self
                 .table
                 .try_acquire(txn, doc_scoped(tag, req.node), req.mode)
             {
-                LockOutcome::Granted => {
-                    acquired.push((doc_scoped(tag, req.node), req.mode, op.doc.clone()))
-                }
+                LockOutcome::Granted => acquired.push((doc_scoped(tag, req.node), req.mode)),
                 LockOutcome::Conflict(holders) => {
                     // Roll back this operation's acquisitions (Alg. 3 l. 12).
-                    let pairs: Vec<_> = acquired.iter().map(|(g, m, _)| (*g, *m)).collect();
-                    self.table.release_scoped(txn, &pairs);
+                    self.table.release_scoped(txn, &acquired);
                     // Record the wait (Alg. 3 l. 8) and check for a local
                     // cycle (l. 9). A transaction executes one operation at
                     // a time, so its current waits *replace* the ones from
@@ -524,8 +524,7 @@ impl LockManager {
             }
         }
         if let Some(locks) = self.op_locks.remove(&(txn, op_seq)) {
-            let pairs: Vec<_> = locks.iter().map(|(g, m, _)| (*g, *m)).collect();
-            self.table.release_scoped(txn, &pairs);
+            self.table.release_scoped(txn, &locks);
         }
         // If the transaction no longer holds anything here, nobody is
         // genuinely waiting for it here either.
@@ -1405,6 +1404,47 @@ mod tests {
             .unwrap();
         assert!(!Arc::ptr_eq(&s1.guide, &s2.guide));
         lm.commit_local(TxnId(9)).unwrap();
+    }
+
+    #[test]
+    fn a_commit_copies_only_the_chunks_it_wrote() {
+        // 500 products of 7 nodes: ~55 arena chunks.
+        let mut xml = String::from("<products>");
+        for i in 0..500 {
+            xml.push_str(&format!(
+                "<product><id>{i}</id><name>n{i}</name><price>1</price></product>"
+            ));
+        }
+        xml.push_str("</products>");
+        let mut store = MemStore::free();
+        store.put_raw("big", &xml).unwrap();
+        let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(store));
+        lm.load_document("big").unwrap();
+        let latest = |lm: &LockManager| {
+            lm.snapshot_at("big", lm.latest_snapshot_seq("big").unwrap())
+                .unwrap()
+        };
+        let s0 = latest(&lm);
+        let before = s0.doc.to_xml();
+        let change = OpSpec::update(
+            "big",
+            UpdateOp::Change {
+                target: q("/products/product[id=250]/price"),
+                new_value: "2".into(),
+            },
+        );
+        assert!(matches!(
+            lm.process_operation(TxnId(1), 0, &change, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        ));
+        lm.commit_local(TxnId(1)).unwrap();
+        let s1 = latest(&lm);
+        // A document shares every chunk with itself: the chunk count.
+        let chunks = s0.doc.shared_chunks(&s0.doc);
+        assert!(chunks > 50, "{chunks} chunks");
+        assert_eq!(s0.doc.shared_chunks(&s1.doc), chunks - 1);
+        assert_eq!(s0.doc.to_xml(), before, "the older version is immutable");
+        assert_ne!(s1.doc.to_xml(), before);
     }
 
     #[test]

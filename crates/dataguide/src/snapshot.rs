@@ -12,7 +12,9 @@
 //! inert (value-only [`dtx_xpath::UndoRecord::Change`] records — see
 //! [`crate::incremental::mutates_extents`]) republishes the *same* guide
 //! `Arc`, so consecutive versions share the extent maps and the byte
-//! accounting counts them once.
+//! accounting counts them once. The document `Arc` is always fresh, but
+//! what it holds is a [`Document`] clone: arena chunks behind their own
+//! `Arc`s, shared with every other version except where a commit wrote.
 //!
 //! Retention is bounded: [`SnapshotStore::publish`] and
 //! [`SnapshotStore::unpin`] both garbage-collect every version that is
@@ -169,7 +171,10 @@ impl SnapshotStore {
     /// Approximate resident bytes of all live versions. Structurally
     /// shared `Arc`s are counted **once** (that is the point of COW
     /// publication), using fixed per-node footprints — a heuristic for
-    /// the retention gauge, not an allocator measurement.
+    /// the retention gauge, not an allocator measurement. The document
+    /// part is an **upper bound**: versions of one document also share
+    /// every arena chunk no commit between them wrote, which this gauge
+    /// cannot see and charges to each version in full.
     pub fn approx_bytes(&self) -> u64 {
         let mut seen_docs: HashSet<*const Document> = HashSet::new();
         let mut seen_guides: HashSet<*const DataGuide> = HashSet::new();

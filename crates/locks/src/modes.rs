@@ -14,8 +14,8 @@
 //!   in an exclusive mode.
 //!
 //! The paper defers the full compatibility matrix to the XDGL paper and a
-//! thesis; DESIGN.md documents the reconstruction implemented here. The
-//! matrix is validated against the paper's own worked example in
+//! thesis; [`LockMode::compatible`] is the reconstruction implemented here.
+//! The matrix is validated against the paper's own worked example in
 //! `scenario` tests: a transaction requesting IX on a node holding ST must
 //! conflict (Fig. 6), and SI/SA/SB must be mutually compatible (that is
 //! the insert-concurrency gain XDGL exists for).

@@ -1,7 +1,7 @@
 //! Deterministic I/O cost model for the simulated store.
 //!
 //! The paper ran against Sedna on a disk-backed DBMS; our [`MemStore`](crate::MemStore)
-//! replaces it (see DESIGN.md). To preserve the *relative* cost structure
+//! replaces it (EXPERIMENTS.md, "Cost-model calibration"). To preserve the *relative* cost structure
 //! — loads and persists are much slower than in-memory tree operations,
 //! and scale with document size — the store charges wall-clock time per
 //! operation according to this model. Tests use [`CostModel::zero`];

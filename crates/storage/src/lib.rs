@@ -13,8 +13,8 @@
 //! * [`MemStore`] — a Sedna-stand-in: an in-memory XML store with a
 //!   deterministic [`CostModel`] charging per-operation and per-byte I/O
 //!   time, so experiments retain the relative cost of loads/persists that
-//!   the paper's Sedna deployment had (DESIGN.md documents this
-//!   substitution);
+//!   the paper's Sedna deployment had (EXPERIMENTS.md, "Cost-model
+//!   calibration", documents this substitution);
 //! * [`FileStore`] — a real file-system backend (one `.xml` file per
 //!   document), matching the paper's example where "the DTX module on the
 //!   site s2 manages XML data persisted in a file system" (Fig. 2);

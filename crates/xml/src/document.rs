@@ -5,6 +5,13 @@
 //! by DTX: **insert**, **remove**, **rename**, **change** and **transpose**
 //! (paper §2: "This language has five types of update operations").
 //!
+//! The arena is cut into fixed-size chunks behind `Arc`s, and the interner
+//! sits behind one too, so [`Document::clone`] costs one reference-count
+//! bump per chunk and the clone shares every node with the original. A
+//! mutation copies only the chunk(s) holding the slots it writes
+//! (copy-on-write), which is what lets the lock manager publish a snapshot
+//! per commit at O(changed) cost: versions share every untouched chunk.
+//!
 //! Updates are designed to be *invertible*: every mutating method returns
 //! the information needed to undo it ([`Removed`] for removals, the old
 //! label/value for renames/changes), which the storage layer's undo log
@@ -15,6 +22,7 @@ use crate::error::{XmlError, XmlResult};
 use crate::intern::{Interner, Symbol};
 use crate::node::{Node, NodeId, NodeKind};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Where to place an inserted node relative to its anchor.
 ///
@@ -131,27 +139,40 @@ pub struct Removed {
     slots: Vec<(NodeId, Node)>,
 }
 
-/// An in-memory XML document: a rooted ordered tree in an arena, plus a
-/// label interner.
+/// Arena slots per copy-on-write chunk. A write after a clone copies this
+/// many nodes once; a clone bumps one reference count per this many nodes.
+const CHUNK: usize = 64;
+
+type Chunk = [Option<Node>; CHUNK];
+
+/// An in-memory XML document: a rooted ordered tree in a chunked arena,
+/// plus a label interner. Cloning is cheap and shares storage with the
+/// original until either side writes (see the module docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Document {
-    nodes: Vec<Option<Node>>,
+    /// Slot `i` lives at `chunks[i / CHUNK][i % CHUNK]`; slots at or past
+    /// `len` in the last chunk are `None`.
+    chunks: Vec<Arc<Chunk>>,
+    /// Arena slots handed out so far (live + tombstoned).
+    len: usize,
     root: NodeId,
-    interner: Interner,
+    interner: Arc<Interner>,
     live: usize,
 }
 
 impl Document {
     /// Creates a document whose root element is labelled `root_label`.
     pub fn new(root_label: &str) -> Self {
-        let mut interner = Interner::new();
-        let label = interner.intern(root_label);
-        Document {
-            nodes: vec![Some(Node::element(label))],
+        let mut doc = Document {
+            chunks: Vec::new(),
+            len: 0,
             root: NodeId(0),
-            interner,
-            live: 1,
-        }
+            interner: Arc::new(Interner::new()),
+            live: 0,
+        };
+        let label = doc.intern(root_label);
+        doc.root = doc.alloc(Node::element(label));
+        doc
     }
 
     /// Parses an XML string into a document. See [`crate::parser`].
@@ -189,9 +210,13 @@ impl Document {
         &self.interner
     }
 
-    /// Interns a label into this document's interner.
+    /// Interns a label into this document's interner. Only a label never
+    /// seen before copies an interner shared with a clone.
     pub fn intern(&mut self, label: &str) -> Symbol {
-        self.interner.intern(label)
+        match self.interner.get(label) {
+            Some(sym) => sym,
+            None => Arc::make_mut(&mut self.interner).intern(label),
+        }
     }
 
     /// Number of live nodes.
@@ -203,31 +228,54 @@ impl Document {
     /// Total arena slots allocated (live + tombstoned); ids are `< capacity`.
     #[inline]
     pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// Whether `id` refers to a live node.
     #[inline]
     pub fn is_live(&self, id: NodeId) -> bool {
-        self.nodes
-            .get(id.index())
-            .map(Option::is_some)
-            .unwrap_or(false)
+        self.slot(id).is_some()
+    }
+
+    /// The slot of `id`: `None` when tombstoned or never allocated.
+    #[inline]
+    fn slot(&self, id: NodeId) -> Option<&Node> {
+        self.chunks.get(id.index() / CHUNK)?[id.index() % CHUNK].as_ref()
+    }
+
+    /// Write access to an allocated slot (`None`: never allocated). This
+    /// is the copy-on-write point: a chunk still shared with a clone is
+    /// copied before the first write to it.
+    fn slot_mut(&mut self, id: NodeId) -> Option<&mut Option<Node>> {
+        if id.index() >= self.len {
+            return None;
+        }
+        let chunk = Arc::make_mut(&mut self.chunks[id.index() / CHUNK]);
+        Some(&mut chunk[id.index() % CHUNK])
     }
 
     /// Borrow a node.
+    #[inline]
     pub fn node(&self, id: NodeId) -> XmlResult<&Node> {
-        self.nodes
-            .get(id.index())
-            .and_then(Option::as_ref)
-            .ok_or(XmlError::StaleNode(id.0))
+        self.slot(id).ok_or(XmlError::StaleNode(id.0))
     }
 
     fn node_mut(&mut self, id: NodeId) -> XmlResult<&mut Node> {
-        self.nodes
-            .get_mut(id.index())
+        self.slot_mut(id)
             .and_then(Option::as_mut)
             .ok_or(XmlError::StaleNode(id.0))
+    }
+
+    /// Number of arena chunks `self` and `other` still share (same
+    /// allocation at the same position) — the copy-on-write witness for
+    /// tests; says nothing about content equality.
+    #[doc(hidden)]
+    pub fn shared_chunks(&self, other: &Document) -> usize {
+        self.chunks
+            .iter()
+            .zip(&other.chunks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
     }
 
     /// Parent of a node (`None` for the root).
@@ -344,8 +392,12 @@ impl Document {
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Some(node));
+        let id = NodeId(self.len as u32);
+        if self.len == self.chunks.len() * CHUNK {
+            self.chunks.push(Arc::new(std::array::from_fn(|_| None)));
+        }
+        self.len += 1;
+        *self.slot_mut(id).expect("slot just allocated") = Some(node);
         self.live += 1;
         id
     }
@@ -366,7 +418,7 @@ impl Document {
     /// Appends a child element as the last child of `parent` (the
     /// streaming-ingest fast path: no [`Fragment`] intermediary).
     pub fn append_element(&mut self, parent: NodeId, label: &str) -> XmlResult<NodeId> {
-        let sym = self.interner.intern(label);
+        let sym = self.intern(label);
         self.append_node(parent, Node::element(sym))
     }
 
@@ -377,7 +429,7 @@ impl Document {
         label: &str,
         value: String,
     ) -> XmlResult<NodeId> {
-        let sym = self.interner.intern(label);
+        let sym = self.intern(label);
         self.append_node(parent, Node::attribute(sym, value))
     }
 
@@ -468,7 +520,7 @@ impl Document {
     fn build_fragment(&mut self, fragment: &Fragment) -> XmlResult<NodeId> {
         match fragment {
             Fragment::Element { label, children } => {
-                let sym = self.interner.intern(label);
+                let sym = self.intern(label);
                 let id = self.alloc(Node::element(sym));
                 for child in children {
                     let cid = self.build_fragment(child)?;
@@ -478,7 +530,7 @@ impl Document {
                 Ok(id)
             }
             Fragment::Attribute { label, value } => {
-                let sym = self.interner.intern(label);
+                let sym = self.intern(label);
                 Ok(self.alloc(Node::attribute(sym, value.clone())))
             }
             Fragment::Text { value } => Ok(self.alloc(Node::text(value.clone()))),
@@ -494,16 +546,17 @@ impl Document {
             .ok_or_else(|| XmlError::InvalidTreeOp("cannot remove the document root".into()))?;
         let index = self.child_index(parent, id)?;
         let fragment = self.to_fragment(id)?;
-        let slots: Vec<(NodeId, Node)> = self
-            .descendants(id)
-            .map(|n| (n, self.nodes[n.index()].clone().expect("live subtree")))
-            .collect();
+        let ids: Vec<NodeId> = self.descendants(id).collect();
         self.node_mut(parent)?.children.retain(|&c| c != id);
-        // Tombstone the whole subtree.
-        for &(n, _) in &slots {
-            self.nodes[n.index()] = None;
-            self.live -= 1;
-        }
+        // Tombstone the whole subtree, moving the nodes into the record.
+        let slots: Vec<(NodeId, Node)> = ids
+            .into_iter()
+            .map(|n| {
+                let node = self.slot_mut(n).and_then(Option::take);
+                (n, node.expect("live subtree"))
+            })
+            .collect();
+        self.live -= slots.len();
         Ok(Removed {
             fragment,
             parent,
@@ -521,12 +574,12 @@ impl Document {
             && removed
                 .slots
                 .iter()
-                .all(|(id, _)| matches!(self.nodes.get(id.index()), Some(None)));
+                .all(|&(id, _)| id.index() < self.len && !self.is_live(id));
         if restorable {
             for (id, node) in &removed.slots {
-                self.nodes[id.index()] = Some(node.clone());
-                self.live += 1;
+                *self.slot_mut(*id).expect("checked in range") = Some(node.clone());
             }
+            self.live += removed.slots.len();
             let root = removed.slots[0].0;
             self.node_mut(root)?.parent = Some(removed.parent);
             let parent = self.node_mut(removed.parent)?;
@@ -546,7 +599,7 @@ impl Document {
 
     /// **rename**: relabels an element or attribute; returns the old label.
     pub fn rename(&mut self, id: NodeId, new_label: &str) -> XmlResult<Symbol> {
-        let sym = self.interner.intern(new_label);
+        let sym = self.intern(new_label);
         let node = self.node_mut(id)?;
         match &mut node.kind {
             NodeKind::Element { label } | NodeKind::Attribute { label, .. } => {
@@ -667,7 +720,7 @@ impl Document {
     /// acyclicity). Intended for tests and debug assertions; returns a
     /// description of the first violation found.
     pub fn check_integrity(&self) -> Result<(), String> {
-        let mut seen = vec![false; self.nodes.len()];
+        let mut seen = vec![false; self.len];
         let mut stack = vec![self.root];
         let mut visited = 0usize;
         while let Some(id) = stack.pop() {
@@ -676,12 +729,12 @@ impl Document {
             }
             seen[id.index()] = true;
             visited += 1;
-            let node = match self.nodes.get(id.index()).and_then(Option::as_ref) {
+            let node = match self.slot(id) {
                 Some(n) => n,
                 None => return Err(format!("dangling child reference {id}")),
             };
             for &c in &node.children {
-                let child = match self.nodes.get(c.index()).and_then(Option::as_ref) {
+                let child = match self.slot(c) {
                     Some(n) => n,
                     None => return Err(format!("child {c} of {id} is tombstoned")),
                 };
@@ -936,6 +989,159 @@ mod tests {
         let before = doc.to_xml();
         doc.transpose(p0, p0).unwrap();
         assert_eq!(doc.to_xml(), before);
+    }
+
+    /// A document spanning several arena chunks: 40 products of 7 nodes.
+    fn cow_doc() -> Document {
+        let mut doc = Document::new("products");
+        let root = doc.root();
+        for i in 0..40 {
+            doc.insert_fragment(
+                root,
+                &Fragment::elem(
+                    "product",
+                    vec![
+                        Fragment::attr("id", format!("p{i}")),
+                        Fragment::elem_text("name", format!("name{i}")),
+                        Fragment::elem_text("price", format!("{i}.50")),
+                        Fragment::elem("notes", vec![]),
+                    ],
+                ),
+                InsertPos::Into,
+            )
+            .unwrap();
+        }
+        assert!(doc.arena_len() > 4 * CHUNK);
+        doc
+    }
+
+    fn product(doc: &Document, i: usize) -> NodeId {
+        doc.children(doc.root()).unwrap()[i]
+    }
+
+    /// Every mutator of the update vocabulary; the flag says whether the
+    /// serialized document differs afterwards.
+    #[allow(clippy::type_complexity)]
+    fn mutators() -> Vec<(&'static str, fn(&mut Document), bool)> {
+        vec![
+            (
+                "insert into",
+                |d| {
+                    let anchor = product(d, 3);
+                    let f = Fragment::elem("widget", vec![Fragment::elem_text("k", "v")]);
+                    d.insert_fragment(anchor, &f, InsertPos::Into).unwrap();
+                },
+                true,
+            ),
+            (
+                "insert before",
+                |d| {
+                    let anchor = product(d, 20);
+                    d.insert_element(anchor, "widget", InsertPos::Before)
+                        .unwrap();
+                },
+                true,
+            ),
+            (
+                "insert after",
+                |d| {
+                    let anchor = product(d, 39);
+                    d.insert_element(anchor, "widget", InsertPos::After)
+                        .unwrap();
+                },
+                true,
+            ),
+            (
+                "remove",
+                |d| {
+                    d.remove(product(d, 11)).unwrap();
+                },
+                true,
+            ),
+            (
+                "remove + unremove",
+                |d| {
+                    let victim = product(d, 11);
+                    let ids: Vec<NodeId> = d.descendants(victim).collect();
+                    let removed = d.remove(victim).unwrap();
+                    assert_eq!(d.unremove(&removed).unwrap(), victim);
+                    assert!(ids.iter().all(|&n| d.is_live(n)), "original ids");
+                },
+                false,
+            ),
+            (
+                "rename to a new label",
+                |d| {
+                    d.rename(product(d, 30), "never_seen_before").unwrap();
+                },
+                true,
+            ),
+            (
+                "change_value creating a text child",
+                |d| {
+                    let notes = *d.children(product(d, 7)).unwrap().last().unwrap();
+                    assert!(d.children(notes).unwrap().is_empty());
+                    d.change_value(notes, "fragile").unwrap();
+                },
+                true,
+            ),
+            (
+                "change_value on an attribute",
+                |d| {
+                    let id = d.children(product(d, 25)).unwrap()[0];
+                    d.change_value(id, "changed").unwrap();
+                },
+                true,
+            ),
+            (
+                "transpose",
+                |d| d.transpose(product(d, 1), product(d, 38)).unwrap(),
+                true,
+            ),
+        ]
+    }
+
+    #[test]
+    fn mutating_either_side_of_a_clone_never_shows_through() {
+        for (name, mutate, changes) in mutators() {
+            // Mutate the original; the clone must not move.
+            let mut original = cow_doc();
+            let clone = original.clone();
+            let before = clone.to_xml();
+            mutate(&mut original);
+            assert_eq!(clone.to_xml(), before, "{name}: clone saw the write");
+            assert_eq!(original.to_xml() != before, changes, "{name}: effect");
+            original.check_integrity().unwrap();
+            clone.check_integrity().unwrap();
+
+            // Roles swapped: mutate the clone; the original must not move.
+            let original = cow_doc();
+            let mut clone = original.clone();
+            mutate(&mut clone);
+            assert_eq!(original.to_xml(), before, "{name}: original saw it");
+            assert_eq!(clone.to_xml() != before, changes, "{name}: effect");
+            original.check_integrity().unwrap();
+            clone.check_integrity().unwrap();
+        }
+    }
+
+    #[test]
+    fn one_write_after_clone_copies_at_most_two_chunks() {
+        let mut doc = Document::new("r");
+        let root = doc.root();
+        let mut last = root;
+        while doc.arena_len() < 10_000 {
+            last = doc.insert_element(root, "e", InsertPos::Into).unwrap();
+            doc.change_value(last, "v").unwrap();
+        }
+        let chunks = doc.arena_len().div_ceil(CHUNK);
+        let clone = doc.clone();
+        assert_eq!(doc.shared_chunks(&clone), chunks, "a clone shares all");
+        doc.change_value(last, "w").unwrap();
+        assert!(doc.shared_chunks(&clone) >= chunks - 2);
+        assert!(doc.shared_chunks(&clone) < chunks, "the write did copy");
+        assert_eq!(clone.text_of(last).unwrap(), "v");
+        assert_eq!(doc.text_of(last).unwrap(), "w");
     }
 
     #[test]

@@ -1,13 +1,28 @@
 //! Query evaluation against an in-memory [`Document`].
 //!
-//! Evaluation is set-at-a-time: each step maps the current context set to
-//! the next, de-duplicating while preserving document order (important for
-//! `//` steps whose expansions overlap). Predicates are evaluated per
-//! context node by recursively evaluating their relative paths.
+//! An evaluation costs O(nodes it visits) and allocates nothing per
+//! visited node (two buffers for the whole path, one traversal stack per
+//! `//` expansion, a string only to compare mixed content):
+//!
+//! * every name test is resolved to the document's [`Symbol`] once per
+//!   step, so testing a node is an integer compare (a name the document
+//!   never interned matches nothing);
+//! * the spine of the path maps one context set to the next in two
+//!   reused buffers, in the order nodes are first reached, and pays for
+//!   de-duplication only where duplicates can arise — a `//` step over
+//!   several context nodes, whose expansions may overlap. A node has one
+//!   parent, so child and attribute steps from distinct nodes reach
+//!   distinct nodes;
+//! * predicates are existential, so they need neither order nor
+//!   de-duplication: [`matches_predicate`] walks the predicate's relative
+//!   paths depth-first and stops at the first target that satisfies it,
+//!   building no node set;
+//! * string-values are compared by borrowing wherever the value is one
+//!   stored string.
 
 use crate::ast::{Axis, CmpOp, Literal, NodeTest, Predicate, Query, Step};
-use dtx_xml::{Document, NodeId};
-use std::collections::HashSet;
+use dtx_xml::{Document, Node, NodeId, NodeKind, Symbol};
+use std::borrow::Cow;
 
 /// Evaluates an absolute query against `doc`, returning matching nodes in
 /// document order.
@@ -15,154 +30,186 @@ use std::collections::HashSet;
 /// Per XPath semantics the first step is matched against the *root
 /// element*: `/products/...` requires the root to be labelled `products`.
 pub fn eval(doc: &Document, query: &Query) -> Vec<NodeId> {
-    let mut current: Vec<NodeId> = vec![];
-    for (i, step) in query.steps.iter().enumerate() {
-        current = if i == 0 {
-            step_from_virtual_root(doc, step)
-        } else {
-            apply_step(doc, &current, step)
-        };
-        if current.is_empty() {
-            break;
-        }
-    }
-    current
-}
-
-/// The first step is matched against the virtual document root, whose only
-/// child is the root element.
-fn step_from_virtual_root(doc: &Document, step: &Step) -> Vec<NodeId> {
+    let Some((first, rest)) = query.steps.split_first() else {
+        return Vec::new();
+    };
+    // The first step is matched against the virtual document root, whose
+    // only child is the root element; `/@x` there matches nothing.
+    let test = Test::resolve(doc, &first.test);
     let root = doc.root();
-    let mut out = Vec::new();
-    match step.axis {
-        Axis::Child => {
-            if test_matches(doc, root, &step.test) {
-                out.push(root);
-            }
+    let mut current = Vec::new();
+    let mut keep = |n: NodeId| {
+        if passes(doc, n, first) {
+            current.push(n);
         }
-        Axis::Descendant => {
-            for n in doc.descendants(root) {
-                if is_element_or_text(doc, n) && test_matches(doc, n, &step.test) {
-                    out.push(n);
-                }
-            }
+        false
+    };
+    if first.axis != Axis::Attribute {
+        if doc.node(root).is_ok_and(|node| test.matches(node)) {
+            keep(root);
         }
-        Axis::Attribute => {
-            // `/@x` on the virtual root matches nothing (roots are elements).
+        if first.axis == Axis::Descendant {
+            visit(doc, root, Axis::Descendant, test, &mut keep);
         }
     }
-    filter_by_predicate(doc, out, step.predicate.as_ref())
+    run_steps(doc, current, rest, true)
 }
 
 /// Evaluates a (relative) query starting from the given context nodes.
 pub fn eval_from(doc: &Document, context: &[NodeId], query: &Query) -> Vec<NodeId> {
-    let mut current = context.to_vec();
-    for step in &query.steps {
-        current = apply_step(doc, &current, step);
+    run_steps(doc, context.to_vec(), &query.steps, context.len() <= 1)
+}
+
+/// Maps `current` through `steps`. `distinct` says `current` is known to
+/// hold no node twice (a caller's context of several nodes is not).
+fn run_steps(
+    doc: &Document,
+    mut current: Vec<NodeId>,
+    steps: &[Step],
+    mut distinct: bool,
+) -> Vec<NodeId> {
+    let mut next = Vec::new();
+    let mut seen = Seen::default();
+    for step in steps {
         if current.is_empty() {
             break;
         }
+        let test = Test::resolve(doc, &step.test);
+        let dedup = !distinct || (step.axis == Axis::Descendant && current.len() > 1);
+        if dedup {
+            seen.reset(doc.arena_len());
+        }
+        for &ctx in &current {
+            visit(doc, ctx, step.axis, test, &mut |n| {
+                if (!dedup || seen.insert(n)) && passes(doc, n, step) {
+                    next.push(n);
+                }
+                false
+            });
+        }
+        distinct = true;
+        std::mem::swap(&mut current, &mut next);
+        next.clear();
     }
     current
 }
 
-fn apply_step(doc: &Document, context: &[NodeId], step: &Step) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    for &ctx in context {
-        match step.axis {
-            Axis::Child => {
-                if let Ok(children) = doc.children(ctx) {
-                    for &c in children {
-                        if is_element_or_text(doc, c) && test_matches(doc, c, &step.test) {
-                            push_unique(&mut out, &mut seen, c);
-                        }
-                    }
-                }
-            }
-            Axis::Descendant => {
-                // descendant-or-self on children: all strict descendants.
-                for n in doc.descendants(ctx).skip(1) {
-                    if is_element_or_text(doc, n) && test_matches(doc, n, &step.test) {
-                        push_unique(&mut out, &mut seen, n);
-                    }
-                }
-            }
-            Axis::Attribute => {
-                if let Ok(children) = doc.children(ctx) {
-                    for &c in children {
-                        let is_attr = doc.node(c).map(|n| n.is_attribute()).unwrap_or(false);
-                        if is_attr && test_matches(doc, c, &step.test) {
-                            push_unique(&mut out, &mut seen, c);
-                        }
-                    }
-                }
-            }
+/// A node test with its name resolved against one document's interner.
+#[derive(Clone, Copy)]
+enum Test {
+    Label(Symbol),
+    /// A name the document never interned: no node carries it.
+    Nothing,
+    Wildcard,
+    Text,
+}
+
+impl Test {
+    fn resolve(doc: &Document, test: &NodeTest) -> Test {
+        match test {
+            NodeTest::Name(name) => doc.interner().get(name).map_or(Test::Nothing, Test::Label),
+            NodeTest::Wildcard => Test::Wildcard,
+            NodeTest::Text => Test::Text,
         }
     }
-    filter_by_predicate(doc, out, step.predicate.as_ref())
-}
 
-fn push_unique(out: &mut Vec<NodeId>, seen: &mut HashSet<NodeId>, n: NodeId) {
-    if seen.insert(n) {
-        out.push(n);
+    #[inline]
+    fn matches(self, node: &Node) -> bool {
+        match self {
+            Test::Label(sym) => node.kind.label() == Some(sym),
+            Test::Nothing => false,
+            Test::Wildcard => node.is_element(),
+            Test::Text => node.is_text(),
+        }
     }
 }
 
-fn is_element_or_text(doc: &Document, n: NodeId) -> bool {
-    doc.node(n)
-        .map(|node| !node.is_attribute())
-        .unwrap_or(false)
-}
+/// The nodes already emitted by the current step, one bit per arena slot.
+#[derive(Default)]
+struct Seen(Vec<u64>);
 
-fn test_matches(doc: &Document, n: NodeId, test: &NodeTest) -> bool {
-    let Ok(node) = doc.node(n) else { return false };
-    match test {
-        NodeTest::Wildcard => node.is_element(),
-        NodeTest::Text => node.is_text(),
-        NodeTest::Name(name) => match node.kind.label() {
-            Some(sym) => doc.interner().resolve(sym) == name,
-            None => false,
-        },
+impl Seen {
+    fn reset(&mut self, slots: usize) {
+        self.0.clear();
+        self.0.resize(slots.div_ceil(64), 0);
+    }
+
+    /// Marks `n`; true when it was not marked before.
+    fn insert(&mut self, n: NodeId) -> bool {
+        let (word, bit) = (n.index() / 64, 1u64 << (n.index() % 64));
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
     }
 }
 
-fn filter_by_predicate(
+/// Calls `f` on each node reached from `ctx` along `axis` that passes
+/// `test`, in document order, until `f` returns true; returns whether it
+/// did. Child and descendant steps never reach attributes, attribute
+/// steps reach nothing else.
+fn visit(
     doc: &Document,
-    nodes: Vec<NodeId>,
-    pred: Option<&Predicate>,
-) -> Vec<NodeId> {
-    match pred {
-        None => nodes,
-        Some(p) => nodes
-            .into_iter()
-            .filter(|&n| matches_predicate(doc, n, p))
-            .collect(),
+    ctx: NodeId,
+    axis: Axis,
+    test: Test,
+    f: &mut dyn FnMut(NodeId) -> bool,
+) -> bool {
+    let want_attribute = axis == Axis::Attribute;
+    let mut hit = |n: NodeId| match doc.node(n) {
+        Ok(node) => node.is_attribute() == want_attribute && test.matches(node) && f(n),
+        Err(_) => false,
+    };
+    match axis {
+        Axis::Child | Axis::Attribute => match doc.children(ctx) {
+            Ok(children) => children.iter().any(|&c| hit(c)),
+            Err(_) => false,
+        },
+        // descendant-or-self::node()/child:: — all strict descendants.
+        Axis::Descendant => doc.descendants(ctx).skip(1).any(hit),
     }
+}
+
+fn passes(doc: &Document, n: NodeId, step: &Step) -> bool {
+    step.predicate
+        .as_ref()
+        .is_none_or(|p| matches_predicate(doc, n, p))
 }
 
 /// Evaluates a predicate with `n` as the context node.
 pub fn matches_predicate(doc: &Document, n: NodeId, pred: &Predicate) -> bool {
     match pred {
-        Predicate::Exists(path) => !eval_from(doc, &[n], path).is_empty(),
-        Predicate::Cmp { path, op, value } => {
-            let targets = eval_from(doc, &[n], path);
-            // XPath existential semantics: true if ANY target compares true.
-            targets.iter().any(|&t| compare_node(doc, t, *op, value))
-        }
+        Predicate::Exists(path) => any_target(doc, n, &path.steps, &mut |_| true),
+        // XPath existential semantics: true if ANY target compares true.
+        Predicate::Cmp { path, op, value } => any_target(doc, n, &path.steps, &mut |t| {
+            compare_node(doc, t, *op, value)
+        }),
         Predicate::And(a, b) => matches_predicate(doc, n, a) && matches_predicate(doc, n, b),
         Predicate::Or(a, b) => matches_predicate(doc, n, a) || matches_predicate(doc, n, b),
         Predicate::Not(p) => !matches_predicate(doc, n, p),
     }
 }
 
+/// True when `f` holds for some node `steps` reaches from `ctx`:
+/// depth-first, stopping at the first such node.
+fn any_target(
+    doc: &Document,
+    ctx: NodeId,
+    steps: &[Step],
+    f: &mut dyn FnMut(NodeId) -> bool,
+) -> bool {
+    let Some((step, rest)) = steps.split_first() else {
+        return f(ctx);
+    };
+    let test = Test::resolve(doc, &step.test);
+    visit(doc, ctx, step.axis, test, &mut |n| {
+        passes(doc, n, step) && any_target(doc, n, rest, f)
+    })
+}
+
 fn compare_node(doc: &Document, n: NodeId, op: CmpOp, value: &Literal) -> bool {
-    let actual = string_value(doc, n);
+    let actual = string_value_of(doc, n);
     match value {
-        Literal::Str(expected) => {
-            let ord = actual.as_str().cmp(expected.as_str());
-            ord_matches(op, ord)
-        }
+        Literal::Str(expected) => ord_matches(op, actual.as_ref().cmp(expected.as_str())),
         Literal::Number(expected) => match actual.trim().parse::<f64>() {
             Ok(v) => match v.partial_cmp(expected) {
                 Some(ord) => ord_matches(op, ord),
@@ -193,11 +240,29 @@ fn ord_matches(op: CmpOp, ord: std::cmp::Ordering) -> bool {
 /// XPath string-value of a node: concatenated descendant text for
 /// elements, the value itself for attributes/text.
 pub fn string_value(doc: &Document, n: NodeId) -> String {
-    match doc.node(n) {
-        Ok(node) if node.is_element() => doc.text_of(n).unwrap_or_default(),
-        Ok(node) => node.kind.value().unwrap_or("").to_owned(),
-        Err(_) => String::new(),
+    string_value_of(doc, n).into_owned()
+}
+
+/// [`string_value`], borrowed when the value is one stored string: an
+/// attribute or text node, or an element with no element children and at
+/// most one text child (`<price>12</price>`). Only mixed content
+/// concatenates.
+fn string_value_of(doc: &Document, n: NodeId) -> Cow<'_, str> {
+    let Ok(node) = doc.node(n) else {
+        return Cow::Borrowed("");
+    };
+    if !node.is_element() {
+        return Cow::Borrowed(node.kind.value().unwrap_or(""));
     }
+    let mut only = None;
+    for &c in &node.children {
+        match doc.node(c).map(|child| &child.kind) {
+            Ok(NodeKind::Attribute { .. }) => {}
+            Ok(NodeKind::Text { value }) if only.is_none() => only = Some(value.as_str()),
+            _ => return Cow::Owned(doc.text_of(n).unwrap_or_default()),
+        }
+    }
+    Cow::Borrowed(only.unwrap_or(""))
 }
 
 #[cfg(test)]
