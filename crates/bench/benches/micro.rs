@@ -3,13 +3,17 @@
 //! These quantify the "lower lock management overhead" and "summarized
 //! data structure" arguments of the paper at the component level: XML
 //! parsing, DataGuide construction and matching, XPath evaluation,
-//! document clone (snapshot publish) cost, lock-request generation
-//! per protocol, lock-table throughput, and wait-for-graph cycle checks.
+//! document clone (snapshot publish) and store persist cost, a whole
+//! update-then-commit at one lock manager, lock-request generation per
+//! protocol, lock-table throughput, and wait-for-graph cycle checks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dtx_core::{LockManager, OpSpec, ProcessResult};
 use dtx_dataguide::DataGuide;
-use dtx_locks::{LockMode, LockTable, TxnId, TxnMode, WaitForGraph};
+use dtx_locks::{LockMode, LockTable, ProtocolKind, TxnId, TxnMode, WaitForGraph};
+use dtx_storage::{DataManager, MemStore};
 use dtx_xmark::generator::{generate, XmarkConfig};
+use dtx_xml::document::{Fragment, InsertPos};
 use dtx_xml::Document;
 use dtx_xpath::{eval, Query, UpdateOp};
 
@@ -84,6 +88,64 @@ fn document_clone(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+    // What a commit pays the store: persisting a document one write away
+    // from the state the store already holds.
+    group.bench_function("store_persist", |b| {
+        b.iter_batched(
+            || {
+                let mut store = MemStore::free();
+                store.persist("d", &doc).unwrap();
+                let mut written = doc.clone();
+                written.change_value(target, "changed").unwrap();
+                (store, written)
+            },
+            |(mut store, written)| {
+                store.persist("d", &written).unwrap();
+                store
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+/// One update through Algorithm 3 and its local commit (WAL aside): locks,
+/// apply, guide maintenance, then persist, snapshot publish and release.
+fn commit_local(c: &mut Criterion) {
+    let base = generate(XmarkConfig::sized(200_000, 3));
+    let person = format!("/site/people/person[id={}]", base.person_ids[7]);
+    let updates = [
+        (
+            "value_update",
+            UpdateOp::Change {
+                target: Query::parse(&format!("{person}/name")).unwrap(),
+                new_value: "changed".into(),
+            },
+        ),
+        (
+            "insert",
+            UpdateOp::Insert {
+                target: Query::parse(&person).unwrap(),
+                fragment: Fragment::elem_text("phone", "+55 85 0000"),
+                pos: InsertPos::Into,
+            },
+        ),
+    ];
+    let mut group = c.benchmark_group("commit_local");
+    for (name, update) in updates {
+        let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(MemStore::free()));
+        lm.put_and_load("d", &base.xml).unwrap();
+        let op = OpSpec::update("d", update);
+        let mut txn = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                txn += 1;
+                let done = lm.process_operation(TxnId(txn), 0, &op, TxnMode::Updating, false);
+                assert!(matches!(done, ProcessResult::Executed(_)), "{done:?}");
+                lm.commit_local(TxnId(txn)).unwrap()
+            })
+        });
+    }
     group.finish();
 }
 
@@ -97,9 +159,9 @@ fn lock_requests_per_protocol(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("lock_requests");
     for kind in [
-        dtx_locks::ProtocolKind::Xdgl,
-        dtx_locks::ProtocolKind::Node2Pl,
-        dtx_locks::ProtocolKind::DocLock,
+        ProtocolKind::Xdgl,
+        ProtocolKind::Node2Pl,
+        ProtocolKind::DocLock,
     ] {
         let protocol = kind.instantiate();
         group.bench_function(format!("{}_query", kind.name()), |b| {
@@ -176,6 +238,7 @@ criterion_group!(
     dataguide_build,
     xpath_eval,
     document_clone,
+    commit_local,
     lock_requests_per_protocol,
     lock_table_throughput,
     wfg_cycle_detection

@@ -48,6 +48,13 @@ struct DocState {
     guide: DataGuide,
     /// Dirty since last persist (commit persists only touched docs).
     dirty: bool,
+    /// Transactions whose applied, not-yet-terminated updates the store
+    /// copy holds: a commit persists the whole in-memory document, other
+    /// transactions' updates included. Undoing an update of one of them
+    /// must persist again ([`LockManager::settle_store`]), or the store —
+    /// what `dump_committed` ships to new replicas — keeps the undone
+    /// change.
+    store_holds: Vec<TxnId>,
     /// Guide changed structurally since the last snapshot publication.
     /// Value-only updates leave this false, so the next publication shares
     /// `snap_guide` unchanged (the COW fast path).
@@ -255,6 +262,7 @@ impl LockManager {
                 doc,
                 guide,
                 dirty: false,
+                store_holds: Vec::new(),
                 guide_dirty: false,
                 snap_guide,
                 tag,
@@ -515,12 +523,17 @@ impl LockManager {
                     w.append(WalRecord::Undone { txn, op_seq });
                 }
             }
-            for e in undone {
+            for e in &undone {
                 if let Some(state) = self.docs.get_mut(&e.doc) {
                     state.guide_dirty |= incremental::mutates_extents(&e.record);
                     incremental::note_undone(&mut state.guide, &state.doc, &e.record);
                     let _ = undo_update(&mut state.doc, &e.record);
                 }
+            }
+            // Only once every entry is undone: a copy persisted in
+            // between would hold the rest, with no log entry left to say so.
+            for e in &undone {
+                self.settle_store(&e.doc, txn);
             }
         }
         if let Some(locks) = self.op_locks.remove(&(txn, op_seq)) {
@@ -563,7 +576,11 @@ impl LockManager {
                     if state.dirty {
                         self.store.persist(&name, &state.doc)?;
                         state.dirty = false;
+                        state.store_holds = pending_txns(&self.undo_log, &name);
                         publish = true;
+                    } else {
+                        // What the copy holds of `txn` is committed now.
+                        state.store_holds.retain(|&t| t != txn);
                     }
                 }
                 if publish {
@@ -608,10 +625,12 @@ impl LockManager {
             }
         }
         // Republish the post-undo state: an intervening commit on the same
-        // document may have published a snapshot that still contained this
-        // transaction's now-rolled-back changes.
+        // document may have published a snapshot — and persisted a store
+        // copy — that still contained this transaction's now-rolled-back
+        // changes.
         for name in undone_docs {
             self.publish_snapshot(&name);
+            self.settle_store(&name, txn);
         }
         self.op_locks.retain(|(t, _), _| *t != txn);
         self.touched.remove(&txn);
@@ -619,6 +638,17 @@ impl LockManager {
         let waiters = self.wfg.waiters_of(txn);
         self.wfg.remove_txn(txn);
         waiters
+    }
+
+    /// Persists `name` again if its store copy holds updates of `txn` —
+    /// called after an undo of some of them. The fresh copy holds what is
+    /// applied and unterminated now.
+    fn settle_store(&mut self, name: &str, txn: TxnId) {
+        if let Some(state) = self.docs.get_mut(name) {
+            if state.store_holds.contains(&txn) && self.store.persist(name, &state.doc).is_ok() {
+                state.store_holds = pending_txns(&self.undo_log, name);
+            }
+        }
     }
 
     /// Executes a read-only transaction's query against its pinned
@@ -758,8 +788,18 @@ impl LockManager {
     /// re-replication. Uncommitted in-memory changes are excluded; the
     /// replica copy fence in `Cluster::add_replica` pauses new updates
     /// and drains applied ones before this dump is taken.
+    ///
+    /// The text is in the parser's normal form (what a receiver that
+    /// parses it would serialize again: e.g. an emptied text node is gone),
+    /// so dumps of equal documents compare byte-for-byte whatever update
+    /// history built them. Commits never pay for this; only the dump does.
     pub fn dump_committed(&mut self, name: &str) -> StorageResult<String> {
-        Ok(self.store.load(name)?.to_xml())
+        let xml = self.store.load(name)?.to_xml();
+        let normal = Document::parse(&xml).map_err(|cause| StorageError::Corrupt {
+            name: name.to_owned(),
+            cause,
+        })?;
+        Ok(normal.to_xml())
     }
 
     /// [`LockManager::dump_committed`] plus this site's DataGuide for the
@@ -889,6 +929,14 @@ impl LockManager {
             !s.is_empty()
         });
     }
+}
+
+/// The transactions with applied, not-yet-terminated updates on `name` (a
+/// free function so callers can hold other fields borrowed).
+fn pending_txns(undo_log: &HashMap<TxnId, Vec<UndoEntry>>, name: &str) -> Vec<TxnId> {
+    let on_doc = |es: &Vec<UndoEntry>| es.iter().any(|e| e.doc == name);
+    let pending = undo_log.iter().filter(|(_, es)| on_doc(es));
+    pending.map(|(&txn, _)| txn).collect()
 }
 
 fn not_hosted(name: &str) -> StorageError {
@@ -1097,6 +1145,80 @@ mod tests {
             lm.dump_committed("d2").unwrap(),
             lm.document("d2").unwrap().to_xml()
         );
+    }
+
+    /// T1 changes a price and T2 a name of `d2`, both applied and neither
+    /// terminated. Returns the document text with only T1's change.
+    fn two_writers_on_one_document(lm: &mut LockManager) -> String {
+        let change = |path: &str, v: &str| {
+            OpSpec::update(
+                "d2",
+                UpdateOp::Change {
+                    target: q(path),
+                    new_value: v.into(),
+                },
+            )
+        };
+        let t1 = change("/products/product[id=4]/price", "1");
+        let t2 = change("/products/product[id=14]/name", "Plotter");
+        assert!(matches!(
+            lm.process_operation(TxnId(1), 0, &t1, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        ));
+        let only_t1 = lm.document("d2").unwrap().to_xml();
+        assert!(matches!(
+            lm.process_operation(TxnId(2), 0, &t2, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        ));
+        only_t1
+    }
+
+    #[test]
+    fn dump_committed_excludes_a_change_aborted_after_another_commit() {
+        // T1's commit persists the whole in-memory document, T2's applied
+        // change included; T2's abort must take it out of the store again
+        // even though nothing commits on the document afterwards.
+        let mut lm = manager();
+        let only_t1 = two_writers_on_one_document(&mut lm);
+        lm.commit_local(TxnId(1)).unwrap();
+        assert_eq!(lm.store_stats().persists, 1);
+        // T3 applies after that persist: the copy holds nothing of it, so
+        // its abort leaves the store alone.
+        let t3 = OpSpec::update(
+            "d2",
+            UpdateOp::Change {
+                target: q("/products/product[id=14]/price"),
+                new_value: "3".into(),
+            },
+        );
+        assert!(matches!(
+            lm.process_operation(TxnId(3), 0, &t3, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        ));
+        lm.abort_local(TxnId(3));
+        assert_eq!(lm.store_stats().persists, 1);
+        lm.abort_local(TxnId(2));
+        assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
+        assert_eq!(lm.store_stats().persists, 2, "the abort persisted again");
+        // A copy that holds nothing of them is left alone: two more
+        // writers, both aborted.
+        let _ = two_writers_on_one_document(&mut lm);
+        lm.abort_local(TxnId(2));
+        lm.abort_local(TxnId(1));
+        assert_eq!(lm.store_stats().persists, 2);
+        assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
+    }
+
+    #[test]
+    fn dump_committed_excludes_an_operation_undone_after_another_commit() {
+        // Same, with T2's operation undone singly (a sibling site refused
+        // it) and T2 then committing what is left of it: nothing here.
+        let mut lm = manager();
+        let only_t1 = two_writers_on_one_document(&mut lm);
+        lm.commit_local(TxnId(1)).unwrap();
+        lm.undo_op(TxnId(2), 0);
+        lm.commit_local(TxnId(2)).unwrap();
+        assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
     }
 
     #[test]

@@ -50,16 +50,32 @@ impl OpSpec {
     /// Approximate wire size of the operation (for the latency model).
     pub fn wire_size(&self) -> usize {
         let body = match &self.kind {
-            OpKind::Query(q) => q.to_string().len(),
+            OpKind::Query(q) => display_len(q),
             OpKind::Update(u) => match u {
                 UpdateOp::Insert {
                     target, fragment, ..
-                } => target.to_string().len() + fragment.byte_size(),
-                other => other.to_string().len(),
+                } => display_len(target) + fragment.byte_size(),
+                other => display_len(other),
             },
         };
         self.doc.len() + body + 32
     }
+}
+
+/// `x.to_string().len()` without building the string: every send sizes
+/// its operation for the latency model.
+fn display_len(x: &impl std::fmt::Display) -> usize {
+    use std::fmt::Write;
+    struct ByteCount(usize);
+    impl Write for ByteCount {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut n = ByteCount(0);
+    write!(n, "{x}").expect("counting never fails");
+    n.0
 }
 
 /// A client transaction: an ordered list of operations executed under
@@ -196,6 +212,41 @@ mod tests {
             },
         );
         assert!(big.wire_size() > small.wire_size() + 4000);
+    }
+
+    #[test]
+    fn wire_size_counts_the_rendered_text_without_rendering_it() {
+        use dtx_xml::document::{Fragment, InsertPos};
+        let target = Query::parse("/r/a[b=\"x y\"]/c[@d>4]").unwrap();
+        let fragment = Fragment::elem_text("e", "<&>");
+        let ops = [
+            (
+                OpSpec::query("doc", target.clone()),
+                target.to_string().len(),
+            ),
+            (
+                OpSpec::update(
+                    "doc",
+                    UpdateOp::Insert {
+                        target: target.clone(),
+                        fragment: fragment.clone(),
+                        pos: InsertPos::After,
+                    },
+                ),
+                target.to_string().len() + fragment.byte_size(),
+            ),
+            {
+                let rename = UpdateOp::Rename {
+                    target,
+                    new_label: "renamed".into(),
+                };
+                let body = rename.to_string().len();
+                (OpSpec::update("doc", rename), body)
+            },
+        ];
+        for (op, body) in ops {
+            assert_eq!(op.wire_size(), "doc".len() + body + 32, "{op:?}");
+        }
     }
 
     #[test]

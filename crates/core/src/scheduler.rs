@@ -1190,7 +1190,7 @@ impl Scheduler {
             return;
         };
         let sites = sites.clone();
-        let statuses = self.pending_done.remove(&corr).unwrap_or_default();
+        let mut statuses = self.pending_done.remove(&corr).unwrap_or_default();
         if !complete {
             // A participant did not answer: undo what executed and abort.
             self.undo_partial(id, op_seq, &statuses);
@@ -1272,16 +1272,16 @@ impl Scheduler {
         // order, update counts summed). The merge mode travels with the
         // routing plan — the scheduler never consults the catalog here.
         let result = if fragmented {
-            let mut ordered: Vec<(&SiteId, &DoneInfo)> = statuses.iter().collect();
-            ordered.sort_by_key(|(s, _)| **s);
+            let mut ordered: Vec<(SiteId, DoneInfo)> = statuses.into_iter().collect();
+            ordered.sort_by_key(|(s, _)| *s);
             let mut values: Vec<String> = Vec::new();
             let mut affected = 0usize;
             let mut is_query = false;
             for (_, d) in ordered {
-                match &d.result {
+                match d.result {
                     Some(OpResult::Query { values: v }) => {
                         is_query = true;
-                        values.extend(v.iter().cloned());
+                        values.extend(v);
                     }
                     Some(OpResult::Update { affected: a }) => affected += a,
                     None => {}
@@ -1303,9 +1303,9 @@ impl Scheduler {
             }
         } else {
             statuses
-                .get(&self.site)
-                .and_then(|d| d.result.clone())
-                .or_else(|| statuses.values().find_map(|d| d.result.clone()))
+                .remove(&self.site)
+                .and_then(|d| d.result)
+                .or_else(|| statuses.into_values().find_map(|d| d.result))
                 .unwrap_or(OpResult::Update { affected: 0 })
         };
         self.op_succeeded(id, result);

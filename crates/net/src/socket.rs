@@ -453,6 +453,8 @@ fn flush_pending<M>(inner: &SockInner<M>, site: SiteId) {
 /// extract, dispatch) in poll-mode passes with naps, mirroring the
 /// reactor's wheel workers. Shard 0 also accepts inbound connections.
 fn poll_loop<M: WireCodec + Send + 'static>(inner: Arc<SockInner<M>>, shard: usize) {
+    // One read buffer for every connection and pass of this thread.
+    let mut scratch = vec![0u8; IO_CHUNK];
     loop {
         let stopping = inner.stop.load(Ordering::Relaxed);
         let mut moved = false;
@@ -465,7 +467,7 @@ fn poll_loop<M: WireCodec + Send + 'static>(inner: Arc<SockInner<M>>, shard: usi
                 continue;
             }
             moved |= write_pass(conn);
-            moved |= read_pass(&inner, conn);
+            moved |= read_pass(&inner, conn, &mut scratch);
             extract_pass(&inner, conn);
         }
         if stopping {
@@ -541,19 +543,19 @@ fn write_pass(conn: &Conn) -> bool {
     written > 0
 }
 
-/// Reads everything currently available on `conn` into its inbuf.
-fn read_pass<M>(inner: &SockInner<M>, conn: &Conn) -> bool {
-    let mut tmp = [0u8; IO_CHUNK];
+/// Reads everything currently available on `conn` into its inbuf, by
+/// way of the calling poller's `scratch` buffer.
+fn read_pass<M>(inner: &SockInner<M>, conn: &Conn, scratch: &mut [u8]) -> bool {
     let mut any = false;
     loop {
-        match (&conn.stream).read(&mut tmp) {
+        match (&conn.stream).read(scratch) {
             Ok(0) => {
                 conn.closed.store(true, Ordering::Relaxed);
                 return any;
             }
             Ok(n) => {
                 inner.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                conn.inbuf.lock().extend_from_slice(&tmp[..n]);
+                conn.inbuf.lock().extend_from_slice(&scratch[..n]);
                 any = true;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return any,

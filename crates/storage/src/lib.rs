@@ -15,19 +15,14 @@
 //!   time, so experiments retain the relative cost of loads/persists that
 //!   the paper's Sedna deployment had (EXPERIMENTS.md, "Cost-model
 //!   calibration", documents this substitution);
-//! * [`FileStore`] — a real file-system backend (one `.xml` file per
-//!   document), matching the paper's example where "the DTX module on the
-//!   site s2 manages XML data persisted in a file system" (Fig. 2);
 //! * [`StoreStats`] — load/persist counters and byte totals used by the
 //!   experiment reports.
 
 pub mod cost;
-pub mod filestore;
 pub mod memstore;
 pub mod wal;
 
 pub use cost::CostModel;
-pub use filestore::FileStore;
 pub use memstore::MemStore;
 pub use wal::{LoggedOutcome, Wal, WalRecord};
 
@@ -49,8 +44,6 @@ pub enum StorageError {
         /// Underlying parse failure.
         cause: dtx_xml::XmlError,
     },
-    /// An I/O failure from a real backend.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for StorageError {
@@ -60,18 +53,11 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt { name, cause } => {
                 write!(f, "document {name:?} is corrupt: {cause}")
             }
-            StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
         }
     }
 }
 
 impl std::error::Error for StorageError {}
-
-impl From<std::io::Error> for StorageError {
-    fn from(e: std::io::Error) -> Self {
-        StorageError::Io(e)
-    }
-}
 
 /// Counters exposed by every store.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -101,14 +87,20 @@ pub trait DataManager: Send {
     /// True when `name` is stored.
     fn contains(&self, name: &str) -> bool;
 
-    /// Stores raw XML under `name` (initial population / bulk load).
+    /// Stores raw XML under `name` (initial population / bulk load);
+    /// text that does not parse is rejected as [`StorageError::Corrupt`].
     fn put_raw(&mut self, name: &str, xml: &str) -> StorageResult<()>;
 
-    /// Loads and parses a document.
+    /// Hands out the stored state of `name` as a document of its own:
+    /// later writes to it never reach the store.
     fn load(&mut self, name: &str) -> StorageResult<Document>;
 
     /// Persists a document's current state (called at commit, Alg. 5
-    /// l. 10 `LockManager.DataManager.persist`).
+    /// l. 10 `LockManager.DataManager.persist`). The store keeps that
+    /// state — later writes to `doc` never reach it — and accounts the
+    /// write at `doc.to_xml().len()` bytes. Runs on every commit at every
+    /// participant, so an implementation should cost O(what changed since
+    /// the last persist), as [`MemStore`]'s does.
     fn persist(&mut self, name: &str, doc: &Document) -> StorageResult<()>;
 
     /// Removes a document from the store.

@@ -11,6 +11,9 @@
 //! mutation copies only the chunk(s) holding the slots it writes
 //! (copy-on-write), which is what lets the lock manager publish a snapshot
 //! per commit at O(changed) cost: versions share every untouched chunk.
+//! Each chunk also remembers how many bytes its nodes serialize to, so
+//! [`Document::xml_len`] — what the store charges a persist by — costs
+//! O(chunks written since it was last asked), not a serialization.
 //!
 //! Updates are designed to be *invertible*: every mutating method returns
 //! the information needed to undo it ([`Removed`] for removals, the old
@@ -22,6 +25,7 @@ use crate::error::{XmlError, XmlResult};
 use crate::intern::{Interner, Symbol};
 use crate::node::{Node, NodeId, NodeKind};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Where to place an inserted node relative to its anchor.
@@ -143,7 +147,29 @@ pub struct Removed {
 /// many nodes once; a clone bumps one reference count per this many nodes.
 const CHUNK: usize = 64;
 
-type Chunk = [Option<Node>; CHUNK];
+/// [`Chunk::xml_len`] of a chunk written since it was last summed.
+const STALE: usize = usize::MAX;
+
+/// One copy-on-write unit of the arena.
+#[derive(Debug, Serialize, Deserialize)]
+struct Chunk {
+    slots: [Option<Node>; CHUNK],
+    /// Bytes the live nodes of `slots` contribute to [`Document::to_xml`]
+    /// (see [`crate::serializer::node_len`]), or [`STALE`]. An atomic only
+    /// so that `&Document` can fill it in: the value is a pure function of
+    /// `slots`, which no one can write while the chunk is shared, so
+    /// `Relaxed` is enough and racing readers store the same number.
+    xml_len: AtomicUsize,
+}
+
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        Chunk {
+            slots: self.slots.clone(),
+            xml_len: AtomicUsize::new(self.xml_len.load(Ordering::Relaxed)),
+        }
+    }
+}
 
 /// An in-memory XML document: a rooted ordered tree in a chunked arena,
 /// plus a label interner. Cloning is cheap and shares storage with the
@@ -240,18 +266,20 @@ impl Document {
     /// The slot of `id`: `None` when tombstoned or never allocated.
     #[inline]
     fn slot(&self, id: NodeId) -> Option<&Node> {
-        self.chunks.get(id.index() / CHUNK)?[id.index() % CHUNK].as_ref()
+        self.chunks.get(id.index() / CHUNK)?.slots[id.index() % CHUNK].as_ref()
     }
 
     /// Write access to an allocated slot (`None`: never allocated). This
     /// is the copy-on-write point: a chunk still shared with a clone is
-    /// copied before the first write to it.
+    /// copied before the first write to it. Being the only write path, it
+    /// is also where the chunk's cached serialized length is dropped.
     fn slot_mut(&mut self, id: NodeId) -> Option<&mut Option<Node>> {
         if id.index() >= self.len {
             return None;
         }
         let chunk = Arc::make_mut(&mut self.chunks[id.index() / CHUNK]);
-        Some(&mut chunk[id.index() % CHUNK])
+        *chunk.xml_len.get_mut() = STALE;
+        Some(&mut chunk.slots[id.index() % CHUNK])
     }
 
     /// Borrow a node.
@@ -394,7 +422,10 @@ impl Document {
     fn alloc(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.len as u32);
         if self.len == self.chunks.len() * CHUNK {
-            self.chunks.push(Arc::new(std::array::from_fn(|_| None)));
+            self.chunks.push(Arc::new(Chunk {
+                slots: std::array::from_fn(|_| None),
+                xml_len: AtomicUsize::new(0),
+            }));
         }
         self.len += 1;
         *self.slot_mut(id).expect("slot just allocated") = Some(node);
@@ -714,6 +745,22 @@ impl Document {
     /// Serializes the whole document to XML text.
     pub fn to_xml(&self) -> String {
         crate::serializer::Serializer::new(self).document()
+    }
+
+    /// `self.to_xml().len()` without serializing: the per-chunk sums of
+    /// [`crate::serializer::node_len`], re-summing only the chunks written
+    /// since they were last asked. Clones share the sums with the chunks.
+    pub fn xml_len(&self) -> usize {
+        let chunk_len = |chunk: &Arc<Chunk>| match chunk.xml_len.load(Ordering::Relaxed) {
+            STALE => {
+                let live = chunk.slots.iter().flatten();
+                let len = live.map(|n| crate::serializer::node_len(self, n)).sum();
+                chunk.xml_len.store(len, Ordering::Relaxed);
+                len
+            }
+            len => len,
+        };
+        self.chunks.iter().map(chunk_len).sum()
     }
 
     /// Checks structural invariants (parent/child symmetry, liveness,
@@ -1142,6 +1189,88 @@ mod tests {
         assert!(doc.shared_chunks(&clone) < chunks, "the write did copy");
         assert_eq!(clone.text_of(last).unwrap(), "v");
         assert_eq!(doc.text_of(last).unwrap(), "w");
+    }
+
+    /// `xml_len` is exact for `doc` and for a clone of it (which shares the
+    /// per-chunk sums, filled in or not).
+    fn assert_len_exact(doc: &Document, what: &str) {
+        let xml = doc.to_xml();
+        assert_eq!(doc.xml_len(), xml.len(), "{what}");
+        assert_eq!(doc.clone().xml_len(), xml.len(), "{what}: clone");
+    }
+
+    #[test]
+    fn xml_len_follows_every_mutator_on_both_sides_of_a_clone() {
+        for (name, mutate, _) in mutators() {
+            let mut doc = cow_doc();
+            assert_len_exact(&doc, name); // fills every chunk's sum
+            let clone = doc.clone();
+            let before = clone.xml_len();
+            mutate(&mut doc);
+            assert_len_exact(&doc, name);
+            assert_eq!(clone.xml_len(), before, "{name}: clone's sums moved");
+            assert_len_exact(&clone, name);
+        }
+    }
+
+    #[test]
+    fn xml_len_tracks_the_shapes_that_change_the_markup() {
+        let mut doc = cow_doc();
+        let p = product(&doc, 5);
+        let kids = doc.children(p).unwrap().to_vec();
+        let (id_attr, name, notes) = (kids[0], kids[1], kids[3]);
+        assert_len_exact(&doc, "loaded");
+
+        // Every escaped character, in an attribute and in text.
+        doc.change_value(id_attr, "<a href=\"x\">'&'</a>").unwrap();
+        assert_len_exact(&doc, "attribute with specials");
+        doc.change_value(name, "<a href=\"x\">'&'</a> é").unwrap();
+        assert_len_exact(&doc, "text with specials");
+
+        // `<notes/>` gains a child (`<notes>…</notes>`) and loses it again.
+        let note = doc
+            .insert_fragment(notes, &Fragment::text("n"), InsertPos::Into)
+            .unwrap();
+        assert_len_exact(&doc, "first child");
+        let removed = doc.remove(note).unwrap();
+        assert_len_exact(&doc, "last child removed");
+        doc.unremove(&removed).unwrap();
+        assert_len_exact(&doc, "last child restored");
+
+        // An element whose children are all attributes stays `<e a="…"/>`.
+        let only = Fragment::elem("e", vec![Fragment::attr("a", "1"), Fragment::attr("b", "")]);
+        let e = doc.insert_fragment(p, &only, InsertPos::After).unwrap();
+        assert_len_exact(&doc, "attribute-only element");
+        // An attribute appended after content still prints inside the tag.
+        doc.insert_fragment(name, &Fragment::attr("late", "\""), InsertPos::Into)
+            .unwrap();
+        assert_len_exact(&doc, "attribute after content");
+
+        // An emptied text keeps its element open: `<name></name>`.
+        let old = doc.change_value(name, "").unwrap();
+        assert_len_exact(&doc, "emptied text");
+        doc.change_value(name, &old).unwrap();
+        doc.rename(e, "a_much_longer_label").unwrap();
+        assert_len_exact(&doc, "renamed");
+        doc.transpose(e, product(&doc, 30)).unwrap();
+        assert_len_exact(&doc, "transposed");
+        doc.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn xml_len_resums_only_the_chunks_written() {
+        let doc = cow_doc();
+        doc.xml_len();
+        let mut written = doc.clone();
+        written.change_value(product(&written, 20), "x").unwrap();
+        let stale = |d: &Document| {
+            let sums = d.chunks.iter().map(|c| c.xml_len.load(Ordering::Relaxed));
+            sums.filter(|&n| n == STALE).count()
+        };
+        assert_eq!(stale(&doc), 0, "the shared chunks keep their sums");
+        assert!((1..=2).contains(&stale(&written)), "{}", stale(&written));
+        assert_len_exact(&written, "after one write");
+        assert_eq!(stale(&written), 0);
     }
 
     #[test]

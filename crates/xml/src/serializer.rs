@@ -6,7 +6,8 @@
 //! from here to size fragments.
 
 use crate::document::Document;
-use crate::node::{NodeId, NodeKind};
+use crate::intern::Symbol;
+use crate::node::{Node, NodeId, NodeKind};
 
 /// Serializer over a borrowed document.
 pub struct Serializer<'a> {
@@ -64,50 +65,45 @@ impl<'a> Serializer<'a> {
                 let name = self.doc.interner().resolve(*label);
                 out.push('<');
                 out.push_str(name);
-                let (attrs, content): (Vec<&NodeId>, Vec<&NodeId>) = node
-                    .children
-                    .iter()
-                    .partition(|&&c| self.doc.node(c).map(|n| n.is_attribute()).unwrap_or(false));
-                for &a in &attrs {
-                    if let Ok(an) = self.doc.node(*a) {
-                        if let NodeKind::Attribute { label, value } = &an.kind {
+                // Attributes go inside the tag wherever they sit among the
+                // children; everything else is content. Two walks over
+                // `children` in place: no per-element allocation.
+                let mut content = 0usize;
+                let mut only_text = false;
+                for &c in &node.children {
+                    match self.doc.node(c).map(|n| &n.kind) {
+                        Ok(NodeKind::Attribute { label, value }) => {
                             out.push(' ');
                             out.push_str(self.doc.interner().resolve(*label));
                             out.push_str("=\"");
                             escape_into(value, true, out);
                             out.push('"');
                         }
-                    }
-                }
-                if content.is_empty() {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    let only_text = content.len() == 1
-                        && self
-                            .doc
-                            .node(*content[0])
-                            .map(|n| n.is_text())
-                            .unwrap_or(false);
-                    for &c in &content {
-                        if only_text {
-                            // Keep `<id>4</id>` on one line even when pretty.
-                            if let Ok(n) = self.doc.node(*c) {
-                                if let NodeKind::Text { value } = &n.kind {
-                                    escape_into(value, false, out);
-                                }
-                            }
-                        } else {
-                            self.node_into(*c, depth + 1, out);
+                        kind => {
+                            content += 1;
+                            only_text = content == 1 && matches!(kind, Ok(NodeKind::Text { .. }));
                         }
                     }
-                    if !only_text {
-                        self.pad(depth, out);
-                    }
-                    out.push_str("</");
-                    out.push_str(name);
-                    out.push('>');
                 }
+                if content == 0 {
+                    out.push_str("/>");
+                    return;
+                }
+                out.push('>');
+                for &c in &node.children {
+                    match self.doc.node(c).map(|n| &n.kind) {
+                        Ok(NodeKind::Attribute { .. }) => {}
+                        // Keep `<id>4</id>` on one line even when pretty.
+                        Ok(NodeKind::Text { value }) if only_text => escape_into(value, false, out),
+                        _ => self.node_into(c, depth + 1, out),
+                    }
+                }
+                if !only_text {
+                    self.pad(depth, out);
+                }
+                out.push_str("</");
+                out.push_str(name);
+                out.push('>');
             }
             NodeKind::Attribute { label, value } => {
                 // A detached attribute serialization (rare; used in debug).
@@ -124,17 +120,59 @@ impl<'a> Serializer<'a> {
     }
 }
 
-/// Escapes XML-special characters. `in_attr` additionally escapes quotes.
+/// The entity byte `b` is written as, when it is escaped at all.
+/// `in_attr` additionally escapes quotes.
+fn entity(b: u8, in_attr: bool) -> Option<&'static str> {
+    match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        b'"' if in_attr => Some("&quot;"),
+        b'\'' if in_attr => Some("&apos;"),
+        _ => None,
+    }
+}
+
+/// Escapes XML-special characters, copying the runs between them whole
+/// (the specials are ASCII, so every cut is a char boundary).
 fn escape_into(s: &str, in_attr: bool, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            '\'' if in_attr => out.push_str("&apos;"),
-            _ => out.push(ch),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b, in_attr) {
+            out.push_str(&s[plain..i]);
+            out.push_str(e);
+            plain = i + 1;
         }
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Length of what [`escape_into`] appends.
+fn escaped_len(s: &str, in_attr: bool) -> usize {
+    let grown = s.bytes().filter_map(|b| entity(b, in_attr));
+    s.len() + grown.map(|e| e.len() - 1).sum::<usize>()
+}
+
+/// Bytes `node` itself contributes to the compact serialization of `doc`:
+/// a function of the node's own slot and of the kinds of its children
+/// (which never change), so [`Document::xml_len`] can keep sums of it per
+/// arena chunk. Summed over the live nodes it is `to_xml().len()`.
+pub(crate) fn node_len(doc: &Document, node: &Node) -> usize {
+    let name = |label: &Symbol| doc.interner().resolve(*label).len();
+    match &node.kind {
+        NodeKind::Element { label } => {
+            let has_content = node
+                .children
+                .iter()
+                .any(|&c| !doc.node(c).is_ok_and(Node::is_attribute));
+            if has_content {
+                2 * name(label) + 5 // `<name>` … `</name>`
+            } else {
+                name(label) + 3 // `<name/>`
+            }
+        }
+        NodeKind::Attribute { label, value } => name(label) + escaped_len(value, true) + 4,
+        NodeKind::Text { value } => escaped_len(value, false),
     }
 }
 

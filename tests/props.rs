@@ -468,7 +468,9 @@ fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
     // return exactly what a locked read at its pinned commit sequence
     // would have returned, and must keep returning it no matter how many
     // later commits run. When the last reader terminates, GC must be back
-    // to a single live version.
+    // to a single live version. Along the way the store is held to the
+    // same shadow: a dump is the committed text, and the bytes persisted
+    // are the lengths of the texts committed.
     use dtx::core::{LockManager, OpResult, OpSpec, ProcessResult};
     use dtx::storage::{CostModel, MemStore};
 
@@ -482,8 +484,9 @@ fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
             Box::new(MemStore::new(CostModel::zero())),
         );
         lm.put_and_load("snap", &xml).unwrap();
-        // Shadow of the committed state.
+        // Shadow of the committed state, and what its commits serialize to.
         let mut committed = Document::parse(&xml).unwrap();
+        let mut bytes_committed = 0u64;
         let mut next_txn = 1u64;
         // Open readers: (txn, query index, values captured at pin time).
         let mut readers: Vec<(TxnId, usize, Vec<String>)> = Vec::new();
@@ -562,9 +565,19 @@ fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
                     if kind == 0 {
                         lm.commit_local(tid).unwrap();
                         committed = working;
+                        if op_seq > 0 {
+                            bytes_committed += committed.to_xml().len() as u64;
+                        }
                     } else {
                         lm.abort_local(tid);
                     }
+                    // The store holds the committed tree, and a dump of it
+                    // is the text a parse of its serialization gives back.
+                    assert_eq!(
+                        lm.dump_committed("snap").unwrap(),
+                        Document::parse(&committed.to_xml()).unwrap().to_xml(),
+                        "case {case} kind {kind}: dump diverged from shadow"
+                    );
                     let latest = lm.latest_snapshot_seq("snap").unwrap();
                     let snap = lm.snapshot_at("snap", latest).unwrap();
                     assert_eq!(
@@ -620,6 +633,13 @@ fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
             lm.snapshots_live_of("snap"),
             1,
             "case {case}: pins released → only the latest version survives GC"
+        );
+        // Every persist was accounted (and so charged) at exactly the
+        // length of the text it stands for — none of which was built.
+        assert_eq!(
+            lm.store_stats().bytes_written,
+            bytes_committed,
+            "case {case}: persisted bytes"
         );
     }
 }

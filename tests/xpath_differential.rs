@@ -440,7 +440,13 @@ fn evaluator_agrees_with_reference_across_applied_and_undone_updates() {
         for _ in 0..60 {
             let op = arb_update(&mut rng, &doc, &live_nodes(&doc));
             let mut trial = doc.clone();
-            if let Ok(record) = apply_update(&mut trial, &op) {
+            let applied = apply_update(&mut trial, &op);
+            // Exact on the clone whether the update applied, failed part
+            // way or failed at once — and on the original it shares its
+            // chunks (and their cached sums) with.
+            assert_eq!(trial.xml_len(), trial.to_xml().len(), "after {op}");
+            assert_eq!(doc.xml_len(), doc.to_xml().len(), "beside {op}");
+            if let Ok(record) = applied {
                 doc = trial;
                 undo.push(record);
             }
@@ -452,12 +458,14 @@ fn evaluator_agrees_with_reference_across_applied_and_undone_updates() {
         let older = undo.len() / 2;
         for record in undo.drain(older..).rev() {
             undo_update(&mut doc, &record).unwrap();
+            assert_eq!(doc.xml_len(), doc.to_xml().len(), "after an undo");
         }
         doc.check_integrity().unwrap();
         non_empty += compare_on(&doc, &mut rng, QUERIES, "half undone");
 
         for record in undo.drain(..).rev() {
             undo_update(&mut doc, &record).unwrap();
+            assert_eq!(doc.xml_len(), doc.to_xml().len(), "after an undo");
         }
         assert_eq!(doc.to_xml(), pristine, "undo restores the fragment");
         non_empty += compare_on(&doc, &mut rng, QUERIES, "all undone");
