@@ -1,40 +1,33 @@
-//! `bench_net` — delivery-topology throughput and the reactor's
-//! bounded-thread scaling claim.
+//! `bench_net` — the network fabric's bounded-thread scaling claim.
 //!
 //! The paper's testbed is a switched full-duplex LAN (§3.1): every pair
-//! of sites has an independent path. `dtx-net` has gone through three
-//! delivery designs — one global hub thread, one thread per ordered
-//! link, and the current default: a **sharded timer-wheel reactor**
-//! whose delivery-thread count is bounded by `NetConfig::workers` no
-//! matter how many links carry traffic. This bench measures two things:
-//!
-//! 1. **Topology comparison** (8 sites all-to-all): hub vs
-//!    thread-per-link vs reactor message rate. The reactor must not
-//!    regress the thread-per-link rate it replaced — acceptance is
-//!    measured, not assumed.
-//! 2. **Sites sweep** (reactor only, `8/32/64/128` sites): the storm
-//!    thread-per-link cannot reasonably run — 128 sites all-to-all is
-//!    16,256 ordered links, i.e. ~16k OS threads — completes under the
-//!    reactor with a recorded, bounded delivery-thread count.
+//! of sites has an independent path. `dtx-net` models it with a
+//! **sharded timer-wheel reactor** whose delivery-thread count is
+//! bounded by `NetConfig::workers` no matter how many links carry
+//! traffic. This bench runs the all-to-all storm at `8/32/64/128` sites:
+//! 128 sites is 16,256 ordered links — a thread per link would be ~16k
+//! OS threads — and completes with a recorded, bounded delivery-thread
+//! count. (The two earlier fabrics the reactor was measured against, a
+//! single hub thread and a thread per link, are gone; their recorded
+//! verdict is quoted in EXPERIMENTS.md.)
 //!
 //! Every receiver asserts **per-link FIFO live** (each sender's payload
 //! sequence arrives strictly in send order), so a clamp regression fails
 //! the run outright, at every scale.
 //!
 //! Flags: `--smoke` shrinks everything to a seconds-scale CI subset and
-//! leaves `BENCH_net.json` untouched; `--sites N` runs the reactor
-//! storm at exactly N sites (CI's scale smoke uses `--smoke --sites
-//! 64`). The full run (no flags) refreshes `BENCH_net.json`, which
-//! `check_bench` gates on.
+//! leaves `BENCH_net.json` untouched; `--sites N` runs the storm at
+//! exactly N sites (CI's scale smoke uses `--smoke --sites 64`). The
+//! full run (no flags) refreshes `BENCH_net.json`, which `check_bench`
+//! gates on.
 
 use dtx_bench::netbench::{storm, sweep_msgs_per_link, StormResult};
-use dtx_net::{NetConfig, Topology};
+use dtx_net::NetConfig;
 use std::fmt::Write as _;
 
 fn print_result(r: &StormResult) {
     println!(
-        "{:<16} {:>4} sites  wall {:>9.2} ms  {:>10.0} msgs/s  links {:>6}  threads {:>5}",
-        r.name,
+        "{:>4} sites  wall {:>9.2} ms  {:>10.0} msgs/s  links {:>6}  threads {:>5}",
         r.sites,
         r.wall.as_secs_f64() * 1e3,
         r.msgs_per_s,
@@ -46,10 +39,9 @@ fn print_result(r: &StormResult) {
 fn json_entry(out: &mut String, r: &StormResult) {
     let _ = write!(
         out,
-        "{{\"name\": \"{}\", \"sites\": {}, \"msgs_per_link\": {}, \
+        "{{\"sites\": {}, \"msgs_per_link\": {}, \
          \"total_msgs\": {}, \"wall_ms\": {:.2}, \"msgs_per_s\": {:.0}, \
          \"links_active\": {}, \"delivery_threads\": {}}}",
-        r.name,
         r.sites,
         r.msgs_per_link,
         r.total_msgs,
@@ -60,33 +52,14 @@ fn json_entry(out: &mut String, r: &StormResult) {
     );
 }
 
-fn write_json(
-    comparison: &[StormResult],
-    sweep: &[StormResult],
-    over_hub: f64,
-    over_tpl: f64,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n  \"experiment\": \"bench_net\",\n  \"topologies\": [\n");
-    for (i, r) in comparison.iter().enumerate() {
-        out.push_str("    ");
-        json_entry(&mut out, r);
-        out.push_str(if i + 1 < comparison.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"sites_sweep\": [\n");
+fn write_json(sweep: &[StormResult]) -> std::io::Result<()> {
+    let mut out = String::from("{\n  \"experiment\": \"bench_net\",\n  \"sites_sweep\": [\n");
     for (i, r) in sweep.iter().enumerate() {
         out.push_str("    ");
         json_entry(&mut out, r);
         out.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
     }
-    let _ = write!(
-        out,
-        "  ],\n  \"reactor_over_hub_speedup\": {over_hub:.2},\n  \
-         \"reactor_over_thread_per_link\": {over_tpl:.2}\n}}\n"
-    );
+    out.push_str("  ]\n}\n");
     std::fs::write("BENCH_net.json", out)
 }
 
@@ -100,13 +73,13 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--sites takes a site count"));
 
-    println!("# bench_net — reactor vs thread-per-link vs hub delivery");
+    println!("# bench_net — all-to-all storm over the timer-wheel reactor");
     if let Some(sites) = sites_arg {
-        // Scale smoke: one reactor storm at the requested site count —
-        // the bounded-thread claim exercised on every push.
+        // Scale smoke: one storm at the requested site count — the
+        // bounded-thread claim exercised on every push.
         let msgs = sweep_msgs_per_link(sites, smoke);
-        println!("# reactor storm: {sites} sites all-to-all, {msgs} msgs per ordered link");
-        let r = storm(Topology::Reactor, sites, msgs, seed);
+        println!("# storm: {sites} sites all-to-all, {msgs} msgs per ordered link");
+        let r = storm(sites, msgs, seed);
         print_result(&r);
         println!(
             "# {} links drained by {} delivery threads (bound: {})",
@@ -117,47 +90,13 @@ fn main() {
         return;
     }
 
-    // 1. Topology comparison at the paper's 8-site scale. Best-of-N
-    //    (minimum wall) per topology: the storm is scheduler-noise
-    //    sensitive on loaded hosts, and the least-interfered run is the
-    //    honest estimate of each topology's capability.
-    let (cmp_sites, cmp_msgs, rounds) = if smoke { (4, 100, 1) } else { (8, 1500, 3) };
-    println!(
-        "# comparison: {cmp_sites} sites all-to-all, {cmp_msgs} msgs per ordered link, \
-         best of {rounds}"
-    );
-    let mut comparison = Vec::new();
-    for topology in [
-        Topology::SharedHub,
-        Topology::ThreadPerLink,
-        Topology::Reactor,
-    ] {
-        let mut best: Option<StormResult> = None;
-        for round in 0..rounds {
-            let r = storm(topology, cmp_sites, cmp_msgs, seed + round);
-            if best.as_ref().map(|b| r.wall < b.wall).unwrap_or(true) {
-                best = Some(r);
-            }
-        }
-        let r = best.expect("at least one round");
-        print_result(&r);
-        comparison.push(r);
-    }
-    let hub_rate = comparison[0].msgs_per_s;
-    let tpl_rate = comparison[1].msgs_per_s;
-    let reactor_rate = comparison[2].msgs_per_s;
-    let over_hub = reactor_rate / hub_rate.max(1e-9);
-    let over_tpl = reactor_rate / tpl_rate.max(1e-9);
-    println!("# reactor/hub message-rate ratio:             {over_hub:.2}x");
-    println!("# reactor/thread-per-link message-rate ratio: {over_tpl:.2}x");
-
-    // 2. Reactor sites sweep — the scale thread-per-link cannot reach
-    //    (128 sites all-to-all would need ~16k OS threads).
+    // Sites sweep, up to the scale a thread per link could not reach
+    // (128 sites all-to-all would need ~16k OS threads).
     let sweep_sites: &[u16] = if smoke { &[16] } else { &[8, 32, 64, 128] };
     let mut sweep = Vec::new();
     for &sites in sweep_sites {
         let msgs = sweep_msgs_per_link(sites, smoke);
-        let r = storm(Topology::Reactor, sites, msgs, seed);
+        let r = storm(sites, msgs, seed);
         print_result(&r);
         sweep.push(r);
     }
@@ -165,7 +104,7 @@ fn main() {
     if smoke {
         println!("# smoke run: BENCH_net.json left untouched");
     } else {
-        match write_json(&comparison, &sweep, over_hub, over_tpl) {
+        match write_json(&sweep) {
             Ok(()) => println!("# baseline written to BENCH_net.json"),
             Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
         }

@@ -10,9 +10,8 @@
 //! * **fig12** — XDGL over the standard 4-site mixed workload: commits
 //!   ≥ 228 / 250, batched termination messages strictly below the
 //!   unbatched-equivalent count;
-//! * **net** — 8-site all-to-all storm over hub / thread-per-link /
-//!   reactor: the reactor rate holds its wins (per-link FIFO and the
-//!   bounded-thread invariant are asserted inside the storm itself);
+//! * **net** — 8-site all-to-all storm: per-link FIFO and the
+//!   delivery-thread bound are asserted inside the storm itself;
 //! * **ingest** — tree vs streaming ingestion of the default 400 KB
 //!   base: the streaming rate holds its win;
 //! * **reads** — low- vs high-contention read mix over the standard
@@ -54,7 +53,6 @@ use dtx_bench::tracebench::{best_of, overhead_pct};
 use dtx_bench::{run, setup, ExpEnv, BASE_BYTES, SEED};
 use dtx_core::ProtocolKind;
 use dtx_dataguide::{DataGuide, GuideBuilder};
-use dtx_net::Topology;
 use dtx_xmark::generator::{emit, generate, XmarkConfig};
 use dtx_xmark::tester::run_workload;
 use dtx_xmark::workload::{generate as gen_workload, WorkloadConfig};
@@ -309,36 +307,24 @@ fn main() {
         fresh: batched,
     });
 
-    println!("\n# fresh run: net storm (8 sites x 300 msgs/link, all three topologies)");
-    let hub = storm(Topology::SharedHub, 8, 300, SEED);
-    let tpl = storm(Topology::ThreadPerLink, 8, 300, SEED);
-    let reactor = storm(Topology::Reactor, 8, 300, SEED);
-    all_ok &= print_checks(
-        "fresh: net",
-        &gate::check_net_fresh(reactor.msgs_per_s, hub.msgs_per_s, tpl.msgs_per_s),
-    );
-    for (metric, committed_name, r) in [
-        ("net hub msgs/s", "hub", &hub),
-        ("net thread_per_link msgs/s", "thread_per_link", &tpl),
-        ("net reactor msgs/s", "reactor", &reactor),
-    ] {
-        deltas.push(Delta {
-            metric,
-            committed: committed_of(
-                &net,
-                &[
-                    "topologies",
-                    &format!("name={committed_name}"),
-                    "msgs_per_s",
-                ],
-            ),
-            fresh: r.msgs_per_s,
-        });
-    }
+    // No band to check: the storm itself asserts per-link FIFO and the
+    // delivery-thread bound, and panics the gate on a violation.
+    println!("\n# fresh run: net storm (8 sites x 300 msgs/link)");
+    let fresh_net = storm(8, 300, SEED);
+    // The sweep's first point is the same 8-site shape.
+    let committed_storm = net
+        .as_ref()
+        .ok()
+        .and_then(|doc| doc.get("sites_sweep")?.arr()?.first());
     deltas.push(Delta {
-        metric: "net reactor delivery_threads",
-        committed: committed_of(&net, &["topologies", "name=reactor", "delivery_threads"]),
-        fresh: reactor.delivery_threads as f64,
+        metric: "net 8-site msgs/s",
+        committed: committed_storm.and_then(|e| e.num_field("msgs_per_s")),
+        fresh: fresh_net.msgs_per_s,
+    });
+    deltas.push(Delta {
+        metric: "net 8-site delivery_threads",
+        committed: committed_storm.and_then(|e| e.num_field("delivery_threads")),
+        fresh: fresh_net.delivery_threads as f64,
     });
 
     println!("\n# fresh run: read mix (10 clients, 10% vs 40% update transactions)");

@@ -2,7 +2,7 @@
 //! recorded baseline) and `check_bench` (the CI perf-regression gate's
 //! fresh smoke run) so both measure exactly the same workload.
 
-use dtx_net::{LatencyModel, NetConfig, Network, SiteId, Topology, Wire};
+use dtx_net::{LatencyModel, Network, SiteId, Wire};
 use std::time::{Duration, Instant};
 
 /// One benchmark frame: (sender site, per-link sequence number).
@@ -22,8 +22,6 @@ impl Wire for Frame {
 
 /// Result of one storm run.
 pub struct StormResult {
-    /// Topology label (`reactor` / `thread_per_link` / `hub`).
-    pub name: &'static str,
     /// Site count.
     pub sites: u16,
     /// Frames per ordered link.
@@ -40,25 +38,13 @@ pub struct StormResult {
     pub delivery_threads: u64,
 }
 
-/// The canonical label for each delivery topology.
-pub fn topology_name(topology: Topology) -> &'static str {
-    match topology {
-        Topology::Reactor => "reactor",
-        Topology::ThreadPerLink => "thread_per_link",
-        Topology::SharedHub => "hub",
-    }
-}
-
 /// Drives `sites` senders all-to-all: every ordered pair carries
 /// `msgs_per_link` frames over a LAN latency model. Returns once every
 /// receiver drained its full expected count, asserting **per-link FIFO
-/// live** along the way, plus the topology's structural invariants
-/// (thread bound for the reactor, one worker per link for
-/// thread-per-link, a single thread for the hub).
-pub fn storm(topology: Topology, sites: u16, msgs_per_link: u32, seed: u64) -> StormResult {
-    let name = topology_name(topology);
-    let cfg = NetConfig::default();
-    let net: Network<Frame> = Network::with_config(LatencyModel::lan(seed), topology, cfg);
+/// live** along the way, plus the reactor's thread bound.
+pub fn storm(sites: u16, msgs_per_link: u32, seed: u64) -> StormResult {
+    let net: Network<Frame> = Network::new(LatencyModel::lan(seed));
+    let workers = net.net_config().workers as u64;
     let endpoints: Vec<_> = (0..sites).map(|s| net.register(SiteId(s))).collect();
     let expected_per_site = (sites as u64 - 1) * msgs_per_link as u64;
     let total_msgs = expected_per_site * sites as u64;
@@ -79,7 +65,7 @@ pub fn storm(topology: Topology, sites: u16, msgs_per_link: u32, seed: u64) -> S
                     let f = env.payload;
                     assert_eq!(
                         f.seq, next_seq[f.from as usize],
-                        "per-link FIFO violated on {} -> {} ({name})",
+                        "per-link FIFO violated on {} -> {}",
                         f.from, ep.site
                     );
                     next_seq[f.from as usize] += 1;
@@ -109,22 +95,11 @@ pub fn storm(topology: Topology, sites: u16, msgs_per_link: u32, seed: u64) -> S
     net.shutdown();
     let expected_links = (sites as u64) * (sites as u64 - 1);
     assert_eq!(links_active, expected_links, "every ordered pair counted");
-    match topology {
-        Topology::Reactor => assert!(
-            delivery_threads <= cfg.workers as u64,
-            "reactor must bound delivery threads: {delivery_threads} > {}",
-            cfg.workers
-        ),
-        Topology::ThreadPerLink => assert_eq!(
-            delivery_threads, expected_links,
-            "thread-per-link spawns one worker per link"
-        ),
-        Topology::SharedHub => {
-            assert_eq!(delivery_threads, 1, "the hub runs one global thread")
-        }
-    }
+    assert!(
+        delivery_threads <= workers,
+        "reactor must bound delivery threads: {delivery_threads} > {workers}"
+    );
     StormResult {
-        name,
         sites,
         msgs_per_link,
         total_msgs,

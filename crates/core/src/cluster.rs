@@ -9,22 +9,19 @@
 //! collector — the whole "set of sites S = {S1..SN}" of §3.1.
 
 use crate::catalog::Catalog;
-use crate::lockmgr::{LockManager, OpCostModel};
+use crate::lockmgr::OpCostModel;
 use crate::metrics::Metrics;
-use crate::msg::Message;
 use crate::op::{TxnOutcome, TxnSpec};
 use crate::routing::PolicyKind;
-use crate::scheduler::{
-    Control, CrashPoint, DocShipment, FaultHooks, RecoveredState, Scheduler, SchedulerConfig,
-};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::scheduler::{Control, CrashPoint, DocShipment, FaultHooks, SchedulerConfig};
+use crate::site::{boot_site, SiteEnv};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use dtx_dataguide::DataGuide;
 use dtx_locks::txn::TxnIdGen;
-use dtx_locks::{ProtocolKind, TxnId};
-use dtx_net::{LatencyModel, NetConfig, Network, SiteId, Topology};
-use dtx_storage::{CostModel, MemStore, Wal, WalRecord};
+use dtx_locks::ProtocolKind;
+use dtx_net::{LatencyModel, Network, SiteId};
+use dtx_storage::{CostModel, Wal};
 use dtx_trace::{EventKind, Tracer};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,10 +45,6 @@ pub struct ClusterConfig {
     pub op_cost: OpCostModel,
     /// Scheduler tuning.
     pub scheduler: SchedulerConfig,
-    /// Network delivery tuning: the reactor's worker-pool bound and
-    /// timer-wheel geometry (default: `min(8, cores)` workers — the
-    /// delivery thread count is O(workers), not O(sites²)).
-    pub net: NetConfig,
     /// Placement policy installed in the catalog (how reads are spread
     /// over replicas; default: [`PolicyKind::Primary`], the paper's
     /// everywhere-read behavior).
@@ -77,7 +70,6 @@ impl ClusterConfig {
             storage_cost: CostModel::zero(),
             op_cost: OpCostModel::zero(),
             scheduler: SchedulerConfig::default(),
-            net: NetConfig::default(),
             policy: PolicyKind::default(),
             seed: 0xD7C5,
             trace: false,
@@ -106,22 +98,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Bounds the network reactor's delivery-worker pool.
-    pub fn with_net_workers(mut self, workers: usize) -> Self {
-        self.net = self.net.with_workers(workers);
-        self
-    }
-
-    /// Sets the group-commit flush window: termination decisions may be
-    /// held in the outbox for up to this latency budget (while fewer
-    /// than the configured pending threshold have accumulated) to form
-    /// larger [`crate::msg::Message::TerminateBatch`]es. Zero (the
-    /// default) flushes every event-loop tick.
-    pub fn with_flush_window(mut self, window: Duration) -> Self {
-        self.scheduler.flush_window = window;
-        self
-    }
-
     /// Arms causal event tracing (see [`Cluster::tracer`]).
     pub fn with_tracing(mut self) -> Self {
         self.trace = true;
@@ -133,11 +109,27 @@ impl ClusterConfig {
 pub struct DtxInstance {
     /// This instance's site id.
     pub site: SiteId,
-    control: Sender<Control>,
-    handle: Option<JoinHandle<()>>,
+    pub(crate) control: Sender<Control>,
+    /// The scheduler thread; `None` once joined (a killed site) and on
+    /// [`DtxInstance::listener`] handles.
+    pub(crate) handle: Option<JoinHandle<()>>,
 }
 
+/// What every request to a scheduler that is gone answers — killed, shut
+/// down, or dead before it replied.
+pub(crate) const SCHEDULER_DOWN: &str = "scheduler is down";
+
 impl DtxInstance {
+    /// Sends the request `make` builds around a fresh reply channel and
+    /// waits for the scheduler's answer.
+    fn ask<T>(&self, make: impl FnOnce(Sender<T>) -> Control) -> Result<T, String> {
+        let (reply, rx) = bounded(1);
+        self.control
+            .send(make(reply))
+            .map_err(|_| SCHEDULER_DOWN.to_owned())?;
+        rx.recv().map_err(|_| SCHEDULER_DOWN.to_owned())
+    }
+
     /// Submits a transaction, returning the outcome channel immediately.
     pub fn submit_async(&self, spec: TxnSpec) -> Receiver<TxnOutcome> {
         let (reply, rx) = bounded(1);
@@ -164,16 +156,12 @@ impl DtxInstance {
         xml: &str,
         guide: Option<DataGuide>,
     ) -> Result<(), String> {
-        let (ack, rx) = bounded(1);
-        self.control
-            .send(Control::LoadDoc {
-                name: name.to_owned(),
-                xml: xml.to_owned(),
-                guide: guide.map(Box::new),
-                ack,
-            })
-            .map_err(|_| "scheduler is down".to_owned())?;
-        rx.recv().map_err(|_| "scheduler is down".to_owned())?
+        self.ask(|ack| Control::LoadDoc {
+            name: name.to_owned(),
+            xml: xml.to_owned(),
+            guide: guide.map(Box::new),
+            ack,
+        })?
     }
 
     /// Installs an already-built document (streaming ingestion: tree and
@@ -184,46 +172,41 @@ impl DtxInstance {
         doc: dtx_xml::Document,
         guide: Option<DataGuide>,
     ) -> Result<(), String> {
-        let (ack, rx) = bounded(1);
-        self.control
-            .send(Control::LoadBuilt {
-                name: name.to_owned(),
-                doc: Box::new(doc),
-                guide: guide.map(Box::new),
-                ack,
-            })
-            .map_err(|_| "scheduler is down".to_owned())?;
-        rx.recv().map_err(|_| "scheduler is down".to_owned())?
+        self.ask(|ack| Control::LoadBuilt {
+            name: name.to_owned(),
+            doc: Box::new(doc),
+            guide: guide.map(Box::new),
+            ack,
+        })?
     }
 
     /// Serializes the last committed state of a document hosted at this
     /// instance plus its DataGuide (the shipment sent to a new replica).
     pub fn dump_document(&self, name: &str) -> Result<DocShipment, String> {
-        let (reply, rx) = bounded(1);
-        self.control
-            .send(Control::DumpDoc {
-                name: name.to_owned(),
-                reply,
-            })
-            .map_err(|_| "scheduler is down".to_owned())?;
-        rx.recv().map_err(|_| "scheduler is down".to_owned())?
+        let name = name.to_owned();
+        self.ask(|reply| Control::DumpDoc { name, reply })?
     }
 
     /// Asks this instance's scheduler whether `name` currently has no
     /// applied, not-yet-terminated updates (the replica copy fence's
     /// drain poll; see [`Cluster::add_replica`]).
     pub fn doc_quiescent(&self, name: &str) -> Result<bool, String> {
-        let (reply, rx) = bounded(1);
-        self.control
-            .send(Control::DocQuiesced {
-                name: name.to_owned(),
-                reply,
-            })
-            .map_err(|_| "scheduler is down".to_owned())?;
-        rx.recv().map_err(|_| "scheduler is down".to_owned())
+        let name = name.to_owned();
+        self.ask(|reply| Control::DocQuiesced { name, reply })
     }
 
-    fn shutdown(&mut self) {
+    /// A second handle to this instance's Listener: submits and loads
+    /// reach the same scheduler, the thread stays owned by `self`.
+    pub(crate) fn listener(&self) -> DtxInstance {
+        DtxInstance {
+            site: self.site,
+            control: self.control.clone(),
+            handle: None,
+        }
+    }
+
+    /// Stops the scheduler and joins its thread.
+    pub(crate) fn shutdown(&mut self) {
         let _ = self.control.send(Control::Shutdown);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -234,21 +217,19 @@ impl DtxInstance {
 /// A running DTX cluster.
 pub struct Cluster {
     instances: Vec<DtxInstance>,
-    net: Network<Message>,
-    catalog: Arc<Catalog>,
-    metrics: Arc<Metrics>,
+    /// What [`boot_site`] needs to assemble a site — at start and again
+    /// at every [`Cluster::restart_site`]. The tracer in it, when
+    /// [`ClusterConfig::trace`] armed one, is shared with the network;
+    /// each site's scheduler, lock manager and WAL hold sinks into its
+    /// per-site rings.
+    env: SiteEnv,
     config: ClusterConfig,
-    idgen: Arc<TxnIdGen>,
     /// Per-site durable registry: each site's WAL, owned HERE so a killed
     /// scheduler thread loses its memory but never its log — the
     /// simulation's stable storage.
     durables: Vec<Arc<Wal>>,
     /// Per-site kill switches and armed crash points.
     faults: Vec<FaultHooks>,
-    /// The causal event tracer, when [`ClusterConfig::trace`] armed one.
-    /// Shared with the network; each site's scheduler, lock manager and
-    /// WAL hold sinks into its per-site rings.
-    tracer: Option<Arc<Tracer>>,
     /// Round-robin cursor of [`Cluster::submit_round_robin`]: the
     /// multi-coordinator submission path spreads successive transactions
     /// over every site.
@@ -282,199 +263,49 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
 }
 
-/// Replays a WAL snapshot into a fresh lock manager (the WAL must NOT be
-/// attached to it yet — replay repeats history, it must not re-log it).
-/// Returns the 2PC state that survives into the restarted scheduler plus
-/// the replay counters (caller fills in sizes and timing).
-fn replay_wal(
-    records: &[WalRecord],
-    lockmgr: &mut LockManager,
-) -> (RecoveredState, RecoveryReport) {
-    let mut report = RecoveryReport::default();
-    // Document images under assembly: name → (guide wire, XML so far).
-    let mut images: HashMap<String, (String, String)> = HashMap::new();
-    // Transactions with replayed, un-terminated effects.
-    let mut live: HashSet<TxnId> = HashSet::new();
-    // Prepared records without an outcome yet: txn → (coordinator, peers).
-    let mut prepared: HashMap<TxnId, (SiteId, Vec<SiteId>)> = HashMap::new();
-    // Commit decisions without an `End` yet: txn → owed participants.
-    let mut decided: HashMap<TxnId, Vec<SiteId>> = HashMap::new();
-    for rec in records {
-        match rec {
-            WalRecord::DocBegin { doc, guide_wire } => {
-                images.insert(doc.clone(), (guide_wire.clone(), String::new()));
-            }
-            WalRecord::DocChunk { doc, xml } => {
-                if let Some((_, acc)) = images.get_mut(doc) {
-                    acc.push_str(xml);
-                }
-            }
-            WalRecord::DocEnd { doc } => {
-                if let Some((guide_wire, xml)) = images.remove(doc) {
-                    let guide = DataGuide::from_wire(&guide_wire).ok();
-                    if let Ok(parsed) = dtx_xml::parse(&xml) {
-                        if lockmgr.install_document(doc, parsed, guide).is_ok() {
-                            report.docs += 1;
-                        }
-                    }
-                }
-            }
-            WalRecord::Applied {
-                txn,
-                doc,
-                op_seq,
-                op,
-            } => {
-                if lockmgr.replay_apply(*txn, doc, *op_seq, op) {
-                    report.redo_applied += 1;
-                    live.insert(*txn);
-                }
-            }
-            WalRecord::Undone { txn, op_seq } => {
-                let _ = lockmgr.undo_op(*txn, *op_seq);
-            }
-            WalRecord::Prepared {
-                txn,
-                coordinator,
-                participants,
-            } => {
-                prepared.insert(*txn, (*coordinator, participants.clone()));
-            }
-            WalRecord::Decision { txn, participants } => {
-                decided.insert(*txn, participants.clone());
-            }
-            WalRecord::Committed { txn } => {
-                prepared.remove(txn);
-                if live.remove(txn) {
-                    let _ = lockmgr.commit_local(*txn);
-                    report.committed += 1;
-                }
-            }
-            WalRecord::Aborted { txn } => {
-                prepared.remove(txn);
-                if live.remove(txn) {
-                    let _ = lockmgr.abort_local(*txn);
-                    report.aborted += 1;
-                }
-            }
-            WalRecord::End { txn } => {
-                decided.remove(txn);
-            }
-        }
-    }
-    // End of log. A decision without `End` commits locally (the decision
-    // was forced, so it holds) and is re-delivered to the participants
-    // still owed it — re-commits there are idempotent no-ops.
-    let mut undelivered: Vec<(TxnId, Vec<SiteId>)> = Vec::new();
-    for (txn, participants) in decided {
-        prepared.remove(&txn);
-        if live.remove(&txn) {
-            let _ = lockmgr.commit_local(txn);
-            report.committed += 1;
-        }
-        undelivered.push((txn, participants));
-    }
-    // Prepared without an outcome: genuinely in doubt. The effects stay
-    // applied (the restarted scheduler fences their documents) until the
-    // termination protocol resolves them.
-    let mut in_doubt: Vec<(TxnId, SiteId, Vec<SiteId>)> = Vec::new();
-    for (txn, (coordinator, peers)) in prepared {
-        live.remove(&txn);
-        in_doubt.push((txn, coordinator, peers));
-    }
-    // Everything else that was live at the crash never prepared and never
-    // decided: presumed abort, roll it back.
-    for txn in live {
-        let _ = lockmgr.abort_local(txn);
-        report.aborted += 1;
-    }
-    in_doubt.sort_by_key(|(t, _, _)| *t);
-    undelivered.sort_by_key(|(t, _)| *t);
-    (
-        RecoveredState {
-            in_doubt,
-            undelivered,
-        },
-        report,
-    )
-}
-
 impl Cluster {
     /// Boots `config.sites` instances, each with its own scheduler thread,
     /// in-memory store and lock manager, sharing one simulated network.
     pub fn start(config: ClusterConfig) -> Self {
         let mut latency = config.latency;
         latency.seed = config.seed;
-        let net: Network<Message> = Network::with_config(latency, Topology::default(), config.net);
+        let net = Network::new(latency);
         let catalog = Arc::new(Catalog::new());
         catalog.set_policy(config.policy.instantiate());
-        let idgen = Arc::new(TxnIdGen::new());
-        let metrics = Arc::new(Metrics::new());
         let tracer = config
             .trace
             .then(|| Arc::new(Tracer::new(config.sites as usize, config.trace_capacity)));
         net.set_tracer(tracer.clone());
+        let env = SiteEnv {
+            net,
+            catalog,
+            idgen: Arc::new(TxnIdGen::new()),
+            metrics: Arc::new(Metrics::new()),
+            tracer,
+            protocol: config.protocol,
+            storage_cost: config.storage_cost,
+            op_cost: config.op_cost,
+            scheduler: config.scheduler,
+            seed: config.seed,
+        };
         let mut instances = Vec::with_capacity(config.sites as usize);
         let mut durables = Vec::with_capacity(config.sites as usize);
         let mut faults = Vec::with_capacity(config.sites as usize);
         for i in 0..config.sites {
-            let site = SiteId(i);
-            let endpoint = net.register(site);
-            let (control_tx, control_rx): (Sender<Control>, Receiver<Control>) = unbounded();
-            let store = MemStore::new(config.storage_cost);
-            let mut lockmgr = LockManager::with_cost(
-                config.protocol.instantiate(),
-                Box::new(store),
-                config.op_cost,
-            );
             let wal = Arc::new(Wal::new());
-            lockmgr.set_wal(Arc::clone(&wal));
-            if let Some(t) = &tracer {
-                wal.set_trace(t.sink(i));
-                lockmgr.set_trace(t.sink(i));
-            }
             let hooks = FaultHooks::default();
-            let mut sched_cfg = config.scheduler;
-            sched_cfg.seed = config.seed.wrapping_add(i as u64);
-            let mut scheduler = Scheduler::new(
-                site,
-                net.clone(),
-                endpoint,
-                control_rx,
-                catalog.clone(),
-                lockmgr,
-                idgen.clone(),
-                metrics.clone(),
-                sched_cfg,
-                Arc::clone(&wal),
-                hooks.clone(),
-                RecoveredState::default(),
-            );
-            if let Some(t) = &tracer {
-                scheduler.set_trace(t.sink(i));
-            }
-            let handle = std::thread::Builder::new()
-                .name(format!("dtx-scheduler-{site}"))
-                .spawn(move || scheduler.run())
+            let (instance, _) = boot_site(&env, SiteId(i), Arc::clone(&wal), hooks.clone(), false)
                 .expect("spawn scheduler");
-            instances.push(DtxInstance {
-                site,
-                control: control_tx,
-                handle: Some(handle),
-            });
+            instances.push(instance);
             durables.push(wal);
             faults.push(hooks);
         }
         Cluster {
             instances,
-            net,
-            catalog,
-            metrics,
+            env,
             config,
-            idgen,
             durables,
             faults,
-            tracer,
             next_coord: AtomicUsize::new(0),
         }
     }
@@ -484,7 +315,7 @@ impl Cluster {
     /// [`Cluster::shutdown`] via a pre-shutdown clone) to get the merged
     /// timeline.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
-        self.tracer.clone()
+        self.env.tracer.clone()
     }
 
     /// The cluster's configuration.
@@ -512,7 +343,7 @@ impl Cluster {
                 .ok_or_else(|| format!("unknown site {s}"))?;
             inst.load_document(name, xml)?;
         }
-        self.catalog.register(name, sites);
+        self.env.catalog.register(name, sites);
         Ok(())
     }
 
@@ -533,7 +364,7 @@ impl Cluster {
             inst.load_document(name, xml)?;
             sites.push(*s);
         }
-        self.catalog.register_fragmented(name, &sites);
+        self.env.catalog.register_fragmented(name, &sites);
         Ok(())
     }
 
@@ -558,7 +389,7 @@ impl Cluster {
             inst.load_built(name, doc, Some(guide))?;
             sites.push(s);
         }
-        self.catalog.register_fragmented(name, &sites);
+        self.env.catalog.register_fragmented(name, &sites);
         Ok(())
     }
 
@@ -590,19 +421,19 @@ impl Cluster {
     /// land on the old replica set after the copy, so replicas cannot
     /// diverge.
     pub fn add_replica(&self, doc: &str, to: SiteId) -> Result<(), String> {
-        if self.catalog.is_fragmented(doc) {
+        if self.env.catalog.is_fragmented(doc) {
             return Err(format!("document {doc:?} is fragmented, not replicated"));
         }
-        if self.catalog.holds(to, doc) {
+        if self.env.catalog.holds(to, doc) {
             return Ok(());
         }
-        let sites = self.catalog.sites_of(doc);
+        let sites = self.env.catalog.sites_of(doc);
         let src = *sites
             .first()
             .ok_or_else(|| format!("document {doc:?} unknown to catalog"))?;
-        self.catalog.fence(doc);
+        self.env.catalog.fence(doc);
         let result = self.copy_replica(doc, src, to);
-        self.catalog.unfence(doc);
+        self.env.catalog.unfence(doc);
         result
     }
 
@@ -623,7 +454,7 @@ impl Cluster {
             .map_err(|e| format!("shipped guide corrupt: {e}"))?;
         self.instance(to)
             .load_document_with_guide(doc, &shipment.xml, Some(guide))?;
-        self.catalog.add_replica(doc, to)
+        self.env.catalog.add_replica(doc, to)
     }
 
     /// Online re-replication: unpublishes the replica of `doc` at `from`
@@ -635,7 +466,7 @@ impl Cluster {
     /// safe regardless, because a pinned [`dtx_dataguide::Snapshot`] owns
     /// `Arc`s to its data — eviction only drops the store's references.
     pub fn drop_replica(&self, doc: &str, from: SiteId) -> Result<(), String> {
-        self.catalog.drop_replica(doc, from)?;
+        self.env.catalog.drop_replica(doc, from)?;
         // Unpublished: new routes no longer reach `from`. Drain whatever
         // was already in flight there before releasing the copy.
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -647,15 +478,9 @@ impl Cluster {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let (ack, rx) = bounded(1);
+        let name = doc.to_owned();
         self.instance(from)
-            .control
-            .send(Control::EvictDoc {
-                name: doc.to_owned(),
-                ack,
-            })
-            .map_err(|_| "scheduler is down".to_owned())?;
-        rx.recv().map_err(|_| "scheduler is down".to_owned())?;
+            .ask(|ack| Control::EvictDoc { name, ack })?;
         Ok(())
     }
 
@@ -681,7 +506,7 @@ impl Cluster {
     /// after the dead scheduler thread is joined, so the event lands
     /// strictly after everything the doomed incarnation recorded.
     fn record_crash(&self, site: SiteId) {
-        if let Some(t) = &self.tracer {
+        if let Some(t) = &self.env.tracer {
             t.record(site.0, EventKind::Crash);
         }
     }
@@ -710,12 +535,12 @@ impl Cluster {
     /// direction alone models the silent-drop failure — requests arrive,
     /// answers vanish.
     pub fn block_link(&self, from: SiteId, to: SiteId) {
-        self.net.block_link(from, to);
+        self.env.net.block_link(from, to);
     }
 
     /// Restores the ordered link `from → to`.
     pub fn heal_link(&self, from: SiteId, to: SiteId) {
-        self.net.heal_link(from, to);
+        self.env.net.heal_link(from, to);
     }
 
     /// Arms seed-deterministic random message loss on every link (chaos
@@ -723,13 +548,13 @@ impl Cluster {
     /// decided purely by `(seed, from, to, attempt#)` so a chaos schedule
     /// replays exactly from its seed. Zero disarms.
     pub fn set_message_drops(&self, seed: u64, per_mille: u32) {
-        self.net.set_message_drops(seed, per_mille);
+        self.env.net.set_message_drops(seed, per_mille);
     }
 
     /// Messages the network swallowed through fault injection (blocked
     /// links, seeded drops, traffic to dead sites).
     pub fn net_dropped(&self) -> u64 {
-        self.net.stats().dropped()
+        self.env.net.stats().dropped()
     }
 
     /// The durable WAL of `site` — survives kills and crashes; inspect it
@@ -748,8 +573,6 @@ impl Cluster {
     /// applied with their documents fenced until the restarted
     /// scheduler's termination protocol resolves them, and decisions
     /// without an `End`, which the restarted coordinator re-delivers.
-    /// The network endpoint is registered *before* replay so messages
-    /// arriving during recovery queue instead of dropping.
     pub fn restart_site(&mut self, site: SiteId) -> RecoveryReport {
         let idx = self.index_of(site);
         if let Some(h) = self.instances[idx].handle.take() {
@@ -758,65 +581,16 @@ impl Cluster {
         }
         self.faults[idx].kill.store(false, Ordering::Relaxed);
         *self.faults[idx].crash.lock() = None;
-        let endpoint = self.net.register(site);
-        let store = MemStore::new(self.config.storage_cost);
-        let mut lockmgr = LockManager::with_cost(
-            self.config.protocol.instantiate(),
-            Box::new(store),
-            self.config.op_cost,
-        );
-        let started = Instant::now();
-        let wal = Arc::clone(&self.durables[idx]);
-        let records = wal.snapshot();
-        let (recovered, mut report) = replay_wal(&records, &mut lockmgr);
-        // Attach the log only AFTER replay: repeating history must not
-        // re-log it.
-        lockmgr.set_wal(Arc::clone(&wal));
-        if let Some(t) = &self.tracer {
-            lockmgr.set_trace(t.sink(site.0));
-            t.record(
-                site.0,
-                EventKind::Restart {
-                    in_doubt: recovered.in_doubt.len() as u32,
-                    undelivered: recovered.undelivered.len() as u32,
-                },
-            );
-        }
-        for (txn, _, _) in &recovered.in_doubt {
-            lockmgr.block_indoubt(*txn);
-        }
-        report.records = records.len();
-        report.bytes = wal.bytes();
-        report.in_doubt = recovered.in_doubt.len();
-        report.undelivered = recovered.undelivered.len();
-        report.elapsed = started.elapsed();
-        let (control_tx, control_rx) = unbounded();
-        let mut sched_cfg = self.config.scheduler;
-        sched_cfg.seed = self.config.seed.wrapping_add(site.0 as u64);
-        let mut scheduler = Scheduler::new(
+        let (instance, report) = boot_site(
+            &self.env,
             site,
-            self.net.clone(),
-            endpoint,
-            control_rx,
-            self.catalog.clone(),
-            lockmgr,
-            self.idgen.clone(),
-            self.metrics.clone(),
-            sched_cfg,
-            wal,
+            Arc::clone(&self.durables[idx]),
             self.faults[idx].clone(),
-            recovered,
-        );
-        if let Some(t) = &self.tracer {
-            scheduler.set_trace(t.sink(site.0));
-        }
-        let handle = std::thread::Builder::new()
-            .name(format!("dtx-scheduler-{site}"))
-            .spawn(move || scheduler.run())
-            .expect("spawn scheduler");
-        self.instances[idx].control = control_tx;
-        self.instances[idx].handle = Some(handle);
-        self.metrics.note_recovery();
+            true,
+        )
+        .expect("spawn scheduler");
+        self.instances[idx] = instance;
+        self.env.metrics.note_recovery();
         report
     }
 
@@ -830,7 +604,7 @@ impl Cluster {
     /// Renders the catalog's current placement over this cluster's sites
     /// (the paper's Fig. 8 table, versioned by the catalog epoch).
     pub fn render_allocation(&self) -> String {
-        self.catalog.render_allocation(&self.sites())
+        self.env.catalog.render_allocation(&self.sites())
     }
 
     /// Submits a transaction at `site` and blocks for the outcome.
@@ -868,22 +642,22 @@ impl Cluster {
 
     /// The shared replica catalog.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.env.catalog
     }
 
     /// The shared metrics collector.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.env.metrics
     }
 
     /// Network counters.
     pub fn net_messages(&self) -> u64 {
-        self.net.stats().messages()
+        self.env.net.stats().messages()
     }
 
     /// Network byte counter.
     pub fn net_bytes(&self) -> u64 {
-        self.net.stats().bytes()
+        self.env.net.stats().bytes()
     }
 
     /// Delivery links the network has tracked (distinct ordered site
@@ -891,14 +665,14 @@ impl Cluster {
     /// model). Links are queue bookkeeping, not threads: see
     /// [`Cluster::net_worker_threads`].
     pub fn net_links_active(&self) -> u64 {
-        self.net.stats().links_active()
+        self.env.net.stats().links_active()
     }
 
-    /// Network delivery worker threads spawned. Under the default
-    /// reactor topology this is bounded by [`NetConfig::workers`]
-    /// regardless of how many links exist.
+    /// Network delivery worker threads spawned: bounded by
+    /// [`dtx_net::NetConfig::workers`] regardless of how many links
+    /// exist.
     pub fn net_worker_threads(&self) -> u64 {
-        self.net.stats().delivery_threads()
+        self.env.net.stats().delivery_threads()
     }
 
     /// Stops all schedulers and tears the network down. In-flight
@@ -907,13 +681,14 @@ impl Cluster {
     /// [`Metrics::net_worker_threads`] gauge — the [`Metrics`] handle
     /// outlives the cluster, so post-run reports read it from there.
     pub fn shutdown(mut self) {
-        self.metrics
-            .note_net_workers(self.net.stats().delivery_threads());
+        self.env
+            .metrics
+            .note_net_workers(self.env.net.stats().delivery_threads());
         for inst in &mut self.instances {
             inst.shutdown();
         }
         self.refresh_wal_gauges();
-        self.net.shutdown();
+        self.env.net.shutdown();
     }
 
     /// Republishes the [`Metrics::wal_appends`] / [`Metrics::wal_forces`]
@@ -923,7 +698,7 @@ impl Cluster {
     pub fn refresh_wal_gauges(&self) {
         let appends: u64 = self.durables.iter().map(|w| w.len() as u64).sum();
         let forces: u64 = self.durables.iter().map(|w| w.forces()).sum();
-        self.metrics.set_wal_totals(appends, forces);
+        self.env.metrics.set_wal_totals(appends, forces);
     }
 }
 

@@ -39,12 +39,13 @@ pub mod op;
 pub mod process;
 pub mod routing;
 pub mod scheduler;
+mod site;
 pub mod wire;
 
 pub use catalog::Catalog;
 pub use cluster::{Cluster, ClusterConfig, DtxInstance, RecoveryReport};
 pub use dtx_locks::{ProtocolKind, TxnId};
-pub use dtx_net::{NetConfig, SiteId};
+pub use dtx_net::SiteId;
 pub use gossip::CatalogDelta;
 pub use lockmgr::{LockManager, OpCostModel, ProcessResult};
 pub use metrics::{CoordStats, Histogram, Metrics, PhaseTimes, Summary, TxnRecord};

@@ -262,13 +262,11 @@ pub struct Metrics {
     /// Approximate resident snapshot bytes per site (gauge, shared-`Arc`
     /// structures counted once per site store).
     snapshot_bytes: RwLock<Vec<AtomicU64>>,
-    /// High-water mark of network delivery worker threads. Under the
-    /// default reactor topology this is bounded by the configured pool
-    /// size (`NetConfig::workers`) no matter how many site pairs carry
-    /// traffic — the gauge that replaced the unbounded per-link count
-    /// (one thread per ordered pair). Recorded by `Cluster::shutdown`
-    /// (the metrics handle outlives the cluster); live values are read
-    /// off `Cluster::net_worker_threads` directly.
+    /// High-water mark of network delivery worker threads: bounded by
+    /// the reactor's pool size (`NetConfig::workers`) no matter how many
+    /// site pairs carry traffic. Recorded by `Cluster::shutdown` (the
+    /// metrics handle outlives the cluster); live values are read off
+    /// `Cluster::net_worker_threads` directly.
     net_worker_threads: AtomicU64,
     /// Site restarts that replayed a write-ahead log (WAL recovery runs).
     recoveries: AtomicU64,

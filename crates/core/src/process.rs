@@ -4,8 +4,9 @@
 //! [`crate::Cluster`]: it boots one or more scheduler sites inside the
 //! current process and stitches them to the rest of the cluster over
 //! real TCP ([`dtx_net::socket::SocketTransport`]) instead of the
-//! simulated LAN. The schedulers are byte-for-byte the same — the only
-//! difference is the transport seam:
+//! simulated LAN. The schedulers are byte-for-byte the same, and so is
+//! their assembly (both go through the crate's one site-boot function) —
+//! the only difference is the transport seam:
 //!
 //! * outbound messages to non-hosted sites leave through the network's
 //!   **uplink** ([`dtx_net::Network::set_uplink`]), which encodes them
@@ -15,8 +16,8 @@
 //!   [`dtx_net::Network::deliver`], landing on the same endpoint channel
 //!   a local send would.
 //!
-//! The control plane ([`crate::wire::CtrlMsg`]) replaces direct method
-//! calls on [`crate::cluster::DtxInstance`]: a driver process registers
+//! The control plane ([`crate::wire::CtrlMsg`]) carries the method
+//! calls of [`crate::cluster::DtxInstance`]: a driver process registers
 //! placements, loads documents, submits transactions and collects
 //! outcomes over `Ctrl` frames; the `dtx-site` binary in `dtx-bench` is
 //! a thin `main` around this type.
@@ -35,20 +36,23 @@
 //!   without a coordinator.
 
 use crate::catalog::Catalog;
+use crate::cluster::{DtxInstance, SCHEDULER_DOWN};
 use crate::gossip::merge_deltas;
-use crate::lockmgr::{LockManager, OpCostModel};
+use crate::lockmgr::OpCostModel;
 use crate::metrics::Metrics;
 use crate::msg::Message;
+use crate::op::TxnStatus;
 use crate::routing::PolicyKind;
-use crate::scheduler::{Control, FaultHooks, RecoveredState, Scheduler, SchedulerConfig};
+use crate::scheduler::{FaultHooks, SchedulerConfig};
+use crate::site::{boot_site, SiteEnv};
 use crate::wire::CtrlMsg;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use dtx_locks::txn::TxnIdGen;
-use dtx_locks::ProtocolKind;
+use dtx_locks::{ProtocolKind, TxnId};
 use dtx_net::socket::{SocketConfig, SocketTransport, DRIVER_SITE};
 use dtx_net::wire::{FrameHeader, WireCodec};
-use dtx_net::{LatencyModel, NetConfig, Network, SiteId, Topology};
-use dtx_storage::{CostModel, MemStore, Wal};
+use dtx_net::{LatencyModel, Network, SiteId};
+use dtx_storage::{CostModel, Wal};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,12 +120,6 @@ impl SiteHostConfig {
     }
 }
 
-/// One hosted scheduler site: its Listener handle.
-struct Hosted {
-    control: Sender<Control>,
-    handle: Option<JoinHandle<()>>,
-}
-
 struct HostShared {
     sock: SocketTransport<Message>,
     net: Network<Message>,
@@ -139,7 +137,7 @@ struct HostShared {
 /// catalog gossip loop.
 pub struct SiteHost {
     shared: Arc<HostShared>,
-    hosted: HashMap<SiteId, Hosted>,
+    hosted: HashMap<SiteId, DtxInstance>,
     metrics: Arc<Metrics>,
     ctrl_thread: Option<JoinHandle<()>>,
     gossip_thread: Option<JoinHandle<()>>,
@@ -161,11 +159,7 @@ impl SiteHost {
                 .map_err(|e| format!("bind {}: {e}", config.listen))?;
         // Local fabric between hosted sites: zero latency, no faults —
         // realism now comes from the actual wire.
-        let net: Network<Message> = Network::with_config(
-            LatencyModel::zero(),
-            Topology::default(),
-            NetConfig::default(),
-        );
+        let net: Network<Message> = Network::new(LatencyModel::zero());
         let catalog = Arc::new(Catalog::new());
         catalog.set_policy(config.policy.instantiate());
         let metrics = Arc::new(Metrics::new());
@@ -195,45 +189,31 @@ impl SiteHost {
                 let _ = net.deliver(env);
             })));
         }
+        // No tracer and no kill/restart in process mode: each site gets a
+        // fresh WAL and disarmed fault hooks.
+        let env = SiteEnv {
+            net: net.clone(),
+            catalog: Arc::clone(&catalog),
+            idgen,
+            metrics: Arc::clone(&metrics),
+            tracer: None,
+            protocol: config.protocol,
+            storage_cost: config.storage_cost,
+            op_cost: config.op_cost,
+            scheduler: config.scheduler,
+            seed: config.seed,
+        };
         let mut hosted = HashMap::new();
         for &site in &config.hosted {
-            let endpoint = net.register(site);
-            let (control_tx, control_rx): (Sender<Control>, Receiver<Control>) = unbounded();
-            let store = MemStore::new(config.storage_cost);
-            let mut lockmgr = LockManager::with_cost(
-                config.protocol.instantiate(),
-                Box::new(store),
-                config.op_cost,
-            );
-            let wal = Arc::new(Wal::new());
-            lockmgr.set_wal(Arc::clone(&wal));
-            let mut sched_cfg = config.scheduler;
-            sched_cfg.seed = config.seed.wrapping_add(site.0 as u64);
-            let scheduler = Scheduler::new(
+            let (instance, _) = boot_site(
+                &env,
                 site,
-                net.clone(),
-                endpoint,
-                control_rx,
-                catalog.clone(),
-                lockmgr,
-                idgen.clone(),
-                metrics.clone(),
-                sched_cfg,
-                wal,
+                Arc::new(Wal::new()),
                 FaultHooks::default(),
-                RecoveredState::default(),
-            );
-            let handle = std::thread::Builder::new()
-                .name(format!("dtx-scheduler-{site}"))
-                .spawn(move || scheduler.run())
-                .map_err(|e| format!("spawn scheduler: {e}"))?;
-            hosted.insert(
-                site,
-                Hosted {
-                    control: control_tx,
-                    handle: Some(handle),
-                },
-            );
+                false,
+            )
+            .map_err(|e| format!("spawn scheduler: {e}"))?;
+            hosted.insert(site, instance);
         }
         let shared = Arc::new(HostShared {
             sock: sock.clone(),
@@ -252,13 +232,11 @@ impl SiteHost {
         let (done_tx, done_rx) = bounded(1);
         let ctrl_thread = {
             let shared = Arc::clone(&shared);
-            let controls: HashMap<SiteId, Sender<Control>> = hosted
-                .iter()
-                .map(|(&s, h)| (s, h.control.clone()))
-                .collect();
+            let listeners: HashMap<SiteId, DtxInstance> =
+                hosted.iter().map(|(&s, h)| (s, h.listener())).collect();
             std::thread::Builder::new()
                 .name(format!("dtx-ctrl-{me}"))
-                .spawn(move || control_loop(shared, controls, ctrl_rx, done_tx))
+                .spawn(move || control_loop(shared, listeners, ctrl_rx, done_tx))
                 .map_err(|e| format!("spawn control thread: {e}"))?
         };
         let gossip_thread = {
@@ -326,12 +304,7 @@ impl SiteHost {
     pub fn shutdown(mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
         for host in self.hosted.values_mut() {
-            let _ = host.control.send(Control::Shutdown);
-        }
-        for host in self.hosted.values_mut() {
-            if let Some(h) = host.handle.take() {
-                let _ = h.join();
-            }
+            host.shutdown();
         }
         if let Some(h) = self.gossip_thread.take() {
             let _ = h.join();
@@ -353,10 +326,11 @@ impl SiteHost {
 }
 
 /// The control-plane event loop: decodes [`CtrlMsg`] frames and drives
-/// the hosted schedulers through their Listener channels.
+/// the hosted schedulers through the [`DtxInstance`] surface a local
+/// caller would use.
 fn control_loop(
     shared: Arc<HostShared>,
-    controls: HashMap<SiteId, Sender<Control>>,
+    hosted: HashMap<SiteId, DtxInstance>,
     ctrl_rx: Receiver<(FrameHeader, Vec<u8>)>,
     done_tx: Sender<()>,
 ) {
@@ -379,7 +353,7 @@ fn control_loop(
                 for (addr, mut sites) in by_addr {
                     sites.sort();
                     let low = sites[0];
-                    if controls.contains_key(&low) {
+                    if hosted.contains_key(&low) {
                         continue; // our own process
                     }
                     gossip_peers.push(low);
@@ -413,23 +387,9 @@ fn control_loop(
                 );
             }
             CtrlMsg::LoadDoc { corr, doc, xml } => {
-                let result = match controls.get(&header.to) {
-                    Some(control) => {
-                        let (ack, rx) = bounded(1);
-                        let sent = control.send(Control::LoadDoc {
-                            name: doc,
-                            xml,
-                            guide: None,
-                            ack,
-                        });
-                        match sent {
-                            Ok(()) => rx
-                                .recv()
-                                .unwrap_or_else(|_| Err("scheduler is down".into())),
-                            Err(_) => Err("scheduler is down".into()),
-                        }
-                    }
-                    None => Err(format!("site {} not hosted here", header.to)),
+                let result = match hosted.get(&header.to) {
+                    Some(instance) => instance.load_document(&doc, &xml),
+                    None => Err(not_hosted(header.to)),
                 };
                 let (ok, detail) = match result {
                     Ok(()) => (true, String::new()),
@@ -438,40 +398,35 @@ fn control_loop(
                 reply(&shared, header.from, &CtrlMsg::Ack { corr, ok, detail });
             }
             CtrlMsg::Submit { corr, spec } => {
+                let Some(instance) = hosted.get(&header.to) else {
+                    let failed = failed_outcome(corr, not_hosted(header.to));
+                    reply(&shared, header.from, &failed);
+                    continue;
+                };
                 // Block a throwaway thread on the outcome, not this loop:
                 // submissions overlap and the control plane must keep
                 // serving peers meanwhile.
-                if let Some(control) = controls.get(&header.to) {
-                    let (outcome_tx, outcome_rx) = bounded(1);
-                    if control
-                        .send(Control::Submit {
-                            spec,
-                            reply: outcome_tx,
-                        })
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let shared = Arc::clone(&shared);
-                    let to = header.from;
-                    let _ = std::thread::Builder::new()
-                        .name("dtx-outcome".into())
-                        .spawn(move || {
-                            if let Ok(outcome) = outcome_rx.recv() {
-                                reply(
-                                    &shared,
-                                    to,
-                                    &CtrlMsg::Outcome {
-                                        corr,
-                                        txn: outcome.txn,
-                                        status: outcome.status,
-                                        response_us: outcome.response_time.as_micros() as u64,
-                                        results: outcome.results,
-                                    },
-                                );
-                            }
-                        });
-                }
+                let outcome_rx = instance.submit_async(spec);
+                let shared = Arc::clone(&shared);
+                let to = header.from;
+                let _ = std::thread::Builder::new()
+                    .name("dtx-outcome".into())
+                    .spawn(move || {
+                        // A scheduler that is gone (or dies before it
+                        // answers) drops the outcome sender: the driver
+                        // still gets its reply, as a failure.
+                        let msg = match outcome_rx.recv() {
+                            Ok(outcome) => CtrlMsg::Outcome {
+                                corr,
+                                txn: outcome.txn,
+                                status: outcome.status,
+                                response_us: outcome.response_time.as_micros() as u64,
+                                results: outcome.results,
+                            },
+                            Err(_) => failed_outcome(corr, SCHEDULER_DOWN.into()),
+                        };
+                        reply(&shared, to, &msg);
+                    });
             }
             CtrlMsg::Gossip { deltas } => {
                 merge_deltas(&shared.catalog, &deltas);
@@ -499,6 +454,22 @@ fn control_loop(
             | CtrlMsg::Outcome { .. }
             | CtrlMsg::StatsReply { .. } => {}
         }
+    }
+}
+
+fn not_hosted(site: SiteId) -> String {
+    format!("site {site} not hosted here")
+}
+
+/// The reply to a submission no scheduler will ever answer: without it
+/// the driver would wait out its own timeout.
+fn failed_outcome(corr: u64, why: String) -> CtrlMsg {
+    CtrlMsg::Outcome {
+        corr,
+        txn: TxnId(0),
+        status: TxnStatus::Failed(why),
+        response_us: 0,
+        results: Vec::new(),
     }
 }
 
@@ -588,5 +559,49 @@ impl CtrlClient {
     /// Closes the driver transport.
     pub fn shutdown(&self) {
         self.sock.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::op::{OpSpec, TxnSpec};
+    use crate::scheduler::Control;
+    use dtx_xpath::Query;
+
+    #[test]
+    fn submit_to_a_stopped_scheduler_is_answered_as_failed() {
+        // The hosted site exists but its scheduler is gone (here: told to
+        // shut down behind the host's back), so nobody will ever send on
+        // the outcome channel. The control plane must still answer.
+        let mut host = SiteHost::start(SiteHostConfig::new(&[SiteId(0)], 1)).expect("host starts");
+        let site = host.hosted.get_mut(&SiteId(0)).expect("hosted");
+        let _ = site.control.send(Control::Shutdown);
+        site.handle.take().expect("running").join().expect("clean");
+        let client = CtrlClient::bind().expect("driver binds");
+        client
+            .connect(&host.local_addr().to_string(), &[SiteId(0)])
+            .expect("driver connects");
+        let corr = client.corr();
+        let spec = TxnSpec::new(vec![OpSpec::query("d", Query::parse("/a").unwrap())]);
+        client
+            .send(SiteId(0), &CtrlMsg::Submit { corr, spec })
+            .expect("submit sent");
+        let (_, reply) = client
+            .recv(Duration::from_secs(1))
+            .expect("the host answers well inside a second");
+        match reply {
+            CtrlMsg::Outcome {
+                corr: c,
+                status: TxnStatus::Failed(why),
+                ..
+            } => {
+                assert_eq!(c, corr);
+                assert_eq!(why, SCHEDULER_DOWN);
+            }
+            other => panic!("expected a Failed outcome, got {other:?}"),
+        }
+        client.shutdown();
+        host.shutdown();
     }
 }

@@ -84,37 +84,27 @@ const MAX_STALE_REROUTES: u32 = 16;
 /// replaying an image both run in O(chunk + depth) transient memory.
 const WAL_DOC_CHUNK: usize = 4096;
 
+/// How long a waiting transaction pauses before retrying its blocked
+/// operation (jittered ±50 %).
+const RETRY_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Safety net: a transaction continuously in wait mode longer than this
+/// is aborted (covers pathological workloads; the detector normally
+/// resolves deadlocks much sooner).
+const WAIT_TIMEOUT: Duration = Duration::from_secs(180);
+
+/// Event-loop poll interval when idle.
+const IDLE_WAIT: Duration = Duration::from_micros(500);
+
 /// Tuning knobs of a scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
-    /// How long a waiting transaction pauses before retrying its blocked
-    /// operation (jittered ±50 %).
-    pub retry_interval: Duration,
     /// Period of the distributed deadlock detector (Algorithm 4);
     /// staggered per site to avoid synchronized rounds.
     pub deadlock_period: Duration,
     /// How long a coordinator waits for remote-operation responses and
     /// commit/abort acknowledgements before treating the site as failed.
     pub remote_timeout: Duration,
-    /// Safety net: a transaction continuously in wait mode longer than
-    /// this is aborted (covers pathological workloads; the detector
-    /// normally resolves deadlocks much sooner).
-    pub wait_timeout: Duration,
-    /// Event-loop poll interval when idle.
-    pub idle_wait: Duration,
-    /// Group-commit latency budget: termination decisions may sit in the
-    /// outbox for up to this long (while fewer than
-    /// [`SchedulerConfig::flush_min_pending`] have accumulated) before
-    /// they are flushed, trading a bounded commit-latency cost for
-    /// larger [`Message::TerminateBatch`]es under light load. Zero (the
-    /// default) keeps the per-tick flush: the outbox never outlives one
-    /// event-loop iteration.
-    pub flush_window: Duration,
-    /// Pending-decision threshold that overrides the flush window: once
-    /// this many per-transaction decisions have accumulated, the outbox
-    /// flushes immediately — the window only holds back *light* traffic,
-    /// a loaded tick already batches well.
-    pub flush_min_pending: usize,
     /// Period of the in-doubt resolution sweep: a prepared participant
     /// whose decision is overdue by this much re-asks its coordinator
     /// ([`Message::DecisionRequest`]); after several unanswered rounds it
@@ -134,13 +124,8 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            retry_interval: Duration::from_millis(2),
             deadlock_period: Duration::from_millis(50),
             remote_timeout: Duration::from_secs(60),
-            wait_timeout: Duration::from_secs(180),
-            idle_wait: Duration::from_micros(500),
-            flush_window: Duration::ZERO,
-            flush_min_pending: 8,
             indoubt_period: Duration::from_millis(50),
             orphan_timeout: Duration::from_secs(300),
             seed: 0x5EED,
@@ -497,14 +482,8 @@ pub struct Scheduler {
     /// Abort acknowledgements per transaction.
     pending_abort: HashMap<TxnId, HashMap<SiteId, bool>>,
     /// Group-commit outbox: accumulated termination decisions, flushed
-    /// as one [`Message::TerminateBatch`] per site — every tick by
-    /// default, or held up to the configured flush window.
+    /// as one [`Message::TerminateBatch`] per site every tick.
     term_outbox: HashMap<SiteId, TermBatch>,
-    /// When the oldest decision entered the (currently non-empty)
-    /// outbox — the flush window counts from here.
-    outbox_since: Option<Instant>,
-    /// Per-transaction decisions currently in the outbox (across sites).
-    outbox_entries: usize,
     /// Current deadlock-detection round and its collected graphs.
     wfg_round: u64,
     wfg_replies: HashMap<SiteId, WaitForGraph>,
@@ -593,8 +572,6 @@ impl Scheduler {
             pending_commit: HashMap::new(),
             pending_abort: HashMap::new(),
             term_outbox: HashMap::new(),
-            outbox_since: None,
-            outbox_entries: 0,
             wfg_round: 0,
             wfg_replies: HashMap::new(),
             wfg_expected: 0,
@@ -784,10 +761,8 @@ impl Scheduler {
             self.sweep_recovery();
             // 4½. Group commit: flush the accumulated termination
             //     decisions — one TerminateBatch per site, regardless of
-            //     how many transactions terminated since the last flush
-            //     (a nonzero flush window may hold a light outbox a
-            //     little longer; see flush_terminations).
-            self.flush_terminations(false);
+            //     how many transactions terminated since the last flush.
+            self.flush_terminations();
             // 5. Dispatch the next operation of an available transaction
             //    (Alg. 1 l. 3: "next_transaction_available"). Dispatch
             //    never blocks, so consecutive iterations interleave many
@@ -800,8 +775,8 @@ impl Scheduler {
             let wait = self
                 .next_wakeup()
                 .map(|at| at.saturating_duration_since(Instant::now()))
-                .unwrap_or(self.cfg.idle_wait)
-                .min(self.cfg.idle_wait)
+                .unwrap_or(IDLE_WAIT)
+                .min(IDLE_WAIT)
                 .max(Duration::from_micros(50));
             if let Ok(Some(env)) = self.endpoint.recv_timeout(wait) {
                 self.handle_message(env);
@@ -822,9 +797,8 @@ impl Scheduler {
 
     fn shutdown(&mut self) {
         // Batched decisions already made must still reach their
-        // participants (they release locks there) — the flush window
-        // never holds a shutdown.
-        self.flush_terminations(true);
+        // participants (they release locks there).
+        self.flush_terminations();
         // Abort whatever is still in flight so clients unblock.
         while let Some(txn) = self.txns.pop() {
             let _ = self.lockmgr.abort_local(txn.id);
@@ -872,11 +846,6 @@ impl Scheduler {
         };
         if let Some(d) = self.wfg_deadline {
             consider(d);
-        }
-        if let Some(since) = self.outbox_since {
-            // A held outbox must flush when its window elapses even if
-            // no other event fires first.
-            consider(since + self.cfg.flush_window);
         }
         if !self.prepared.is_empty() || !self.participant_seen.is_empty() {
             consider(self.next_indoubt_sweep);
@@ -939,7 +908,7 @@ impl Scheduler {
         };
         // Wait-timeout safety net.
         if let Some(since) = self.txns[idx].wait_since {
-            if since.elapsed() > self.cfg.wait_timeout {
+            if since.elapsed() > WAIT_TIMEOUT {
                 self.begin_abort(id, AbortReason::OperationFailed("wait-mode timeout".into()));
                 return;
             }
@@ -1391,7 +1360,7 @@ impl Scheduler {
     }
 
     fn enter_wait(&mut self, id: TxnId) {
-        let retry = self.jitter(self.cfg.retry_interval);
+        let retry = self.jitter(RETRY_INTERVAL);
         let Some(idx) = self.txn_index(id) else {
             return;
         };
@@ -1544,8 +1513,6 @@ impl Scheduler {
     /// only the lowest-site batch of the outbox and drops the rest on the
     /// floor, exactly as a crash mid-flush would.
     fn flush_lowest_only(&mut self) {
-        self.outbox_since = None;
-        self.outbox_entries = 0;
         let mut batches: Vec<(SiteId, TermBatch)> = self.term_outbox.drain().collect();
         batches.sort_by_key(|(s, _)| *s);
         if let Some((site, batch)) = batches.into_iter().next() {
@@ -1592,8 +1559,7 @@ impl Scheduler {
         }
     }
 
-    /// Adds one termination decision to `site`'s outbox batch, arming
-    /// the flush-window clock on the first entry.
+    /// Adds one termination decision to `site`'s outbox batch.
     fn enqueue_termination(&mut self, site: SiteId, id: TxnId, commit: bool) {
         let batch = self.term_outbox.entry(site).or_default();
         if commit {
@@ -1601,37 +1567,17 @@ impl Scheduler {
         } else {
             batch.aborts.push(id);
         }
-        self.outbox_entries += 1;
-        if self.outbox_since.is_none() {
-            self.outbox_since = Some(Instant::now());
-        }
     }
 
     /// Group commit: sends each site's accumulated termination decisions
     /// as one [`Message::TerminateBatch`], emptying the outbox. Called
-    /// once per event-loop tick — with the default zero flush window the
-    /// tick *is* the coalescing window; a nonzero window additionally
-    /// holds a light outbox (fewer than
-    /// [`SchedulerConfig::flush_min_pending`] decisions) until the
-    /// window elapses, so slow decision trickles still form real
-    /// batches. `force` (shutdown) overrides the hold — decisions
-    /// already made must reach their participants. Sites are flushed in
-    /// id order so runs are reproducible.
-    fn flush_terminations(&mut self, force: bool) {
+    /// once per event-loop tick — the tick *is* the coalescing window,
+    /// so the outbox never outlives one event-loop iteration. Sites are
+    /// flushed in id order so runs are reproducible.
+    fn flush_terminations(&mut self) {
         if self.term_outbox.is_empty() {
             return;
         }
-        if !force && !self.cfg.flush_window.is_zero() {
-            let young = self
-                .outbox_since
-                .map(|t| t.elapsed() < self.cfg.flush_window)
-                .unwrap_or(false);
-            if young && self.outbox_entries < self.cfg.flush_min_pending {
-                return;
-            }
-        }
-        self.outbox_since = None;
-        self.outbox_entries = 0;
         let mut batches: Vec<(SiteId, TermBatch)> = self.term_outbox.drain().collect();
         batches.sort_by_key(|(s, _)| *s);
         for (site, batch) in batches {

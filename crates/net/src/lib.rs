@@ -10,17 +10,12 @@
 //!   Every site [`Network::register`]s an [`Endpoint`]; messages are
 //!   delayed according to the [`LatencyModel`] before being delivered to
 //!   the destination's channel (FIFO per sender-receiver pair, like TCP).
-//! * [`Topology`] — how delayed delivery is driven. The default,
-//!   [`Topology::Reactor`], is a **sharded timer wheel**: every in-flight
-//!   delayed message lives in a wheel slot, and a small fixed pool of
-//!   delivery workers (default `min(8, cores)`, see [`NetConfig`]) drains
-//!   the wheels — thread count is O(workers) no matter how many site
-//!   pairs carry traffic, which is what lets hundred-site clusters run.
-//!   [`Topology::ThreadPerLink`] keeps the previous design (one OS thread
-//!   per ordered `(from, to)` pair — 56 threads at 8 sites, ~16k at 128)
-//!   and [`Topology::SharedHub`] the one before that (a single global
-//!   timer heap); both survive purely as the baselines `bench_net`
-//!   measures the reactor against.
+//! * Delayed delivery is driven by one fabric, a **sharded timer-wheel
+//!   reactor**: every in-flight delayed message lives in a wheel slot,
+//!   and a small fixed pool of delivery workers (default `min(8, cores)`,
+//!   see [`NetConfig`]) drains the wheels — thread count is O(workers) no
+//!   matter how many site pairs carry traffic, which is what lets
+//!   hundred-site clusters run.
 //! * [`LatencyModel`] — fixed + per-KiB + seeded jitter; the default is
 //!   calibrated to a 100 Mbit/s switched LAN. Tests use
 //!   [`LatencyModel::zero`], which delivers synchronously.
@@ -30,7 +25,7 @@
 //!
 //! ## Ordering and determinism guarantees
 //!
-//! All topologies guarantee, per ordered `(from, to)` pair:
+//! Per ordered `(from, to)` pair the network guarantees:
 //!
 //! 1. **FIFO** — delivery order equals send order, even when
 //!    size-dependent latency or jitter computes a shorter delay for a
@@ -44,11 +39,10 @@
 //!    in-flight delayed message (per-link FIFO order preserved) before
 //!    endpoints disconnect; nothing vanishes.
 //!
-//! Under the reactor both properties fall out of two facts: the clamp and
-//! the jitter-stream position are computed at **send time** under the
-//! links lock (exactly as before), and a link is pinned to one wheel
-//! shard by hash, so one worker owns all of a link's messages and drains
-//! them in `(deliver_at, seq)` order.
+//! The first two fall out of two facts: the clamp and the jitter-stream
+//! position are computed at **send time** under the links lock, and a
+//! link is pinned to one wheel shard by hash, so one worker owns all of a
+//! link's messages and drains them in `(deliver_at, seq)` order.
 //!
 //! The transport is generic over the payload type `M`; `dtx-core` provides
 //! its `Message` enum and implements [`Wire`] to give payloads a size.
@@ -61,7 +55,7 @@ pub mod wire;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use dtx_trace::{EventKind, Tracer};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,8 +89,7 @@ pub trait Wire: Send + 'static {
     }
 }
 
-/// Tuning knobs of the delivery machinery (only the reactor reads them;
-/// the baseline topologies derive their thread count from traffic).
+/// The delivery machinery's one setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Size of the reactor's delivery-worker pool — the **upper bound**
@@ -104,15 +97,6 @@ pub struct NetConfig {
     /// spawned lazily: a shard with no traffic never starts its thread.
     /// Default: `min(8, available cores)`, at least 1.
     pub workers: usize,
-    /// Slots per timer wheel. With the default tick this gives each
-    /// wheel a ~51 ms horizon (1024 × 50 µs); messages further out stay
-    /// in their hash slot across revolutions (checked once per
-    /// revolution).
-    pub wheel_slots: usize,
-    /// Width of one wheel slot — the scheduling granularity. Delivery
-    /// happens when a slot's window has fully passed, so a message is
-    /// never delivered *early*, at most one tick + scheduling noise late.
-    pub wheel_tick: Duration,
 }
 
 impl Default for NetConfig {
@@ -122,8 +106,6 @@ impl Default for NetConfig {
             .unwrap_or(1);
         NetConfig {
             workers: cores.clamp(1, 8),
-            wheel_slots: 1024,
-            wheel_tick: Duration::from_micros(50),
         }
     }
 }
@@ -134,39 +116,6 @@ impl NetConfig {
         self.workers = workers.max(1);
         self
     }
-
-    /// The config with every field forced into its valid range.
-    fn sanitized(mut self) -> Self {
-        self.workers = self.workers.max(1);
-        self.wheel_slots = self.wheel_slots.max(2);
-        self.wheel_tick = self.wheel_tick.max(Duration::from_micros(10));
-        self
-    }
-}
-
-/// How delayed delivery is driven (irrelevant under [`LatencyModel::zero`],
-/// where delivery is synchronous and no threads exist).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Topology {
-    /// Sharded timer-wheel reactor (default): every ordered `(from, to)`
-    /// pair is hashed onto one of [`NetConfig::workers`] wheel shards;
-    /// each shard's worker holds its in-flight messages in a hashed
-    /// timer wheel and delivers them as their instants pass. Thread
-    /// count is O(workers) — independent of the number of site pairs —
-    /// while per-link FIFO and send-time jitter determinism are
-    /// preserved exactly (a link lives entirely inside one shard).
-    #[default]
-    Reactor,
-    /// One dedicated delivery thread per ordered `(from, to)` pair —
-    /// the previous default ("switched" fabric). Thread count grows as
-    /// sites × (sites − 1), which is why it cannot reasonably run at
-    /// hundred-site scale; kept as the baseline the reactor's win is
-    /// measured against, not assumed from.
-    ThreadPerLink,
-    /// Legacy shared hub: one global delivery thread with a single timer
-    /// heap. All traffic serializes behind one sleeper — the original
-    /// scaling bottleneck, kept as `bench_net`'s second baseline.
-    SharedHub,
 }
 
 /// Latency model: `fixed + per_kib * size + U(0, jitter)`.
@@ -310,19 +259,16 @@ impl NetStats {
     }
 
     /// Distinct ordered `(from, to)` pairs that carried delayed traffic
-    /// so far, under any topology. Zero under [`LatencyModel::zero`]
-    /// (delivery is synchronous, no link bookkeeping exists). This
-    /// counts *links*, not threads: under [`Topology::ThreadPerLink`]
-    /// the two happen to coincide, under [`Topology::Reactor`] many
-    /// links share one of [`NetStats::delivery_threads`] workers.
+    /// so far. Zero under [`LatencyModel::zero`] (delivery is
+    /// synchronous, no link bookkeeping exists). This counts *links*,
+    /// not threads: many links share one of
+    /// [`NetStats::delivery_threads`] workers.
     pub fn links_active(&self) -> u64 {
         self.links.load(Ordering::Relaxed)
     }
 
-    /// Delivery threads spawned so far: wheel-shard workers under
-    /// [`Topology::Reactor`] (bounded by [`NetConfig::workers`]), one
-    /// per active link under [`Topology::ThreadPerLink`], exactly 1
-    /// under [`Topology::SharedHub`], 0 under [`LatencyModel::zero`].
+    /// Delivery threads spawned so far: wheel-shard workers, bounded by
+    /// [`NetConfig::workers`]; 0 under [`LatencyModel::zero`].
     pub fn delivery_threads(&self) -> u64 {
         self.delivery_threads.load(Ordering::Relaxed)
     }
@@ -368,36 +314,6 @@ struct Delayed<M> {
     envelope: Envelope<M>,
 }
 
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Delayed<M> {}
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse order: BinaryHeap is a max-heap, we want earliest first;
-        // ties broken by send sequence to keep FIFO.
-        other
-            .deliver_at
-            .cmp(&self.deliver_at)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Ascending `(deliver_at, seq)` — the delivery order every drain uses.
-/// Per-link FIFO follows because the send-time clamp makes `deliver_at`
-/// monotone per link and `seq` (drawn under the same lock) breaks ties
-/// in send order.
-fn delivery_order<M>(a: &Delayed<M>, b: &Delayed<M>) -> std::cmp::Ordering {
-    a.deliver_at.cmp(&b.deliver_at).then(a.seq.cmp(&b.seq))
-}
-
 /// Per-ordered-pair link bookkeeping, updated at send time under the
 /// links lock: the jitter stream position, the FIFO clamp, and the queue
 /// delayed messages are handed to.
@@ -411,11 +327,9 @@ struct LinkBook<M> {
     /// relies on this (an `Abort` must not overtake the `ExecRemote` it
     /// cancels).
     last: Instant,
-    /// Where this link's delayed messages go: the link's dedicated
-    /// worker queue ([`Topology::ThreadPerLink`]) or a clone of the
-    /// link's wheel-shard queue ([`Topology::Reactor`]; the shard is
-    /// fixed by hash, so one worker owns the whole link). `None` under
-    /// [`Topology::SharedHub`] (the hub queue is global).
+    /// Where this link's delayed messages go: a clone of the link's
+    /// wheel-shard queue (the shard is fixed by hash, so one worker owns
+    /// the whole link). `None` until the first send and after shutdown.
     tx: Option<Sender<Delayed<M>>>,
 }
 
@@ -443,18 +357,15 @@ struct Inner<M> {
     /// not a simulated failure).
     dead: RwLock<HashSet<SiteId>>,
     latency: LatencyModel,
-    topology: Topology,
     cfg: NetConfig,
     stats: NetStats,
     /// Per ordered `(from, to)` pair: jitter position, FIFO clamp, and
     /// the link's delivery queue.
     links: Mutex<HashMap<(SiteId, SiteId), LinkBook<M>>>,
-    /// Wheel-shard queues ([`Topology::Reactor`] only), spawned lazily
-    /// on the first link hashed to the shard. Always locked *after*
-    /// `links` (send path) — never the other way around.
+    /// Wheel-shard queues, spawned lazily on the first link hashed to
+    /// the shard. Always locked *after* `links` (send path) — never the
+    /// other way around.
     shard_txs: Mutex<Vec<Option<Sender<Delayed<M>>>>>,
-    /// Legacy hub queue ([`Topology::SharedHub`] only).
-    hub_tx: Mutex<Option<Sender<Delayed<M>>>>,
     seq: AtomicU64,
     /// Chaos-harness fault injection; disarmed (no drops, no partitions)
     /// by default. Guarded by its own lock, taken before `links`.
@@ -538,36 +449,30 @@ impl<M> Endpoint<M> {
 }
 
 impl<M: Wire> Network<M> {
-    /// Creates a network with the given latency model, the default
-    /// [`Topology::Reactor`] delivery and the default [`NetConfig`].
-    /// Delivery threads are spawned lazily, and only when the model
-    /// actually delays messages.
+    /// Creates a network with the given latency model and the default
+    /// [`NetConfig`]. Delivery threads are spawned lazily, and only when
+    /// the model actually delays messages.
     pub fn new(latency: LatencyModel) -> Self {
-        Self::with_config(latency, Topology::default(), NetConfig::default())
+        Self::with_config(latency, NetConfig::default())
     }
 
-    /// Creates a network with an explicit delivery [`Topology`] and the
-    /// default [`NetConfig`].
-    pub fn with_topology(latency: LatencyModel, topology: Topology) -> Self {
-        Self::with_config(latency, topology, NetConfig::default())
-    }
-
-    /// Creates a network with an explicit [`Topology`] and [`NetConfig`].
-    pub fn with_config(latency: LatencyModel, topology: Topology, cfg: NetConfig) -> Self {
-        let cfg = cfg.sanitized();
-        let inner = Arc::new(Inner {
+    /// Creates a network with an explicit [`NetConfig`] (`workers` is
+    /// clamped to ≥ 1).
+    pub fn with_config(latency: LatencyModel, cfg: NetConfig) -> Self {
+        let cfg = NetConfig {
+            workers: cfg.workers.max(1),
+        };
+        let inner = Inner {
             endpoints: RwLock::new(HashMap::new()),
             remote: RwLock::new(HashSet::new()),
             uplink: RwLock::new(None),
             remote_armed: AtomicBool::new(false),
             dead: RwLock::new(HashSet::new()),
             latency,
-            topology,
             cfg,
             stats: NetStats::default(),
             links: Mutex::new(HashMap::new()),
             shard_txs: Mutex::new(vec![None; cfg.workers]),
-            hub_tx: Mutex::new(None),
             seq: AtomicU64::new(0),
             faults: Mutex::new(FaultState::default()),
             faults_armed: AtomicBool::new(false),
@@ -575,28 +480,14 @@ impl<M: Wire> Network<M> {
             tracer: RwLock::new(None),
             trace_armed: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
-        });
-        if !latency.is_zero() && topology == Topology::SharedHub {
-            let (tx, rx) = unbounded::<Delayed<M>>();
-            *inner.hub_tx.lock() = Some(tx);
-            let hub_inner = Arc::downgrade(&inner);
-            let handle = std::thread::Builder::new()
-                .name("dtx-net-hub".into())
-                .spawn(move || hub_loop(rx, hub_inner))
-                .expect("spawn hub thread");
-            inner.workers.lock().push(handle);
-            inner.stats.delivery_threads.fetch_add(1, Ordering::Relaxed);
+        };
+        Network {
+            inner: Arc::new(inner),
         }
-        Network { inner }
-    }
-
-    /// The delivery topology this network was created with.
-    pub fn topology(&self) -> Topology {
-        self.inner.topology
     }
 
     /// The delivery configuration this network was created with
-    /// (sanitized: `workers ≥ 1`, valid wheel geometry).
+    /// (`workers ≥ 1`).
     pub fn net_config(&self) -> NetConfig {
         self.inner.cfg
     }
@@ -783,7 +674,7 @@ impl<M: Wire> Network<M> {
         // Delayed path. Under the links lock: advance the link's jitter
         // stream (delay = pure function of (seed, from, to, k) — see
         // [`link_delay`]), apply the FIFO clamp, and hand the message to
-        // the link's queue (reactor shard / dedicated worker / hub).
+        // the link's wheel-shard queue.
         let now = Instant::now();
         let mut links = self.inner.links.lock();
         // The global tie-break seq is drawn under the same lock that
@@ -820,67 +711,34 @@ impl<M: Wire> Network<M> {
             label,
             envelope,
         };
-        match self.inner.topology {
-            Topology::Reactor => {
-                if book.tx.is_none() {
-                    if self.inner.flushing.load(Ordering::Relaxed) {
-                        return Err(NetError::Closed);
-                    }
-                    // Pin the link to its wheel shard (pure hash of the
-                    // pair) and make sure the shard's worker runs; the
-                    // link's whole lifetime stays on this one worker.
-                    let shard = (mix64(((from.0 as u64) << 16) ^ (to.0 as u64)) as usize)
-                        % self.inner.cfg.workers;
-                    let mut shards = self.inner.shard_txs.lock();
-                    if shards[shard].is_none() {
-                        let (tx, rx) = unbounded::<Delayed<M>>();
-                        let weak = Arc::downgrade(&self.inner);
-                        let cfg = self.inner.cfg;
-                        let handle = std::thread::Builder::new()
-                            .name(format!("dtx-net-wheel-{shard}"))
-                            .spawn(move || wheel_loop(rx, weak, cfg))
-                            .expect("spawn wheel worker");
-                        self.inner.workers.lock().push(handle);
-                        self.inner
-                            .stats
-                            .delivery_threads
-                            .fetch_add(1, Ordering::Relaxed);
-                        shards[shard] = Some(tx);
-                    }
-                    book.tx = shards[shard].clone();
-                }
-                let tx = book.tx.as_ref().expect("just ensured");
-                tx.send(delayed).map_err(|_| NetError::Closed)
+        if book.tx.is_none() {
+            if self.inner.flushing.load(Ordering::Relaxed) {
+                return Err(NetError::Closed);
             }
-            Topology::ThreadPerLink => {
-                if book.tx.is_none() {
-                    if self.inner.flushing.load(Ordering::Relaxed) {
-                        return Err(NetError::Closed);
-                    }
-                    let (tx, rx) = unbounded::<Delayed<M>>();
-                    let weak = Arc::downgrade(&self.inner);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("dtx-net-link-{from}-{to}"))
-                        .spawn(move || link_loop(rx, weak))
-                        .expect("spawn link worker");
-                    self.inner.workers.lock().push(handle);
-                    self.inner
-                        .stats
-                        .delivery_threads
-                        .fetch_add(1, Ordering::Relaxed);
-                    book.tx = Some(tx);
-                }
-                let tx = book.tx.as_ref().expect("just ensured");
-                tx.send(delayed).map_err(|_| NetError::Closed)
+            // Pin the link to its wheel shard (pure hash of the pair) and
+            // make sure the shard's worker runs; the link's whole
+            // lifetime stays on this one worker.
+            let shard =
+                (mix64(((from.0 as u64) << 16) ^ (to.0 as u64)) as usize) % self.inner.cfg.workers;
+            let mut shards = self.inner.shard_txs.lock();
+            if shards[shard].is_none() {
+                let (tx, rx) = unbounded::<Delayed<M>>();
+                let weak = Arc::downgrade(&self.inner);
+                let handle = std::thread::Builder::new()
+                    .name(format!("dtx-net-wheel-{shard}"))
+                    .spawn(move || wheel_loop(rx, weak))
+                    .expect("spawn wheel worker");
+                self.inner.workers.lock().push(handle);
+                self.inner
+                    .stats
+                    .delivery_threads
+                    .fetch_add(1, Ordering::Relaxed);
+                shards[shard] = Some(tx);
             }
-            Topology::SharedHub => {
-                let hub = self.inner.hub_tx.lock();
-                match hub.as_ref() {
-                    Some(hub_tx) => hub_tx.send(delayed).map_err(|_| NetError::Closed),
-                    None => Err(NetError::Closed),
-                }
-            }
+            book.tx = shards[shard].clone();
         }
+        let tx = book.tx.as_ref().expect("just ensured");
+        tx.send(delayed).map_err(|_| NetError::Closed)
     }
 
     /// Registered site ids (sorted) — local endpoints plus any
@@ -957,7 +815,6 @@ impl<M: Wire> Network<M> {
         for shard in self.inner.shard_txs.lock().iter_mut() {
             *shard = None;
         }
-        *self.inner.hub_tx.lock() = None;
         // 3. Join the workers — the drain is complete when this returns.
         let workers = std::mem::take(&mut *self.inner.workers.lock());
         for h in workers {
@@ -1022,25 +879,13 @@ fn trace_delivery<M>(tr: &Tracer, d: &Delayed<M>, delivered: bool) {
     tr.record(to, kind);
 }
 
-/// Delivers `d` to its destination endpoint (drops it when the endpoint
-/// is gone — exactly what a real network does to a dead host's traffic).
-fn deliver<M: Send + 'static>(inner: &Inner<M>, d: Delayed<M>) {
-    let endpoints = inner.endpoints.read();
-    let delivered = endpoints.get(&d.envelope.to).cloned();
-    drop(endpoints);
-    if let Some(tr) = inner.trace() {
-        trace_delivery(&tr, &d, delivered.is_some());
-    }
-    if let Some(dest) = delivered {
-        let _ = dest.send(d.envelope);
-    }
-}
-
 /// Hands a due batch out **in its existing order** under a single
-/// endpoints read-lock acquisition. The hot path builds `due` already
-/// link-ordered — overdue arrivals in channel order, then fired slots in
-/// window order with stable per-slot drains — so no sort is needed (the
-/// reactor's per-message costs are what bound one worker's drain rate).
+/// endpoints read-lock acquisition; a message whose endpoint is gone is
+/// dropped — exactly what a real network does to a dead host's traffic.
+/// The hot path builds `due` already link-ordered — overdue arrivals in
+/// channel order, then fired slots in window order with stable per-slot
+/// drains — so no sort is needed (the reactor's per-message costs are
+/// what bound one worker's drain rate).
 fn deliver_batch<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>) {
     if due.is_empty() {
         return;
@@ -1058,26 +903,27 @@ fn deliver_batch<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>)
     }
 }
 
-/// Shutdown-flush variant of [`deliver_batch`]: the batch comes from
-/// [`Wheel::drain_all`] (slot ring order, possibly several revolutions
-/// deep), so it is first sorted into `(deliver_at, seq)` delivery order
-/// — which preserves per-link FIFO exactly (monotone clamp + seq ties).
-fn deliver_batch_sorted<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>) {
-    due.sort_unstable_by(delivery_order);
-    deliver_batch(inner, due);
-}
+/// Slots per timer wheel: with [`WHEEL_TICK`] each wheel has a ~51 ms
+/// horizon (1024 × 50 µs); messages further out stay in their hash slot
+/// across revolutions (checked once per revolution).
+const WHEEL_SLOTS: usize = 1024;
 
-/// One wheel shard's state ([`Topology::Reactor`]): a hashed timer wheel
-/// whose slot index is the message's delivery tick modulo the slot
-/// count. Entries further than one revolution out simply stay in their
-/// slot across passes (the due check is against the slot window's end,
-/// so they fire on the revolution that reaches their instant).
+/// Width of one wheel slot — the scheduling granularity. Delivery happens
+/// when a slot's window has fully passed, so a message is never delivered
+/// *early*, at most one tick + scheduling noise late.
+const WHEEL_TICK: Duration = Duration::from_micros(50);
+
+/// [`WHEEL_TICK`] in nanoseconds (u64 arithmetic on the hot path; u64
+/// nanos cover ~585 years of wheel lifetime).
+const WHEEL_TICK_NS: u64 = WHEEL_TICK.as_nanos() as u64;
+
+/// One wheel shard's state: a hashed timer wheel whose slot index is the
+/// message's delivery tick modulo the slot count. Entries further than
+/// one revolution out simply stay in their slot across passes (the due
+/// check is against the slot window's end, so they fire on the
+/// revolution that reaches their instant).
 struct Wheel<M> {
     slots: Vec<Vec<Delayed<M>>>,
-    tick: Duration,
-    /// `tick` in nanoseconds (u64 arithmetic on the hot path; u64 nanos
-    /// cover ~585 years of wheel lifetime).
-    tick_ns: u64,
     origin: Instant,
     /// Index of the slot whose window fires next.
     cursor: usize,
@@ -1090,12 +936,10 @@ struct Wheel<M> {
 }
 
 impl<M> Wheel<M> {
-    fn new(cfg: NetConfig) -> Self {
+    fn new() -> Self {
         let origin = Instant::now();
         Wheel {
-            slots: (0..cfg.wheel_slots).map(|_| Vec::new()).collect(),
-            tick: cfg.wheel_tick,
-            tick_ns: cfg.wheel_tick.as_nanos() as u64,
+            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             origin,
             cursor: 0,
             cursor_time: origin,
@@ -1104,8 +948,7 @@ impl<M> Wheel<M> {
     }
 
     fn slot_of(&self, at: Instant) -> usize {
-        ((at.duration_since(self.origin).as_nanos() as u64 / self.tick_ns) as usize)
-            % self.slots.len()
+        ((at.duration_since(self.origin).as_nanos() as u64 / WHEEL_TICK_NS) as usize) % WHEEL_SLOTS
     }
 
     /// Files a message into its slot — or straight into `due` when its
@@ -1132,16 +975,16 @@ impl<M> Wheel<M> {
         if self.pending == 0 {
             // Nothing can fire; realign the cursor with the clock so a
             // long idle gap costs O(1) instead of one step per tick.
-            let ticks = now.duration_since(self.origin).as_nanos() as u64 / self.tick_ns;
-            self.cursor = (ticks as usize) % self.slots.len();
+            let ticks = now.duration_since(self.origin).as_nanos() as u64 / WHEEL_TICK_NS;
+            self.cursor = (ticks as usize) % WHEEL_SLOTS;
             // u64 nanos throughout — a u32 tick product would wrap after
             // ~2.5 days of shard uptime and desync cursor_time from
             // cursor, stalling the shard in a days-long catch-up loop.
-            self.cursor_time = self.origin + Duration::from_nanos(ticks * self.tick_ns);
+            self.cursor_time = self.origin + Duration::from_nanos(ticks * WHEEL_TICK_NS);
             return;
         }
-        while self.cursor_time + self.tick <= now {
-            let end = self.cursor_time + self.tick;
+        while self.cursor_time + WHEEL_TICK <= now {
+            let end = self.cursor_time + WHEEL_TICK;
             let slot = &mut self.slots[self.cursor];
             if slot.iter().all(|d| d.deliver_at < end) {
                 // Common case — no entry waits for a later revolution
@@ -1161,7 +1004,7 @@ impl<M> Wheel<M> {
                 }
                 *slot = keep;
             }
-            self.cursor = (self.cursor + 1) % self.slots.len();
+            self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
             self.cursor_time = end;
         }
     }
@@ -1181,10 +1024,10 @@ impl<M> Wheel<M> {
         if self.pending == 0 {
             return None;
         }
-        for off in 0..self.slots.len() {
-            let idx = (self.cursor + off) % self.slots.len();
+        for off in 0..WHEEL_SLOTS {
+            let idx = (self.cursor + off) % WHEEL_SLOTS;
             if !self.slots[idx].is_empty() {
-                let fire_at = self.cursor_time + self.tick * (off as u32 + 1);
+                let fire_at = self.cursor_time + WHEEL_TICK * (off as u32 + 1);
                 return Some(fire_at.saturating_duration_since(now));
             }
         }
@@ -1192,26 +1035,21 @@ impl<M> Wheel<M> {
     }
 }
 
-/// One reactor delivery worker ([`Topology::Reactor`]): owns the timer
-/// wheel of its shard. Messages arrive already FIFO-clamped (monotone
-/// `deliver_at` per link) and a link is pinned to exactly one shard, so
-/// stable slot drains preserve per-link FIFO without any sorting — and a
-/// pool of size 1 additionally delivers across links in `deliver_at`
-/// order at wheel-tick granularity (later windows never fire before
-/// earlier ones). On flush (shutdown) the wheel and queue drain
-/// completely, sorted into `(deliver_at, seq)` order, without sleeping.
-fn wheel_loop<M: Send + 'static>(
-    rx: Receiver<Delayed<M>>,
-    inner: std::sync::Weak<Inner<M>>,
-    cfg: NetConfig,
-) {
+/// One delivery worker: owns the timer wheel of its shard. Messages
+/// arrive already FIFO-clamped (monotone `deliver_at` per link) and a
+/// link is pinned to exactly one shard, so stable slot drains preserve
+/// per-link FIFO without any sorting — and a pool of size 1 additionally
+/// delivers across links in `deliver_at` order at wheel-tick granularity
+/// (later windows never fire before earlier ones). On flush (shutdown)
+/// the wheel and queue drain completely, sorted into `(deliver_at, seq)`
+/// order, without sleeping.
+fn wheel_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: std::sync::Weak<Inner<M>>) {
     // A busy worker (≥ this many messages moved in one pass) switches to
     // poll mode: it naps without blocking on its queue, so senders pay
     // no receiver-wake on every push and the next pass drains a batch.
     const BUSY: usize = 32;
-    let mut wheel: Wheel<M> = Wheel::new(cfg);
+    let mut wheel: Wheel<M> = Wheel::new();
     let mut due: Vec<Delayed<M>> = Vec::new();
-    let poll_nap = cfg.wheel_tick.min(Duration::from_micros(100));
     loop {
         // Intake everything queued right now.
         let mut disconnected = false;
@@ -1233,11 +1071,17 @@ fn wheel_loop<M: Send + 'static>(
             return; // network dropped without shutdown: nobody listens
         };
         if disconnected || strong.flushing.load(Ordering::Relaxed) {
-            // Shutdown flush: everything goes out now, in delivery order,
-            // with no sleeps. The queue is (or is about to be)
+            // Shutdown flush: everything goes out now, with no sleeps.
+            // The wheel drains in slot ring order, possibly several
+            // revolutions deep, so the batch is first sorted into
+            // `(deliver_at, seq)` order — which preserves per-link FIFO
+            // exactly: the send-time clamp makes `deliver_at` monotone
+            // per link and `seq` (drawn under the same lock) breaks ties
+            // in send order. The queue is (or is about to be)
             // disconnected, so loop until the hangup delivers the rest.
             wheel.drain_all(&mut due);
-            deliver_batch_sorted(&strong, &mut due);
+            due.sort_unstable_by_key(|d| (d.deliver_at, d.seq));
+            deliver_batch(&strong, &mut due);
             if disconnected {
                 return;
             }
@@ -1257,10 +1101,10 @@ fn wheel_loop<M: Send + 'static>(
         deliver_batch(&strong, &mut due);
         drop(strong);
         if moved >= BUSY {
-            // Poll mode: traffic is flowing. Nap briefly *without*
+            // Poll mode: traffic is flowing. Nap one tick *without*
             // parking on the queue — pushes stay wake-free and the next
             // pass drains whatever accumulated as one batch.
-            std::thread::sleep(poll_nap);
+            std::thread::sleep(WHEEL_TICK);
             continue;
         }
         // Idle(ish): block until the next candidate slot, a new message,
@@ -1280,88 +1124,9 @@ fn wheel_loop<M: Send + 'static>(
     }
 }
 
-/// One link's delivery worker ([`Topology::ThreadPerLink`]): messages
-/// arrive already FIFO-clamped (monotone `deliver_at`), so the worker
-/// sleeps until each message's instant and hands it to the endpoint —
-/// queue order **is** delivery order. When the network flushes (shutdown)
-/// the sleep is skipped and the backlog drains immediately; the worker
-/// exits when its queue disconnects.
-fn link_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: std::sync::Weak<Inner<M>>) {
-    while let Ok(d) = rx.recv() {
-        let Some(inner) = inner.upgrade() else {
-            return; // network dropped without shutdown: nobody listens
-        };
-        sleep_until_or_flush(&inner, d.deliver_at);
-        deliver(&inner, d);
-    }
-}
-
-/// Sleeps until `deadline`, waking early when the network starts
-/// flushing. Sliced so a shutdown never waits out a long in-progress
-/// delay; experiment delays (µs–ms) fit in one slice.
-fn sleep_until_or_flush<M>(inner: &Inner<M>, deadline: Instant) {
-    const SLICE: Duration = Duration::from_millis(5);
-    while !inner.flushing.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        std::thread::sleep((deadline - now).min(SLICE));
-    }
-}
-
-/// The legacy shared hub ([`Topology::SharedHub`]): one global timer heap
-/// ordered by `(deliver_at, seq)` — per-link FIFO holds because send-time
-/// clamping makes `deliver_at` monotone per link and `seq` breaks ties in
-/// send order. Every delivery funnels through this single thread, which
-/// is the head-of-line bottleneck the sharded topologies remove. On
-/// disconnect (shutdown) the heap flushes in order without sleeping.
-fn hub_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: std::sync::Weak<Inner<M>>) {
-    let mut queue: BinaryHeap<Delayed<M>> = BinaryHeap::new();
-    loop {
-        // Deliver everything due.
-        let now = Instant::now();
-        while queue.peek().map(|d| d.deliver_at <= now).unwrap_or(false) {
-            let d = queue.pop().expect("peeked");
-            if let Some(inner) = inner.upgrade() {
-                deliver(&inner, d);
-            } else {
-                return; // network dropped
-            }
-        }
-        // Wait for the next due time or a new message.
-        let wait = queue
-            .peek()
-            .map(|d| d.deliver_at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(wait.max(Duration::from_micros(10))) {
-            Ok(d) => queue.push(d),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if inner.upgrade().is_none() {
-                    return;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                // Shutdown: flush the backlog in heap order, no sleeps.
-                while let Some(d) = queue.pop() {
-                    let Some(inner) = inner.upgrade() else { return };
-                    deliver(&inner, d);
-                }
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ALL_TOPOLOGIES: [Topology; 3] = [
-        Topology::Reactor,
-        Topology::ThreadPerLink,
-        Topology::SharedHub,
-    ];
 
     #[derive(Debug, PartialEq)]
     struct Msg(u32);
@@ -1482,25 +1247,20 @@ mod tests {
             jitter: Duration::from_micros(500),
             seed: 3,
         };
-        for topology in ALL_TOPOLOGIES {
-            let net: Network<SizedMsg> = Network::with_topology(model, topology);
-            let a = net.register(SiteId(0));
-            let _b = net.register(SiteId(1));
-            net.send(SiteId(1), SiteId(0), SizedMsg(0, 64 * 1024))
-                .unwrap();
-            net.send(SiteId(1), SiteId(0), SizedMsg(1, 16)).unwrap();
-            for i in 0..2 {
-                let e = a
-                    .recv_timeout(Duration::from_secs(5))
-                    .unwrap()
-                    .expect("delivered");
-                assert_eq!(
-                    e.payload.0, i,
-                    "messages must arrive in send order ({topology:?})"
-                );
-            }
-            net.shutdown();
+        let net: Network<SizedMsg> = Network::new(model);
+        let a = net.register(SiteId(0));
+        let _b = net.register(SiteId(1));
+        net.send(SiteId(1), SiteId(0), SizedMsg(0, 64 * 1024))
+            .unwrap();
+        net.send(SiteId(1), SiteId(0), SizedMsg(1, 16)).unwrap();
+        for i in 0..2 {
+            let e = a
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .expect("delivered");
+            assert_eq!(e.payload.0, i, "messages must arrive in send order");
         }
+        net.shutdown();
     }
 
     #[test]
@@ -1552,7 +1312,7 @@ mod tests {
             seed: 11,
         };
         let cfg = NetConfig::default().with_workers(3);
-        let net: Network<Msg> = Network::with_config(model, Topology::Reactor, cfg);
+        let net: Network<Msg> = Network::with_config(model, cfg);
         let endpoints: Vec<_> = (0..6).map(|s| net.register(SiteId(s))).collect();
         for round in 0..10u32 {
             for from in 0..6u16 {
@@ -1594,31 +1354,29 @@ mod tests {
             jitter: Duration::ZERO,
             seed: 5,
         };
-        for topology in ALL_TOPOLOGIES {
-            let net: Network<Msg> = Network::with_topology(model, topology);
-            let a = net.register(SiteId(0));
-            let _b = net.register(SiteId(1));
-            let _c = net.register(SiteId(2));
-            for i in 0..10 {
-                net.send(SiteId(1), SiteId(0), Msg(i)).unwrap();
-                net.send(SiteId(2), SiteId(0), Msg(100 + i)).unwrap();
-            }
-            let t0 = Instant::now();
-            net.shutdown();
-            assert!(
-                t0.elapsed() < Duration::from_millis(150),
-                "flush skips remaining sleeps ({topology:?}: {:?})",
-                t0.elapsed()
-            );
-            let got: Vec<u32> = a.drain(100).iter().map(|e| e.payload.0).collect();
-            assert_eq!(got.len(), 20, "nothing vanished ({topology:?})");
-            let link1: Vec<u32> = got.iter().copied().filter(|&v| v < 100).collect();
-            let link2: Vec<u32> = got.iter().copied().filter(|&v| v >= 100).collect();
-            assert_eq!(link1, (0..10).collect::<Vec<_>>(), "{topology:?}");
-            assert_eq!(link2, (100..110).collect::<Vec<_>>(), "{topology:?}");
-            // After the drain, the endpoint reports closure.
-            assert!(matches!(a.recv(), Err(NetError::Closed)));
+        let net: Network<Msg> = Network::new(model);
+        let a = net.register(SiteId(0));
+        let _b = net.register(SiteId(1));
+        let _c = net.register(SiteId(2));
+        for i in 0..10 {
+            net.send(SiteId(1), SiteId(0), Msg(i)).unwrap();
+            net.send(SiteId(2), SiteId(0), Msg(100 + i)).unwrap();
         }
+        let t0 = Instant::now();
+        net.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_millis(150),
+            "flush skips remaining sleeps ({:?})",
+            t0.elapsed()
+        );
+        let got: Vec<u32> = a.drain(100).iter().map(|e| e.payload.0).collect();
+        assert_eq!(got.len(), 20, "nothing vanished");
+        let link1: Vec<u32> = got.iter().copied().filter(|&v| v < 100).collect();
+        let link2: Vec<u32> = got.iter().copied().filter(|&v| v >= 100).collect();
+        assert_eq!(link1, (0..10).collect::<Vec<_>>());
+        assert_eq!(link2, (100..110).collect::<Vec<_>>());
+        // After the drain, the endpoint reports closure.
+        assert!(matches!(a.recv(), Err(NetError::Closed)));
     }
 
     #[test]
@@ -1664,16 +1422,9 @@ mod tests {
 
     #[test]
     fn net_config_sanitizes_degenerate_values() {
-        let cfg = NetConfig {
-            workers: 0,
-            wheel_slots: 0,
-            wheel_tick: Duration::ZERO,
-        };
-        let net: Network<Msg> = Network::with_config(LatencyModel::zero(), Topology::Reactor, cfg);
-        let sane = net.net_config();
-        assert_eq!(sane.workers, 1);
-        assert!(sane.wheel_slots >= 2);
-        assert!(sane.wheel_tick >= Duration::from_micros(10));
+        let cfg = NetConfig { workers: 0 };
+        let net: Network<Msg> = Network::with_config(LatencyModel::zero(), cfg);
+        assert_eq!(net.net_config().workers, 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Real socket transport: nonblocking TCP between DTX processes.
 //!
 //! The multi-process half of the transport seam. Inside one process,
-//! [`crate::Network`] still routes messages between local sites (with the
-//! simulated-LAN topologies as the deterministic test harness); a
+//! [`crate::Network`] still routes messages between local sites (the
+//! simulated LAN is the deterministic test harness); a
 //! [`SocketTransport`] carries traffic for sites hosted by *other OS
 //! processes* over real TCP connections, speaking the framed wire format
 //! of [`crate::wire`] (specified in `WIRE.md`).
@@ -77,7 +77,7 @@ pub struct SocketConfig {
     /// at least 1.
     pub pollers: usize,
     /// Nap between poll passes when nothing moved (the socket analogue
-    /// of the wheel worker's poll nap). Default: 100 µs.
+    /// of the wheel worker's poll nap). Default: 250 µs.
     pub nap: Duration,
 }
 

@@ -748,7 +748,7 @@ impl Document {
     }
 
     /// `self.to_xml().len()` without serializing: the per-chunk sums of
-    /// [`crate::serializer::node_len`], re-summing only the chunks written
+    /// `serializer::node_len`, re-summing only the chunks written
     /// since they were last asked. Clones share the sums with the chunks.
     pub fn xml_len(&self) -> usize {
         let chunk_len = |chunk: &Arc<Chunk>| match chunk.xml_len.load(Ordering::Relaxed) {

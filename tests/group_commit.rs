@@ -1,127 +1,62 @@
-//! Group-commit batching properties — the adaptive flush window.
-//!
-//! The scheduler's termination outbox flushes once per event-loop tick
-//! by default (`flush_window = 0`). A nonzero window lets a *light*
-//! decision trickle coalesce: the outbox is held until either the
-//! latency budget elapses or enough decisions are pending. The pinned
-//! property: on a light workload, a nonzero budget **strictly
-//! increases** the mean number of per-transaction decisions carried per
-//! termination message.
+//! Group-commit batching: the scheduler's termination outbox flushes
+//! once per event-loop tick. Decisions made within one tick leave as one
+//! `TerminateBatch` per site; nothing is held beyond the tick.
 
 use dtx::core::{Cluster, ClusterConfig, OpSpec, ProtocolKind, SiteId, TxnSpec};
 use dtx::xpath::{Query, UpdateOp};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DOC: &str = "<inventory><item><id>1</id><qty>10</qty></item></inventory>";
 
-/// Runs a light workload — `n` single-update transactions submitted with
-/// a small client-side pause between them, each against its **own**
-/// document replicated on both sites (independent lock targets, so the
-/// transactions pipeline instead of serializing, and every commit has a
-/// remote participant and rides a `TerminateBatch`) — and returns the
-/// realized mean batch size: unbatched-equivalent termination messages
-/// over actual ones.
-fn mean_batch_size(flush_window: Duration, n: usize) -> f64 {
-    let config = ClusterConfig::new(2, ProtocolKind::Xdgl).with_flush_window(flush_window);
-    let cluster = Cluster::start(config);
-    for i in 0..n {
+fn set_qty(doc: String, value: String) -> TxnSpec {
+    TxnSpec::new(vec![OpSpec::update(
+        doc,
+        UpdateOp::Change {
+            target: Query::parse("/inventory/item/qty").unwrap(),
+            new_value: value,
+        },
+    )])
+}
+
+#[test]
+fn decisions_of_one_tick_share_one_batch_per_site_and_none_is_held() {
+    const TXNS: usize = 40;
+    let cluster = Cluster::start(ClusterConfig::new(2, ProtocolKind::Xdgl));
+    // Each transaction updates its **own** document replicated on both
+    // sites: independent lock targets, so the transactions pipeline
+    // instead of serializing, and every commit has a remote participant
+    // and rides a `TerminateBatch`.
+    for i in 0..TXNS {
         cluster
             .load_document(&format!("inv{i}"), DOC, &[SiteId(0), SiteId(1)])
             .unwrap();
     }
-    let mut pending = Vec::new();
-    for i in 0..n {
-        pending.push(cluster.submit_async(
-            SiteId(0),
-            TxnSpec::new(vec![OpSpec::update(
-                format!("inv{i}"),
-                UpdateOp::Change {
-                    target: Query::parse("/inventory/item/qty").unwrap(),
-                    new_value: format!("{i}"),
-                },
-            )]),
-        ));
-        // Light load: decisions trickle in instead of arriving as one
-        // burst, which is exactly the regime the window targets.
-        std::thread::sleep(Duration::from_micros(300));
-    }
+    // A lone distributed update terminates without waiting for company:
+    // the whole round-trip stays well under a second.
+    let t0 = Instant::now();
+    let out = cluster.submit(SiteId(0), set_qty("inv0".into(), "7".into()));
+    assert!(out.committed(), "{:?}", out.status);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "a lone decision must not be held ({:?})",
+        t0.elapsed()
+    );
+    // A burst: votes arrive several to a tick, so several decisions ride
+    // one message.
+    let pending: Vec<_> = (0..TXNS)
+        .map(|i| cluster.submit_async(SiteId(0), set_qty(format!("inv{i}"), i.to_string())))
+        .collect();
     for rx in pending {
         let out = rx.recv().expect("scheduler alive");
         assert!(out.committed(), "{:?}", out.status);
     }
-    let metrics = cluster.metrics();
-    let batched = metrics.termination_msgs();
-    let unbatched = metrics.termination_msgs_unbatched();
+    let batched = cluster.metrics().termination_msgs();
+    let unbatched = cluster.metrics().termination_msgs_unbatched();
     cluster.shutdown();
     assert!(batched > 0, "remote commits must ride TerminateBatch");
-    unbatched as f64 / batched as f64
-}
-
-#[test]
-fn nonzero_flush_window_strictly_increases_mean_batch_size() {
-    const TXNS: usize = 40;
-    let per_tick = mean_batch_size(Duration::ZERO, TXNS);
-    let windowed = mean_batch_size(Duration::from_millis(4), TXNS);
-    // Per-tick flushing on a trickle sends nearly one decision per
-    // message; a 4 ms budget must coalesce several.
     assert!(
-        windowed > per_tick,
-        "a nonzero flush window must increase the mean batch size \
-         (per-tick {per_tick:.3} vs windowed {windowed:.3})"
+        batched < unbatched,
+        "decisions of one tick must share a TerminateBatch \
+         ({batched} messages for {unbatched} decisions)"
     );
-}
-
-#[test]
-fn zero_window_remains_the_default_and_flushes_promptly() {
-    let config = ClusterConfig::new(2, ProtocolKind::Xdgl);
-    assert_eq!(config.scheduler.flush_window, Duration::ZERO);
-    // A single distributed update terminates without waiting out any
-    // window: the whole round-trip stays well under a second.
-    let cluster = Cluster::start(config);
-    cluster
-        .load_document("inv", DOC, &[SiteId(0), SiteId(1)])
-        .unwrap();
-    let t0 = std::time::Instant::now();
-    let out = cluster.submit(
-        SiteId(0),
-        TxnSpec::new(vec![OpSpec::update(
-            "inv",
-            UpdateOp::Change {
-                target: Query::parse("/inventory/item/qty").unwrap(),
-                new_value: "7".into(),
-            },
-        )]),
-    );
-    assert!(out.committed(), "{:?}", out.status);
-    assert!(
-        t0.elapsed() < Duration::from_secs(1),
-        "default path must not hold terminations ({:?})",
-        t0.elapsed()
-    );
-    cluster.shutdown();
-}
-
-#[test]
-fn windowed_terminations_all_reach_participants_on_shutdown() {
-    // A large window with decisions still held must not strand them:
-    // shutdown force-flushes the outbox, so every transaction still
-    // terminates cleanly (and locks release at participants).
-    let config =
-        ClusterConfig::new(2, ProtocolKind::Xdgl).with_flush_window(Duration::from_millis(250));
-    let cluster = Cluster::start(config);
-    cluster
-        .load_document("inv", DOC, &[SiteId(0), SiteId(1)])
-        .unwrap();
-    let out = cluster.submit(
-        SiteId(0),
-        TxnSpec::new(vec![OpSpec::update(
-            "inv",
-            UpdateOp::Change {
-                target: Query::parse("/inventory/item/qty").unwrap(),
-                new_value: "3".into(),
-            },
-        )]),
-    );
-    assert!(out.committed(), "{:?}", out.status);
-    cluster.shutdown();
 }

@@ -1,9 +1,7 @@
 //! Transport-level properties of the delayed-delivery network.
 //!
 //! The scheduler's correctness leans on exactly three transport
-//! guarantees (see `dtx-net`'s crate docs); these tests pin them under
-//! the default timer-wheel reactor and the two baseline topologies
-//! (thread-per-link, shared hub):
+//! guarantees (see `dtx-net`'s crate docs); these tests pin them:
 //!
 //! 1. **Per-pair FIFO** under concurrent jittered senders with
 //!    size-dependent latency — delivery order equals send order on every
@@ -17,7 +15,7 @@
 //!    computed delay is far shorter.
 
 use dtx::core::{Message, OpSpec, SiteId, TxnId};
-use dtx::net::{link_delay, Envelope, LatencyModel, NetConfig, Network, Topology, Wire};
+use dtx::net::{link_delay, Envelope, LatencyModel, NetConfig, Network, Wire};
 use dtx::xml::document::{Fragment, InsertPos};
 use dtx::xpath::{Query, UpdateOp};
 use std::time::{Duration, Instant};
@@ -97,71 +95,11 @@ fn per_link_fifo_survives_concurrent_jittered_storm() {
     net.shutdown();
 }
 
-/// The same all-to-all jittered storm, against every delivery topology
-/// explicitly — the FIFO contract is topology-independent (the default
-/// reactor is additionally covered by the test above, through
-/// `Network::new`).
-#[test]
-fn per_link_fifo_holds_under_every_topology() {
-    const SITES: u16 = 3;
-    const PER_LINK: u32 = 60;
-    let model = LatencyModel {
-        fixed: Duration::from_micros(200),
-        per_kib: Duration::from_micros(400),
-        jitter: Duration::from_micros(300),
-        seed: 0xAB5E,
-    };
-    for topology in [
-        Topology::Reactor,
-        Topology::ThreadPerLink,
-        Topology::SharedHub,
-    ] {
-        let net: Network<Frame> = Network::with_topology(model, topology);
-        let endpoints: Vec<_> = (0..SITES).map(|s| net.register(SiteId(s))).collect();
-        std::thread::scope(|scope| {
-            for ep in endpoints {
-                scope.spawn(move || {
-                    let mut next = vec![0u32; SITES as usize];
-                    for _ in 0..(SITES as u64 - 1) * PER_LINK as u64 {
-                        let env: Envelope<Frame> = ep
-                            .recv_timeout(Duration::from_secs(30))
-                            .expect("network alive")
-                            .expect("storm delivers within the timeout");
-                        assert_eq!(
-                            env.payload.seq, next[env.payload.from as usize],
-                            "link {} -> {} out of send order ({topology:?})",
-                            env.payload.from, ep.site
-                        );
-                        next[env.payload.from as usize] += 1;
-                    }
-                });
-            }
-            for from in 0..SITES {
-                let net = net.clone();
-                scope.spawn(move || {
-                    let mut size = size_stream(0xFEED ^ from as u64);
-                    for seq in 0..PER_LINK {
-                        for to in 0..SITES {
-                            if to != from {
-                                let bytes = size();
-                                net.send(SiteId(from), SiteId(to), Frame { from, seq, bytes })
-                                    .expect("send");
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        net.shutdown();
-    }
-}
-
 /// Reactor shutdown drain: in-flight delayed messages must not vanish —
 /// every accepted message is delivered, in per-link FIFO order, before
-/// endpoints disconnect, and the flush skips the remaining sleeps. Same
-/// contract the in-crate test pins for the baseline topologies; this one
-/// pins it for the reactor across several pool sizes (including a pool
-/// larger than the link count).
+/// endpoints disconnect, and the flush skips the remaining sleeps. The
+/// in-crate test pins this for the default pool; this one pins it across
+/// several pool sizes (including a pool larger than the link count).
 #[test]
 fn reactor_shutdown_flushes_in_flight_messages() {
     let model = LatencyModel {
@@ -172,7 +110,7 @@ fn reactor_shutdown_flushes_in_flight_messages() {
     };
     for workers in [1usize, 2, 8] {
         let cfg = NetConfig::default().with_workers(workers);
-        let net: Network<Frame> = Network::with_config(model, Topology::Reactor, cfg);
+        let net: Network<Frame> = Network::with_config(model, cfg);
         let a = net.register(SiteId(0));
         let _b = net.register(SiteId(1));
         let _c = net.register(SiteId(2));
@@ -233,7 +171,7 @@ fn single_worker_pool_orders_cross_link_by_deliver_at_and_shuts_down() {
         seed: 0,
     };
     let cfg = NetConfig::default().with_workers(1);
-    let net: Network<Frame> = Network::with_config(model, Topology::Reactor, cfg);
+    let net: Network<Frame> = Network::with_config(model, cfg);
     let a = net.register(SiteId(0));
     for s in 1..=3u16 {
         net.register(SiteId(s));

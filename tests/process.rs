@@ -16,6 +16,8 @@
 //!    storm shape replayed over a real TCP link: concurrent senders on
 //!    size-varying frames, delivery order equals send order per
 //!    `(from, to)` pair.
+//! 4. **No silent hang on the control plane** — a submission no hosted
+//!    scheduler can answer is answered by the host, as a failure.
 
 use dtx::core::wire::CtrlMsg;
 use dtx::core::{CtrlClient, Message, OpSpec, SiteHost, SiteHostConfig, TxnId, TxnSpec, TxnStatus};
@@ -292,4 +294,44 @@ fn socket_transport_preserves_per_pair_fifo_under_storm() {
 
     a.shutdown();
     b.shutdown();
+}
+
+#[test]
+fn submit_to_a_site_the_host_does_not_own_fails_promptly() {
+    // The driver's peer map is wrong: it believes site 1 lives on the
+    // process that only hosts site 0. The host must say so instead of
+    // leaving the driver to wait out its own timeout.
+    let host = SiteHost::start(SiteHostConfig::new(&[SiteId(0)], 2)).expect("host starts");
+    let client = CtrlClient::bind().expect("driver binds");
+    client
+        .connect(&host.local_addr().to_string(), &[SiteId(0), SiteId(1)])
+        .expect("driver connects");
+    let corr = client.corr();
+    let sent = Instant::now();
+    client
+        .send(
+            SiteId(1),
+            &CtrlMsg::Submit {
+                corr,
+                spec: TxnSpec::new(vec![OpSpec::query("d", Query::parse("/site").unwrap())]),
+            },
+        )
+        .expect("submit sent");
+    let (_, reply) = client
+        .recv(Duration::from_secs(1))
+        .expect("the host answers well inside a second");
+    match reply {
+        CtrlMsg::Outcome {
+            corr: c,
+            status: TxnStatus::Failed(why),
+            ..
+        } => {
+            assert_eq!(c, corr);
+            assert!(why.contains("s1 not hosted here"), "{why}");
+        }
+        other => panic!("expected a Failed outcome, got {other:?}"),
+    }
+    assert!(sent.elapsed() < Duration::from_secs(1));
+    client.shutdown();
+    host.shutdown();
 }

@@ -7,6 +7,7 @@ use dtx::core::{
     AbortReason, Cluster, ClusterConfig, CrashPoint, OpResult, OpSpec, ProtocolKind, SiteId,
     TxnSpec, TxnStatus,
 };
+use dtx::trace::EventKind;
 use dtx::xml::{Fragment, InsertPos};
 use dtx::xpath::{Query, UpdateOp};
 use std::time::{Duration, Instant};
@@ -228,7 +229,38 @@ fn restarted_participant_replays_to_byte_identical_state() {
     assert!(out.committed(), "{:?}", out.status);
     assert_replicas_identical(&cluster, SiteId(1), SiteId(2));
     assert!(cluster.metrics().recoveries() >= 1);
+
+    // One boot function assembles both, so both arm the same sinks: the
+    // site rebuilt by `restart_site` and one that never went down each
+    // record the lock, log and scheduler events of an update they
+    // coordinate.
+    let restarted = cluster.submit(SiteId(1), change_txn("44.00"));
+    assert!(restarted.committed(), "{:?}", restarted.status);
+    let fresh = cluster.submit(SiteId(2), change_txn("45.00"));
+    assert!(fresh.committed(), "{:?}", fresh.status);
+    let tracer = cluster.tracer().expect("tracing armed");
     cluster.shutdown();
+    let trace = tracer.collect();
+    for (site, txn) in [(1, restarted.txn.0), (2, fresh.txn.0)] {
+        let saw = |want: fn(&EventKind, u64) -> bool| {
+            trace
+                .events
+                .iter()
+                .any(|e| e.site == site && want(&e.kind, txn))
+        };
+        assert!(
+            saw(|k, t| matches!(k, EventKind::LockGrant { txn, .. } if *txn == t)),
+            "site {site}: no LockGrant for txn {txn}"
+        );
+        assert!(
+            saw(|k, t| matches!(k, EventKind::WalAppend { txn, .. } if *txn == t)),
+            "site {site}: no WalAppend for txn {txn}"
+        );
+        assert!(
+            saw(|k, t| matches!(k, EventKind::PhaseEnter { txn, .. } if *txn == t)),
+            "site {site}: no PhaseEnter for txn {txn}"
+        );
+    }
 }
 
 #[test]
