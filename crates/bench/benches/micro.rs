@@ -42,7 +42,9 @@ fn dataguide_build(c: &mut Criterion) {
 }
 
 fn xpath_eval(c: &mut Criterion) {
-    let doc = generate(XmarkConfig::sized(200_000, 3)).parse();
+    let base = generate(XmarkConfig::sized(200_000, 3));
+    let doc = base.parse();
+    let keyed = format!("/site/people/person[id={}]/name", base.person_ids[7]);
     let queries = [
         ("child_path", "/site/people/person/name"),
         ("predicate", "/site/people/person[profile/age>40]/name"),
@@ -51,7 +53,7 @@ fn xpath_eval(c: &mut Criterion) {
         // candidate — by child element, and by an attribute these persons
         // do not carry, the per-candidate miss) and a predicate path two
         // steps deep.
-        ("keyed_lookup", "/site/people/person[id=7]/name"),
+        ("keyed_lookup", keyed.as_str()),
         (
             "attribute_predicate",
             "/site/people/person[@id=\"person7\"]/name",
@@ -110,31 +112,42 @@ fn document_clone(c: &mut Criterion) {
 }
 
 /// One update through Algorithm 3 and its local commit (WAL aside): locks,
-/// apply, guide maintenance, then persist, snapshot publish and release.
+/// apply, guide maintenance, then the committed view, persist, snapshot
+/// publish and release. `beside_a_pending_writer` is `value_update` with
+/// another transaction's applied, unterminated change on the same
+/// document, which every commit's view has to take out of its copy.
 fn commit_local(c: &mut Criterion) {
     let base = generate(XmarkConfig::sized(200_000, 3));
     let person = format!("/site/people/person[id={}]", base.person_ids[7]);
+    let change = |path: String| UpdateOp::Change {
+        target: Query::parse(&path).unwrap(),
+        new_value: "changed".into(),
+    };
+    let insert = UpdateOp::Insert {
+        target: Query::parse(&person).unwrap(),
+        fragment: Fragment::elem_text("phone", "+55 85 0000"),
+        pos: InsertPos::Into,
+    };
+    let neighbour = format!("/site/people/person[id={}]", base.person_ids[8]);
+    let pending = change(format!("{neighbour}/emailaddress"));
     let updates = [
+        ("value_update", change(format!("{person}/name")), None),
+        ("insert", insert, None),
         (
-            "value_update",
-            UpdateOp::Change {
-                target: Query::parse(&format!("{person}/name")).unwrap(),
-                new_value: "changed".into(),
-            },
-        ),
-        (
-            "insert",
-            UpdateOp::Insert {
-                target: Query::parse(&person).unwrap(),
-                fragment: Fragment::elem_text("phone", "+55 85 0000"),
-                pos: InsertPos::Into,
-            },
+            "beside_a_pending_writer",
+            change(format!("{person}/name")),
+            Some(pending),
         ),
     ];
     let mut group = c.benchmark_group("commit_local");
-    for (name, update) in updates {
+    for (name, update, pending) in updates {
         let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(MemStore::free()));
         lm.put_and_load("d", &base.xml).unwrap();
+        if let Some(pending) = pending {
+            let op = OpSpec::update("d", pending);
+            let done = lm.process_operation(TxnId(u64::MAX), 0, &op, TxnMode::Updating, false);
+            assert!(matches!(done, ProcessResult::Executed(_)), "{done:?}");
+        }
         let op = OpSpec::update("d", update);
         let mut txn = 0u64;
         group.bench_function(name, |b| {

@@ -10,8 +10,11 @@
 //! [`LockManager::process_operation`] is Algorithm 3: walk the guide nodes
 //! the operation touches, try to acquire each lock, and either execute the
 //! operation (recording undo information) or report the conflicting
-//! transactions after rolling back partial acquisitions. Commit and abort
-//! apply/undo the recorded effects and release everything (strict 2PL).
+//! transactions after rolling back partial acquisitions. Abort undoes the
+//! recorded effects; commit persists and publishes, for each document the
+//! transaction wrote, the live document minus what other transactions
+//! still have pending — the store and the snapshot readers never hold
+//! uncommitted data. Both release everything (strict 2PL).
 
 use crate::op::{OpKind, OpResult, OpSpec};
 use dtx_dataguide::{incremental, DataGuide, Snapshot, SnapshotStore};
@@ -20,7 +23,7 @@ use dtx_storage::{DataManager, StorageError, StorageResult, Wal, WalRecord};
 use dtx_trace::{doc_hash, EventKind, TraceSink};
 use dtx_xml::Document;
 use dtx_xpath::{apply_update, eval, undo_update, UndoRecord, UpdateOp};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Result of processing one operation at one site.
@@ -44,17 +47,10 @@ pub enum ProcessResult {
 
 /// State of one hosted document replica.
 struct DocState {
+    /// The live document: committed state plus every applied update of a
+    /// transaction still running here (see [`LockManager::committed_view`]).
     doc: Document,
     guide: DataGuide,
-    /// Dirty since last persist (commit persists only touched docs).
-    dirty: bool,
-    /// Transactions whose applied, not-yet-terminated updates the store
-    /// copy holds: a commit persists the whole in-memory document, other
-    /// transactions' updates included. Undoing an update of one of them
-    /// must persist again ([`LockManager::settle_store`]), or the store —
-    /// what `dump_committed` ships to new replicas — keeps the undone
-    /// change.
-    store_holds: Vec<TxnId>,
     /// Guide changed structurally since the last snapshot publication.
     /// Value-only updates leave this false, so the next publication shares
     /// `snap_guide` unchanged (the COW fast path).
@@ -134,20 +130,20 @@ pub struct LockManager {
     cost: OpCostModel,
     docs: HashMap<String, DocState>,
     table: LockTable,
-    /// Applied-update log per transaction (in application order).
-    undo_log: HashMap<TxnId, Vec<UndoEntry>>,
+    /// Applied-update log per transaction (in application order), oldest
+    /// transaction first.
+    undo_log: BTreeMap<TxnId, Vec<UndoEntry>>,
     /// Locks acquired per (txn, op_seq), so a partially-executed
     /// distributed operation can release exactly its own locks
     /// (Alg. 1 l. 16 / Alg. 3 l. 12).
     op_locks: HashMap<(TxnId, usize), Vec<AcquiredLock>>,
-    /// Documents touched (locked or read) per transaction.
-    touched: HashMap<TxnId, Vec<String>>,
     /// This site's waits-for relation. Owned here so lock releases can
     /// eagerly prune edges pointing at transactions that no longer hold
     /// anything (stale edges would fabricate deadlocks out of retries).
     wfg: WaitForGraph,
-    /// Versioned snapshots of every hosted document, republished at each
-    /// local commit/abort that changed the document. Read-only
+    /// Versioned snapshots of every hosted document: its committed state
+    /// as installed and as of each local commit that wrote it (an abort
+    /// publishes nothing: no version ever held its updates). Read-only
     /// transactions answer from here ([`LockManager::snapshot_read`])
     /// without ever touching `table` or `wfg`.
     snapshots: SnapshotStore,
@@ -190,9 +186,8 @@ impl LockManager {
             cost,
             docs: HashMap::new(),
             table: LockTable::new(),
-            undo_log: HashMap::new(),
+            undo_log: BTreeMap::new(),
             op_locks: HashMap::new(),
-            touched: HashMap::new(),
             wfg: WaitForGraph::new(),
             snapshots: SnapshotStore::new(),
             snap_pins: HashMap::new(),
@@ -256,39 +251,57 @@ impl LockManager {
             .map(|d| d.tag)
             .unwrap_or_else(|| (self.docs.len() as u32) << 24);
         let snap_guide = Arc::new(guide.clone());
+        // Publish the initial snapshot so read-only transactions can pin
+        // the document from the moment it is hosted.
+        let initial = doc.clone();
         self.docs.insert(
             name.to_owned(),
             DocState {
                 doc,
                 guide,
-                dirty: false,
-                store_holds: Vec::new(),
                 guide_dirty: false,
                 snap_guide,
                 tag,
             },
         );
-        // Publish the initial snapshot so read-only transactions can pin
-        // the document from the moment it is hosted.
-        self.publish_snapshot(name);
+        self.publish_snapshot(name, initial);
         built
     }
 
-    /// Publishes a new immutable snapshot of `name` from the current
-    /// in-memory state, sharing the previous guide `Arc` when no applied
-    /// or undone update moved extents since the last publication. The
-    /// document clone shares every arena chunk with the live document;
-    /// later writes copy only the chunks they touch. Returns the new
-    /// per-document commit sequence (`None`: not hosted).
-    fn publish_snapshot(&mut self, name: &str) -> Option<u64> {
-        let state = self.docs.get_mut(name)?;
+    /// The committed state of `name`: the live document minus every
+    /// applied, not-yet-terminated update. This is the one definition the
+    /// store, the snapshots and (through them) replica shipment share, and
+    /// it is what restart recovery arrives at: the undo records still in
+    /// `undo_log` are applied to a clone newest transaction first, each
+    /// transaction's records in reverse — the order `replay_wal` rolls its
+    /// losers back in, and the one in which positional records stay valid.
+    /// The clone shares every arena chunk with the live document, so with
+    /// nobody else pending on `name` (the common case) that is all it costs;
+    /// otherwise each undo copies the chunks it writes.
+    fn committed_view(&self, name: &str) -> Option<Document> {
+        let mut view = self.docs.get(name)?.doc.clone();
+        for entries in self.undo_log.values().rev() {
+            for e in entries.iter().rev().filter(|e| e.doc == name) {
+                let _ = undo_update(&mut view, &e.record);
+            }
+        }
+        Some(view)
+    }
+
+    /// Publishes `doc` as the new immutable snapshot of `name`, sharing
+    /// the previous guide `Arc` when no applied or undone update moved
+    /// extents since the last publication (the guide is the live one: a
+    /// conservative superset of the committed data's paths).
+    fn publish_snapshot(&mut self, name: &str, doc: Document) {
+        let Some(state) = self.docs.get_mut(name) else {
+            return;
+        };
         if state.guide_dirty {
             state.snap_guide = Arc::new(state.guide.clone());
             state.guide_dirty = false;
         }
-        let doc = Arc::new(state.doc.clone());
         let guide = Arc::clone(&state.snap_guide);
-        Some(self.snapshots.publish(name, doc, guide))
+        self.snapshots.publish(name, Arc::new(doc), guide);
     }
 
     /// Stores raw XML and loads it (bulk load path).
@@ -440,10 +453,6 @@ impl LockManager {
             .entry((txn, op_seq))
             .or_default()
             .extend(acquired);
-        let touched = self.touched.entry(txn).or_default();
-        if !touched.contains(&op.doc) {
-            touched.push(op.doc.clone());
-        }
         // 3. Execute against the in-memory document (Alg. 3 l. 6).
         match &op.kind {
             OpKind::Query(q) => {
@@ -458,7 +467,6 @@ impl LockManager {
             OpKind::Update(u) => match apply_update(&mut state.doc, u) {
                 Ok(record) => {
                     let affected = undo_size(&record);
-                    state.dirty = true;
                     state.guide_dirty |= incremental::mutates_extents(&record);
                     // Incremental guide maintenance: extents (and any new
                     // label paths) follow the applied update at O(changed
@@ -506,34 +514,18 @@ impl LockManager {
     /// now be able to acquire their locks (speculative-wake feed).
     pub fn undo_op(&mut self, txn: TxnId, op_seq: usize) -> Vec<TxnId> {
         if let Some(entries) = self.undo_log.get_mut(&txn) {
-            // Undo in reverse application order.
-            let mut kept = Vec::with_capacity(entries.len());
-            let mut undone = Vec::new();
-            while let Some(e) = entries.pop() {
-                if e.op_seq == op_seq {
-                    undone.push(e);
-                } else {
-                    kept.push(e);
-                }
-            }
-            kept.reverse();
+            let (undone, kept): (Vec<_>, Vec<_>) = std::mem::take(entries)
+                .into_iter()
+                .partition(|e| e.op_seq == op_seq);
             *entries = kept;
             if !undone.is_empty() {
                 if let Some(w) = &self.wal {
                     w.append(WalRecord::Undone { txn, op_seq });
                 }
             }
-            for e in &undone {
-                if let Some(state) = self.docs.get_mut(&e.doc) {
-                    state.guide_dirty |= incremental::mutates_extents(&e.record);
-                    incremental::note_undone(&mut state.guide, &state.doc, &e.record);
-                    let _ = undo_update(&mut state.doc, &e.record);
-                }
-            }
-            // Only once every entry is undone: a copy persisted in
-            // between would hold the rest, with no log entry left to say so.
-            for e in &undone {
-                self.settle_store(&e.doc, txn);
+            // Undo in reverse application order.
+            for e in undone.iter().rev() {
+                self.roll_back(e);
             }
         }
         if let Some(locks) = self.op_locks.remove(&(txn, op_seq)) {
@@ -550,44 +542,39 @@ impl LockManager {
         }
     }
 
-    /// Commits `txn` locally: persist touched documents (Alg. 5 l. 10) and
-    /// release all its locks (l. 11).
+    /// Commits `txn` locally: persist the committed state of every
+    /// document it wrote (Alg. 5 l. 10), publish that same tree as the
+    /// document's next snapshot, and release all its locks (l. 11). A
+    /// transaction that wrote nothing here — a reader, or a writer whose
+    /// operations were all undone — persists and publishes nothing.
     ///
     /// On success returns the transactions that were waiting on `txn` here
     /// (speculative-wake feed: they may now acquire their locks).
     pub fn commit_local(&mut self, txn: TxnId) -> StorageResult<Vec<TxnId>> {
         self.release_snapshots(txn);
+        // Out of the log first: from here on `txn`'s updates are part of
+        // every committed view.
+        let written = self.undo_log.remove(&txn).unwrap_or_default();
         // Forced commit record *before* the effects become visible: a
         // restart after this line replays the transaction as committed, a
         // restart before it presumes abort. Read-only terminations (no
         // undo entries) log nothing.
-        if self.undo_log.get(&txn).is_some_and(|e| !e.is_empty()) {
+        if !written.is_empty() {
             if let Some(w) = &self.wal {
                 w.force(WalRecord::Committed { txn });
             }
         }
-        self.undo_log.remove(&txn);
         self.clear_indoubt(txn);
         self.op_locks.retain(|(t, _), _| *t != txn);
-        if let Some(docs) = self.touched.remove(&txn) {
-            for name in docs {
-                let mut publish = false;
-                if let Some(state) = self.docs.get_mut(&name) {
-                    if state.dirty {
-                        self.store.persist(&name, &state.doc)?;
-                        state.dirty = false;
-                        state.store_holds = pending_txns(&self.undo_log, &name);
-                        publish = true;
-                    } else {
-                        // What the copy holds of `txn` is committed now.
-                        state.store_holds.retain(|&t| t != txn);
-                    }
-                }
-                if publish {
-                    // New commit point: readers starting after this line
-                    // pin the post-commit state.
-                    self.publish_snapshot(&name);
-                }
+        let mut names: Vec<&str> = written.iter().map(|e| e.doc.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        for name in names {
+            if let Some(view) = self.committed_view(name) {
+                self.store.persist(name, &view)?;
+                // New commit point: readers starting after this line pin
+                // the post-commit state, and nothing still pending.
+                self.publish_snapshot(name, view);
             }
         }
         self.table.release_all(txn);
@@ -597,15 +584,16 @@ impl LockManager {
     }
 
     /// Aborts `txn` locally: undo every applied update in reverse order
-    /// (Alg. 6 l. 13) and release all locks (l. 14).
+    /// (Alg. 6 l. 13) and release all locks (l. 14). Neither the store nor
+    /// any snapshot ever held those updates, so there is nothing to
+    /// persist or publish: an abort cannot change what a reader sees.
     ///
     /// Returns the transactions that were waiting on `txn` here
     /// (speculative-wake feed: they may now acquire their locks).
     pub fn abort_local(&mut self, txn: TxnId) -> Vec<TxnId> {
         self.release_snapshots(txn);
         self.clear_indoubt(txn);
-        let mut undone_docs: Vec<String> = Vec::new();
-        if let Some(mut entries) = self.undo_log.remove(&txn) {
+        if let Some(entries) = self.undo_log.remove(&txn) {
             if !entries.is_empty() {
                 // Unforced abort hint: losing it only costs replay a
                 // redundant presumed-abort resolution.
@@ -613,41 +601,23 @@ impl LockManager {
                     w.append(WalRecord::Aborted { txn });
                 }
             }
-            while let Some(e) = entries.pop() {
-                if let Some(state) = self.docs.get_mut(&e.doc) {
-                    state.guide_dirty |= incremental::mutates_extents(&e.record);
-                    incremental::note_undone(&mut state.guide, &state.doc, &e.record);
-                    let _ = undo_update(&mut state.doc, &e.record);
-                    if !undone_docs.contains(&e.doc) {
-                        undone_docs.push(e.doc.clone());
-                    }
-                }
+            for e in entries.iter().rev() {
+                self.roll_back(e);
             }
         }
-        // Republish the post-undo state: an intervening commit on the same
-        // document may have published a snapshot — and persisted a store
-        // copy — that still contained this transaction's now-rolled-back
-        // changes.
-        for name in undone_docs {
-            self.publish_snapshot(&name);
-            self.settle_store(&name, txn);
-        }
         self.op_locks.retain(|(t, _), _| *t != txn);
-        self.touched.remove(&txn);
         self.table.release_all(txn);
         let waiters = self.wfg.waiters_of(txn);
         self.wfg.remove_txn(txn);
         waiters
     }
 
-    /// Persists `name` again if its store copy holds updates of `txn` —
-    /// called after an undo of some of them. The fresh copy holds what is
-    /// applied and unterminated now.
-    fn settle_store(&mut self, name: &str, txn: TxnId) {
-        if let Some(state) = self.docs.get_mut(name) {
-            if state.store_holds.contains(&txn) && self.store.persist(name, &state.doc).is_ok() {
-                state.store_holds = pending_txns(&self.undo_log, name);
-            }
+    /// Takes one applied update back out of the live document and its guide.
+    fn roll_back(&mut self, e: &UndoEntry) {
+        if let Some(state) = self.docs.get_mut(&e.doc) {
+            state.guide_dirty |= incremental::mutates_extents(&e.record);
+            incremental::note_undone(&mut state.guide, &state.doc, &e.record);
+            let _ = undo_update(&mut state.doc, &e.record);
         }
     }
 
@@ -783,11 +753,12 @@ impl LockManager {
             .any(|es| es.iter().any(|e| e.doc == name))
     }
 
-    /// Serializes the last **committed** (persisted) state of `name` from
-    /// the store — the copy shipped to a new replica during online
-    /// re-replication. Uncommitted in-memory changes are excluded; the
-    /// replica copy fence in `Cluster::add_replica` pauses new updates
-    /// and drains applied ones before this dump is taken.
+    /// Serializes the **committed** state of `name` from the store — the
+    /// copy shipped to a new replica during online re-replication. What
+    /// the store holds is the view the last commit on `name` persisted, so
+    /// applied, unterminated changes are never in it; the replica copy
+    /// fence in `Cluster::add_replica` still drains them before this dump
+    /// is taken, so that the copy is also the live state.
     ///
     /// The text is in the parser's normal form (what a receiver that
     /// parses it would serialize again: e.g. an emptied text node is gone),
@@ -847,7 +818,6 @@ impl LockManager {
         };
         match apply_update(&mut state.doc, op) {
             Ok(record) => {
-                state.dirty = true;
                 state.guide_dirty |= incremental::mutates_extents(&record);
                 incremental::note_applied(&mut state.guide, &state.doc, &record);
                 self.undo_log.entry(txn).or_default().push(UndoEntry {
@@ -855,10 +825,6 @@ impl LockManager {
                     op_seq,
                     record,
                 });
-                let touched = self.touched.entry(txn).or_default();
-                if !touched.iter().any(|d| d == doc) {
-                    touched.push(doc.to_owned());
-                }
                 true
             }
             Err(_) => false,
@@ -869,14 +835,11 @@ impl LockManager {
     /// (sorted). At the end of recovery replay these are the live losers:
     /// everything not committed and not in doubt is presumed aborted.
     pub fn active_txns(&self) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self
-            .undo_log
+        self.undo_log
             .iter()
             .filter(|(_, es)| !es.is_empty())
             .map(|(t, _)| *t)
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     /// Drops `name` entirely from this site: the in-memory state, **every**
@@ -929,14 +892,6 @@ impl LockManager {
             !s.is_empty()
         });
     }
-}
-
-/// The transactions with applied, not-yet-terminated updates on `name` (a
-/// free function so callers can hold other fields borrowed).
-fn pending_txns(undo_log: &HashMap<TxnId, Vec<UndoEntry>>, name: &str) -> Vec<TxnId> {
-    let on_doc = |es: &Vec<UndoEntry>| es.iter().any(|e| e.doc == name);
-    let pending = undo_log.iter().filter(|(_, es)| on_doc(es));
-    pending.map(|(&txn, _)| txn).collect()
 }
 
 fn not_hosted(name: &str) -> StorageError {
@@ -1173,17 +1128,159 @@ mod tests {
         only_t1
     }
 
+    /// What read-only transaction `reader` gets for `path` from the
+    /// snapshot of `d2` it has pinned (or pins now).
+    fn pinned_read(lm: &mut LockManager, reader: u64, path: &str) -> Vec<String> {
+        match lm.snapshot_read(TxnId(reader), &OpSpec::query("d2", q(path))) {
+            ProcessResult::Executed(OpResult::Query { values }) => values,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// What a reader starting now gets for `path`, through a read-only
+    /// transaction of its own.
+    fn fresh_read(lm: &mut LockManager, reader: u64, path: &str) -> Vec<String> {
+        let values = pinned_read(lm, reader, path);
+        lm.commit_local(TxnId(reader)).unwrap();
+        values
+    }
+
     #[test]
-    fn dump_committed_excludes_a_change_aborted_after_another_commit() {
-        // T1's commit persists the whole in-memory document, T2's applied
-        // change included; T2's abort must take it out of the store again
-        // even though nothing commits on the document afterwards.
+    fn a_reader_pinning_after_a_commit_sees_nothing_of_a_pending_writer() {
+        // The dirty read this design closes: T1's commit used to publish
+        // the live document, T2's applied "Plotter" included.
+        let mut lm = manager();
+        two_writers_on_one_document(&mut lm);
+        lm.commit_local(TxnId(1)).unwrap();
+        let names = "/products/product/name";
+        assert_eq!(pinned_read(&mut lm, 3, names), ["Monitor", "Printer"]);
+        assert_eq!(
+            fresh_read(&mut lm, 4, "/products/product[id=4]/price"),
+            ["1"]
+        );
+        // T2's own commit is what makes its change visible — to readers
+        // that start afterwards, not to the one already pinned.
+        lm.commit_local(TxnId(2)).unwrap();
+        assert_eq!(fresh_read(&mut lm, 5, names), ["Monitor", "Plotter"]);
+        assert_eq!(pinned_read(&mut lm, 3, names), ["Monitor", "Printer"]);
+        lm.commit_local(TxnId(3)).unwrap();
+    }
+
+    #[test]
+    fn a_replayed_commit_publishes_nothing_of_an_in_doubt_transaction() {
+        // Recovery redo: T7 and T8 both applied, T8's commit record made
+        // the log, T7 only prepared. Until T7's outcome arrives its change
+        // is in the live document and in no snapshot or store copy.
+        let mut lm = manager();
+        let change = |path: &str, v: &str| UpdateOp::Change {
+            target: q(path),
+            new_value: v.into(),
+        };
+        let t7 = change("/products/product[id=14]/name", "Plotter");
+        let t8 = change("/products/product[id=4]/price", "1");
+        assert!(lm.replay_apply(TxnId(7), "d2", 0, &t7));
+        assert!(lm.replay_apply(TxnId(8), "d2", 0, &t8));
+        lm.commit_local(TxnId(8)).unwrap();
+        lm.block_indoubt(TxnId(7));
+        assert_eq!(
+            fresh_read(&mut lm, 9, "/products/product/name"),
+            ["Monitor", "Printer"]
+        );
+        assert_eq!(
+            fresh_read(&mut lm, 10, "/products/product[id=4]/price"),
+            ["1"]
+        );
+        assert!(!lm.dump_committed("d2").unwrap().contains("Plotter"));
+        lm.commit_local(TxnId(7)).unwrap();
+        assert_eq!(
+            fresh_read(&mut lm, 11, "/products/product/name"),
+            ["Monitor", "Plotter"]
+        );
+        assert!(lm.dump_committed("d2").unwrap().contains("Plotter"));
+    }
+
+    #[test]
+    fn a_transaction_that_only_queried_commits_without_persisting_or_publishing() {
+        // T1 has written d2 and is still running; T2 reads another node of
+        // it under locks and commits. Nothing T2 did needs persisting —
+        // and persisting the live document would have stored T1's change.
+        let mut lm = manager();
+        let committed = lm.document("d2").unwrap().to_xml();
+        let write = OpSpec::update(
+            "d2",
+            UpdateOp::Change {
+                target: q("/products/product[id=4]/price"),
+                new_value: "1".into(),
+            },
+        );
+        assert!(matches!(
+            lm.process_operation(TxnId(1), 0, &write, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        ));
+        let read = OpSpec::query("d2", q("/products/product[id=14]/name"));
+        assert!(matches!(
+            lm.process_operation(TxnId(2), 0, &read, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        ));
+        let seq = lm.latest_snapshot_seq("d2");
+        lm.commit_local(TxnId(2)).unwrap();
+        assert_eq!(lm.store_stats().persists, 0);
+        assert_eq!(lm.latest_snapshot_seq("d2"), seq);
+        assert_eq!(lm.dump_committed("d2").unwrap(), committed);
+        lm.abort_local(TxnId(1));
+    }
+
+    #[test]
+    fn concurrent_removes_of_sibling_labels_abort_in_either_order() {
+        // XDGL grants both removes (different guide nodes under one
+        // parent); rolling both back must give the document back whichever
+        // abort comes first, and a commit of either must publish the other
+        // sibling in its place.
+        let xml = "<r><a/><b/><c/></r>";
+        let remove = |path: &str| OpSpec::update("r", UpdateOp::Remove { target: q(path) });
+        let two_removers = || {
+            let mut store = MemStore::free();
+            store.put_raw("r", xml).unwrap();
+            let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(store));
+            lm.load_document("r").unwrap();
+            for (txn, path) in [(1, "/r/a"), (2, "/r/b")] {
+                assert!(matches!(
+                    lm.process_operation(TxnId(txn), 0, &remove(path), TxnMode::Updating, false),
+                    ProcessResult::Executed(_)
+                ));
+            }
+            assert_eq!(lm.document("r").unwrap().to_xml(), "<r><c/></r>");
+            lm
+        };
+        for order in [[1, 2], [2, 1]] {
+            let mut lm = two_removers();
+            for txn in order {
+                lm.abort_local(TxnId(txn));
+            }
+            assert_eq!(lm.document("r").unwrap().to_xml(), xml, "{order:?}");
+            lm.document("r").unwrap().check_integrity().unwrap();
+        }
+        for (committer, committed) in [(1, "<r><b/><c/></r>"), (2, "<r><a/><c/></r>")] {
+            let mut lm = two_removers();
+            lm.commit_local(TxnId(committer)).unwrap();
+            assert_eq!(lm.dump_committed("r").unwrap(), committed);
+            lm.abort_local(TxnId(3 - committer));
+            assert_eq!(lm.document("r").unwrap().to_xml(), committed);
+        }
+    }
+
+    #[test]
+    fn a_commit_persists_nothing_of_a_change_that_later_aborts() {
+        // T1's commit persists the committed view — the live document
+        // minus T2's applied change — so T2's abort has nothing to take
+        // out of the store again, and no abort ever writes to it.
         let mut lm = manager();
         let only_t1 = two_writers_on_one_document(&mut lm);
         lm.commit_local(TxnId(1)).unwrap();
         assert_eq!(lm.store_stats().persists, 1);
-        // T3 applies after that persist: the copy holds nothing of it, so
-        // its abort leaves the store alone.
+        assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
+        // T3 applies after that persist and aborts: the store is left
+        // alone.
         let t3 = OpSpec::update(
             "d2",
             UpdateOp::Change {
@@ -1199,26 +1296,29 @@ mod tests {
         assert_eq!(lm.store_stats().persists, 1);
         lm.abort_local(TxnId(2));
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
-        assert_eq!(lm.store_stats().persists, 2, "the abort persisted again");
-        // A copy that holds nothing of them is left alone: two more
-        // writers, both aborted.
+        assert_eq!(lm.store_stats().persists, 1, "an abort persists nothing");
+        // Two more writers, both aborted.
         let _ = two_writers_on_one_document(&mut lm);
         lm.abort_local(TxnId(2));
         lm.abort_local(TxnId(1));
-        assert_eq!(lm.store_stats().persists, 2);
+        assert_eq!(lm.store_stats().persists, 1);
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
     }
 
     #[test]
-    fn dump_committed_excludes_an_operation_undone_after_another_commit() {
+    fn a_commit_persists_nothing_of_an_operation_that_is_later_undone() {
         // Same, with T2's operation undone singly (a sibling site refused
-        // it) and T2 then committing what is left of it: nothing here.
+        // it) and T2 then committing what is left of it: nothing here, so
+        // neither the undo nor that commit persists or publishes.
         let mut lm = manager();
         let only_t1 = two_writers_on_one_document(&mut lm);
         lm.commit_local(TxnId(1)).unwrap();
+        let seq = lm.latest_snapshot_seq("d2");
         lm.undo_op(TxnId(2), 0);
         lm.commit_local(TxnId(2)).unwrap();
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
+        assert_eq!(lm.store_stats().persists, 1);
+        assert_eq!(lm.latest_snapshot_seq("d2"), seq);
     }
 
     #[test]
@@ -1434,7 +1534,7 @@ mod tests {
     }
 
     #[test]
-    fn abort_republishes_rolled_back_state() {
+    fn abort_publishes_nothing_and_readers_see_the_rolled_back_state() {
         let mut lm = manager();
         let upd = OpSpec::update(
             "d2",
@@ -1449,8 +1549,8 @@ mod tests {
         ));
         let seq_before = lm.latest_snapshot_seq("d2").unwrap();
         lm.abort_local(TxnId(1));
-        // The abort republished the post-undo state.
-        assert!(lm.latest_snapshot_seq("d2").unwrap() > seq_before);
+        // No version ever held the update, so there is nothing to replace.
+        assert_eq!(lm.latest_snapshot_seq("d2").unwrap(), seq_before);
         let read = OpSpec::query("d2", q("/products/product[id=4]/price"));
         match lm.snapshot_read(TxnId(2), &read) {
             ProcessResult::Executed(OpResult::Query { values }) => {

@@ -20,7 +20,7 @@ use dtx_locks::{ProtocolKind, TxnId};
 use dtx_net::{Network, SiteId};
 use dtx_storage::{CostModel, MemStore, Wal, WalRecord};
 use dtx_trace::{EventKind, TraceSink, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -135,8 +135,9 @@ fn replay_wal(
     let mut report = RecoveryReport::default();
     // Document images under assembly: name → (guide wire, XML so far).
     let mut images: HashMap<String, (String, String)> = HashMap::new();
-    // Transactions with replayed, un-terminated effects.
-    let mut live: HashSet<TxnId> = HashSet::new();
+    // Transactions with replayed, un-terminated effects (ordered: the
+    // losers among them are rolled back newest first).
+    let mut live: BTreeSet<TxnId> = BTreeSet::new();
     // Prepared records without an outcome yet: txn → (coordinator, peers).
     let mut prepared: HashMap<TxnId, (SiteId, Vec<SiteId>)> = HashMap::new();
     // Commit decisions without an `End` yet: txn → owed participants.
@@ -225,8 +226,11 @@ fn replay_wal(
         in_doubt.push((txn, coordinator, peers));
     }
     // Everything else that was live at the crash never prepared and never
-    // decided: presumed abort, roll it back.
-    for txn in live {
+    // decided: presumed abort, roll it back — newest transaction first,
+    // the order the lock manager's committed view takes pending updates
+    // out in, so recovery arrives at the bytes the last snapshot showed
+    // (positional undo records make the order matter).
+    for txn in live.into_iter().rev() {
         let _ = lockmgr.abort_local(txn);
         report.aborted += 1;
     }
@@ -239,4 +243,69 @@ fn replay_wal(
         },
         report,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::op::OpSpec;
+    use crate::ProcessResult;
+    use dtx_locks::TxnMode;
+    use dtx_xpath::{Query, UpdateOp};
+
+    /// "What a reader sees at a commit point is what a crash at that point
+    /// recovers": T1 commits while T2 and T3 have removed siblings and not
+    /// terminated. `<b/>` was the last child, so its record can only fall
+    /// back on its index — valid only if T3 is rolled back before T2.
+    #[test]
+    fn recovery_arrives_at_the_last_published_view() {
+        let xml = "<r><d>1</d><a/><b/></r>";
+        let wal = Arc::new(Wal::new());
+        let guide = DataGuide::build(&dtx_xml::parse(xml).unwrap());
+        wal.append_doc_image("doc", xml, &guide.to_wire(), 8)
+            .unwrap();
+        let new_manager = || {
+            let store = Box::new(MemStore::free());
+            LockManager::new(ProtocolKind::Xdgl.instantiate(), store)
+        };
+        let mut lm = new_manager();
+        lm.put_and_load("doc", xml).unwrap();
+        lm.set_wal(Arc::clone(&wal));
+        let q = |path: &str| Query::parse(path).unwrap();
+        let schedule = [
+            (2, UpdateOp::Remove { target: q("/r/a") }),
+            (3, UpdateOp::Remove { target: q("/r/b") }),
+            (
+                1,
+                UpdateOp::Change {
+                    target: q("/r/d"),
+                    new_value: "2".into(),
+                },
+            ),
+        ];
+        for (txn, op) in schedule {
+            let op = OpSpec::update("doc", op);
+            let done = lm.process_operation(TxnId(txn), 0, &op, TxnMode::Updating, false);
+            assert!(matches!(done, ProcessResult::Executed(_)), "{done:?}");
+        }
+        lm.commit_local(TxnId(1)).unwrap();
+        let committed = "<r><d>2</d><a/><b/></r>";
+        let seen = lm
+            .snapshot_at("doc", lm.latest_snapshot_seq("doc").unwrap())
+            .unwrap();
+        assert_eq!(seen.doc.to_xml(), committed);
+        assert_eq!(lm.dump_committed("doc").unwrap(), committed);
+
+        // Crash here: a fresh manager replays the log.
+        let mut recovered = new_manager();
+        let (state, report) = replay_wal(&wal.snapshot(), &mut recovered);
+        assert!(state.in_doubt.is_empty() && state.undelivered.is_empty());
+        assert_eq!((report.committed, report.aborted), (1, 2));
+        assert_eq!(recovered.document("doc").unwrap().to_xml(), committed);
+        assert_eq!(recovered.dump_committed("doc").unwrap(), committed);
+        let seen = recovered
+            .snapshot_at("doc", recovered.latest_snapshot_seq("doc").unwrap())
+            .unwrap();
+        assert_eq!(seen.doc.to_xml(), committed);
+    }
 }

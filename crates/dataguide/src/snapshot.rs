@@ -1,8 +1,8 @@
 //! Versioned snapshot store for lock-free reads.
 //!
-//! Each commit that touched a document publishes a new **immutable
-//! snapshot** of that document and its DataGuide, keyed by a per-document
-//! commit sequence number. Read-only transactions pin the latest snapshot
+//! Each commit that wrote a document publishes a new **immutable
+//! snapshot** of that document's committed state and its DataGuide, keyed
+//! by a per-document commit sequence number. Read-only transactions pin the latest snapshot
 //! at their first touch of the document and evaluate every query against
 //! the pinned `Arc`s — no lock table, no wait-for graph, no interference
 //! with XDGL writers.

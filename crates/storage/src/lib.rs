@@ -95,12 +95,14 @@ pub trait DataManager: Send {
     /// later writes to it never reach the store.
     fn load(&mut self, name: &str) -> StorageResult<Document>;
 
-    /// Persists a document's current state (called at commit, Alg. 5
-    /// l. 10 `LockManager.DataManager.persist`). The store keeps that
-    /// state — later writes to `doc` never reach it — and accounts the
-    /// write at `doc.to_xml().len()` bytes. Runs on every commit at every
-    /// participant, so an implementation should cost O(what changed since
-    /// the last persist), as [`MemStore`]'s does.
+    /// Persists the committed state of a document the committing
+    /// transaction wrote (Alg. 5 l. 10
+    /// `LockManager.DataManager.persist`): `doc` holds nothing of any
+    /// transaction still running. The store keeps that state — later
+    /// writes to `doc` never reach it — and accounts the write at
+    /// `doc.to_xml().len()` bytes. Runs once per written document per
+    /// commit at every participant, so an implementation should cost
+    /// O(what changed since the last persist), as [`MemStore`]'s does.
     fn persist(&mut self, name: &str, doc: &Document) -> StorageResult<()>;
 
     /// Removes a document from the store.

@@ -134,6 +134,13 @@ pub struct Removed {
     pub parent: NodeId,
     /// Index within the parent's child list it occupied.
     pub index: usize,
+    /// The sibling that followed it (`None`: it was the last child).
+    /// `index` alone goes stale when another transaction removes or
+    /// restores an earlier sibling in between — XDGL grants concurrent
+    /// removes of differently-labelled siblings — so
+    /// [`Document::unremove`] splices in front of this node while it is
+    /// still a child of `parent`.
+    next: Option<NodeId>,
     /// The tombstoned arena slots, root first: ids are never reused, so
     /// [`Document::unremove`] reinstates exactly these slots and the
     /// subtree keeps its original node ids. Id stability is what makes
@@ -576,6 +583,7 @@ impl Document {
             .parent
             .ok_or_else(|| XmlError::InvalidTreeOp("cannot remove the document root".into()))?;
         let index = self.child_index(parent, id)?;
+        let next = self.node(parent)?.children.get(index + 1).copied();
         let fragment = self.to_fragment(id)?;
         let ids: Vec<NodeId> = self.descendants(id).collect();
         self.node_mut(parent)?.children.retain(|&c| c != id);
@@ -592,6 +600,7 @@ impl Document {
             fragment,
             parent,
             index,
+            next,
             slots,
         })
     }
@@ -600,32 +609,37 @@ impl Document {
     /// original position, **under its original node ids**: ids are never
     /// reused, so the tombstoned slots are guaranteed still free and are
     /// reinstated verbatim. Returns the id of the restored subtree root.
+    ///
+    /// The position is in front of the sibling that followed the node when
+    /// it was removed, so removals of different siblings undo in any
+    /// order; only when that sibling is gone too (or there was none) does
+    /// the recorded index decide, which is exact as long as no earlier
+    /// sibling came or went in between.
     pub fn unremove(&mut self, removed: &Removed) -> XmlResult<NodeId> {
         let restorable = !removed.slots.is_empty()
             && removed
                 .slots
                 .iter()
                 .all(|&(id, _)| id.index() < self.len && !self.is_live(id));
-        if restorable {
+        let root = if restorable {
             for (id, node) in &removed.slots {
                 *self.slot_mut(*id).expect("checked in range") = Some(node.clone());
             }
             self.live += removed.slots.len();
-            let root = removed.slots[0].0;
-            self.node_mut(root)?.parent = Some(removed.parent);
-            let parent = self.node_mut(removed.parent)?;
-            let idx = removed.index.min(parent.children.len());
-            parent.children.insert(idx, root);
-            return Ok(root);
-        }
-        // Fallback (slot collision — e.g. a record replayed against a
-        // different document): rebuild the subtree under fresh ids.
-        let new_id = self.build_fragment(&removed.fragment)?;
-        self.node_mut(new_id)?.parent = Some(removed.parent);
-        let parent = self.node_mut(removed.parent)?;
-        let idx = removed.index.min(parent.children.len());
-        parent.children.insert(idx, new_id);
-        Ok(new_id)
+            removed.slots[0].0
+        } else {
+            // Fallback (slot collision — e.g. a record replayed against a
+            // different document): rebuild the subtree under fresh ids.
+            self.build_fragment(&removed.fragment)?
+        };
+        self.node_mut(root)?.parent = Some(removed.parent);
+        let siblings = &mut self.node_mut(removed.parent)?.children;
+        let follower = removed
+            .next
+            .and_then(|n| siblings.iter().position(|&c| c == n));
+        let idx = follower.unwrap_or(removed.index.min(siblings.len()));
+        siblings.insert(idx, root);
+        Ok(root)
     }
 
     /// **rename**: relabels an element or attribute; returns the old label.
@@ -940,6 +954,30 @@ mod tests {
             assert!(doc.is_live(n), "subtree id {n} must be reinstated");
         }
         doc.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn removals_of_different_siblings_undo_in_either_order() {
+        // Two transactions each remove one sibling (XDGL grants both: the
+        // labels differ) and both abort. The second record's index was
+        // taken after the first removal, so index alone would misplace it
+        // when the older removal is undone first.
+        let xml = "<r><a/><b/><c/></r>";
+        for oldest_first in [true, false] {
+            let mut doc = Document::parse(xml).unwrap();
+            let kids = doc.children(doc.root()).unwrap().to_vec();
+            let a = doc.remove(kids[0]).unwrap();
+            let b = doc.remove(kids[1]).unwrap();
+            assert_eq!(doc.to_xml(), "<r><c/></r>");
+            // Undoing `a` first finds its follower `b` gone too and falls
+            // back to the index; undoing `b` first finds `c`.
+            let order = if oldest_first { [&a, &b] } else { [&b, &a] };
+            for removed in order {
+                doc.unremove(removed).unwrap();
+            }
+            assert_eq!(doc.to_xml(), xml, "oldest first: {oldest_first}");
+            doc.check_integrity().unwrap();
+        }
     }
 
     #[test]

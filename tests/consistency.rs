@@ -214,3 +214,79 @@ fn every_protocol_terminates_the_same_workload() {
         cluster.shutdown();
     }
 }
+
+#[test]
+fn readers_only_ever_see_values_written_by_committed_transactions() {
+    // Black box over two replicas: each writer stamps one or two fields
+    // with its own tag, and every third writer then runs an operation that
+    // fails, so its stamps are applied and rolled back while other writers
+    // commit on the same document around it. Read-only clients run
+    // alongside on the lock-free snapshot path. Whatever the interleaving,
+    // a reader may only ever be handed the initial value or the stamp of a
+    // transaction that committed.
+    const FIELDS: usize = 8;
+    const WRITERS: usize = 240;
+    let cluster = Cluster::start(ClusterConfig::new(2, ProtocolKind::Xdgl));
+    let sites = [SiteId(0), SiteId(1)];
+    let fields: String = (0..FIELDS).map(|f| format!("<f{f}>init</f{f}>")).collect();
+    cluster
+        .load_document("d", &format!("<r>{fields}</r>"), &sites)
+        .unwrap();
+    let stamp = |field: usize, writer: usize| {
+        OpSpec::update(
+            "d",
+            UpdateOp::Change {
+                target: Query::parse(&format!("/r/f{}", field % FIELDS)).unwrap(),
+                new_value: format!("w{writer}"),
+            },
+        )
+    };
+    let mut writers = Vec::new();
+    let mut readers = Vec::new();
+    for w in 0..WRITERS {
+        let mut ops = vec![stamp(w, w)];
+        if w % 2 == 0 {
+            ops.push(stamp(w + 3, w));
+        }
+        if w % 3 == 0 {
+            ops.push(OpSpec::update(
+                "d",
+                UpdateOp::Remove {
+                    target: Query::parse("/r/nothing").unwrap(),
+                },
+            ));
+        }
+        writers.push(cluster.submit_async(sites[w % 2], TxnSpec::new(ops)));
+        for s in sites {
+            let all = OpSpec::query("d", Query::parse("/r/*").unwrap());
+            readers.push(cluster.submit_async(s, TxnSpec::new(vec![all])));
+        }
+    }
+    let committed: Vec<bool> = writers
+        .into_iter()
+        .map(|rx| rx.recv().unwrap().committed())
+        .collect();
+    for (w, &ok) in committed.iter().enumerate() {
+        assert!(!(ok && w % 3 == 0), "writer {w} ran a failing operation");
+    }
+    assert!(committed.iter().any(|&ok| ok), "progress required");
+    for rx in readers {
+        let out = rx.recv().unwrap();
+        assert!(out.committed(), "{:?}", out.status);
+        let dtx::core::OpResult::Query { values } = &out.results[0] else {
+            panic!("{:?}", out.results[0]);
+        };
+        assert_eq!(values.len(), FIELDS);
+        for v in values {
+            let by_committed = v
+                .strip_prefix('w')
+                .and_then(|w| w.parse::<usize>().ok())
+                .is_some_and(|w| committed[w]);
+            assert!(
+                v == "init" || by_committed,
+                "a reader was handed {v:?}, which no committed transaction wrote"
+            );
+        }
+    }
+    cluster.shutdown();
+}

@@ -426,33 +426,53 @@ fn malformed_inputs_error_instead_of_panicking() {
 // Snapshot reads
 // ---------------------------------------------------------------------
 
-/// An update whose target is rooted at `/*` or `/*/*`: always resolvable
-/// against the shadow first, so the lock manager and the shadow replay
-/// byte-identical operation sequences.
-fn arb_committable_update(rng: &mut StdRng) -> UpdateOp {
+/// An update confined to the top-level section `section` of a
+/// [`sectioned_doc`]: its targets are the section element or its element
+/// children, so writers of different sections touch disjoint subtrees
+/// (and, the section labels being unique, disjoint DataGuide nodes).
+fn arb_section_update(rng: &mut StdRng, section: usize) -> UpdateOp {
+    let own = |tail: &str| Query::parse(&format!("/doc/s{section}{tail}")).unwrap();
     match rng.gen_range(0u32..4) {
         0 => UpdateOp::Insert {
-            target: Query::parse("/*").unwrap(),
+            target: own(""),
             fragment: arb_fragment(rng, 2),
             pos: InsertPos::Into,
         },
         1 => UpdateOp::Change {
-            target: Query::parse("/*").unwrap(),
+            target: own(""),
             new_value: arb_text(rng),
         },
         2 => UpdateOp::Rename {
-            target: Query::parse("/*/*").unwrap(),
+            target: own("/*"),
             new_label: arb_label(rng),
         },
-        _ => UpdateOp::Remove {
-            target: Query::parse("/*/*").unwrap(),
-        },
+        _ => UpdateOp::Remove { target: own("/*") },
     }
+}
+
+const SECTIONS: usize = 3;
+
+/// `<doc><s0>…</s0><s1>…</s1><s2>…</s2></doc>` with arbitrary content in
+/// each section.
+fn sectioned_doc(rng: &mut StdRng) -> Document {
+    let sections = (0..SECTIONS)
+        .map(|i| Fragment::Element {
+            label: format!("s{i}"),
+            children: (0..rng.gen_range(1usize..4))
+                .map(|_| arb_fragment(rng, 2))
+                .collect(),
+        })
+        .collect();
+    Document::from_fragment(&Fragment::Element {
+        label: "doc".into(),
+        children: sections,
+    })
+    .expect("element root")
 }
 
 /// What a locked read of `q` would return against the committed state —
 /// computed on a shadow document that replays exactly the committed
-/// updates, outside the lock manager.
+/// transactions, outside the lock manager.
 fn locked_read_values(doc: &Document, q: &Query) -> Vec<String> {
     eval(doc, q)
         .into_iter()
@@ -462,23 +482,40 @@ fn locked_read_values(doc: &Document, q: &Query) -> Vec<String> {
 
 #[test]
 fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
-    // For random update/read interleavings — including aborted update
-    // rounds (undo sequences) and readers that pin *while* an update
-    // transaction holds uncommitted changes — every snapshot read must
-    // return exactly what a locked read at its pinned commit sequence
-    // would have returned, and must keep returning it no matter how many
-    // later commits run. When the last reader terminates, GC must be back
-    // to a single live version. Along the way the store is held to the
-    // same shadow: a dump is the committed text, and the bytes persisted
-    // are the lengths of the texts committed.
+    // Up to three update transactions run at once, each confined to its
+    // own top-level section, and terminate in random order by commit, by
+    // abort, or by having their last operation undone and then committing
+    // the rest; a reader pins after every step. Whatever is applied and
+    // pending at that moment, every snapshot read must return exactly what
+    // a locked read would return against a serial replay of the
+    // *committed* transactions in commit order, and must keep returning it
+    // no matter how many later commits run. The latest snapshot, a dump of
+    // the store and the bytes persisted are held to the same shadow, and
+    // when the last reader terminates GC must be back to one live version.
     use dtx::core::{LockManager, OpResult, OpSpec, ProcessResult};
     use dtx::storage::{CostModel, MemStore};
 
+    /// A running update transaction and the operations it has applied.
+    struct Writer {
+        tid: TxnId,
+        section: usize,
+        ops: Vec<UpdateOp>,
+    }
+    /// An open reader: query index and the values captured at pin time.
+    type Reader = (TxnId, usize, Vec<String>);
+
+    let queries = ["/*", "/*/*", "/doc/s1/*", "//name", "//price", "//item"];
+    let read = |lm: &mut LockManager, tid: TxnId, qi: usize, what: &str| {
+        let q = Query::parse(queries[qi]).unwrap();
+        match lm.snapshot_read(tid, &OpSpec::query("snap", q)) {
+            ProcessResult::Executed(OpResult::Query { values }) => values,
+            other => panic!("{what}: snapshot read failed: {other:?}"),
+        }
+    };
     let mut rng = StdRng::seed_from_u64(0xD7C5_000B);
-    let queries = ["/*", "/*/*", "//name", "//price", "//item"];
+    let mut overlapped_commits = 0;
     for case in 0..CASES {
-        let doc = arb_doc(&mut rng);
-        let xml = doc.to_xml();
+        let xml = sectioned_doc(&mut rng).to_xml();
         let mut lm = LockManager::new(
             ProtocolKind::Xdgl.instantiate(),
             Box::new(MemStore::new(CostModel::zero())),
@@ -488,145 +525,127 @@ fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
         let mut committed = Document::parse(&xml).unwrap();
         let mut bytes_committed = 0u64;
         let mut next_txn = 1u64;
-        // Open readers: (txn, query index, values captured at pin time).
-        let mut readers: Vec<(TxnId, usize, Vec<String>)> = Vec::new();
+        let mut writers: Vec<Writer> = Vec::new();
+        let mut readers: Vec<Reader> = Vec::new();
 
-        let spawn_reader = |lm: &mut LockManager,
-                            committed: &Document,
-                            readers: &mut Vec<(TxnId, usize, Vec<String>)>,
-                            next_txn: &mut u64,
-                            rng: &mut StdRng,
-                            case: usize| {
-            let tid = TxnId(*next_txn);
-            *next_txn += 1;
-            let qi = rng.gen_range(0..queries.len());
-            let q = Query::parse(queries[qi]).unwrap();
-            let got = match lm.snapshot_read(tid, &OpSpec::query("snap", q.clone())) {
-                ProcessResult::Executed(OpResult::Query { values }) => values,
-                other => panic!("case {case}: snapshot read failed: {other:?}"),
+        let steps = 30;
+        for step in 0..steps + SECTIONS {
+            let what = format!("case {case} step {step}");
+            // Past the last step only terminations run, so every writer
+            // has terminated by the end.
+            let action = if step < steps {
+                rng.gen_range(0u32..8)
+            } else {
+                5
             };
-            let want = locked_read_values(committed, &q);
-            if got != want {
-                let seq = lm.pinned_seq(tid, "snap").unwrap();
-                let snap = lm.snapshot_at("snap", seq).unwrap();
-                panic!(
-                    "case {case}: pin-time read diverges (query {}):\n got={got:?}\nwant={want:?}\nsnap(seq {seq})={}\ncommitted={}",
-                    queries[qi],
-                    snap.doc.to_xml(),
-                    committed.to_xml()
-                );
-            }
-            assert_eq!(
-                lm.pinned_seq(tid, "snap"),
-                lm.latest_snapshot_seq("snap"),
-                "case {case}: a fresh reader pins the latest commit"
-            );
-            readers.push((tid, qi, want));
-        };
-
-        for _round in 0..12 {
-            match rng.gen_range(0u32..5) {
-                // Update round, committed or aborted; a reader may pin
-                // mid-transaction and must never observe the uncommitted
-                // (or later-undone) changes.
-                kind @ (0 | 1) => {
-                    let tid = TxnId(next_txn);
+            match action {
+                // A new writer takes a section nobody is writing.
+                0 | 1 if writers.len() < SECTIONS => {
+                    let free: Vec<usize> = (0..SECTIONS)
+                        .filter(|s| writers.iter().all(|w| w.section != *s))
+                        .collect();
+                    writers.push(Writer {
+                        tid: TxnId(next_txn),
+                        section: free[rng.gen_range(0..free.len())],
+                        ops: Vec::new(),
+                    });
                     next_txn += 1;
-                    let mut working = committed.clone();
-                    let mut op_seq = 0usize;
-                    for _ in 0..rng.gen_range(1usize..3) {
-                        let op = arb_committable_update(&mut rng);
-                        if apply_update(&mut working, &op).is_err() {
-                            continue; // empty target — skip on both sides
+                }
+                // A running writer applies one more update.
+                0..=4 if !writers.is_empty() => {
+                    let i = rng.gen_range(0..writers.len());
+                    let w = &mut writers[i];
+                    let op = arb_section_update(&mut rng, w.section);
+                    let spec = OpSpec::update("snap", op.clone());
+                    match lm.process_operation(w.tid, w.ops.len(), &spec, TxnMode::Updating, false)
+                    {
+                        ProcessResult::Executed(_) => w.ops.push(op),
+                        // An empty target: no effect on either side.
+                        ProcessResult::Failed(_) => {}
+                        other => panic!("{what}: sections are disjoint, yet {other:?}"),
+                    }
+                }
+                // A writer terminates.
+                5 if !writers.is_empty() => {
+                    let mut w = writers.swap_remove(rng.gen_range(0..writers.len()));
+                    let ending = rng.gen_range(0u32..3);
+                    if ending == 0 {
+                        lm.abort_local(w.tid);
+                    } else {
+                        if ending == 1 && !w.ops.is_empty() {
+                            // A sibling site refused the last operation.
+                            w.ops.pop();
+                            lm.undo_op(w.tid, w.ops.len());
                         }
-                        let r = lm.process_operation(
-                            tid,
-                            op_seq,
-                            &OpSpec::update("snap", op),
-                            TxnMode::Updating,
-                            false,
-                        );
-                        assert!(
-                            matches!(r, ProcessResult::Executed(_)),
-                            "case {case}: update must execute: {r:?}"
-                        );
-                        op_seq += 1;
-                    }
-                    if rng.gen_range(0u32..2) == 0 {
-                        spawn_reader(
-                            &mut lm,
-                            &committed,
-                            &mut readers,
-                            &mut next_txn,
-                            &mut rng,
-                            case,
-                        );
-                    }
-                    if kind == 0 {
-                        lm.commit_local(tid).unwrap();
-                        committed = working;
-                        if op_seq > 0 {
+                        let pending = writers.iter().any(|o| !o.ops.is_empty());
+                        overlapped_commits += usize::from(pending && !w.ops.is_empty());
+                        lm.commit_local(w.tid).unwrap();
+                        for op in &w.ops {
+                            apply_update(&mut committed, op)
+                                .unwrap_or_else(|e| panic!("{what}: serial replay of {op}: {e}"));
+                        }
+                        if !w.ops.is_empty() {
                             bytes_committed += committed.to_xml().len() as u64;
                         }
-                    } else {
-                        lm.abort_local(tid);
                     }
-                    // The store holds the committed tree, and a dump of it
-                    // is the text a parse of its serialization gives back.
-                    assert_eq!(
-                        lm.dump_committed("snap").unwrap(),
-                        Document::parse(&committed.to_xml()).unwrap().to_xml(),
-                        "case {case} kind {kind}: dump diverged from shadow"
-                    );
-                    let latest = lm.latest_snapshot_seq("snap").unwrap();
-                    let snap = lm.snapshot_at("snap", latest).unwrap();
-                    assert_eq!(
-                        snap.doc.to_xml(),
-                        committed.to_xml(),
-                        "case {case} kind {kind}: post-termination snapshot diverged from shadow"
-                    );
                 }
-                // Fresh reader against the current commit.
-                2 => spawn_reader(
-                    &mut lm,
-                    &committed,
-                    &mut readers,
-                    &mut next_txn,
-                    &mut rng,
-                    case,
-                ),
                 // Repeatable read: an open reader re-reads and must get
                 // its pin-time answer, regardless of later commits.
-                3 if !readers.is_empty() => {
+                6 if !readers.is_empty() => {
                     let (tid, qi, want) = readers[rng.gen_range(0..readers.len())].clone();
-                    let q = Query::parse(queries[qi]).unwrap();
-                    match lm.snapshot_read(tid, &OpSpec::query("snap", q)) {
-                        ProcessResult::Executed(OpResult::Query { values }) => assert_eq!(
-                            values, want,
-                            "case {case}: re-read diverged from the pinned snapshot"
-                        ),
-                        other => panic!("case {case}: re-read failed: {other:?}"),
-                    }
+                    assert_eq!(read(&mut lm, tid, qi, &what), want, "{what}: re-read");
                 }
-                // Reader terminates through the normal commit path,
+                // A reader terminates through the normal commit path,
                 // releasing its pin.
-                _ if !readers.is_empty() => {
+                7 if !readers.is_empty() => {
                     let (tid, _, _) = readers.swap_remove(rng.gen_range(0..readers.len()));
                     lm.commit_local(tid).unwrap();
                 }
                 _ => {}
             }
+            // Whatever just happened, a reader arriving now sees the
+            // committed transactions and nothing else…
+            let tid = TxnId(next_txn);
+            next_txn += 1;
+            let qi = rng.gen_range(0..queries.len());
+            let got = read(&mut lm, tid, qi, &what);
+            let want = locked_read_values(&committed, &Query::parse(queries[qi]).unwrap());
+            let latest = lm.latest_snapshot_seq("snap").unwrap();
+            assert_eq!(lm.pinned_seq(tid, "snap"), Some(latest), "{what}");
+            let snap = lm.snapshot_at("snap", latest).unwrap();
+            assert_eq!(
+                got,
+                want,
+                "{what}: pin-time read of {} diverges\nsnap(seq {latest})={}\ncommitted={}",
+                queries[qi],
+                snap.doc.to_xml(),
+                committed.to_xml()
+            );
+            if rng.gen_range(0u32..2) == 0 {
+                readers.push((tid, qi, want));
+            } else {
+                lm.commit_local(tid).unwrap();
+            }
+            // …and so do the latest snapshot and the store, whose dump is
+            // the text a parse of the committed serialization gives back.
+            assert_eq!(snap.doc.to_xml(), committed.to_xml(), "{what}: snapshot");
+            assert_eq!(
+                lm.dump_committed("snap").unwrap(),
+                Document::parse(&committed.to_xml()).unwrap().to_xml(),
+                "{what}: dump"
+            );
         }
+        assert!(writers.is_empty(), "case {case}: every writer terminated");
+        assert_eq!(
+            lm.document("snap").unwrap().to_xml(),
+            committed.to_xml(),
+            "case {case}: nothing pending, so the live document is the committed one"
+        );
         // Drain every open reader (final repeatable-read check included),
         // then the store must hold exactly the one current version.
         for (tid, qi, want) in readers.drain(..) {
-            let q = Query::parse(queries[qi]).unwrap();
-            match lm.snapshot_read(tid, &OpSpec::query("snap", q)) {
-                ProcessResult::Executed(OpResult::Query { values }) => {
-                    assert_eq!(values, want, "case {case}: final re-read diverged")
-                }
-                other => panic!("case {case}: final re-read failed: {other:?}"),
-            }
+            let what = format!("case {case}: final re-read");
+            assert_eq!(read(&mut lm, tid, qi, &what), want, "{what}");
             lm.commit_local(tid).unwrap();
         }
         assert_eq!(
@@ -635,13 +654,18 @@ fn snapshot_reads_equal_locked_reads_at_their_pinned_commit() {
             "case {case}: pins released → only the latest version survives GC"
         );
         // Every persist was accounted (and so charged) at exactly the
-        // length of the text it stands for — none of which was built.
+        // length of the text it stands for — none of which was built —
+        // and only commits that wrote persisted at all.
         assert_eq!(
             lm.store_stats().bytes_written,
             bytes_committed,
             "case {case}: persisted bytes"
         );
     }
+    assert!(
+        overlapped_commits > CASES,
+        "the schedules must commit beside pending writers: {overlapped_commits}"
+    );
 }
 
 // ---------------------------------------------------------------------
