@@ -4,11 +4,12 @@
 //! data structure" arguments of the paper at the component level: XML
 //! parsing, DataGuide construction and matching, XPath evaluation,
 //! document clone (snapshot publish) and store persist cost, a whole
-//! update-then-commit at one lock manager, lock-request generation per
-//! protocol, lock-table throughput, and wait-for-graph cycle checks.
+//! update-then-commit at one lock manager, a one-operation transaction
+//! through a scheduler, lock-request generation per protocol, lock-table
+//! throughput, and wait-for-graph cycle checks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dtx_core::{LockManager, OpSpec, ProcessResult};
+use dtx_core::{Cluster, ClusterConfig, LockManager, OpSpec, ProcessResult, SiteId, TxnSpec};
 use dtx_dataguide::DataGuide;
 use dtx_locks::{LockMode, LockTable, ProtocolKind, TxnId, TxnMode, WaitForGraph};
 use dtx_storage::{DataManager, MemStore};
@@ -162,6 +163,28 @@ fn commit_local(c: &mut Criterion) {
     group.finish();
 }
 
+/// One read-only, one-operation transaction through a 1-site
+/// `Cluster::submit`: what the scheduler adds around the lock manager's
+/// snapshot read and local commit — taking the command, dispatch and the
+/// reply — including waking a site that parked after the previous one.
+fn scheduler(c: &mut Criterion) {
+    let base = generate(XmarkConfig::sized(200_000, 3));
+    let cluster = Cluster::start(ClusterConfig::new(1, ProtocolKind::Xdgl));
+    cluster.load_document("d", &base.xml, &[SiteId(0)]).unwrap();
+    let query = format!("/site/people/person[id={}]/name", base.person_ids[7]);
+    let spec = TxnSpec::new(vec![OpSpec::query("d", Query::parse(&query).unwrap())]);
+    let mut group = c.benchmark_group("scheduler");
+    group.bench_function("submit_1op", |b| {
+        b.iter(|| {
+            let out = cluster.submit(SiteId(0), spec.clone());
+            assert!(out.committed(), "{:?}", out.status);
+            out
+        })
+    });
+    group.finish();
+    cluster.shutdown();
+}
+
 fn lock_requests_per_protocol(c: &mut Criterion) {
     let doc = generate(XmarkConfig::sized(100_000, 4)).parse();
     let guide = DataGuide::build(&doc);
@@ -252,6 +275,7 @@ criterion_group!(
     xpath_eval,
     document_clone,
     commit_local,
+    scheduler,
     lock_requests_per_protocol,
     lock_table_throughput,
     wfg_cycle_detection

@@ -11,14 +11,15 @@
 use crate::catalog::Catalog;
 use crate::lockmgr::OpCostModel;
 use crate::metrics::Metrics;
-use crate::op::{TxnOutcome, TxnSpec};
+use crate::msg::Message;
+use crate::op::{TxnOutcome, TxnSpec, TxnStatus};
 use crate::routing::PolicyKind;
 use crate::scheduler::{Control, CrashPoint, DocShipment, FaultHooks, SchedulerConfig};
 use crate::site::{boot_site, SiteEnv};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dtx_dataguide::DataGuide;
 use dtx_locks::txn::TxnIdGen;
-use dtx_locks::ProtocolKind;
+use dtx_locks::{ProtocolKind, TxnId};
 use dtx_net::{LatencyModel, Network, SiteId};
 use dtx_storage::{CostModel, Wal};
 use dtx_trace::{EventKind, Tracer};
@@ -110,6 +111,9 @@ pub struct DtxInstance {
     /// This instance's site id.
     pub site: SiteId,
     pub(crate) control: Sender<Control>,
+    /// The network the scheduler sleeps on: every command is followed by
+    /// a [`Network::wake`] of `site`.
+    pub(crate) net: Network<Message>,
     /// The scheduler thread; `None` once joined (a killed site) and on
     /// [`DtxInstance::listener`] handles.
     pub(crate) handle: Option<JoinHandle<()>>,
@@ -119,27 +123,52 @@ pub struct DtxInstance {
 /// down, or dead before it replied.
 pub(crate) const SCHEDULER_DOWN: &str = "scheduler is down";
 
+/// The outcome of a submission no scheduler will ever answer, in either
+/// deployment mode: [`TxnStatus::Failed`] with transaction id 0.
+pub(crate) fn scheduler_down() -> TxnOutcome {
+    TxnOutcome {
+        txn: TxnId(0),
+        status: TxnStatus::Failed(SCHEDULER_DOWN.into()),
+        response_time: Duration::ZERO,
+        results: Vec::new(),
+    }
+}
+
 impl DtxInstance {
+    /// Hands `command` to the scheduler and wakes its thread — the only
+    /// way a [`Control`] reaches a scheduler, so none waits out an idle
+    /// sleep. Fails when the scheduler is gone.
+    fn post(&self, command: Control) -> Result<(), String> {
+        self.control
+            .send(command)
+            .map_err(|_| SCHEDULER_DOWN.to_owned())?;
+        self.net.wake(self.site);
+        Ok(())
+    }
+
     /// Sends the request `make` builds around a fresh reply channel and
     /// waits for the scheduler's answer.
     fn ask<T>(&self, make: impl FnOnce(Sender<T>) -> Control) -> Result<T, String> {
         let (reply, rx) = bounded(1);
-        self.control
-            .send(make(reply))
-            .map_err(|_| SCHEDULER_DOWN.to_owned())?;
+        self.post(make(reply))?;
         rx.recv().map_err(|_| SCHEDULER_DOWN.to_owned())
     }
 
     /// Submits a transaction, returning the outcome channel immediately.
+    /// When the scheduler is gone the channel is already disconnected.
     pub fn submit_async(&self, spec: TxnSpec) -> Receiver<TxnOutcome> {
         let (reply, rx) = bounded(1);
-        let _ = self.control.send(Control::Submit { spec, reply });
+        let _ = self.post(Control::Submit { spec, reply });
         rx
     }
 
-    /// Submits a transaction and blocks for its outcome.
+    /// Submits a transaction and blocks for its outcome: a scheduler that
+    /// is gone (killed, shut down, or dead before it answered) yields
+    /// [`TxnStatus::Failed`] with transaction id 0.
     pub fn submit(&self, spec: TxnSpec) -> TxnOutcome {
-        self.submit_async(spec).recv().expect("scheduler alive")
+        self.submit_async(spec)
+            .recv()
+            .unwrap_or_else(|_| scheduler_down())
     }
 
     /// Loads a document (name + raw XML) into this instance's store.
@@ -201,13 +230,14 @@ impl DtxInstance {
         DtxInstance {
             site: self.site,
             control: self.control.clone(),
+            net: self.net.clone(),
             handle: None,
         }
     }
 
     /// Stops the scheduler and joins its thread.
     pub(crate) fn shutdown(&mut self) {
-        let _ = self.control.send(Control::Shutdown);
+        let _ = self.post(Control::Shutdown);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -489,13 +519,15 @@ impl Cluster {
     // -----------------------------------------------------------------
 
     /// Kills `site`'s scheduler mid-flight: the kill switch flips, the
-    /// thread exits at its next loop iteration **without** flushing,
-    /// aborting, or replying to anything, and this call joins it. All
-    /// in-memory state (lock table, documents, snapshots, in-flight 2PC
-    /// tables) dies with the thread; only the cluster-owned WAL survives.
+    /// thread is woken and exits at its next loop iteration **without**
+    /// flushing, aborting, or replying to anything, and this call joins
+    /// it. All in-memory state (lock table, documents, snapshots,
+    /// in-flight 2PC tables) dies with the thread; only the cluster-owned
+    /// WAL survives.
     pub fn kill_site(&mut self, site: SiteId) {
         let idx = self.index_of(site);
         self.faults[idx].kill.store(true, Ordering::Relaxed);
+        self.env.net.wake(site);
         if let Some(h) = self.instances[idx].handle.take() {
             let _ = h.join();
             self.record_crash(site);
@@ -705,7 +737,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{OpSpec, TxnStatus};
+    use crate::op::OpSpec;
     use dtx_xml::document::{Fragment, InsertPos};
     use dtx_xpath::{Query, UpdateOp};
 
@@ -956,6 +988,31 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+        cluster.shutdown();
+    }
+
+    fn assert_scheduler_down(out: &TxnOutcome) {
+        assert_eq!(out.txn, TxnId(0));
+        assert_eq!(out.status, TxnStatus::Failed(SCHEDULER_DOWN.into()));
+    }
+
+    #[test]
+    fn submit_to_a_killed_site_fails_instead_of_panicking() {
+        let mut cluster = Cluster::start(ClusterConfig::new(2, ProtocolKind::Xdgl));
+        cluster.load_document("d1", D1, &[SiteId(0)]).unwrap();
+        cluster.kill_site(SiteId(1));
+        let read = TxnSpec::new(vec![OpSpec::query("d1", q("/people/person/name"))]);
+        assert_scheduler_down(&cluster.submit(SiteId(1), read.clone()));
+        assert!(cluster.submit(SiteId(0), read).committed(), "s0 lives on");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn submit_to_a_shut_down_site_fails() {
+        let mut cluster = Cluster::start(ClusterConfig::new(1, ProtocolKind::Xdgl));
+        cluster.instances[0].shutdown();
+        let read = TxnSpec::new(vec![OpSpec::query("d1", q("/people/person/name"))]);
+        assert_scheduler_down(&cluster.submit(SiteId(0), read));
         cluster.shutdown();
     }
 

@@ -36,7 +36,7 @@
 //!   without a coordinator.
 
 use crate::catalog::Catalog;
-use crate::cluster::{DtxInstance, SCHEDULER_DOWN};
+use crate::cluster::{scheduler_down, DtxInstance};
 use crate::gossip::merge_deltas;
 use crate::lockmgr::OpCostModel;
 use crate::metrics::Metrics;
@@ -415,15 +415,13 @@ fn control_loop(
                         // A scheduler that is gone (or dies before it
                         // answers) drops the outcome sender: the driver
                         // still gets its reply, as a failure.
-                        let msg = match outcome_rx.recv() {
-                            Ok(outcome) => CtrlMsg::Outcome {
-                                corr,
-                                txn: outcome.txn,
-                                status: outcome.status,
-                                response_us: outcome.response_time.as_micros() as u64,
-                                results: outcome.results,
-                            },
-                            Err(_) => failed_outcome(corr, SCHEDULER_DOWN.into()),
+                        let outcome = outcome_rx.recv().unwrap_or_else(|_| scheduler_down());
+                        let msg = CtrlMsg::Outcome {
+                            corr,
+                            txn: outcome.txn,
+                            status: outcome.status,
+                            response_us: outcome.response_time.as_micros() as u64,
+                            results: outcome.results,
                         };
                         reply(&shared, to, &msg);
                     });
@@ -565,8 +563,8 @@ impl CtrlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::SCHEDULER_DOWN;
     use crate::op::{OpSpec, TxnSpec};
-    use crate::scheduler::Control;
     use dtx_xpath::Query;
 
     #[test]
@@ -575,9 +573,7 @@ mod tests {
         // shut down behind the host's back), so nobody will ever send on
         // the outcome channel. The control plane must still answer.
         let mut host = SiteHost::start(SiteHostConfig::new(&[SiteId(0)], 1)).expect("host starts");
-        let site = host.hosted.get_mut(&SiteId(0)).expect("hosted");
-        let _ = site.control.send(Control::Shutdown);
-        site.handle.take().expect("running").join().expect("clean");
+        host.hosted.get_mut(&SiteId(0)).expect("hosted").shutdown();
         let client = CtrlClient::bind().expect("driver binds");
         client
             .connect(&host.local_addr().to_string(), &[SiteId(0)])

@@ -16,6 +16,15 @@
 //! advances whichever transactions became runnable, and sweeps state
 //! deadlines — it never blocks on a remote round-trip.
 //!
+//! With nothing runnable the thread sleeps on its one queue, the network
+//! endpoint, until a message arrives, a wake-up arrives, or the next
+//! timed event (`next_wakeup`: a retry, a deadline, a sweep or the
+//! detector's next round) is due. Client commands travel on a separate
+//! control channel, so whoever sends one — the Listener, a kill — follows
+//! it with [`dtx_net::Network::wake`]. There is no fixed poll: a command
+//! that reaches a parked site is served at once, and an idle site wakes
+//! only for its detector rounds.
+//!
 //! Where Algorithm 1 says the coordinator "waits for the operation to be
 //! executed on all the sites" (l. 14), the transaction enters
 //! `Phase::AwaitingRemoteOps` and the loop moves on: the dispatched
@@ -92,9 +101,6 @@ const RETRY_INTERVAL: Duration = Duration::from_millis(2);
 /// is aborted (covers pathological workloads; the detector normally
 /// resolves deadlocks much sooner).
 const WAIT_TIMEOUT: Duration = Duration::from_secs(180);
-
-/// Event-loop poll interval when idle.
-const IDLE_WAIT: Duration = Duration::from_micros(500);
 
 /// Tuning knobs of a scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -629,6 +635,13 @@ impl Scheduler {
     /// exits **abruptly**: no flush, no aborts, no client replies. Every
     /// in-memory structure dies with the thread; only the cluster-owned
     /// WAL survives, exactly as a crash loses RAM but not stable storage.
+    ///
+    /// Each pass takes every queued command, a bounded batch of messages,
+    /// the due timers and at most one dispatch. When nothing is runnable
+    /// it blocks on the endpoint until a message, a
+    /// [`dtx_net::Network::wake`] or `next_wakeup`, so whoever sends on
+    /// `control` must wake the site after the send (a wake-up that comes
+    /// in while the loop is busy is kept, not lost).
     pub fn run(mut self) {
         loop {
             // 0. Fault hooks: a killed or crashed site just stops.
@@ -771,13 +784,9 @@ impl Scheduler {
                 self.execute_next_op(id);
                 continue;
             }
-            // 6. Idle: block until the next timed event or message.
-            let wait = self
-                .next_wakeup()
-                .map(|at| at.saturating_duration_since(Instant::now()))
-                .unwrap_or(IDLE_WAIT)
-                .min(IDLE_WAIT)
-                .max(Duration::from_micros(50));
+            // 6. Idle: sleep on the endpoint until a message, a wake-up
+            //    (a client command or a kill) or the next timed event.
+            let wait = self.next_wakeup().saturating_duration_since(Instant::now());
             if let Ok(Some(env)) = self.endpoint.recv_timeout(wait) {
                 self.handle_message(env);
             }
@@ -837,28 +846,29 @@ impl Scheduler {
         }
     }
 
-    /// Earliest instant at which a timed event (retry, deadline, detector
-    /// round) fires; `None` when nothing is scheduled.
-    fn next_wakeup(&self) -> Option<Instant> {
-        let mut earliest: Option<Instant> = Some(self.next_detection);
-        let mut consider = |at: Instant| {
-            earliest = Some(earliest.map_or(at, |e| e.min(at)));
-        };
+    /// Earliest instant at which a timed event fires: a wait-mode retry, a
+    /// phase deadline, the in-doubt sweep, the detector's collection
+    /// deadline or its next round. The detector round is always
+    /// scheduled, so there always is one; the idle loop sleeps until it
+    /// unless a message or a wake-up comes first.
+    fn next_wakeup(&self) -> Instant {
+        let mut earliest = self.next_detection;
         if let Some(d) = self.wfg_deadline {
-            consider(d);
+            earliest = earliest.min(d);
         }
         if !self.prepared.is_empty() || !self.participant_seen.is_empty() {
-            consider(self.next_indoubt_sweep);
+            earliest = earliest.min(self.next_indoubt_sweep);
         }
         for t in &self.txns {
-            match t.phase {
-                Phase::Waiting { retry_at } => consider(retry_at),
+            let at = match t.phase {
+                Phase::Waiting { retry_at } => retry_at,
                 Phase::AwaitingRemoteOps { deadline, .. }
                 | Phase::AwaitingPrepareAcks { deadline, .. }
                 | Phase::AwaitingCommitAcks { deadline, .. }
-                | Phase::AwaitingAbortAcks { deadline, .. } => consider(deadline),
-                Phase::Ready => consider(Instant::now()),
-            }
+                | Phase::AwaitingAbortAcks { deadline, .. } => deadline,
+                Phase::Ready => Instant::now(),
+            };
+            earliest = earliest.min(at);
         }
         earliest
     }

@@ -119,6 +119,7 @@ pub(crate) fn boot_site(
     let instance = DtxInstance {
         site,
         control,
+        net: env.net.clone(),
         handle: Some(handle),
     };
     Ok((instance, report))

@@ -10,6 +10,8 @@
 //!   Every site [`Network::register`]s an [`Endpoint`]; messages are
 //!   delayed according to the [`LatencyModel`] before being delivered to
 //!   the destination's channel (FIFO per sender-receiver pair, like TCP).
+//!   [`Network::wake`] puts a bare wake-up on that channel, so a site
+//!   blocked on its endpoint also wakes for work handed over elsewhere.
 //! * Delayed delivery is driven by one fabric, a **sharded timer-wheel
 //!   reactor**: every in-flight delayed message lives in a wheel slot,
 //!   and a small fixed pool of delivery workers (default `min(8, cores)`,
@@ -55,6 +57,7 @@ pub mod wire;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use dtx_trace::{EventKind, Tracer};
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -337,8 +340,15 @@ struct LinkBook<M> {
 /// socket transport via [`Network::set_uplink`].
 pub type UplinkFn<M> = Arc<dyn Fn(Envelope<M>) + Send + Sync>;
 
+/// What an endpoint queue holds: a message, or a bare wake-up
+/// ([`Network::wake`]) that only ends a blocked receive.
+enum Queued<M> {
+    Msg(Envelope<M>),
+    Wake,
+}
+
 struct Inner<M> {
-    endpoints: RwLock<HashMap<SiteId, Sender<Envelope<M>>>>,
+    endpoints: RwLock<HashMap<SiteId, Sender<Queued<M>>>>,
     /// Sites hosted by *other OS processes* (multi-process mode):
     /// [`Network::send`] hands their traffic to the uplink instead of a
     /// local endpoint, and [`Network::sites`] lists them so broadcasts
@@ -412,30 +422,54 @@ impl<M: Send + 'static> Clone for Network<M> {
 }
 
 /// A site's receive side.
+///
+/// Its queue carries messages and the wake-ups of [`Network::wake`];
+/// no method ever returns a wake-up. One that [`Endpoint::try_recv`] or
+/// [`Endpoint::drain`] passes over is remembered, so the next
+/// [`Endpoint::recv_timeout`] returns at once: a wake-up is never lost.
 pub struct Endpoint<M> {
     /// This endpoint's site id.
     pub site: SiteId,
-    rx: Receiver<Envelope<M>>,
+    rx: Receiver<Queued<M>>,
+    /// A wake-up was passed over and not yet reported.
+    woken: Cell<bool>,
 }
 
 impl<M> Endpoint<M> {
-    /// Blocking receive.
+    /// Blocking receive of the next message (wake-ups are skipped).
     pub fn recv(&self) -> Result<Envelope<M>, NetError> {
-        self.rx.recv().map_err(|_| NetError::Closed)
-    }
-
-    /// Receive with timeout; `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(e) => Ok(Some(e)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
+        loop {
+            match self.rx.recv() {
+                Ok(Queued::Msg(e)) => return Ok(e),
+                Ok(Queued::Wake) => {}
+                Err(_) => return Err(NetError::Closed),
+            }
         }
     }
 
-    /// Non-blocking receive.
+    /// Receives the next message, blocking for at most `timeout`.
+    /// `Ok(None)` when the timeout passes or a [`Network::wake`] ends the
+    /// wait first; a wake-up already passed over returns `Ok(None)`
+    /// without blocking.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>, NetError> {
+        if self.woken.replace(false) {
+            return Ok(None);
+        }
+        match self.rx.recv_timeout(timeout) {
+            Ok(Queued::Msg(e)) => Ok(Some(e)),
+            Ok(Queued::Wake) | Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
+        }
+    }
+
+    /// Non-blocking receive of the next message.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.rx.try_recv().ok()
+        loop {
+            match self.rx.try_recv().ok()? {
+                Queued::Msg(e) => return Some(e),
+                Queued::Wake => self.woken.set(true),
+            }
+        }
     }
 
     /// Non-blocking batch drain: returns up to `limit` queued envelopes
@@ -444,7 +478,7 @@ impl<M> Endpoint<M> {
     /// intake with dispatch work in bounded slices, so a message flood
     /// cannot starve transaction progress.
     pub fn drain(&self, limit: usize) -> Vec<Envelope<M>> {
-        self.rx.try_iter().take(limit).collect()
+        std::iter::from_fn(|| self.try_recv()).take(limit).collect()
     }
 }
 
@@ -498,7 +532,11 @@ impl<M: Wire> Network<M> {
         let (tx, rx) = unbounded();
         self.inner.endpoints.write().insert(site, tx);
         self.inner.dead.write().remove(&site);
-        Endpoint { site, rx }
+        Endpoint {
+            site,
+            rx,
+            woken: Cell::new(false),
+        }
     }
 
     /// Removes `site`'s endpoint: the site is dead to the network. Later
@@ -669,7 +707,9 @@ impl<M: Wire> Network<M> {
                     },
                 );
             }
-            return dest.send(envelope).map_err(|_| NetError::UnknownSite(to));
+            return dest
+                .send(Queued::Msg(envelope))
+                .map_err(|_| NetError::UnknownSite(to));
         }
         // Delayed path. Under the links lock: advance the link's jitter
         // stream (delay = pure function of (seed, from, to, k) — see
@@ -776,8 +816,20 @@ impl<M: Wire> Network<M> {
     pub fn deliver(&self, envelope: Envelope<M>) -> Result<(), NetError> {
         let endpoints = self.inner.endpoints.read();
         match endpoints.get(&envelope.to) {
-            Some(dest) => dest.send(envelope).map_err(|_| NetError::Closed),
+            Some(dest) => dest
+                .send(Queued::Msg(envelope))
+                .map_err(|_| NetError::Closed),
             None => Err(NetError::UnknownSite(envelope.to)),
+        }
+    }
+
+    /// Ends a blocked [`Endpoint::recv_timeout`] of the local `site` (or
+    /// the next one) with `Ok(None)`, carrying no message: how a thread
+    /// that hands a site work through some other channel wakes the site's
+    /// loop. No-op for a site without a local endpoint.
+    pub fn wake(&self, site: SiteId) {
+        if let Some(dest) = self.inner.endpoints.read().get(&site) {
+            let _ = dest.send(Queued::Wake);
         }
     }
 
@@ -898,7 +950,7 @@ fn deliver_batch<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>)
             trace_delivery(tr, &d, dest.is_some());
         }
         if let Some(dest) = dest {
-            let _ = dest.send(d.envelope);
+            let _ = dest.send(Queued::Msg(d.envelope));
         }
     }
 }
@@ -1401,6 +1453,61 @@ mod tests {
         let net: Network<Msg> = Network::new(LatencyModel::zero());
         let a = net.register(SiteId(0));
         assert!(a.recv_timeout(Duration::from_millis(5)).unwrap().is_none());
+    }
+
+    #[test]
+    fn wake_ends_a_blocked_recv_timeout() {
+        let net: Network<Msg> = Network::new(LatencyModel::zero());
+        let a = net.register(SiteId(0));
+        let (ready_tx, ready_rx) = crossbeam::channel::bounded(1);
+        let waker = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                ready_rx.recv().unwrap();
+                net.wake(SiteId(0));
+            })
+        };
+        let t0 = Instant::now();
+        ready_tx.send(()).unwrap();
+        let got = a.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(got.is_none(), "a wake-up carries no message");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        waker.join().unwrap();
+        net.wake(SiteId(9)); // no endpoint: nothing to wake, no error
+    }
+
+    #[test]
+    fn receives_skip_interleaved_wake_ups() {
+        let net: Network<Msg> = Network::new(LatencyModel::zero());
+        let a = net.register(SiteId(0));
+        let _b = net.register(SiteId(1));
+        for i in 0..6 {
+            net.wake(SiteId(0));
+            net.send(SiteId(1), SiteId(0), Msg(i)).unwrap();
+            net.wake(SiteId(0));
+        }
+        assert_eq!(a.try_recv().unwrap().payload, Msg(0));
+        assert_eq!(a.recv().unwrap().payload, Msg(1));
+        let batch: Vec<u32> = a.drain(3).iter().map(|e| e.payload.0).collect();
+        assert_eq!(batch, vec![2, 3, 4], "limit counts messages only");
+        assert_eq!(a.drain(10).len(), 1);
+        assert!(a.try_recv().is_none());
+    }
+
+    #[test]
+    fn a_wake_up_passed_over_is_not_lost() {
+        let net: Network<Msg> = Network::new(LatencyModel::zero());
+        let a = net.register(SiteId(0));
+        let _b = net.register(SiteId(1));
+        net.wake(SiteId(0));
+        net.send(SiteId(1), SiteId(0), Msg(1)).unwrap();
+        assert_eq!(a.drain(10).len(), 1);
+        let t0 = Instant::now();
+        assert!(a.recv_timeout(Duration::from_secs(5)).unwrap().is_none());
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        // Reported once: the next wait runs to its timeout.
+        assert!(a.recv_timeout(Duration::from_millis(5)).unwrap().is_none());
+        assert!(t0.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]
