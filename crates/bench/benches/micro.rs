@@ -5,13 +5,19 @@
 //! parsing, DataGuide construction and matching, XPath evaluation,
 //! document clone (snapshot publish) and store persist cost, a whole
 //! update-then-commit at one lock manager, a one-operation transaction
-//! through a scheduler, lock-request generation per protocol, lock-table
+//! through a scheduler, a message round trip between two socket
+//! transports, lock-request generation per protocol, lock-table
 //! throughput, and wait-for-graph cycle checks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dtx_core::{Cluster, ClusterConfig, LockManager, OpSpec, ProcessResult, SiteId, TxnSpec};
+use crossbeam::channel::unbounded;
+use dtx_core::{
+    Cluster, ClusterConfig, LockManager, Message, OpSpec, ProcessResult, SiteId, TxnSpec,
+};
 use dtx_dataguide::DataGuide;
 use dtx_locks::{LockMode, LockTable, ProtocolKind, TxnId, TxnMode, WaitForGraph};
+use dtx_net::socket::{SocketConfig, SocketTransport};
+use dtx_net::Envelope;
 use dtx_storage::{DataManager, MemStore};
 use dtx_xmark::generator::{generate, XmarkConfig};
 use dtx_xml::document::{Fragment, InsertPos};
@@ -185,6 +191,41 @@ fn scheduler(c: &mut Criterion) {
     cluster.shutdown();
 }
 
+/// One message each way between two socket transports on loopback: per
+/// hop, the sender's write, the kernel, the peer's reader thread and the
+/// dispatch to its handler.
+fn socket(c: &mut Criterion) {
+    let bind = |site| {
+        let t = SocketTransport::<Message>::bind(
+            &[SiteId(site)],
+            "127.0.0.1:0",
+            SocketConfig::default(),
+        )
+        .unwrap();
+        let (tx, rx) = unbounded();
+        t.set_msg_handler(Some(std::sync::Arc::new(move |env: Envelope<Message>| {
+            let _ = tx.send(env);
+        })));
+        (t, rx)
+    };
+    let ((a, rx_a), (b, rx_b)) = (bind(0), bind(1));
+    a.connect(&b.local_addr().to_string(), &[SiteId(1)])
+        .unwrap();
+    let ping = Message::Wake { txn: TxnId(1) };
+    let mut group = c.benchmark_group("socket");
+    group.bench_function("round_trip", |bench| {
+        bench.iter(|| {
+            a.send_msg(SiteId(0), SiteId(1), &ping).unwrap();
+            rx_b.recv().unwrap();
+            b.send_msg(SiteId(1), SiteId(0), &ping).unwrap();
+            rx_a.recv().unwrap()
+        })
+    });
+    group.finish();
+    a.shutdown();
+    b.shutdown();
+}
+
 fn lock_requests_per_protocol(c: &mut Criterion) {
     let doc = generate(XmarkConfig::sized(100_000, 4)).parse();
     let guide = DataGuide::build(&doc);
@@ -276,6 +317,7 @@ criterion_group!(
     document_clone,
     commit_local,
     scheduler,
+    socket,
     lock_requests_per_protocol,
     lock_table_throughput,
     wfg_cycle_detection

@@ -10,11 +10,11 @@
 //!
 //! * outbound messages to non-hosted sites leave through the network's
 //!   **uplink** ([`dtx_net::Network::set_uplink`]), which encodes them
-//!   with the `WIRE.md` codec and queues them on the destination
+//!   with the `WIRE.md` codec and writes them to the destination
 //!   process's connection;
-//! * inbound frames decode on a socket poller and enter through
-//!   [`dtx_net::Network::deliver`], landing on the same endpoint channel
-//!   a local send would.
+//! * inbound frames decode on the connection's reader thread and enter
+//!   through [`dtx_net::Network::deliver`], landing on the same endpoint
+//!   channel a local send would.
 //!
 //! The control plane ([`crate::wire::CtrlMsg`]) carries the method
 //! calls of [`crate::cluster::DtxInstance`]: a driver process registers
@@ -84,8 +84,6 @@ pub struct SiteHostConfig {
     pub seed: u64,
     /// Anti-entropy period of the catalog gossip loop.
     pub gossip_every: Duration,
-    /// Socket transport tuning.
-    pub socket: SocketConfig,
 }
 
 impl SiteHostConfig {
@@ -115,7 +113,6 @@ impl SiteHostConfig {
             storage_cost: CostModel::default(),
             seed: 0xD7C5,
             gossip_every: Duration::from_millis(25),
-            socket: SocketConfig::default(),
         }
     }
 }
@@ -155,7 +152,7 @@ impl SiteHost {
         }
         let me = *config.hosted.iter().min().expect("nonempty");
         let sock: SocketTransport<Message> =
-            SocketTransport::bind(&config.hosted, &config.listen, config.socket)
+            SocketTransport::bind(&config.hosted, &config.listen, SocketConfig::default())
                 .map_err(|e| format!("bind {}: {e}", config.listen))?;
         // Local fabric between hosted sites: zero latency, no faults —
         // realism now comes from the actual wire.
@@ -223,8 +220,8 @@ impl SiteHost {
             gossip_peers: RwLock::new(Vec::new()),
             stopping: AtomicBool::new(false),
         });
-        // Control frames arrive on socket pollers, which must not block:
-        // they enqueue to a dedicated control thread.
+        // Control frames arrive on socket reader threads, which must not
+        // block: they enqueue to a dedicated control thread.
         let (ctrl_tx, ctrl_rx) = unbounded::<(FrameHeader, Vec<u8>)>();
         sock.set_ctrl_handler(Some(Arc::new(move |header, body| {
             let _ = ctrl_tx.send((header, body));

@@ -225,7 +225,8 @@ pub struct Envelope<M> {
 pub enum NetError {
     /// Destination site was never registered (or already shut down).
     UnknownSite(SiteId),
-    /// The network has been shut down.
+    /// The network has been shut down, or the socket connection to the
+    /// destination's process has closed.
     Closed,
 }
 
@@ -233,7 +234,7 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::UnknownSite(s) => write!(f, "no endpoint registered for site {s}"),
-            NetError::Closed => write!(f, "network is shut down"),
+            NetError::Closed => write!(f, "network or connection is closed"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Real socket transport: nonblocking TCP between DTX processes.
+//! Real socket transport: blocking TCP between DTX processes.
 //!
 //! The multi-process half of the transport seam. Inside one process,
 //! [`crate::Network`] still routes messages between local sites (the
@@ -10,58 +10,62 @@
 //! The wiring between the two is two closures:
 //!
 //! * the network's **uplink** ([`crate::Network::set_uplink`]) encodes an
-//!   outbound envelope and queues it on the destination process's
+//!   outbound envelope and writes it to the destination process's
 //!   connection ([`SocketTransport::send_msg`]);
 //! * the transport's **message handler**
 //!   ([`SocketTransport::set_msg_handler`]) takes a decoded inbound
 //!   envelope and delivers it to the local endpoint
 //!   ([`crate::Network::deliver`]).
 //!
-//! ## Structure: one poller per shard
+//! ## Structure: one reader thread per connection
 //!
-//! Connections are pinned to a small fixed pool of **poller threads**
-//! (default `min(4, cores)`, see [`SocketConfig`]) exactly like the timer
-//! wheel pins links to delivery shards: thread count is O(pollers) no
-//! matter how many processes peer, and one poller owns all of a
-//! connection's reads so frame extraction needs no cross-thread
-//! coordination. Pollers run the same poll-mode-nap discipline as the
-//! wheel workers — drain everything movable, then nap briefly — instead
-//! of parking per socket. Poller 0 additionally polls the (nonblocking)
-//! listener for inbound connections; there is no separate acceptor
-//! thread.
+//! Every connection has one **reader thread** that blocks in `read`,
+//! peels complete frames off its receive buffer and dispatches them to
+//! the handlers. Senders write on their own thread: a frame reaches the
+//! kernel through one `write_all` under the connection's write lock, so
+//! there is no outbound buffer and no writer thread. One **acceptor
+//! thread** blocks in `accept`. A transport thus runs 1 + (connections)
+//! threads — O(peers) — and each sleeps in the kernel until bytes or a
+//! peer arrive.
+//!
+//! A write that fails, or that the peer does not drain within
+//! `WRITE_TIMEOUT` (5 s), closes the connection; so does a reader that
+//! sees EOF or a desynchronized stream. That send and every later one on
+//! the connection's routes return [`NetError::Closed`].
 //!
 //! ## Ordering
 //!
 //! All traffic for an ordered `(from, to)` site pair flows over one TCP
 //! connection (a site's route is fixed by the first handshake that
-//! advertises it), senders append complete frames under the connection's
-//! write lock, and one poller extracts frames in stream order — so
+//! advertises it), each frame is written whole under the connection's
+//! write lock, and one reader extracts frames in stream order — so
 //! per-pair FIFO holds across the process boundary exactly as it does in
 //! the simulation (`tests/process.rs` storms this with the shapes of
 //! `tests/net_props.rs`).
 //!
 //! ## Handshake
 //!
-//! Both ends of a fresh connection immediately send a `Hello` frame
-//! listing the site ids they host; receipt installs `site → connection`
-//! routes. An initiator that already knows the peer's sites (from the
-//! driver's peer map) passes them to [`SocketTransport::connect`] so
-//! routes exist before the reply arrives. Frames sent while a route is
-//! still unknown are buffered (bounded) and flushed when the route
-//! appears.
+//! Both ends of a fresh connection first send a `Hello` frame listing
+//! the site ids they host; receipt installs `site → connection` routes.
+//! An initiator that already knows the peer's sites (from the driver's
+//! peer map) passes them to [`SocketTransport::connect`] so routes exist
+//! before the reply arrives. Frames sent while a route is still unknown
+//! are buffered (bounded) and written before the route is published, so
+//! no later send can overtake them. The reader thread that receives the
+//! `Hello` writes them: the one place a reader writes.
 
 use crate::wire::{
-    extract_frame, frame, FrameHeader, FrameKind, WireCodec, WireReader, WireWriter,
+    extract_frame, frame, FrameHeader, FrameKind, WireCodec, WireReader, WireWriter, HEADER_LEN,
 };
 use crate::{Envelope, NetError, SiteId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pseudo-site id used as the `from`/`to` of control frames exchanged
 /// with a driver process (the driver hosts no scheduler; it speaks only
@@ -69,29 +73,12 @@ use std::time::{Duration, Instant};
 /// clusters never reach 65535.
 pub const DRIVER_SITE: SiteId = SiteId(u16::MAX);
 
-/// Tuning knobs of the socket transport.
-#[derive(Debug, Clone, Copy)]
-pub struct SocketConfig {
-    /// Poller-thread pool size — the upper bound on socket threads
-    /// regardless of how many processes peer. Default: `min(4, cores)`,
-    /// at least 1.
-    pub pollers: usize,
-    /// Nap between poll passes when nothing moved (the socket analogue
-    /// of the wheel worker's poll nap). Default: 250 µs.
-    pub nap: Duration,
-}
-
-impl Default for SocketConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        SocketConfig {
-            pollers: cores.clamp(1, 4),
-            nap: Duration::from_micros(250),
-        }
-    }
-}
+/// Settings of the socket transport. There are none: a transport runs
+/// one acceptor thread plus one reader thread per connection, and
+/// nothing about that is tunable. The type keeps
+/// [`SocketTransport::bind`]'s signature stable.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SocketConfig {}
 
 /// Real bytes-on-wire counters (what `BENCH_wire.json` reports). Unlike
 /// [`crate::NetStats`], which counts *approximate* payload sizes from
@@ -108,7 +95,7 @@ pub struct WireStats {
 }
 
 impl WireStats {
-    /// Frames queued for transmission.
+    /// Frames the kernel accepted for transmission.
     pub fn frames_out(&self) -> u64 {
         self.frames_out.load(Ordering::Relaxed)
     }
@@ -118,7 +105,8 @@ impl WireStats {
         self.frames_in.load(Ordering::Relaxed)
     }
 
-    /// Bytes written to sockets (headers included — real wire bytes).
+    /// Bytes the kernel accepted for transmission (headers included —
+    /// real wire bytes).
     pub fn bytes_out(&self) -> u64 {
         self.bytes_out.load(Ordering::Relaxed)
     }
@@ -135,7 +123,8 @@ impl WireStats {
     }
 
     /// Frames dropped because their destination had no route and the
-    /// pending buffer was full.
+    /// pending buffer was full, or because the connection their route
+    /// finally named could not take them.
     pub fn pending_dropped(&self) -> u64 {
         self.pending_dropped.load(Ordering::Relaxed)
     }
@@ -145,44 +134,72 @@ impl WireStats {
 pub type MsgHandler<M> = Arc<dyn Fn(Envelope<M>) + Send + Sync>;
 
 /// Inbound control-plane sink: the frame header plus the raw `Ctrl`
-/// body. Handlers must not block — hand the body to a worker thread
-/// (control bodies are decoded by `dtx-core`'s control codec; this crate
-/// does not know their shape).
+/// body. Handlers run on a connection's reader thread and must not
+/// block — hand the body to a worker thread (control bodies are decoded
+/// by `dtx-core`'s control codec; this crate does not know their shape).
 pub type CtrlHandler = Arc<dyn Fn(FrameHeader, Vec<u8>) + Send + Sync>;
 
 /// Frames buffered per not-yet-routed site before drops start.
 const PENDING_CAP: usize = 4096;
 
-/// Write/read chunk size of one poller pass.
-const IO_CHUNK: usize = 64 * 1024;
+/// Size of one blocking `read` on a connection. Every reader thread
+/// holds one such buffer, and frames average ~140 bytes.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// How long shutdown keeps flushing unsent bytes before giving up.
-const FLUSH_BUDGET: Duration = Duration::from_millis(500);
+/// How long one write may wait for the peer to drain its socket. A peer
+/// that is stopped but still connected then closes the connection
+/// instead of parking the sending thread forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// One TCP connection. The write half (`out`) is shared with senders;
-/// the read half (`inbuf`) is touched only by the owning poller.
+/// One TCP connection. Senders write whole frames under `out`; the
+/// connection's reader thread is the only one that reads `stream`.
 struct Conn {
-    id: u64,
     stream: TcpStream,
-    /// Framed bytes awaiting transmission, appended under the lock in
-    /// send order (per-pair FIFO rides on this plus TCP's own ordering).
-    out: Mutex<Vec<u8>>,
-    /// Received bytes awaiting frame extraction.
-    inbuf: Mutex<Vec<u8>>,
+    /// The write half: a clone of `stream`, locked for one whole write.
+    out: Mutex<TcpStream>,
     closed: AtomicBool,
 }
 
 impl Conn {
-    fn new(id: u64, stream: TcpStream) -> std::io::Result<Arc<Conn>> {
+    fn new(stream: TcpStream) -> std::io::Result<Arc<Conn>> {
         stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(Arc::new(Conn {
-            id,
+            out: Mutex::new(stream.try_clone()?),
             stream,
-            out: Mutex::new(Vec::new()),
-            inbuf: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
         }))
+    }
+
+    /// Marks the connection dead and shuts its socket down both ways,
+    /// which wakes its reader and tells the peer.
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
+
+    /// Writes `bytes` — `frames` whole frames — in one `write_all` under
+    /// the write lock, counting them once the kernel has them. A failed
+    /// or timed-out write may have left half a frame on the stream, so it
+    /// closes the connection for good.
+    fn write(&self, stats: &WireStats, bytes: &[u8], frames: u64) -> Result<(), NetError> {
+        let mut out = self.out.lock();
+        if self.is_closed() {
+            return Err(NetError::Closed);
+        }
+        if out.write_all(bytes).is_err() {
+            self.close();
+            return Err(NetError::Closed);
+        }
+        stats.frames_out.fetch_add(frames, Ordering::Relaxed);
+        stats
+            .bytes_out
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -191,23 +208,22 @@ struct SockInner<M> {
     hosted: Vec<SiteId>,
     listener: TcpListener,
     local_addr: SocketAddr,
-    cfg: SocketConfig,
-    /// site → connection id, installed by handshakes and
+    /// site → connection, installed by handshakes and
     /// [`SocketTransport::connect`]'s expectation list. First writer
     /// wins, so a simultaneous cross-connect cannot flap a route
     /// mid-stream.
-    routes: RwLock<HashMap<SiteId, u64>>,
-    conns: RwLock<HashMap<u64, Arc<Conn>>>,
-    /// Connections grouped by owning poller shard.
-    shards: Vec<Mutex<Vec<Arc<Conn>>>>,
+    routes: RwLock<HashMap<SiteId, Arc<Conn>>>,
     /// Frames for sites with no route yet (bounded by [`PENDING_CAP`]).
+    /// Routes are published under this lock, after the frames buffered
+    /// for them went out (see [`install_routes`]).
     pending: Mutex<HashMap<SiteId, Vec<Vec<u8>>>>,
-    next_conn: AtomicU64,
+    /// Every connection with its reader thread, for shutdown.
+    conns: Mutex<Vec<(Arc<Conn>, JoinHandle<()>)>>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
     stats: WireStats,
     msg_handler: RwLock<Option<MsgHandler<M>>>,
     ctrl_handler: RwLock<Option<CtrlHandler>>,
     stop: AtomicBool,
-    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A cloneable handle to this process's socket transport (all clones
@@ -226,49 +242,36 @@ impl<M: WireCodec + Send + 'static> Clone for SocketTransport<M> {
 
 impl<M: WireCodec + Send + 'static> SocketTransport<M> {
     /// Binds `addr` (use port 0 for an OS-assigned port; see
-    /// [`SocketTransport::local_addr`]) and starts the poller pool. The
-    /// transport accepts inbound connections immediately; install
+    /// [`SocketTransport::local_addr`]) and starts the acceptor thread.
+    /// The transport accepts inbound connections immediately; install
     /// handlers before peers start talking.
-    pub fn bind(hosted: &[SiteId], addr: &str, cfg: SocketConfig) -> std::io::Result<Self> {
+    pub fn bind(hosted: &[SiteId], addr: &str, _cfg: SocketConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let pollers = cfg.pollers.max(1);
         let inner = Arc::new(SockInner {
             hosted: hosted.to_vec(),
             listener,
             local_addr,
-            cfg: SocketConfig { pollers, ..cfg },
             routes: RwLock::new(HashMap::new()),
-            conns: RwLock::new(HashMap::new()),
-            shards: (0..pollers).map(|_| Mutex::new(Vec::new())).collect(),
             pending: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
+            conns: Mutex::new(Vec::new()),
+            acceptor: Mutex::new(None),
             stats: WireStats::default(),
             msg_handler: RwLock::new(None),
             ctrl_handler: RwLock::new(None),
             stop: AtomicBool::new(false),
-            threads: Mutex::new(Vec::new()),
         });
-        for shard in 0..pollers {
-            let inner2 = Arc::clone(&inner);
-            let handle = std::thread::Builder::new()
-                .name(format!("dtx-sock-poll-{shard}"))
-                .spawn(move || poll_loop(inner2, shard))
-                .expect("spawn socket poller");
-            inner.threads.lock().push(handle);
-        }
+        let inner2 = Arc::clone(&inner);
+        let acceptor = std::thread::Builder::new()
+            .name("dtx-sock-accept".into())
+            .spawn(move || accept_loop(inner2))?;
+        *inner.acceptor.lock() = Some(acceptor);
         Ok(SocketTransport { inner })
     }
 
     /// The bound listen address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.local_addr
-    }
-
-    /// The site ids this process hosts.
-    pub fn hosted(&self) -> &[SiteId] {
-        &self.inner.hosted
     }
 
     /// Real bytes-on-wire counters.
@@ -293,340 +296,210 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
     /// peer's own `Hello` arrives; the empty list works too (routes then
     /// wait on the handshake).
     pub fn connect(&self, addr: &str, expect: &[SiteId]) -> std::io::Result<()> {
-        let stream = TcpStream::connect(addr)?;
-        let id = self.inner.next_conn.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn::new(id, stream)?;
-        queue_hello(&self.inner, &conn);
-        register_conn(&self.inner, conn);
-        let mut routes = self.inner.routes.write();
-        for &site in expect {
-            routes.entry(site).or_insert(id);
-        }
-        drop(routes);
-        for &site in expect {
-            flush_pending(&self.inner, site);
-        }
+        let conn = open_conn(&self.inner, TcpStream::connect(addr)?)?;
+        install_routes(&self.inner, &conn, expect);
         Ok(())
     }
 
-    /// Encodes `payload` and queues it for the process hosting `to`.
-    /// Unknown destinations are buffered (bounded) until a route
-    /// appears — process startup is a race between the peer map and the
-    /// first send.
+    /// Encodes `payload` and writes it to the process hosting `to`, on
+    /// the calling thread. Unknown destinations are buffered (bounded)
+    /// until a route appears — process startup is a race between the
+    /// peer map and the first send. A closed route answers
+    /// [`NetError::Closed`].
     pub fn send_msg(&self, from: SiteId, to: SiteId, payload: &M) -> Result<(), NetError> {
         let framed = frame(FrameKind::Msg, from, to, &payload.encode());
         route_frame(&self.inner, to, framed)
     }
 
-    /// Queues a control-plane frame (body already encoded by the caller)
-    /// for the process hosting `to`.
+    /// Writes a control-plane frame (body already encoded by the caller)
+    /// to the process hosting `to`, like [`SocketTransport::send_msg`].
     pub fn send_ctrl(&self, from: SiteId, to: SiteId, body: &[u8]) -> Result<(), NetError> {
         let framed = frame(FrameKind::Ctrl, from, to, body);
         route_frame(&self.inner, to, framed)
     }
 
-    /// True when a route to `site` exists (its hosting process has
-    /// handshaken or been connected with an expectation list).
-    pub fn has_route(&self, site: SiteId) -> bool {
-        self.inner.routes.read().contains_key(&site)
-    }
-
-    /// Stops the pollers after a bounded best-effort flush of unsent
-    /// frames, then closes every connection. Clears the handlers (they
+    /// Stops accepting, closes every connection and joins every thread
+    /// the transport started. A self-connect wakes the blocked `accept`;
+    /// shutting each socket down wakes its blocked `read`. Frames already
+    /// written are in the kernel's hands. Clears the handlers (they
     /// typically close over the local `Network`, which closes over this
     /// transport via the uplink — clearing breaks the reference cycle).
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        let threads = std::mem::take(&mut *self.inner.threads.lock());
-        for h in threads {
-            let _ = h.join();
+        let inner = &self.inner;
+        if inner.stop.swap(true, Ordering::SeqCst) {
+            return;
         }
-        for conn in self.inner.conns.read().values() {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        let mut wake = inner.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(Ipv4Addr::LOCALHOST.into());
         }
-        *self.inner.msg_handler.write() = None;
-        *self.inner.ctrl_handler.write() = None;
+        let _ = TcpStream::connect(wake);
+        if let Some(acceptor) = inner.acceptor.lock().take() {
+            let _ = acceptor.join();
+        }
+        let conns = std::mem::take(&mut *inner.conns.lock());
+        for (conn, _) in &conns {
+            conn.close();
+        }
+        for (_, reader) in conns {
+            let _ = reader.join();
+        }
+        *inner.msg_handler.write() = None;
+        *inner.ctrl_handler.write() = None;
     }
 }
 
-/// Encodes this process's `Hello` (hosted-site list) onto `conn`'s
-/// outbound buffer. `from` is the lowest hosted site (or [`DRIVER_SITE`]
-/// for a pure driver); `to` is unknown at handshake time and carries the
-/// same value.
-fn queue_hello<M>(inner: &SockInner<M>, conn: &Conn) {
+/// This process's `Hello` frame: the hosted-site list. `from` is the
+/// lowest hosted site (or [`DRIVER_SITE`] for a pure driver); `to` is
+/// unknown at handshake time and carries the same value.
+fn hello<M>(inner: &SockInner<M>) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_varint(inner.hosted.len() as u64);
     for site in &inner.hosted {
         w.put_varint(site.0 as u64);
     }
     let me = inner.hosted.first().copied().unwrap_or(DRIVER_SITE);
-    let framed = frame(FrameKind::Hello, me, me, &w.finish());
-    push_frame(inner, conn, framed);
+    frame(FrameKind::Hello, me, me, &w.finish())
 }
 
-/// Appends one framed message to `conn`'s outbound buffer, counting it.
-fn push_frame<M>(inner: &SockInner<M>, conn: &Conn, framed: Vec<u8>) {
-    inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-    inner
-        .stats
-        .bytes_out
-        .fetch_add(framed.len() as u64, Ordering::Relaxed);
-    conn.out.lock().extend_from_slice(&framed);
+/// The site list of a `Hello` body, or `None` when it is malformed.
+fn hello_sites(body: &[u8]) -> Option<Vec<SiteId>> {
+    let mut r = WireReader::new(body);
+    let count = r.varint().ok()?;
+    (0..count.min(u16::MAX as u64))
+        .map(|_| Some(SiteId(u16::try_from(r.varint().ok()?).ok()?)))
+        .collect()
 }
 
-/// Adds a fresh connection to the conn table and its poller shard.
-fn register_conn<M>(inner: &SockInner<M>, conn: Arc<Conn>) {
-    let shard = (conn.id as usize) % inner.shards.len();
-    inner.conns.write().insert(conn.id, Arc::clone(&conn));
-    inner.shards[shard].lock().push(conn);
+/// Sets up a fresh connection: writes this process's `Hello` first, then
+/// starts the connection's reader thread and records both for shutdown.
+fn open_conn<M: WireCodec + Send + 'static>(
+    inner: &Arc<SockInner<M>>,
+    stream: TcpStream,
+) -> std::io::Result<Arc<Conn>> {
+    let conn = Conn::new(stream)?;
+    conn.write(&inner.stats, &hello(inner), 1)
+        .map_err(|_| ErrorKind::BrokenPipe)?;
+    let mut conns = inner.conns.lock();
+    // Checked under the lock `shutdown` sweeps with: a connection opened
+    // while the transport shuts down is either swept or never started.
+    if inner.stop.load(Ordering::SeqCst) {
+        conn.close();
+        return Err(ErrorKind::NotConnected.into());
+    }
+    let (inner2, conn2) = (Arc::clone(inner), Arc::clone(&conn));
+    let reader = std::thread::Builder::new()
+        .name("dtx-sock-read".into())
+        .spawn(move || read_loop(inner2, conn2))?;
+    conns.push((Arc::clone(&conn), reader));
+    Ok(conn)
 }
 
-/// Queues `framed` on the connection routing `to`, or into the bounded
-/// pending buffer when no route exists yet.
+/// Writes `framed` to the connection routing `to`, or buffers it in the
+/// bounded pending queue when no route exists yet.
 fn route_frame<M>(inner: &SockInner<M>, to: SiteId, framed: Vec<u8>) -> Result<(), NetError> {
-    let conn = {
-        let routes = inner.routes.read();
-        routes
-            .get(&to)
-            .and_then(|id| inner.conns.read().get(id).cloned())
-    };
-    match conn {
-        Some(conn) => {
-            push_frame(inner, &conn, framed);
-            Ok(())
-        }
+    let routed = inner.routes.read().get(&to).cloned();
+    let conn = match routed {
+        Some(conn) => conn,
         None => {
-            {
-                let mut pending = inner.pending.lock();
+            let mut pending = inner.pending.lock();
+            // Re-checked under the pending lock: a route published since
+            // the check above has already written what was buffered for
+            // it, so this frame goes straight out behind them.
+            if let Some(conn) = inner.routes.read().get(&to).cloned() {
+                conn
+            } else {
                 let q = pending.entry(to).or_default();
                 if q.len() >= PENDING_CAP {
                     inner.stats.pending_dropped.fetch_add(1, Ordering::Relaxed);
                 } else {
                     q.push(framed);
                 }
+                return Ok(());
             }
-            // A handshake may have installed the route between the check
-            // above and the buffering — re-check so the frame cannot be
-            // stranded in a pending queue nobody will flush again.
-            if inner.routes.read().contains_key(&to) {
-                flush_pending(inner, to);
-            }
-            Ok(())
         }
+    };
+    conn.write(&inner.stats, &framed, 1)
+}
+
+/// Routes each of `sites` that has no route yet to `conn`. The frames
+/// buffered for a site are written before its route is published, both
+/// under the pending lock, so no send can overtake them.
+fn install_routes<M>(inner: &SockInner<M>, conn: &Arc<Conn>, sites: &[SiteId]) {
+    let mut pending = inner.pending.lock();
+    for &site in sites {
+        if inner.routes.read().contains_key(&site) {
+            continue;
+        }
+        if let Some(frames) = pending.remove(&site) {
+            let n = frames.len() as u64;
+            if conn.write(&inner.stats, &frames.concat(), n).is_err() {
+                inner.stats.pending_dropped.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        inner.routes.write().insert(site, Arc::clone(conn));
     }
 }
 
-/// Moves any frames buffered for `site` onto its (now routed)
-/// connection, preserving their buffering order.
-fn flush_pending<M>(inner: &SockInner<M>, site: SiteId) {
-    let frames = match inner.pending.lock().remove(&site) {
-        Some(f) => f,
-        None => return,
-    };
-    let conn = {
-        let routes = inner.routes.read();
-        routes
-            .get(&site)
-            .and_then(|id| inner.conns.read().get(id).cloned())
-    };
-    if let Some(conn) = conn {
-        let mut out = conn.out.lock();
-        for framed in frames {
-            inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-            inner
-                .stats
-                .bytes_out
-                .fetch_add(framed.len() as u64, Ordering::Relaxed);
-            out.extend_from_slice(&framed);
-        }
-    }
-    // No route after all (race with a failed connect): drop, counted.
-    else {
-        inner
-            .stats
-            .pending_dropped
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
-    }
-}
-
-/// One poller thread: drains its shard's connections (write, read,
-/// extract, dispatch) in poll-mode passes with naps, mirroring the
-/// reactor's wheel workers. Shard 0 also accepts inbound connections.
-fn poll_loop<M: WireCodec + Send + 'static>(inner: Arc<SockInner<M>>, shard: usize) {
-    // One read buffer for every connection and pass of this thread.
-    let mut scratch = vec![0u8; IO_CHUNK];
-    loop {
-        let stopping = inner.stop.load(Ordering::Relaxed);
-        let mut moved = false;
-        if shard == 0 && !stopping {
-            moved |= accept_pass(&inner);
-        }
-        let conns: Vec<Arc<Conn>> = inner.shards[shard].lock().clone();
-        for conn in &conns {
-            if conn.closed.load(Ordering::Relaxed) {
-                continue;
-            }
-            moved |= write_pass(conn);
-            moved |= read_pass(&inner, conn, &mut scratch);
-            extract_pass(&inner, conn);
-        }
-        if stopping {
-            // Bounded best-effort flush of whatever is still queued, then
-            // exit; unsendable bytes are abandoned when the budget runs
-            // out (the peer is likely gone).
-            let deadline = Instant::now() + FLUSH_BUDGET;
-            while Instant::now() < deadline {
-                let mut left = false;
-                for conn in &conns {
-                    if conn.closed.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    write_pass(conn);
-                    left |= !conn.out.lock().is_empty();
-                }
-                if !left {
-                    break;
-                }
-                std::thread::sleep(inner.cfg.nap);
-            }
+/// The acceptor thread: blocks in `accept` until `shutdown` sets the
+/// stop flag and wakes it with a connection of its own.
+fn accept_loop<M: WireCodec + Send + 'static>(inner: Arc<SockInner<M>>) {
+    for stream in inner.listener.incoming() {
+        if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        if !moved {
-            std::thread::sleep(inner.cfg.nap);
+        if let Ok(stream) = stream {
+            let _ = open_conn(&inner, stream);
         }
     }
 }
 
-/// Accepts every pending inbound connection (nonblocking listener).
-fn accept_pass<M>(inner: &Arc<SockInner<M>>) -> bool {
-    let mut any = false;
-    loop {
-        match inner.listener.accept() {
-            Ok((stream, _)) => {
-                let id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
-                if let Ok(conn) = Conn::new(id, stream) {
-                    queue_hello(inner, &conn);
-                    register_conn(inner, conn);
-                    any = true;
+/// A connection's reader thread: blocks in `read`, then extracts and
+/// dispatches every complete frame, until EOF, an error or `close` ends
+/// the connection. A header-level error (bad magic/version/length)
+/// desynchronizes the stream irrecoverably, so it closes the connection;
+/// a body-level decode failure only drops that frame.
+fn read_loop<M: WireCodec + Send + 'static>(inner: Arc<SockInner<M>>, conn: Arc<Conn>) {
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut inbuf = Vec::new();
+    'read: while !conn.is_closed() {
+        let n = match (&conn.stream).read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        inner.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+        inbuf.extend_from_slice(&chunk[..n]);
+        let mut consumed = 0usize;
+        loop {
+            match extract_frame(&inbuf[consumed..]) {
+                Ok(Some((header, body))) => {
+                    consumed += HEADER_LEN + header.body_len;
+                    dispatch(&inner, &conn, header, body);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return any,
-            Err(_) => return any,
-        }
-    }
-}
-
-/// Writes as much of `conn`'s outbound buffer as the socket accepts.
-fn write_pass(conn: &Conn) -> bool {
-    let mut out = conn.out.lock();
-    if out.is_empty() {
-        return false;
-    }
-    let mut written = 0usize;
-    while written < out.len() {
-        let end = (written + IO_CHUNK).min(out.len());
-        match (&conn.stream).write(&out[written..end]) {
-            Ok(0) => {
-                conn.closed.store(true, Ordering::Relaxed);
-                break;
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.closed.store(true, Ordering::Relaxed);
-                break;
+                Ok(None) => break,
+                Err(_) => break 'read,
             }
         }
+        inbuf.drain(..consumed);
     }
-    out.drain(..written);
-    written > 0
-}
-
-/// Reads everything currently available on `conn` into its inbuf, by
-/// way of the calling poller's `scratch` buffer.
-fn read_pass<M>(inner: &SockInner<M>, conn: &Conn, scratch: &mut [u8]) -> bool {
-    let mut any = false;
-    loop {
-        match (&conn.stream).read(scratch) {
-            Ok(0) => {
-                conn.closed.store(true, Ordering::Relaxed);
-                return any;
-            }
-            Ok(n) => {
-                inner.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                conn.inbuf.lock().extend_from_slice(&scratch[..n]);
-                any = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return any,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.closed.store(true, Ordering::Relaxed);
-                return any;
-            }
-        }
-    }
-}
-
-/// Extracts and dispatches every complete frame buffered on `conn`. A
-/// header-level error (bad magic/version/length) desynchronizes the
-/// stream irrecoverably, so the connection is closed; a body-level
-/// decode failure only drops that frame.
-fn extract_pass<M: WireCodec + Send + 'static>(inner: &Arc<SockInner<M>>, conn: &Conn) {
-    let mut inbuf = conn.inbuf.lock();
-    let mut consumed = 0usize;
-    loop {
-        match extract_frame(&inbuf[consumed..]) {
-            Ok(Some((header, body))) => {
-                let total = crate::wire::HEADER_LEN + header.body_len;
-                dispatch(inner, conn, header, body);
-                consumed += total;
-            }
-            Ok(None) => break,
-            Err(_) => {
-                conn.closed.store(true, Ordering::Relaxed);
-                inbuf.clear();
-                return;
-            }
-        }
-    }
-    inbuf.drain(..consumed);
+    conn.close();
 }
 
 /// Routes one received frame to its sink.
 fn dispatch<M: WireCodec + Send + 'static>(
-    inner: &Arc<SockInner<M>>,
-    conn: &Conn,
+    inner: &SockInner<M>,
+    conn: &Arc<Conn>,
     header: FrameHeader,
     body: &[u8],
 ) {
     inner.stats.frames_in.fetch_add(1, Ordering::Relaxed);
     match header.kind {
-        FrameKind::Hello => {
-            let mut r = WireReader::new(body);
-            let Ok(count) = r.varint() else {
-                conn.closed.store(true, Ordering::Relaxed);
-                return;
-            };
-            let mut sites = Vec::new();
-            for _ in 0..count.min(u16::MAX as u64) {
-                match r.varint() {
-                    Ok(s) if s <= u16::MAX as u64 => sites.push(SiteId(s as u16)),
-                    _ => {
-                        conn.closed.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            }
-            let mut routes = inner.routes.write();
-            for &site in &sites {
-                routes.entry(site).or_insert(conn.id);
-            }
-            drop(routes);
-            for &site in &sites {
-                flush_pending(inner, site);
-            }
-        }
+        FrameKind::Hello => match hello_sites(body) {
+            Some(sites) => install_routes(inner, conn, &sites),
+            None => conn.close(),
+        },
         FrameKind::Msg => match M::decode(body) {
             Ok(payload) => {
                 let handler = inner.msg_handler.read().clone();
@@ -655,7 +528,8 @@ fn dispatch<M: WireCodec + Send + 'static>(
 mod tests {
     use super::*;
     use crate::wire::WireError;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Receiver};
+    use std::time::Instant;
 
     /// A tiny codec-bearing payload for transport-level tests.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -670,14 +544,48 @@ mod tests {
         }
     }
 
+    type Inbox = Receiver<Envelope<Ping>>;
+
+    fn bind(hosted: &[SiteId]) -> SocketTransport<Ping> {
+        SocketTransport::bind(hosted, "127.0.0.1:0", SocketConfig::default()).expect("bind")
+    }
+
     fn pair() -> (SocketTransport<Ping>, SocketTransport<Ping>) {
-        let a = SocketTransport::bind(&[SiteId(0)], "127.0.0.1:0", SocketConfig::default())
-            .expect("bind a");
-        let b = SocketTransport::bind(&[SiteId(1)], "127.0.0.1:0", SocketConfig::default())
-            .expect("bind b");
+        let (a, b) = (bind(&[SiteId(0)]), bind(&[SiteId(1)]));
         a.connect(&b.local_addr().to_string(), &[SiteId(1)])
             .expect("connect");
         (a, b)
+    }
+
+    /// Installs a message handler on `t` that forwards every envelope.
+    fn inbox(t: &SocketTransport<Ping>) -> Inbox {
+        let (tx, rx) = unbounded();
+        t.set_msg_handler(Some(Arc::new(move |env: Envelope<Ping>| {
+            let _ = tx.send(env);
+        })));
+        rx
+    }
+
+    /// A pair with inboxes after one round trip: both ends have routes.
+    fn linked() -> (SocketTransport<Ping>, SocketTransport<Ping>, Inbox, Inbox) {
+        let (a, b) = pair();
+        let (rx_a, rx_b) = (inbox(&a), inbox(&b));
+        round_trip(&a, &b, (&rx_a, &rx_b), 0);
+        (a, b, rx_a, rx_b)
+    }
+
+    /// One ping `a → b` and its answer `b → a`.
+    fn round_trip(
+        a: &SocketTransport<Ping>,
+        b: &SocketTransport<Ping>,
+        rx: (&Inbox, &Inbox),
+        i: u64,
+    ) {
+        let wait = Duration::from_secs(5);
+        a.send_msg(SiteId(0), SiteId(1), &Ping(i)).unwrap();
+        assert_eq!(rx.1.recv_timeout(wait).expect("ping").payload, Ping(i));
+        b.send_msg(SiteId(1), SiteId(0), &Ping(i)).unwrap();
+        assert_eq!(rx.0.recv_timeout(wait).expect("pong").payload, Ping(i));
     }
 
     #[test]
@@ -708,17 +616,12 @@ mod tests {
     #[test]
     fn reverse_route_is_learned_from_the_handshake() {
         let (a, b) = pair();
-        let (tx, rx) = unbounded();
-        a.set_msg_handler(Some(Arc::new(move |env: Envelope<Ping>| {
-            let _ = tx.send(env.payload);
-        })));
+        let rx = inbox(&a);
         // b never called connect — its route to site 0 comes from a's
         // Hello. Sends may land in the pending buffer until then.
         b.send_msg(SiteId(1), SiteId(0), &Ping(77)).unwrap();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).expect("delivered"),
-            Ping(77)
-        );
+        let env = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
+        assert_eq!(env.payload, Ping(77));
         a.shutdown();
         b.shutdown();
     }
@@ -735,6 +638,134 @@ mod tests {
         let (from, body) = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
         assert_eq!(from, DRIVER_SITE);
         assert_eq!(body, b"control body");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_frame_to_an_idle_transport_is_read_at_once() {
+        let (a, b, rx_a, rx_b) = linked();
+        // splitmix64 over a fixed seed: each ping lands at a random point
+        // of an idle stretch. A fixed pause could phase-lock with a
+        // periodic poll and hide it.
+        let mut state = 0x50C4_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut took = Vec::with_capacity(200);
+        for i in 1..=200 {
+            std::thread::sleep(Duration::from_micros(300 + next() % 1_000));
+            let t0 = Instant::now();
+            round_trip(&a, &b, (&rx_a, &rx_b), i);
+            took.push(t0.elapsed());
+        }
+        a.shutdown();
+        b.shutdown();
+        took.sort();
+        let median = took[took.len() / 2];
+        assert!(
+            median < Duration::from_micros(200),
+            "median round trip {median:?} (p10 {:?}, p90 {:?})",
+            took[took.len() / 10],
+            took[took.len() * 9 / 10]
+        );
+    }
+
+    #[test]
+    fn sends_to_a_shut_down_peer_fail_as_closed() {
+        let (a, b, ..) = linked();
+        a.shutdown();
+        // Send flat out until the dead connection is noticed, by the
+        // reader's EOF or by a failed write, whichever comes first.
+        let t0 = Instant::now();
+        while b.send_msg(SiteId(1), SiteId(0), &Ping(1)).is_ok() {
+            assert!(t0.elapsed() < Duration::from_secs(1), "sends still succeed");
+        }
+        let (bytes, frames) = (b.stats().bytes_out(), b.stats().frames_out());
+        for i in 0..100 {
+            let sent = b.send_msg(SiteId(1), SiteId(0), &Ping(i));
+            assert_eq!(sent, Err(NetError::Closed));
+        }
+        assert_eq!(b.stats().bytes_out(), bytes, "no more bytes counted out");
+        assert_eq!(b.stats().frames_out(), frames);
+        b.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_every_blocked_thread_of_an_idle_pair() {
+        let (a, b, ..) = linked();
+        // Let both acceptors block in `accept` and both readers in `read`.
+        std::thread::sleep(Duration::from_millis(20));
+        let second = Duration::from_secs(1);
+        let t0 = Instant::now();
+        a.shutdown();
+        assert!(
+            t0.elapsed() < second,
+            "a.shutdown() took {:?}",
+            t0.elapsed()
+        );
+        // a's shutdown reached the peer: b's reader sees EOF and closes
+        // b's end, so b's sends start failing.
+        let t0 = Instant::now();
+        while b.send_msg(SiteId(1), SiteId(0), &Ping(1)) != Err(NetError::Closed) {
+            assert!(t0.elapsed() < second, "b's reader never saw EOF");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        b.shutdown();
+        assert!(
+            t0.elapsed() < second,
+            "b.shutdown() took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_storm_sent_before_the_handshake_is_flushed_in_order() {
+        // Sites 0, 1 at a and 2, 3 at b. Every pair sends `EARLY` frames
+        // before the transports know each other, so both pending buffers
+        // fill. `a` then dials with no expectation list: each buffer is
+        // flushed by the reader that receives the peer's `Hello`, while
+        // every pair keeps storming from its own thread.
+        const EARLY: u64 = 100;
+        const PER_PAIR: u64 = 400;
+        let (a, b) = (bind(&[SiteId(0), SiteId(1)]), bind(&[SiteId(2), SiteId(3)]));
+        let (rx_a, rx_b) = (inbox(&a), inbox(&b));
+        let mut links = Vec::new();
+        for (t, here, there) in [(&a, [0, 1], [2, 3]), (&b, [2, 3], [0, 1])] {
+            for from in here {
+                links.extend(there.map(|to| (t, SiteId(from), SiteId(to))));
+            }
+        }
+        let send = |&(t, from, to): &(&SocketTransport<Ping>, SiteId, SiteId), seqs| {
+            for seq in seqs {
+                t.send_msg(from, to, &Ping(seq)).unwrap();
+            }
+        };
+        links.iter().for_each(|link| send(link, 0..EARLY));
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            for link in &links {
+                scope.spawn(move || send(link, EARLY..PER_PAIR));
+            }
+            a.connect(&b.local_addr().to_string(), &[])
+                .expect("connect");
+        });
+        let mut next = HashMap::new();
+        for rx in [&rx_a, &rx_b] {
+            for _ in 0..4 * PER_PAIR {
+                let left = Duration::from_secs(5).saturating_sub(t0.elapsed());
+                let env = rx.recv_timeout(left).expect("the storm ends within 5 s");
+                let want = next.entry((env.from, env.to)).or_insert(0);
+                assert_eq!(env.payload, Ping(*want), "{:?} -> {:?}", env.from, env.to);
+                *want += 1;
+            }
+        }
+        assert_eq!(a.stats().pending_dropped() + b.stats().pending_dropped(), 0);
         a.shutdown();
         b.shutdown();
     }
