@@ -14,7 +14,7 @@ use crossbeam::channel::unbounded;
 use dtx_core::{
     Cluster, ClusterConfig, LockManager, Message, OpSpec, ProcessResult, SiteId, TxnSpec,
 };
-use dtx_dataguide::DataGuide;
+use dtx_dataguide::{DataGuide, GuideId};
 use dtx_locks::{LockMode, LockTable, ProtocolKind, TxnId, TxnMode, WaitForGraph};
 use dtx_net::socket::{SocketConfig, SocketTransport};
 use dtx_net::Envelope;
@@ -23,6 +23,7 @@ use dtx_xmark::generator::{generate, XmarkConfig};
 use dtx_xml::document::{Fragment, InsertPos};
 use dtx_xml::Document;
 use dtx_xpath::{eval, Query, UpdateOp};
+use std::collections::HashMap;
 
 fn xml_parse(c: &mut Criterion) {
     let mut group = c.benchmark_group("xml_parse");
@@ -306,6 +307,26 @@ fn wfg_cycle_detection(c: &mut Criterion) {
             b.iter(|| g.find_cycle())
         });
     }
+    // What a site sends a detection round: 64 edges checked against a
+    // table of 1 000 grants, every other one's lock since released.
+    let mut table = LockTable::new();
+    for n in 0..1000u32 {
+        table.try_acquire(TxnId(u64::from(n % 32)), GuideId(n), LockMode::ST);
+    }
+    let mut g = WaitForGraph::new();
+    let mut refused = HashMap::new();
+    for w in 0..64u32 {
+        let (waiter, holder) = (TxnId(100 + u64::from(w)), TxnId(u64::from(w % 32)));
+        g.add_edge(waiter, holder);
+        refused.insert(waiter, (GuideId(w), LockMode::X));
+        if w % 2 == 1 {
+            table.release_scoped(holder, &[(GuideId(w), LockMode::ST)]);
+        }
+    }
+    assert_eq!(g.live(&table, &refused).edge_count(), 32);
+    group.bench_function(BenchmarkId::new("live", 64), |b| {
+        b.iter(|| g.live(black_box(&table), &refused))
+    });
     group.finish();
 }
 

@@ -1,10 +1,12 @@
 //! A2 — ablation: deadlock-detection period.
 //!
 //! The paper runs Algorithm 4 "periodically" without quantifying the
-//! period. This sweep shows the trade-off: a short period resolves
-//! distributed deadlocks quickly (lower response time for the waiters)
-//! at the cost of more detector rounds (more wait-for-graph messages); a
-//! long period lets cycles linger.
+//! period. Here a transaction that starts to wait arms a round one retry
+//! interval later, so the period is only the backstop cadence: the sweep
+//! shows how little response time, deadlocks and detector rounds still
+//! depend on it. Under a period alone the same sweep shows a trade-off —
+//! a short period breaks cycles sooner at the cost of more rounds, a long
+//! one lets them linger (EXPERIMENTS.md records both).
 
 use dtx_bench::{header, ms, row, run, seed_from_args, ExpEnv};
 use dtx_core::{Cluster, ClusterConfig, ProtocolKind};

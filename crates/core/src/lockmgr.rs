@@ -141,6 +141,11 @@ pub struct LockManager {
     /// eagerly prune edges pointing at transactions that no longer hold
     /// anything (stale edges would fabricate deadlocks out of retries).
     wfg: WaitForGraph,
+    /// The request each waiter of `wfg` was refused (one per waiter: a
+    /// transaction waits on one operation at a time), kept and dropped
+    /// with the waiter's out-edges. [`LockManager::live_wfg`] checks the
+    /// edges against it.
+    refused: HashMap<TxnId, AcquiredLock>,
     /// Versioned snapshots of every hosted document: its committed state
     /// as installed and as of each local commit that wrote it (an abort
     /// publishes nothing: no version ever held its updates). Read-only
@@ -189,6 +194,7 @@ impl LockManager {
             undo_log: BTreeMap::new(),
             op_locks: HashMap::new(),
             wfg: WaitForGraph::new(),
+            refused: HashMap::new(),
             snapshots: SnapshotStore::new(),
             snap_pins: HashMap::new(),
             wal: None,
@@ -354,8 +360,9 @@ impl LockManager {
     /// Algorithm 3 (`process_operation`): acquire the operation's locks
     /// and execute it, or report conflicts/failure.
     ///
-    /// On conflict the operation's own acquisitions are rolled back and a
-    /// wait-for edge `txn → holder` is added to `wfg` for every holder; if
+    /// On conflict the operation's own acquisitions are rolled back, a
+    /// wait-for edge `txn → holder` is added to `wfg` for every holder and
+    /// the refused request is recorded for [`LockManager::live_wfg`]; if
     /// that closes a cycle the result carries `deadlock = true` for the
     /// scheduler to handle (Alg. 1 l. 19).
     /// `tolerate_empty` is set when the document is a *fragment* of a
@@ -407,11 +414,9 @@ impl LockManager {
         //    table.
         let mut acquired: Vec<AcquiredLock> = Vec::new();
         for req in &requests {
-            match self
-                .table
-                .try_acquire(txn, doc_scoped(tag, req.node), req.mode)
-            {
-                LockOutcome::Granted => acquired.push((doc_scoped(tag, req.node), req.mode)),
+            let lock = (doc_scoped(tag, req.node), req.mode);
+            match self.table.try_acquire(txn, lock.0, lock.1) {
+                LockOutcome::Granted => acquired.push(lock),
                 LockOutcome::Conflict(holders) => {
                     // Roll back this operation's acquisitions (Alg. 3 l. 12).
                     self.table.release_scoped(txn, &acquired);
@@ -428,13 +433,15 @@ impl LockManager {
                     // back"): every member of a cycle retries and conflicts
                     // here, so the newest is always flagged eventually, and
                     // tagging only it keeps the immediate tag and the
-                    // periodic detector (Alg. 4) choosing the *same*
+                    // distributed detector (Alg. 4) choosing the *same*
                     // victim — otherwise two mutually-deadlocked
                     // transactions retrying in lockstep (speculative wakes
                     // synchronize retries) can both see the cycle and both
-                    // abort.
+                    // abort. The refused request is kept beside the edges,
+                    // so a detection round can tell which still hold.
                     self.wfg.clear_waits_of(txn);
                     self.wfg.add_edges(txn, &holders);
+                    self.refused.insert(txn, lock);
                     let deadlock = self
                         .wfg
                         .cycle_containing(txn)
@@ -449,6 +456,7 @@ impl LockManager {
         // All locks held: the transaction no longer waits (Alg. 1: waiting
         // transactions "start executing again").
         self.wfg.clear_waits_of(txn);
+        self.refused.remove(&txn);
         self.op_locks
             .entry((txn, op_seq))
             .or_default()
@@ -577,10 +585,7 @@ impl LockManager {
                 self.publish_snapshot(name, view);
             }
         }
-        self.table.release_all(txn);
-        let waiters = self.wfg.waiters_of(txn);
-        self.wfg.remove_txn(txn);
-        Ok(waiters)
+        Ok(self.release_all(txn))
     }
 
     /// Aborts `txn` locally: undo every applied update in reverse order
@@ -606,9 +611,17 @@ impl LockManager {
             }
         }
         self.op_locks.retain(|(t, _), _| *t != txn);
+        self.release_all(txn)
+    }
+
+    /// Strict 2PL release at termination: every lock of `txn` goes, and
+    /// so does `txn` from the waits-for relation, with its refusal record.
+    /// Returns the transactions that were waiting on it here.
+    fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
         self.table.release_all(txn);
         let waiters = self.wfg.waiters_of(txn);
         self.wfg.remove_txn(txn);
+        self.refused.remove(&txn);
         waiters
     }
 
@@ -792,17 +805,26 @@ impl LockManager {
         self.store.stats()
     }
 
-    /// Read access to this site's waits-for relation (the scheduler
-    /// serves it to the distributed detector, Alg. 4 l. 4).
+    /// Read access to this site's waits-for relation, every edge as
+    /// recorded (the immediate local deadlock tag searches it).
     pub fn wfg(&self) -> &WaitForGraph {
         &self.wfg
     }
 
-    /// Drops every wait edge out of `txn`: it stopped waiting here
-    /// without retrying (its coordinator re-routed the blocked operation
-    /// to a different placement).
+    /// What this site contributes to a detection round (Alg. 4 l. 4): the
+    /// edges of [`LockManager::wfg`] whose holder still blocks the request
+    /// its waiter was refused ([`WaitForGraph::live`]).
+    pub fn live_wfg(&self) -> WaitForGraph {
+        self.wfg.live(&self.table, &self.refused)
+    }
+
+    /// Drops every wait edge out of `txn`, and its refusal record: it got
+    /// its locks, or stopped waiting here without retrying (its
+    /// coordinator re-routed the blocked operation to a different
+    /// placement).
     pub fn clear_waits(&mut self, txn: TxnId) {
         self.wfg.clear_waits_of(txn);
+        self.refused.remove(&txn);
     }
 
     /// Recovery redo: re-applies one logged update through the same code
@@ -1363,6 +1385,110 @@ mod tests {
             ProcessResult::Conflict { deadlock, .. } => assert!(deadlock),
             other => panic!("{other:?}"),
         }
+        // Both holders still block: the cycle is live, every edge of it.
+        assert!(lm.live_wfg().has_cycle());
+        assert_eq!(lm.live_wfg().edges(), lm.wfg().edges());
+    }
+
+    #[test]
+    fn an_edge_whose_lock_was_undone_is_not_live() {
+        let mut lm = manager();
+        let executed = |r: ProcessResult| matches!(r, ProcessResult::Executed(_));
+        let scan = |path: &str| OpSpec::query("d2", q(path));
+        let change = |path: &str| {
+            OpSpec::update(
+                "d2",
+                UpdateOp::Change {
+                    target: q(path),
+                    new_value: "0".into(),
+                },
+            )
+        };
+        let (t1, t2) = (TxnId(1), TxnId(2));
+        // t1 reads ids (op 0) and names (op 1); t2 reads prices.
+        let up = TxnMode::Updating;
+        assert!(executed(lm.process_operation(
+            t1,
+            0,
+            &scan("/products/product/id"),
+            up,
+            false
+        )));
+        assert!(executed(lm.process_operation(
+            t1,
+            1,
+            &scan("/products/product/name"),
+            up,
+            false
+        )));
+        assert!(executed(lm.process_operation(
+            t2,
+            0,
+            &scan("/products/product/price"),
+            up,
+            false
+        )));
+        // t2's name change waits on t1's ST(name).
+        let renamed = lm.process_operation(t2, 1, &change("/products/product/name"), up, false);
+        assert!(matches!(renamed, ProcessResult::Conflict { .. }));
+        // A sibling site refused t1's op 1: it is undone here, ST(name)
+        // goes, but t1 still holds its op-0 locks, so t2 → t1 stays.
+        assert!(lm.undo_op(t1, 1).is_empty());
+        assert!(!lm.table.is_lock_free(t1));
+        assert_eq!(lm.wfg().waits_for(t2), vec![t1]);
+        assert!(lm.live_wfg().waits_for(t2).is_empty());
+        // t1's price change really waits on t2's ST(price). With the
+        // stale edge that is a cycle; with live edges it is a plain wait.
+        let repriced = lm.process_operation(t1, 2, &change("/products/product/price"), up, false);
+        assert!(matches!(
+            repriced,
+            ProcessResult::Conflict {
+                deadlock: false,
+                ..
+            }
+        ));
+        assert!(lm.wfg().has_cycle());
+        assert!(!lm.live_wfg().has_cycle());
+        assert_eq!(lm.live_wfg().edges(), vec![(t1, t2)]);
+    }
+
+    #[test]
+    fn a_refusal_record_lives_only_while_its_waiter_waits() {
+        let mut lm = manager();
+        let scan = OpSpec::query("d2", q("/products/product"));
+        let ins = OpSpec::update(
+            "d2",
+            UpdateOp::Insert {
+                target: q("/products"),
+                fragment: Fragment::elem("product", vec![]),
+                pos: InsertPos::Into,
+            },
+        );
+        let up = TxnMode::Updating;
+        assert!(matches!(
+            lm.process_operation(TxnId(1), 0, &scan, up, false),
+            ProcessResult::Executed(_)
+        ));
+        for t in 2..=5 {
+            assert!(matches!(
+                lm.process_operation(TxnId(t), 0, &ins, up, false),
+                ProcessResult::Conflict { .. }
+            ));
+        }
+        assert_eq!(lm.refused.len(), 4);
+        // Re-routed away, aborted, committed (it executed elsewhere):
+        lm.clear_waits(TxnId(2));
+        lm.abort_local(TxnId(3));
+        lm.commit_local(TxnId(4)).unwrap();
+        assert_eq!(lm.refused.keys().collect::<Vec<_>>(), [&TxnId(5)]);
+        // ...and granted on retry.
+        lm.commit_local(TxnId(1)).unwrap();
+        assert!(matches!(
+            lm.process_operation(TxnId(5), 0, &ins, up, false),
+            ProcessResult::Executed(_)
+        ));
+        assert!(lm.refused.is_empty());
+        assert!(lm.wfg().is_empty());
     }
 
     #[test]

@@ -128,7 +128,8 @@ pub enum Message {
         site: SiteId,
         /// Round this reply answers.
         round: u64,
-        /// Snapshot of the local graph.
+        /// Snapshot of the local graph's live edges
+        /// ([`crate::LockManager::live_wfg`]).
         graph: WaitForGraph,
     },
     /// Detector → coordinator of the victim: abort this transaction

@@ -93,11 +93,13 @@ impl SiteHostConfig {
     /// wire's job now — processing cost is part of the workload model,
     /// not the transport), 25 ms gossip.
     pub fn new(hosted: &[SiteId], total_sites: u16) -> Self {
-        // Cross-process WFG snapshots travel over the real wire, so a
-        // fast detector keeps acting on stale wait edges and kills
-        // phantom victims; a longer period than the in-process default
-        // trades resolution latency of true cycles (still one round)
-        // for far fewer false kills. 250 ms measured best on fig12.
+        // Chosen when a round unioned every recorded edge: over the real
+        // wire a fast detector kept acting on stale edges and killed
+        // phantom victims, and 250 ms measured best on fig12. Sites now
+        // send only edges whose holder still blocks, and a wait arms a
+        // round 2 ms later in any case, so this period is the backstop
+        // cadence; moving it back to the default is a separately
+        // measured change.
         let scheduler = SchedulerConfig {
             deadlock_period: Duration::from_millis(250),
             ..SchedulerConfig::default()

@@ -5,8 +5,8 @@
 //! transactions submitted at its site (Algorithm 1) and *participant* for
 //! remote operations sent by other coordinators (Algorithm 2 — "this
 //! procedure is also common to the coordinator"). It also runs the
-//! periodic distributed deadlock detection (Algorithm 4) and the
-//! commit/abort termination protocols (Algorithms 5 and 6).
+//! distributed deadlock detection (Algorithm 4) and the commit/abort
+//! termination protocols (Algorithms 5 and 6).
 //!
 //! ## Concurrency model
 //!
@@ -40,7 +40,11 @@
 //! Transactions denied a lock enter **wait mode** (Alg. 1 l. 9/17,
 //! `Phase::Waiting`) and are retried after a short jittered interval;
 //! their wait-for edges live in the lock-holding site's graph until the
-//! retry succeeds or a deadlock detector aborts a victim.
+//! retry succeeds or a deadlock detector aborts a victim. Entering wait
+//! mode arms a detection round one retry interval later, so the paper's
+//! periodic process runs when a cycle can have formed; the period is
+//! only the backstop. A round unions each site's *live* edges, those
+//! whose holder still blocks the waiter's refused request.
 //!
 //! ## Group commit
 //!
@@ -105,8 +109,11 @@ const WAIT_TIMEOUT: Duration = Duration::from_secs(180);
 /// Tuning knobs of a scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
-    /// Period of the distributed deadlock detector (Algorithm 4);
-    /// staggered per site to avoid synchronized rounds.
+    /// Backstop cadence of the distributed deadlock detector
+    /// (Algorithm 4), staggered per site to avoid synchronized rounds.
+    /// A transaction entering wait mode pulls the next round to one retry
+    /// interval away, so a cycle is normally broken within a few ms of
+    /// forming whatever this is; while nothing waits no round runs.
     pub deadlock_period: Duration,
     /// How long a coordinator waits for remote-operation responses and
     /// commit/abort acknowledgements before treating the site as failed.
@@ -754,7 +761,8 @@ impl Scheduler {
                 // no flush, no sweep, no dispatch — may run.
                 continue;
             }
-            // 3. Periodic distributed deadlock detection (Algorithm 4).
+            // 3. Distributed deadlock detection (Algorithm 4): due one
+            //    retry interval after a wait began, or at the period.
             if Instant::now() >= self.next_detection {
                 self.next_detection = Instant::now() + self.cfg.deadlock_period;
                 if self.wfg_deadline.is_none()
@@ -1369,18 +1377,23 @@ impl Scheduler {
         }
     }
 
+    /// Parks `id` until its jittered retry, and arms a detection round
+    /// one retry interval from now: a distributed cycle is broken about
+    /// when it forms, not at the next period tick.
     fn enter_wait(&mut self, id: TxnId) {
         let retry = self.jitter(RETRY_INTERVAL);
         let Some(idx) = self.txn_index(id) else {
             return;
         };
+        let now = Instant::now();
         let txn = &mut self.txns[idx];
         txn.set_phase(Phase::Waiting {
-            retry_at: Instant::now() + retry,
+            retry_at: now + retry,
         });
         if txn.wait_since.is_none() {
-            txn.wait_since = Some(Instant::now());
+            txn.wait_since = Some(now);
         }
+        self.next_detection = self.next_detection.min(now + RETRY_INTERVAL);
     }
 
     // -----------------------------------------------------------------
@@ -2014,7 +2027,7 @@ impl Scheduler {
         }
         self.wfg_deadline = None;
         // Union of all graphs (Alg. 4 l. 5), starting from the local one.
-        let mut merged = self.lockmgr.wfg().clone();
+        let mut merged = self.lockmgr.live_wfg();
         for g in self.wfg_replies.values() {
             merged.union(g);
         }
@@ -2245,7 +2258,7 @@ impl Scheduler {
                     Message::WfgReply {
                         site: self.site,
                         round,
-                        graph: self.lockmgr.wfg().clone(),
+                        graph: self.lockmgr.live_wfg(),
                     },
                 );
             }

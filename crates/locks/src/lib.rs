@@ -9,7 +9,8 @@
 //!   commit/abort (strict 2PL);
 //! * [`WaitForGraph`] — the per-site waits-for relation, with cycle
 //!   detection, graph union (the distributed detector of Algorithm 4
-//!   merges all sites' graphs), and newest-transaction victim selection;
+//!   merges all sites' graphs), the live-edge filter over a
+//!   [`LockTable`], and newest-transaction victim selection;
 //! * [`LockProtocol`] implementations:
 //!   [`protocol::Xdgl`] — the paper's adapted XDGL rules;
 //!   [`protocol::Node2Pl`] — the coarse tree-locking baseline the

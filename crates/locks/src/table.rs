@@ -186,6 +186,18 @@ impl LockTable {
         out
     }
 
+    /// True when `holder` holds a lock on `node` that is incompatible with
+    /// `mode` — the rule [`LockTable::try_acquire`] refuses by, so a
+    /// refused request whose holders no longer block it would now be
+    /// granted by them.
+    pub fn blocks(&self, holder: TxnId, node: GuideId, mode: LockMode) -> bool {
+        self.grants.get(&node).is_some_and(|grants| {
+            grants
+                .iter()
+                .any(|g| g.txn == holder && !g.mode.compatible(mode))
+        })
+    }
+
     /// The modes `txn` holds on `node`.
     pub fn modes_of(&self, txn: TxnId, node: GuideId) -> Vec<LockMode> {
         self.grants
@@ -313,6 +325,25 @@ mod tests {
         assert_eq!(t.total_grants(), 2);
         t.release_scoped(TxnId(1), &[(g(3), IX)]);
         assert_eq!(t.modes_of(TxnId(1), g(3)), vec![IS]);
+    }
+
+    #[test]
+    fn blocks_follows_the_refusal_rule() {
+        let mut t = LockTable::new();
+        t.try_acquire(TxnId(1), g(4), ST);
+        t.try_acquire(TxnId(1), g(5), IS);
+        // t2's IX on node 4 is refused by t1's ST, and only by it.
+        assert!(!t.try_acquire(TxnId(2), g(4), IX).is_granted());
+        assert!(t.blocks(TxnId(1), g(4), IX));
+        assert!(!t.blocks(TxnId(1), g(4), ST), "ST is compatible with ST");
+        assert!(!t.blocks(TxnId(1), g(5), IX), "IS is compatible with IX");
+        assert!(!t.blocks(TxnId(3), g(4), IX), "t3 holds nothing");
+        // Once t1's ST on node 4 is gone, it blocks nothing there, though
+        // it still holds a lock elsewhere.
+        t.release_scoped(TxnId(1), &[(g(4), ST)]);
+        assert!(!t.blocks(TxnId(1), g(4), IX));
+        assert!(!t.is_lock_free(TxnId(1)));
+        assert!(t.try_acquire(TxnId(2), g(4), IX).is_granted());
     }
 
     #[test]

@@ -3,17 +3,23 @@
 //! Each DTX site maintains a local [`WaitForGraph`]: an edge `t → u` means
 //! transaction `t` waits for a lock held by `u` (added in Algorithm 3 l. 8
 //! when a lock request conflicts). Local cycles are detected immediately on
-//! edge insertion; **distributed** deadlocks are found by the periodic
-//! process of Algorithm 4, which requests every site's graph, unions them
-//! ([`WaitForGraph::union`]) and checks the union for cycles — "verifies if
-//! a circle is present at the union of the wait-for graphs".
+//! edge insertion; **distributed** deadlocks are found by the rounds of
+//! Algorithm 4, which request every site's graph, union them
+//! ([`WaitForGraph::union`]) and check the union for cycles — "verifies if
+//! a circle is present at the union of the wait-for graphs". A site
+//! contributes only the edges whose holder still blocks the waiter
+//! ([`WaitForGraph::live`]), and a round starts shortly after a
+//! transaction begins to wait, with the paper's period as the backstop.
 //!
 //! Victim selection follows the paper: "the most recent transaction
 //! involved in the circle is rolled back"
 //! ([`WaitForGraph::newest_in_cycle`]); recency is the transaction id's
 //! start order (see [`crate::txn::TxnId`]).
 
+use crate::modes::LockMode;
+use crate::table::LockTable;
 use crate::txn::TxnId;
+use dtx_dataguide::GuideId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -122,6 +128,35 @@ impl WaitForGraph {
                 .or_default()
                 .extend(holders.iter().copied());
         }
+    }
+
+    /// The waits that are still real: edge `waiter → holder` is kept only
+    /// when `holder` still [`LockTable::blocks`] the request `waiter` was
+    /// refused, as recorded in `refused` (one request per waiter: a
+    /// transaction waits on one operation at a time). An edge outlives
+    /// its lock when the holder released it without releasing everything
+    /// here — one operation of it undone, say — and such an edge must not
+    /// close a cycle.
+    pub fn live(
+        &self,
+        table: &LockTable,
+        refused: &HashMap<TxnId, (GuideId, LockMode)>,
+    ) -> WaitForGraph {
+        let mut live = WaitForGraph::new();
+        for (&waiter, holders) in &self.edges {
+            let Some(&(node, mode)) = refused.get(&waiter) else {
+                continue;
+            };
+            let kept: HashSet<TxnId> = holders
+                .iter()
+                .copied()
+                .filter(|&h| table.blocks(h, node, mode))
+                .collect();
+            if !kept.is_empty() {
+                live.edges.insert(waiter, kept);
+            }
+        }
+        live
     }
 
     /// Finds a cycle, returning its transactions (in cycle order) if one

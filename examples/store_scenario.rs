@@ -5,8 +5,9 @@
 //! (Fig. 4). Transactions t1 and t2 interleave so that t1 holds query
 //! locks on d1 while t2 holds query locks on d2, then each tries to
 //! insert into the other's document — a **distributed deadlock** (Fig. 6)
-//! that neither site can see alone. The periodic detector (Algorithm 4)
-//! unions the wait-for graphs, finds the circle, and aborts the most
+//! that neither site can see alone. The distributed detector
+//! (Algorithm 4), whose round the first wait arms, unions the wait-for
+//! graphs, finds the circle, and aborts the most
 //! recent transaction (t2). t1 then commits, and t3 — submitted
 //! afterwards, like the paper's client c2 deciding to move on — commits
 //! cleanly.

@@ -161,8 +161,8 @@ fn t3_commits_after_the_conflict() {
 #[test]
 fn forced_distributed_deadlock_is_detected() {
     // Create the Fig. 6 situation repeatedly. A deadlock can be resolved
-    // by either of the paper's two mechanisms: the periodic distributed
-    // detector (Algorithm 4, which aborts the *newest* transaction in the
+    // by either of the paper's two mechanisms: the distributed detector
+    // (Algorithm 4, which aborts the *newest* transaction in the
     // circle) or the immediate deadlock tag when a lock request closes a
     // cycle in a site's local graph (Algorithm 3 l. 9-10, upon which the
     // coordinator aborts the *requesting* transaction, Alg. 1 l. 19-20).
