@@ -167,6 +167,48 @@ fn commit_local(c: &mut Criterion) {
             })
         });
     }
+    // The release side of a lock wait: 64 inserts were refused by one
+    // scan of the products; the scan's commit reassesses each against the
+    // request it was refused and lifts all of them.
+    let xml = format!(
+        "<products>{}</products>",
+        "<product><id>1</id></product>".repeat(8)
+    );
+    let scan = OpSpec::query("d", Query::parse("/products/product").unwrap());
+    let insert = OpSpec::update(
+        "d",
+        UpdateOp::Insert {
+            target: Query::parse("/products").unwrap(),
+            fragment: Fragment::elem("product", vec![]),
+            pos: InsertPos::Into,
+        },
+    );
+    group.bench_function("lifts_64_waiters", |b| {
+        b.iter_batched(
+            || {
+                let mut lm =
+                    LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(MemStore::free()));
+                lm.put_and_load("d", &xml).unwrap();
+                let up = TxnMode::Updating;
+                let held = lm.process_operation(TxnId(0), 0, &scan, up, false);
+                assert!(matches!(held, ProcessResult::Executed(_)), "{held:?}");
+                for w in 1..=64 {
+                    let refused = lm.process_operation(TxnId(w), 0, &insert, up, false);
+                    assert!(
+                        matches!(refused, ProcessResult::Conflict { .. }),
+                        "{refused:?}"
+                    );
+                }
+                lm
+            },
+            |mut lm| {
+                let lifted = lm.commit_local(TxnId(0)).unwrap();
+                assert_eq!(lifted.len(), 64);
+                lm
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

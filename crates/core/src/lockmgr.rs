@@ -143,8 +143,9 @@ pub struct LockManager {
     wfg: WaitForGraph,
     /// The request each waiter of `wfg` was refused (one per waiter: a
     /// transaction waits on one operation at a time), kept and dropped
-    /// with the waiter's out-edges. [`LockManager::live_wfg`] checks the
-    /// edges against it.
+    /// with the waiter's out-edges. A release reassesses its waiters
+    /// against it (`lift_waiters`), and [`LockManager::live_wfg`] checks
+    /// the edges against it.
     refused: HashMap<TxnId, AcquiredLock>,
     /// Versioned snapshots of every hosted document: its committed state
     /// as installed and as of each local commit that wrote it (an abort
@@ -412,11 +413,14 @@ impl LockManager {
         //    (Alg. 3 l. 3-4). Guide ids are offset by the document tag so
         //    replicas of different documents never alias in the shared
         //    table.
+        //    Only new grants are this operation's to release: a request an
+        //    earlier operation's lock covers leaves that lock to it.
         let mut acquired: Vec<AcquiredLock> = Vec::new();
         for req in &requests {
             let lock = (doc_scoped(tag, req.node), req.mode);
             match self.table.try_acquire(txn, lock.0, lock.1) {
                 LockOutcome::Granted => acquired.push(lock),
+                LockOutcome::Covered => {}
                 LockOutcome::Conflict(holders) => {
                     // Roll back this operation's acquisitions (Alg. 3 l. 12).
                     self.table.release_scoped(txn, &acquired);
@@ -435,10 +439,11 @@ impl LockManager {
                     // tagging only it keeps the immediate tag and the
                     // distributed detector (Alg. 4) choosing the *same*
                     // victim — otherwise two mutually-deadlocked
-                    // transactions retrying in lockstep (speculative wakes
-                    // synchronize retries) can both see the cycle and both
-                    // abort. The refused request is kept beside the edges,
-                    // so a detection round can tell which still hold.
+                    // transactions retrying in lockstep (one release lifts
+                    // both) can both see the cycle and both abort. The
+                    // refused request is kept beside the edges, so a
+                    // detection round can tell which still hold, and a
+                    // release which waiters it lifts.
                     self.wfg.clear_waits_of(txn);
                     self.wfg.add_edges(txn, &holders);
                     self.refused.insert(txn, lock);
@@ -518,8 +523,8 @@ impl LockManager {
     /// executed here but failed to acquire locks at a sibling site —
     /// Alg. 1 l. 16) and releases the locks that operation took.
     ///
-    /// Returns the transactions that were waiting on `txn` here and may
-    /// now be able to acquire their locks (speculative-wake feed).
+    /// Returns the waiters this release lifted (see `lift_waiters`), even
+    /// when `txn` keeps other locks here.
     pub fn undo_op(&mut self, txn: TxnId, op_seq: usize) -> Vec<TxnId> {
         if let Some(entries) = self.undo_log.get_mut(&txn) {
             let (undone, kept): (Vec<_>, Vec<_>) = std::mem::take(entries)
@@ -536,18 +541,12 @@ impl LockManager {
                 self.roll_back(e);
             }
         }
-        if let Some(locks) = self.op_locks.remove(&(txn, op_seq)) {
-            self.table.release_scoped(txn, &locks);
-        }
-        // If the transaction no longer holds anything here, nobody is
-        // genuinely waiting for it here either.
-        if self.table.is_lock_free(txn) {
-            let waiters = self.wfg.waiters_of(txn);
-            self.wfg.remove_edges_into(txn);
-            waiters
-        } else {
-            Vec::new()
-        }
+        let Some(locks) = self.op_locks.remove(&(txn, op_seq)) else {
+            return Vec::new();
+        };
+        self.table.release_scoped(txn, &locks);
+        let waiters = self.wfg.waiters_of(txn);
+        self.lift_waiters(waiters)
     }
 
     /// Commits `txn` locally: persist the committed state of every
@@ -556,8 +555,8 @@ impl LockManager {
     /// transaction that wrote nothing here — a reader, or a writer whose
     /// operations were all undone — persists and publishes nothing.
     ///
-    /// On success returns the transactions that were waiting on `txn` here
-    /// (speculative-wake feed: they may now acquire their locks).
+    /// On success returns the waiters its release lifted: those no holder
+    /// blocks any more (see `lift_waiters`).
     pub fn commit_local(&mut self, txn: TxnId) -> StorageResult<Vec<TxnId>> {
         self.release_snapshots(txn);
         // Out of the log first: from here on `txn`'s updates are part of
@@ -593,8 +592,8 @@ impl LockManager {
     /// any snapshot ever held those updates, so there is nothing to
     /// persist or publish: an abort cannot change what a reader sees.
     ///
-    /// Returns the transactions that were waiting on `txn` here
-    /// (speculative-wake feed: they may now acquire their locks).
+    /// Returns the waiters its release lifted: those no holder blocks any
+    /// more (see `lift_waiters`).
     pub fn abort_local(&mut self, txn: TxnId) -> Vec<TxnId> {
         self.release_snapshots(txn);
         self.clear_indoubt(txn);
@@ -616,12 +615,36 @@ impl LockManager {
 
     /// Strict 2PL release at termination: every lock of `txn` goes, and
     /// so does `txn` from the waits-for relation, with its refusal record.
-    /// Returns the transactions that were waiting on it here.
+    /// Returns the waiters the release lifted.
     fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
         self.table.release_all(txn);
         let waiters = self.wfg.waiters_of(txn);
         self.wfg.remove_txn(txn);
         self.refused.remove(&txn);
+        self.lift_waiters(waiters)
+    }
+
+    /// Reassesses `waiters` after a release, each against the request it
+    /// was refused: a waiter that no holder blocks any more is *lifted* —
+    /// its edges and refusal record go, and it is returned, so its
+    /// coordinator can retry it now. A waiter that is still blocked keeps
+    /// waiting, its edges re-pointed at its current blockers, a holder
+    /// granted after the refusal included.
+    fn lift_waiters(&mut self, mut waiters: Vec<TxnId>) -> Vec<TxnId> {
+        waiters.retain(|&w| {
+            let blockers = match self.refused.get(&w) {
+                Some(&(node, mode)) => self.table.blockers(w, node, mode),
+                None => Vec::new(),
+            };
+            self.wfg.clear_waits_of(w);
+            if blockers.is_empty() {
+                self.refused.remove(&w);
+                true
+            } else {
+                self.wfg.add_edges(w, &blockers);
+                false
+            }
+        });
         waiters
     }
 
@@ -1067,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn release_reports_waiters_for_speculative_wake() {
+    fn a_release_lifts_every_waiter_it_unblocks() {
         let mut lm = manager();
         let scan = OpSpec::query("d2", q("/products/product"));
         assert!(matches!(
@@ -1431,14 +1454,14 @@ mod tests {
         // t2's name change waits on t1's ST(name).
         let renamed = lm.process_operation(t2, 1, &change("/products/product/name"), up, false);
         assert!(matches!(renamed, ProcessResult::Conflict { .. }));
-        // A sibling site refused t1's op 1: it is undone here, ST(name)
-        // goes, but t1 still holds its op-0 locks, so t2 → t1 stays.
-        assert!(lm.undo_op(t1, 1).is_empty());
+        // A sibling site refused t1's op 1: it is undone here and ST(name)
+        // goes. t1 still holds its op-0 locks, but none of them blocks
+        // t2's name change, so the undo lifts t2 and drops t2 → t1.
+        assert_eq!(lm.undo_op(t1, 1), vec![t2]);
         assert!(!lm.table.is_lock_free(t1));
-        assert_eq!(lm.wfg().waits_for(t2), vec![t1]);
-        assert!(lm.live_wfg().waits_for(t2).is_empty());
-        // t1's price change really waits on t2's ST(price). With the
-        // stale edge that is a cycle; with live edges it is a plain wait.
+        assert!(lm.wfg().waits_for(t2).is_empty());
+        // t1's price change really waits on t2's ST(price). A t2 → t1
+        // edge left behind would close a cycle; this is a plain wait.
         let repriced = lm.process_operation(t1, 2, &change("/products/product/price"), up, false);
         assert!(matches!(
             repriced,
@@ -1447,9 +1470,116 @@ mod tests {
                 ..
             }
         ));
-        assert!(lm.wfg().has_cycle());
-        assert!(!lm.live_wfg().has_cycle());
+        assert!(!lm.wfg().has_cycle());
         assert_eq!(lm.live_wfg().edges(), vec![(t1, t2)]);
+    }
+
+    /// Inserting a product: X on the `product` guide node, refused by any
+    /// scan of the products.
+    fn insert_product() -> OpSpec {
+        OpSpec::update(
+            "d2",
+            UpdateOp::Insert {
+                target: q("/products"),
+                fragment: Fragment::elem("product", vec![]),
+                pos: InsertPos::Into,
+            },
+        )
+    }
+
+    fn executes(lm: &mut LockManager, txn: u64, op_seq: usize, op: &OpSpec) -> bool {
+        matches!(
+            lm.process_operation(TxnId(txn), op_seq, op, TxnMode::Updating, false),
+            ProcessResult::Executed(_)
+        )
+    }
+
+    #[test]
+    fn a_waiter_is_lifted_only_when_its_last_blocker_releases() {
+        let mut lm = manager();
+        let scan = OpSpec::query("d2", q("/products/product"));
+        assert!(executes(&mut lm, 1, 0, &scan));
+        assert!(executes(&mut lm, 2, 0, &scan));
+        assert!(!executes(&mut lm, 3, 0, &insert_product()));
+        let mut blockers = lm.wfg().waits_for(TxnId(3));
+        blockers.sort();
+        assert_eq!(blockers, [TxnId(1), TxnId(2)]);
+        // t2's scan still refuses t3: no lift, and the wait now names only
+        // the holder that blocks it.
+        assert!(lm.commit_local(TxnId(1)).unwrap().is_empty());
+        assert_eq!(lm.wfg().waits_for(TxnId(3)), [TxnId(2)]);
+        assert_eq!(lm.live_wfg().edges(), [(TxnId(3), TxnId(2))]);
+        assert_eq!(lm.commit_local(TxnId(2)).unwrap(), [TxnId(3)]);
+        assert!(lm.wfg().is_empty());
+        assert!(executes(&mut lm, 3, 0, &insert_product()));
+    }
+
+    #[test]
+    fn a_holder_granted_after_the_refusal_is_named_when_the_first_releases() {
+        let mut lm = manager();
+        let scan = OpSpec::query("d2", q("/products/product"));
+        assert!(executes(&mut lm, 1, 0, &scan));
+        assert!(!executes(&mut lm, 3, 0, &insert_product()));
+        assert_eq!(lm.wfg().waits_for(TxnId(3)), [TxnId(1)]);
+        // Locks are not queued: t2's scan is granted beside t1's while t3
+        // waits, and it refuses t3 too.
+        assert!(executes(&mut lm, 2, 0, &scan));
+        assert!(lm.commit_local(TxnId(1)).unwrap().is_empty());
+        assert_eq!(lm.wfg().waits_for(TxnId(3)), [TxnId(2)]);
+        assert_eq!(lm.abort_local(TxnId(2)), [TxnId(3)]);
+    }
+
+    /// t1 reads the prices (op 0), which takes IS on `product`, and then
+    /// runs `op1` as its op 1. Returns whether t3's removal of every
+    /// product executes afterwards, while t1 is still active.
+    fn remove_products_beside_t1(op1: impl FnOnce(&mut LockManager)) -> bool {
+        let mut lm = manager();
+        let prices = OpSpec::query("d2", q("/products/product/price"));
+        assert!(executes(&mut lm, 1, 0, &prices));
+        op1(&mut lm);
+        let remove = OpSpec::update(
+            "d2",
+            UpdateOp::Remove {
+                target: q("/products/product"),
+            },
+        );
+        match lm.process_operation(TxnId(3), 0, &remove, TxnMode::Updating, false) {
+            ProcessResult::Executed(OpResult::Update { affected }) => {
+                assert_eq!(affected, 2);
+                true
+            }
+            ProcessResult::Conflict { holders, .. } => {
+                assert_eq!(holders, [TxnId(1)]);
+                false
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_refused_operations_rollback_keeps_the_locks_earlier_operations_hold() {
+        let names = OpSpec::query("d2", q("/products/product/name"));
+        let rename = OpSpec::update(
+            "d2",
+            UpdateOp::Change {
+                target: q("/products/product/name"),
+                new_value: "x".into(),
+            },
+        );
+        // Control: t1's op-0 IS on `product` refuses the removal.
+        assert!(!remove_products_beside_t1(|_| {}));
+        // t1's op 1 asks for that IS again (covered) and is then refused
+        // on `name`; rolling op 1 back must leave op 0's IS in place.
+        assert!(!remove_products_beside_t1(|lm| {
+            assert!(executes(lm, 2, 0, &rename));
+            assert!(!executes(lm, 1, 1, &names));
+            lm.commit_local(TxnId(2)).unwrap();
+        }));
+        // The same for op 1 executed and then undone singly.
+        assert!(!remove_products_beside_t1(|lm| {
+            assert!(executes(lm, 1, 1, &names));
+            lm.undo_op(TxnId(1), 1);
+        }));
     }
 
     #[test]

@@ -138,10 +138,11 @@ pub enum Message {
         /// The deadlock victim.
         txn: TxnId,
     },
-    /// Participant → coordinator of a waiter: locks the waiter was blocked
-    /// on were just released here — retry now instead of waiting out the
-    /// blind retry timer. Purely an acceleration hint; losing it only
-    /// costs the timer interval.
+    /// Participant → coordinator of a waiter: this site (the envelope's
+    /// `from`) lifted its refusal — a release left no holder blocking the
+    /// request it refused the waiter. The waiter retries once every site
+    /// that refused its attempt has lifted. Losing one costs the
+    /// coordinator's wait backstop.
     Wake {
         /// The transaction that may now acquire its locks.
         txn: TxnId,

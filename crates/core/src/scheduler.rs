@@ -38,13 +38,18 @@
 //! blocked but could drive only **one** coordinated round-trip at a time.
 //!
 //! Transactions denied a lock enter **wait mode** (Alg. 1 l. 9/17,
-//! `Phase::Waiting`) and are retried after a short jittered interval;
-//! their wait-for edges live in the lock-holding site's graph until the
-//! retry succeeds or a deadlock detector aborts a victim. Entering wait
-//! mode arms a detection round one retry interval later, so the paper's
-//! periodic process runs when a cycle can have formed; the period is
-//! only the backstop. A round unions each site's *live* edges, those
-//! whose holder still blocks the waiter's refused request.
+//! `Phase::Waiting`) and "start executing again" when every site that
+//! refused the attempt has *lifted* its refusal: a site lifts a waiter
+//! when a release leaves no holder blocking the request it was refused
+//! (a local lift, or a [`Message::Wake`] to a remote coordinator). A
+//! waiter whose refusing sites have not all lifted retries after a
+//! jittered `WAIT_BACKSTOP` anyway. Its wait-for edges live in the
+//! refusing site's graph until the retry succeeds or a deadlock detector
+//! aborts a victim. Entering wait mode arms a detection round one retry
+//! interval later, so the paper's periodic process runs when a cycle can
+//! have formed; the period is only the backstop. A round unions each
+//! site's *live* edges, those whose holder still blocks the waiter's
+//! refused request.
 //!
 //! ## Group commit
 //!
@@ -97,9 +102,15 @@ const MAX_STALE_REROUTES: u32 = 16;
 /// replaying an image both run in O(chunk + depth) transient memory.
 const WAL_DOC_CHUNK: usize = 4096;
 
-/// How long a waiting transaction pauses before retrying its blocked
-/// operation (jittered ±50 %).
+/// How soon after a transaction begins to wait the detector round runs:
+/// long enough for a cycle's other waits to be recorded.
 const RETRY_INTERVAL: Duration = Duration::from_millis(2);
+
+/// How long a waiting transaction whose refusing sites have not all lifted
+/// their refusals pauses before retrying anyway (jittered ±50 %). Covers
+/// refusals no release lifts (the replica copy and in-doubt fences) and
+/// lifts lost with a site or a message.
+const WAIT_BACKSTOP: Duration = Duration::from_millis(50);
 
 /// Safety net: a transaction continuously in wait mode longer than this
 /// is aborted (covers pathological workloads; the detector normally
@@ -302,11 +313,14 @@ pub struct DocShipment {
 enum Phase {
     /// Runnable: the next operation can be dispatched.
     Ready,
-    /// Lock-denied (Alg. 1 l. 9/17): retry the blocked operation at
-    /// `retry_at`.
+    /// Lock-denied (Alg. 1 l. 9/17): retry the blocked operation once
+    /// every site in `refusing` lifted its refusal, or at `retry_at`.
     Waiting {
-        /// When the jittered retry fires.
+        /// When the retry fires: now once `refusing` is empty, else the
+        /// jittered backstop.
         retry_at: Instant,
+        /// Sites whose refusal of the last attempt is not lifted yet.
+        refusing: Vec<SiteId>,
     },
     /// A distributed operation is in flight (Alg. 1 l. 14): responses are
     /// collected under `corr` until every site in `sites` reported (or
@@ -325,6 +339,9 @@ enum Phase {
         fragmented: bool,
         /// Response deadline (remote timeout).
         deadline: Instant,
+        /// Sites that lifted their refusal after their response arrived
+        /// (links are FIFO, so an earlier lift was for an earlier attempt).
+        lifted: Vec<SiteId>,
     },
     /// Presumed-abort vote requests sent ([`Message::Prepare`]); awaiting
     /// `expected` votes. Only distributed **update** transactions pass
@@ -869,7 +886,7 @@ impl Scheduler {
         }
         for t in &self.txns {
             let at = match t.phase {
-                Phase::Waiting { retry_at } => retry_at,
+                Phase::Waiting { retry_at, .. } => retry_at,
                 Phase::AwaitingRemoteOps { deadline, .. }
                 | Phase::AwaitingPrepareAcks { deadline, .. }
                 | Phase::AwaitingCommitAcks { deadline, .. }
@@ -893,7 +910,7 @@ impl Scheduler {
             let idx = (self.rr_cursor + off) % n;
             let ready = match self.txns[idx].phase {
                 Phase::Ready => true,
-                Phase::Waiting { retry_at } => now >= retry_at,
+                Phase::Waiting { retry_at, .. } => now >= retry_at,
                 _ => false,
             };
             if ready {
@@ -1038,7 +1055,7 @@ impl Scheduler {
                 }
                 ProcessResult::Conflict { .. } => {
                     // snapshot_read never conflicts; treat defensively.
-                    self.enter_wait(id);
+                    self.enter_wait(id, vec![self.site]);
                 }
                 ProcessResult::Failed(e) => {
                     self.begin_abort(id, AbortReason::OperationFailed(e));
@@ -1047,7 +1064,7 @@ impl Scheduler {
             return;
         }
         if op.is_update() && self.fence_blocks(id, &op.doc) {
-            self.enter_wait(id);
+            self.enter_wait(id, vec![self.site]);
             return;
         }
         match self.lockmgr.process_operation(id, op_seq, op, mode, false) {
@@ -1057,7 +1074,7 @@ impl Scheduler {
                     // Alg. 1 l. 19-20 via Alg. 3's deadlock tag.
                     self.begin_abort(id, AbortReason::Deadlock);
                 } else {
-                    self.enter_wait(id);
+                    self.enter_wait(id, vec![self.site]);
                 }
             }
             ProcessResult::Failed(e) => {
@@ -1129,6 +1146,7 @@ impl Scheduler {
                 sites: sites.to_vec(),
                 fragmented,
                 deadline: Instant::now() + self.cfg.remote_timeout,
+                lifted: Vec::new(),
             },
         );
         self.note_remote_inflight();
@@ -1171,12 +1189,14 @@ impl Scheduler {
             op_seq,
             ref sites,
             fragmented,
+            ref lifted,
             ..
         } = self.txns[idx].phase
         else {
             return;
         };
         let sites = sites.clone();
+        let lifted = lifted.clone();
         let mut statuses = self.pending_done.remove(&corr).unwrap_or_default();
         if !complete {
             // A participant did not answer: undo what executed and abort.
@@ -1234,12 +1254,18 @@ impl Scheduler {
         let any_deadlock = statuses.values().any(|d| d.deadlock);
         let all_acquired = statuses.values().all(|d| d.acquired);
         if !all_acquired {
-            // Alg. 1 l. 15-17: undo wherever it executed, then wait.
+            // Alg. 1 l. 15-17: undo wherever it executed, then wait for
+            // the refusals not lifted yet.
             self.undo_partial(id, op_seq, &statuses);
             if any_deadlock {
                 self.begin_abort(id, AbortReason::Deadlock);
             } else {
-                self.enter_wait(id);
+                let refusing = statuses
+                    .iter()
+                    .filter(|&(s, d)| !d.acquired && !lifted.contains(s))
+                    .map(|(&s, _)| s)
+                    .collect();
+                self.enter_wait(id, refusing);
             }
             return;
         }
@@ -1340,23 +1366,46 @@ impl Scheduler {
         }
     }
 
-    /// Speculative wake (the lock table's release feed): transactions that
-    /// were blocked on just-released locks retry **now** instead of
-    /// waiting out their blind retry timer. Local waiters' retry times are
-    /// pulled to the present; waiters coordinated elsewhere get a
-    /// [`Message::Wake`] hint.
+    /// Passes on the lifts of a release here (the waiters no holder
+    /// blocks any more, see `LockManager::lift_waiters`): a waiter
+    /// coordinated here is lifted at once, one coordinated elsewhere gets
+    /// a [`Message::Wake`].
     fn wake_waiters(&mut self, waiters: Vec<TxnId>) {
-        let now = Instant::now();
         for w in waiters {
-            if let Some(idx) = self.txn_index(w) {
-                if matches!(self.txns[idx].phase, Phase::Waiting { .. }) {
-                    self.txns[idx].set_phase(Phase::Waiting { retry_at: now });
-                }
+            if self.txn_index(w).is_some() {
+                self.lift(w, self.site);
             } else if let Some(&coord) = self.txn_coord.get(&w) {
                 if coord != self.site {
                     let _ = self.net.send(self.site, coord, Message::Wake { txn: w });
                 }
             }
+        }
+    }
+
+    /// `site` lifted its refusal of `id`. A waiter retries now once no
+    /// refusing site is left. An attempt in flight keeps the lift for when
+    /// it is refused, but only if `site` already answered it: links are
+    /// FIFO, so a lift that overtook the answer was for an earlier attempt.
+    fn lift(&mut self, id: TxnId, site: SiteId) {
+        let Some(idx) = self.txn_index(id) else {
+            return;
+        };
+        match &mut self.txns[idx].phase {
+            Phase::Waiting { retry_at, refusing } => {
+                refusing.retain(|&s| s != site);
+                if refusing.is_empty() {
+                    *retry_at = Instant::now();
+                }
+            }
+            Phase::AwaitingRemoteOps { corr, lifted, .. }
+                if self
+                    .pending_done
+                    .get(corr)
+                    .is_some_and(|answers| answers.contains_key(&site)) =>
+            {
+                lifted.push(site);
+            }
+            _ => {}
         }
     }
 
@@ -1377,23 +1426,30 @@ impl Scheduler {
         }
     }
 
-    /// Parks `id` until its jittered retry, and arms a detection round
-    /// one retry interval from now: a distributed cycle is broken about
-    /// when it forms, not at the next period tick.
-    fn enter_wait(&mut self, id: TxnId) {
-        let retry = self.jitter(RETRY_INTERVAL);
+    /// Parks `id` until every site in `refusing` lifts its refusal, or
+    /// the jittered backstop, and arms a detection round one retry
+    /// interval from now: a distributed cycle is broken about when it
+    /// forms, not at the next period tick. With nothing left to wait for
+    /// (every refusal lifted while the attempt was in flight) it retries
+    /// at once.
+    fn enter_wait(&mut self, id: TxnId, refusing: Vec<SiteId>) {
+        let backstop = self.jitter(WAIT_BACKSTOP);
         let Some(idx) = self.txn_index(id) else {
             return;
         };
         let now = Instant::now();
+        let waits = !refusing.is_empty();
         let txn = &mut self.txns[idx];
         txn.set_phase(Phase::Waiting {
-            retry_at: now + retry,
+            retry_at: if waits { now + backstop } else { now },
+            refusing,
         });
         if txn.wait_since.is_none() {
             txn.wait_since = Some(now);
         }
-        self.next_detection = self.next_detection.min(now + RETRY_INTERVAL);
+        if waits {
+            self.next_detection = self.next_detection.min(now + RETRY_INTERVAL);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -2273,18 +2329,7 @@ impl Scheduler {
                     self.abort_victim(txn);
                 }
             }
-            Message::Wake { txn } => {
-                // A participant released locks this transaction was
-                // blocked on: retry immediately instead of waiting out the
-                // timer. (Only meaningful while it is still waiting.)
-                if let Some(idx) = self.txn_index(txn) {
-                    if matches!(self.txns[idx].phase, Phase::Waiting { .. }) {
-                        self.txns[idx].set_phase(Phase::Waiting {
-                            retry_at: Instant::now(),
-                        });
-                    }
-                }
-            }
+            Message::Wake { txn } => self.lift(txn, env.from),
             Message::ClearWaits { txn } => {
                 self.lockmgr.clear_waits(txn);
             }

@@ -26,16 +26,19 @@ use std::collections::HashMap;
 /// Outcome of a lock request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LockOutcome {
-    /// The lock was granted (or already covered).
+    /// A new grant was recorded for the request.
     Granted,
+    /// An own lock already covers the request: nothing was recorded, so
+    /// the request has nothing of its own to release later.
+    Covered,
     /// The lock conflicts with these transactions' holdings.
     Conflict(Vec<TxnId>),
 }
 
 impl LockOutcome {
-    /// True for [`LockOutcome::Granted`].
+    /// True for [`LockOutcome::Granted`] and [`LockOutcome::Covered`].
     pub fn is_granted(&self) -> bool {
-        matches!(self, LockOutcome::Granted)
+        !matches!(self, LockOutcome::Conflict(_))
     }
 }
 
@@ -78,7 +81,8 @@ impl LockTable {
     ///
     /// Grants when every lock held by *other* transactions on `node` is
     /// compatible with `mode`. Own locks never conflict; if an own lock
-    /// already [`LockMode::covers`] the request, nothing is recorded.
+    /// already [`LockMode::covers`] the request, nothing is recorded and
+    /// the outcome is [`LockOutcome::Covered`].
     pub fn try_acquire(&mut self, txn: TxnId, node: GuideId, mode: LockMode) -> LockOutcome {
         let grants = self.grants.entry(node).or_default();
         let mut conflicts: Vec<TxnId> = Vec::new();
@@ -101,15 +105,16 @@ impl LockTable {
             });
             return LockOutcome::Conflict(conflicts);
         }
-        if !covered {
-            grants.push(Grant { txn, mode });
-            self.by_txn.entry(txn).or_default().push((node, mode));
-            self.trace.emit(|| EventKind::LockGrant {
-                txn: txn.0,
-                node: node.0,
-                mode: mode.name(),
-            });
+        if covered {
+            return LockOutcome::Covered;
         }
+        grants.push(Grant { txn, mode });
+        self.by_txn.entry(txn).or_default().push((node, mode));
+        self.trace.emit(|| EventKind::LockGrant {
+            txn: txn.0,
+            node: node.0,
+            mode: mode.name(),
+        });
         LockOutcome::Granted
     }
 
@@ -198,6 +203,19 @@ impl LockTable {
         })
     }
 
+    /// The transactions whose locks on `node` refuse `mode` to `waiter`,
+    /// by [`LockTable::try_acquire`]'s rule, without requesting anything:
+    /// empty when the request would now be granted.
+    pub fn blockers(&self, waiter: TxnId, node: GuideId, mode: LockMode) -> Vec<TxnId> {
+        let mut out = Vec::new();
+        for g in self.grants.get(&node).into_iter().flatten() {
+            if g.txn != waiter && !g.mode.compatible(mode) && !out.contains(&g.txn) {
+                out.push(g.txn);
+            }
+        }
+        out
+    }
+
     /// The modes `txn` holds on `node`.
     pub fn modes_of(&self, txn: TxnId, node: GuideId) -> Vec<LockMode> {
         self.grants
@@ -263,13 +281,13 @@ mod tests {
     #[test]
     fn reentrant_and_covered_requests() {
         let mut t = LockTable::new();
-        assert!(t.try_acquire(TxnId(1), g(2), X).is_granted());
+        assert_eq!(t.try_acquire(TxnId(1), g(2), X), LockOutcome::Granted);
         // Own conflicting mode is fine (re-entrancy).
-        assert!(t.try_acquire(TxnId(1), g(2), ST).is_granted());
+        assert_eq!(t.try_acquire(TxnId(1), g(2), ST), LockOutcome::Covered);
         // X covers ST, so no extra grant was recorded for ST.
         assert_eq!(t.modes_of(TxnId(1), g(2)), vec![X]);
         // A covered re-request of the same mode records nothing.
-        assert!(t.try_acquire(TxnId(1), g(2), X).is_granted());
+        assert_eq!(t.try_acquire(TxnId(1), g(2), X), LockOutcome::Covered);
         assert_eq!(t.total_grants(), 1);
     }
 
@@ -344,6 +362,32 @@ mod tests {
         assert!(!t.blocks(TxnId(1), g(4), IX));
         assert!(!t.is_lock_free(TxnId(1)));
         assert!(t.try_acquire(TxnId(2), g(4), IX).is_granted());
+    }
+
+    #[test]
+    fn blockers_are_the_holders_a_request_would_be_refused_by() {
+        let mut t = LockTable::new();
+        t.try_acquire(TxnId(1), g(4), ST);
+        t.try_acquire(TxnId(2), g(4), ST);
+        t.try_acquire(TxnId(3), g(4), IS);
+        let mut who = t.blockers(TxnId(4), g(4), X);
+        who.sort();
+        assert_eq!(who, vec![TxnId(1), TxnId(2), TxnId(3)]);
+        // Own locks never block, compatible ones neither.
+        assert_eq!(t.blockers(TxnId(1), g(4), IX), vec![TxnId(2)]);
+        assert!(t.blockers(TxnId(4), g(4), ST).is_empty());
+        assert!(
+            t.blockers(TxnId(4), g(9), X).is_empty(),
+            "nobody holds node 9"
+        );
+        // The query agrees with the request it stands for.
+        match t.try_acquire(TxnId(1), g(4), IX) {
+            LockOutcome::Conflict(holders) => assert_eq!(holders, vec![TxnId(2)]),
+            other => panic!("{other:?}"),
+        }
+        t.release_all(TxnId(2));
+        assert!(t.blockers(TxnId(1), g(4), IX).is_empty());
+        assert!(t.try_acquire(TxnId(1), g(4), IX).is_granted());
     }
 
     #[test]

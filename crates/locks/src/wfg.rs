@@ -93,8 +93,9 @@ impl WaitForGraph {
     }
 
     /// The transactions currently waiting on `holder` (sorted): the set a
-    /// lock release by `holder` may unblock, used to wake waiters eagerly
-    /// instead of letting their retry timers expire.
+    /// lock release by `holder` may unblock. The lock manager reassesses
+    /// each against the request it was refused, and lifts those nobody
+    /// blocks any more.
     pub fn waiters_of(&self, holder: TxnId) -> Vec<TxnId> {
         let mut v: Vec<TxnId> = self
             .edges
