@@ -22,13 +22,6 @@
 //! * **recovery** — a participant killed and restarted against a 10-txn
 //!   WAL: zero committed-transaction loss, byte-identical replay, and
 //!   replay time on the fresh bounded-per-record line;
-//! * **trace** — the fig12 smoke mix run twice (sinks disabled, then
-//!   armed): tracing overhead inside the fresh band, the captured
-//!   timeline complete and certified by the protocol-invariant checker;
-//! * **openloop** — the fixed-rate open-loop smoke cell: every
-//!   scheduled arrival terminated, all four sites served as
-//!   coordinators, and the scheduled-arrival (coordinated-omission-
-//!   safe) p99 inside the fresh band;
 //! * **wire** — a 2-process `dtx-site` cluster driven over real TCP
 //!   with the `WIRE.md` codec: most of the 50-txn smoke mix commits,
 //!   bytes actually cross the wire, and the codec microbench stays
@@ -41,15 +34,12 @@
 //! failed check.
 
 use dtx_bench::gate::{
-    self, check_ingest_witness, check_net_witness, check_openloop_witness, check_reads_witness,
-    check_recovery_witness, check_throughput_witness, check_trace_witness, check_wire_witness,
-    Check,
+    self, check_ingest_witness, check_net_witness, check_reads_witness, check_recovery_witness,
+    check_throughput_witness, check_wire_witness, Check,
 };
 use dtx_bench::json::Json;
 use dtx_bench::netbench::storm;
-use dtx_bench::openloop;
 use dtx_bench::recovery::replay_point;
-use dtx_bench::tracebench::{best_of, overhead_pct};
 use dtx_bench::{run, setup, ExpEnv, BASE_BYTES, SEED};
 use dtx_core::ProtocolKind;
 use dtx_dataguide::{DataGuide, GuideBuilder};
@@ -219,8 +209,6 @@ fn main() {
     let ingest = load_witness("BENCH_ingest.json");
     let reads = load_witness("BENCH_reads.json");
     let recovery = load_witness("BENCH_recovery.json");
-    let trace = load_witness("BENCH_trace.json");
-    let openloop_doc = load_witness("BENCH_openloop.json");
     let wire = load_witness("BENCH_wire.json");
     for (name, loaded) in [
         ("BENCH_throughput.json", &throughput),
@@ -228,8 +216,6 @@ fn main() {
         ("BENCH_ingest.json", &ingest),
         ("BENCH_reads.json", &reads),
         ("BENCH_recovery.json", &recovery),
-        ("BENCH_trace.json", &trace),
-        ("BENCH_openloop.json", &openloop_doc),
         ("BENCH_wire.json", &wire),
     ] {
         if let Err(e) = loaded {
@@ -254,12 +240,6 @@ fn main() {
     }
     if let Ok(doc) = &recovery {
         all_ok &= print_checks("committed witness: recovery", &check_recovery_witness(doc));
-    }
-    if let Ok(doc) = &trace {
-        all_ok &= print_checks("committed witness: trace", &check_trace_witness(doc));
-    }
-    if let Ok(doc) = &openloop_doc {
-        all_ok &= print_checks("committed witness: openloop", &check_openloop_witness(doc));
     }
     if let Ok(doc) = &wire {
         all_ok &= print_checks("committed witness: wire", &check_wire_witness(doc));
@@ -372,31 +352,6 @@ fn main() {
         fresh: rp.elapsed_ms * 100.0 / (rp.records as f64).max(1.0),
     });
 
-    println!("\n# fresh run: trace overhead (16-client fig12 mix, sinks off vs armed, best of 3)");
-    let untraced = best_of(3, 16, SEED, false);
-    let traced = best_of(3, 16, SEED, true);
-    let overhead = overhead_pct(untraced.wall_ms, traced.wall_ms);
-    all_ok &= print_checks(
-        "fresh: trace",
-        &gate::check_trace_fresh(
-            traced.committed as f64,
-            overhead,
-            traced.violations as f64,
-            traced.complete && traced.dropped == 0,
-            traced.events as f64,
-        ),
-    );
-    deltas.push(Delta {
-        metric: "trace overhead pct",
-        committed: committed_of(&trace, &["overhead_pct"]),
-        fresh: overhead,
-    });
-    deltas.push(Delta {
-        metric: "trace checker violations",
-        committed: committed_of(&trace, &["traced", "checker_violations"]),
-        fresh: traced.violations as f64,
-    });
-
     println!("\n# fresh run: ingest (tree vs streaming, {BASE_BYTES} B base)");
     let (stream_rate, tree_rate) = fresh_ingest();
     all_ok &= print_checks(
@@ -411,31 +366,6 @@ fn main() {
             .and_then(|doc| doc.get("points")?.arr()?.first())
             .and_then(|p| p.get("stream")?.num_field("mb_per_s")),
         fresh: stream_rate,
-    });
-
-    println!("\n# fresh run: open-loop smoke cell (4 sites, fixed Poisson rate)");
-    let ol = openloop::smoke(SEED);
-    all_ok &= print_checks(
-        "fresh: openloop",
-        &gate::check_openloop_fresh(
-            ol.txns as f64,
-            ol.terminated as f64,
-            ol.p99_ms,
-            ol.coordinators.len() as f64,
-            4.0,
-            ol.achieved_rate,
-            ol.offered_rate,
-        ),
-    );
-    deltas.push(Delta {
-        metric: "openloop sustained p99 ms (sched clock)",
-        committed: committed_of(&openloop_doc, &["sustained", "p99_ms"]),
-        fresh: ol.p99_ms,
-    });
-    deltas.push(Delta {
-        metric: "openloop achieved rate txn/s",
-        committed: committed_of(&openloop_doc, &["sustained", "achieved_rate"]),
-        fresh: ol.achieved_rate,
     });
 
     println!("\n# fresh run: wire smoke (2 dtx-site OS processes, 50 txns over real TCP)");

@@ -89,52 +89,6 @@ pub const RECOVERY_PHASES: [&str; 4] = [
     "mid_commit_delivery",
 ];
 
-/// Witness band on tracing overhead: the recorded fig12-style run with
-/// the tracer armed may cost at most this percent of wall time over the
-/// sinks-disabled run (the acceptance bound; recorded runs sit well
-/// below it — the armed cost is one ring push per event).
-pub const TRACE_OVERHEAD_WITNESS_PCT: f64 = 10.0;
-
-/// Fresh-run overhead band: CI hosts add scheduling noise to two
-/// back-to-back seconds-scale runs, so only a structural regression
-/// (allocation or locking on the record path) should trip it.
-pub const FRESH_TRACE_OVERHEAD_PCT: f64 = 30.0;
-
-/// The open-loop headline floor: the sustained cell must have
-/// terminated at least a million scheduled arrivals (the whole point of
-/// the harness is that none of them may be skipped or silently shed).
-pub const OPENLOOP_TXN_FLOOR: f64 = 1_000_000.0;
-
-/// Below-the-knee contract: a sustained or swept cell only counts as
-/// "keeping up" when its achieved termination rate is at least this
-/// fraction of the offered arrival rate — the same threshold
-/// `bench_openloop` uses to place the saturation knee.
-pub const OPENLOOP_ACHIEVED_FRACTION: f64 = 0.90;
-
-/// Witness cap on the sustained cell's p99 *from scheduled arrival* at
-/// its fixed below-knee rate. Because the open-loop clock starts at the
-/// scheduled instant, any systemic stall or creeping backlog lands in
-/// this number — a witness above the cap means the engine can no longer
-/// hold the recorded rate with bounded queueing (the recorded sustained
-/// cell sits at 0.29 ms; the cap leaves ~80× headroom for slower
-/// recording hosts while still catching any stall on the 100 ms scale).
-pub const OPENLOOP_P99_CAP_MS: f64 = 25.0;
-
-/// Witness band on per-coordinator fairness: with round-robin attach,
-/// the max/min per-site committed ratio may not exceed this (submission
-/// counts are equal by construction, so a skewed commit spread means
-/// one coordinator is aborting far more than its peers).
-pub const OPENLOOP_SPREAD_CAP: f64 = 1.5;
-
-/// Fresh-run p99 cap (scheduled-arrival clock) for the CI smoke cell:
-/// wide enough for a noisy shared host, tight enough to catch the
-/// driver losing the coordinated-omission guard or the engine stalling.
-pub const FRESH_OPENLOOP_P99_CAP_MS: f64 = 500.0;
-
-/// Fresh-run achieved-rate band: the smoke rate is deliberately modest,
-/// so even a slow CI host must sustain half of it.
-pub const FRESH_OPENLOOP_ACHIEVED_FRACTION: f64 = 0.50;
-
 /// Processes (= sites) the multi-process fig12 witness must have run:
 /// the point of `bench_wire` is 4 sites as 4 separate OS processes.
 pub const WIRE_PROCESSES: f64 = 4.0;
@@ -569,207 +523,6 @@ pub fn check_recovery_witness(doc: &Json) -> Vec<Check> {
     checks
 }
 
-/// Validates `BENCH_trace.json`: the armed run still commits at the
-/// fig12 floor, its wall-time overhead over the sinks-disabled run sits
-/// inside the witness band, the captured trace is complete (zero ring
-/// drops) and certified (zero invariant violations), and the trace
-/// actually observed the protocol (events, votes and commit batches all
-/// non-zero — an empty trace certifying nothing proves nothing).
-pub fn check_trace_witness(doc: &Json) -> Vec<Check> {
-    let mut checks = Vec::new();
-    let Some(traced) = doc.get("traced") else {
-        return vec![Check::new(
-            "trace: traced cell",
-            "missing from witness".into(),
-            false,
-        )];
-    };
-    require(
-        &mut checks,
-        "trace armed run commits ≥ floor",
-        traced.num_field("committed"),
-        COMMIT_FLOOR,
-        true,
-    );
-    require(
-        &mut checks,
-        "trace overhead inside witness band",
-        doc.num_field("overhead_pct"),
-        TRACE_OVERHEAD_WITNESS_PCT,
-        false,
-    );
-    require(
-        &mut checks,
-        "trace checker found no violations",
-        traced.num_field("checker_violations"),
-        1.0,
-        false,
-    );
-    let complete = traced.num_field("checker_complete");
-    let dropped = traced.num_field("dropped");
-    let ok = matches!((complete, dropped), (Some(c), Some(d)) if c >= 1.0 && d == 0.0);
-    checks.push(Check::new(
-        "trace complete (no ring drops)",
-        format!("complete {complete:?}, dropped {dropped:?}"),
-        ok,
-    ));
-    for field in ["events", "votes", "commits"] {
-        require(
-            &mut checks,
-            &format!("trace observed protocol: {field} > 0"),
-            traced.num_field(field),
-            1.0,
-            true,
-        );
-    }
-    checks
-}
-
-/// Checks a fresh traced smoke cell against the wide fresh bands.
-pub fn check_trace_fresh(
-    committed: f64,
-    overhead_pct: f64,
-    violations: f64,
-    complete: bool,
-    events: f64,
-) -> Vec<Check> {
-    vec![
-        Check::new(
-            "trace overhead inside fresh band",
-            format!("{overhead_pct:.1} < {FRESH_TRACE_OVERHEAD_PCT:.0} %"),
-            overhead_pct < FRESH_TRACE_OVERHEAD_PCT,
-        ),
-        Check::new(
-            "trace certified on fresh smoke run",
-            format!("{violations:.0} violations, complete = {complete}"),
-            violations == 0.0 && complete,
-        ),
-        Check::new(
-            "trace fresh run committed and observed events",
-            format!("{committed:.0} committed, {events:.0} events"),
-            committed > 0.0 && events > 0.0,
-        ),
-    ]
-}
-
-/// Validates `BENCH_openloop.json`: the sustained open-loop cell
-/// terminated ≥10⁶ scheduled arrivals, kept up with its below-knee
-/// offered rate, holds ordered scheduled-arrival percentiles under the
-/// p99 cap, and spread coordination over **every** site within the
-/// fairness band.
-pub fn check_openloop_witness(doc: &Json) -> Vec<Check> {
-    let mut checks = Vec::new();
-    let Some(sustained) = doc.get("sustained") else {
-        return vec![Check::new(
-            "openloop: sustained cell",
-            "missing from witness".into(),
-            false,
-        )];
-    };
-    require(
-        &mut checks,
-        "openloop sustained txns ≥ 10⁶ floor",
-        sustained.num_field("terminated"),
-        OPENLOOP_TXN_FLOOR,
-        true,
-    );
-    check_percentiles(&mut checks, "openloop sustained", sustained);
-    require(
-        &mut checks,
-        "openloop sustained p99 ≤ cap at fixed rate",
-        sustained.num_field("p99_ms"),
-        OPENLOOP_P99_CAP_MS,
-        false,
-    );
-    let offered = sustained.num_field("offered_rate");
-    let achieved = sustained.num_field("achieved_rate");
-    let ok = matches!((offered, achieved),
-        (Some(o), Some(a)) if o > 0.0 && a >= OPENLOOP_ACHIEVED_FRACTION * o);
-    checks.push(Check::new(
-        "openloop sustained kept up with offered rate",
-        format!("achieved {achieved:?} ≥ {OPENLOOP_ACHIEVED_FRACTION} × offered {offered:?} txn/s"),
-        ok,
-    ));
-    let sites = doc.num_field("sites").unwrap_or(0.0) as usize;
-    let coords = sustained
-        .get("coordinators")
-        .and_then(Json::arr)
-        .unwrap_or(&[]);
-    let committed: Vec<f64> = coords
-        .iter()
-        .filter_map(|c| c.num_field("committed"))
-        .collect();
-    let all_used = !coords.is_empty()
-        && coords.len() == sites
-        && committed.len() == coords.len()
-        && coords
-            .iter()
-            .all(|c| c.num_field("submitted").unwrap_or(0.0) > 0.0)
-        && committed.iter().all(|&c| c > 0.0);
-    checks.push(Check::new(
-        "openloop every site served as coordinator",
-        format!("{} of {sites} sites submitted and committed", coords.len()),
-        all_used,
-    ));
-    let spread = match (
-        committed.iter().cloned().fold(f64::INFINITY, f64::min),
-        committed.iter().cloned().fold(0.0, f64::max),
-    ) {
-        (min, max) if min > 0.0 => max / min,
-        _ => f64::INFINITY,
-    };
-    checks.push(Check::new(
-        "openloop commit spread within fairness band",
-        format!("max/min {spread:.3} < {OPENLOOP_SPREAD_CAP}"),
-        spread < OPENLOOP_SPREAD_CAP,
-    ));
-    require(
-        &mut checks,
-        "openloop sweep recorded cells",
-        doc.get("sweep").and_then(Json::arr).map(|s| s.len() as f64),
-        1.0,
-        true,
-    );
-    checks
-}
-
-/// Checks a fresh open-loop smoke cell against the wide fresh bands.
-pub fn check_openloop_fresh(
-    txns: f64,
-    terminated: f64,
-    p99_ms: f64,
-    coords_used: f64,
-    sites: f64,
-    achieved_rate: f64,
-    offered_rate: f64,
-) -> Vec<Check> {
-    vec![
-        Check::new(
-            "openloop every arrival terminated (fresh)",
-            format!("{terminated:.0} ≥ {txns:.0}"),
-            terminated >= txns && txns > 0.0,
-        ),
-        Check::new(
-            "openloop all sites coordinated (fresh)",
-            format!("{coords_used:.0} = {sites:.0}"),
-            coords_used == sites && sites > 0.0,
-        ),
-        Check::new(
-            "openloop scheduled-arrival p99 inside fresh band",
-            format!("{p99_ms:.1} < {FRESH_OPENLOOP_P99_CAP_MS:.0} ms"),
-            p99_ms < FRESH_OPENLOOP_P99_CAP_MS,
-        ),
-        Check::new(
-            "openloop fresh run kept up with smoke rate",
-            format!(
-                "{achieved_rate:.0} ≥ {:.0} txn/s",
-                offered_rate * FRESH_OPENLOOP_ACHIEVED_FRACTION
-            ),
-            achieved_rate >= offered_rate * FRESH_OPENLOOP_ACHIEVED_FRACTION,
-        ),
-    ]
-}
-
 /// Checks a fresh smoke replay cell against the wide fresh bands: all
 /// committed transactions recovered, byte-identical state, replay time
 /// on the fresh bounded line.
@@ -1048,47 +801,6 @@ mod tests {
          "stream": {"mb_per_s": 78.8, "peak_alloc_bytes": 2568546}}
     ]}"#;
 
-    const GOOD_OPENLOOP: &str = r#"{"experiment": "bench_openloop", "seed": 2009,
-        "sites": 4, "workers": 2, "update_pct": 4,
-        "sweep": [
-          {"protocol": "XDGL", "arrivals": "poisson", "offered_rate": 2000, "txns": 8000,
-           "terminated": 8000, "committed": 7985, "aborted": 15, "deadlocks": 2, "failed": 0,
-           "achieved_rate": 1998.2, "p50_ms": 0.4, "p99_ms": 1.9, "p999_ms": 4.2,
-           "dispatch_p99_ms": 1.8, "max_lag_ms": 3.1, "wall_s": 4.0},
-          {"protocol": "XDGL", "arrivals": "poisson", "offered_rate": 8000, "txns": 16000,
-           "terminated": 16000, "committed": 15950, "aborted": 50, "deadlocks": 6, "failed": 0,
-           "achieved_rate": 7960.4, "p50_ms": 0.5, "p99_ms": 2.8, "p999_ms": 6.0,
-           "dispatch_p99_ms": 2.5, "max_lag_ms": 5.2, "wall_s": 2.0}
-        ],
-        "knee": {"XDGL": 8000, "Node2PL": 4000},
-        "sustained": {"protocol": "XDGL", "arrivals": "poisson", "offered_rate": 5600,
-         "txns": 1000000, "terminated": 1000000, "committed": 999200, "aborted": 800,
-         "deadlocks": 120, "failed": 0, "achieved_rate": 5598.9,
-         "p50_ms": 0.42, "p99_ms": 3.2, "p999_ms": 8.5,
-         "dispatch_p99_ms": 2.9, "max_lag_ms": 12.0, "wall_s": 178.6,
-         "coordinators": [
-           {"site": 0, "submitted": 250000, "committed": 249810, "inflight_peak": 9},
-           {"site": 1, "submitted": 250000, "committed": 249790, "inflight_peak": 8},
-           {"site": 2, "submitted": 250000, "committed": 249805, "inflight_peak": 11},
-           {"site": 3, "submitted": 250000, "committed": 249795, "inflight_peak": 7}
-         ], "commit_spread": 1.000},
-        "bursty": {"protocol": "XDGL", "arrivals": "bursty", "offered_rate": 4000,
-         "txns": 50000, "terminated": 50000, "committed": 49940, "aborted": 60,
-         "deadlocks": 9, "failed": 0, "achieved_rate": 3995.1,
-         "p50_ms": 1.1, "p99_ms": 14.8, "p999_ms": 22.4,
-         "dispatch_p99_ms": 3.0, "max_lag_ms": 19.7, "wall_s": 12.5}}"#;
-
-    const GOOD_TRACE: &str = r#"{"experiment": "bench_trace", "clients": 50,
-        "disabled": {"committed": 233, "submitted": 250, "wall_ms": 5100.0,
-         "p50_ms": 120.0, "p99_ms": 880.0, "p999_ms": 1350.0, "events": 0,
-         "dropped": 0, "checker_violations": 0, "checker_complete": 1,
-         "votes": 0, "commits": 0, "links": 0},
-        "traced": {"committed": 233, "submitted": 250, "wall_ms": 5240.0,
-         "p50_ms": 122.0, "p99_ms": 905.0, "p999_ms": 1380.0, "events": 48210,
-         "dropped": 0, "checker_violations": 0, "checker_complete": 1,
-         "votes": 410, "commits": 233, "links": 12},
-        "overhead_pct": 2.75}"#;
-
     #[test]
     fn good_witnesses_pass() {
         assert!(all_ok(&check_throughput_witness(
@@ -1100,128 +812,6 @@ mod tests {
         )));
         assert!(all_ok(&check_reads_witness(
             &Json::parse(GOOD_READS).unwrap()
-        )));
-        assert!(all_ok(&check_trace_witness(
-            &Json::parse(GOOD_TRACE).unwrap()
-        )));
-        assert!(all_ok(&check_openloop_witness(
-            &Json::parse(GOOD_OPENLOOP).unwrap()
-        )));
-    }
-
-    #[test]
-    fn doctored_openloop_percentile_inversion_fails() {
-        // A p999 below the p99 can only come from a mis-merged or
-        // hand-edited histogram.
-        let doctored = GOOD_OPENLOOP.replace(
-            "\"p50_ms\": 0.42, \"p99_ms\": 3.2, \"p999_ms\": 8.5",
-            "\"p50_ms\": 0.42, \"p99_ms\": 3.2, \"p999_ms\": 1.5",
-        );
-        let checks = check_openloop_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["openloop sustained percentiles present and ordered"]
-        );
-    }
-
-    #[test]
-    fn doctored_openloop_p99_above_cap_fails() {
-        // Scheduled-arrival p99 blown past the fixed-rate cap: the
-        // engine no longer holds the recorded rate with bounded queues.
-        let doctored = GOOD_OPENLOOP.replace(
-            "\"p50_ms\": 0.42, \"p99_ms\": 3.2, \"p999_ms\": 8.5",
-            "\"p50_ms\": 0.42, \"p99_ms\": 150.0, \"p999_ms\": 400.0",
-        );
-        let checks = check_openloop_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["openloop sustained p99 ≤ cap at fixed rate"]
-        );
-    }
-
-    #[test]
-    fn doctored_openloop_txn_floor_fails() {
-        let doctored = GOOD_OPENLOOP.replace(
-            "\"txns\": 1000000, \"terminated\": 1000000",
-            "\"txns\": 1000000, \"terminated\": 900000",
-        );
-        let checks = check_openloop_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(failed(&checks), vec!["openloop sustained txns ≥ 10⁶ floor"]);
-    }
-
-    #[test]
-    fn doctored_openloop_missing_coordinator_fails() {
-        // One site never submitted: the round-robin attach is broken.
-        let doctored = GOOD_OPENLOOP.replace(
-            "{\"site\": 2, \"submitted\": 250000, \"committed\": 249805, \"inflight_peak\": 11}",
-            "{\"site\": 2, \"submitted\": 0, \"committed\": 249805, \"inflight_peak\": 11}",
-        );
-        let checks = check_openloop_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["openloop every site served as coordinator"]
-        );
-        // A coordinator entry missing entirely fails the same rule.
-        let dropped = GOOD_OPENLOOP.replace(
-            ",\n           {\"site\": 3, \"submitted\": 250000, \"committed\": 249795, \"inflight_peak\": 7}",
-            "",
-        );
-        let checks = check_openloop_witness(&Json::parse(&dropped).unwrap());
-        assert!(
-            failed(&checks).contains(&"openloop every site served as coordinator"),
-            "three coordinators on a four-site witness must fail: {:?}",
-            failed(&checks)
-        );
-    }
-
-    #[test]
-    fn doctored_openloop_commit_skew_fails() {
-        // One coordinator committing a fraction of its peers' share:
-        // fairness band broken even though every site participated.
-        let doctored = GOOD_OPENLOOP.replace(
-            "\"site\": 1, \"submitted\": 250000, \"committed\": 249790",
-            "\"site\": 1, \"submitted\": 250000, \"committed\": 120000",
-        );
-        let checks = check_openloop_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["openloop commit spread within fairness band"]
-        );
-    }
-
-    #[test]
-    fn doctored_openloop_achieved_rate_fails() {
-        // Achieved throughput far under the offered rate: the sustained
-        // cell was actually saturated, not below the knee.
-        let doctored =
-            GOOD_OPENLOOP.replace("\"achieved_rate\": 5598.9", "\"achieved_rate\": 3100.0");
-        let checks = check_openloop_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["openloop sustained kept up with offered rate"]
-        );
-    }
-
-    #[test]
-    fn fresh_openloop_checks_flag_regressions() {
-        assert!(all_ok(&check_openloop_fresh(
-            4000.0, 4000.0, 35.0, 4.0, 4.0, 1900.0, 2000.0
-        )));
-        // Arrivals silently shed.
-        assert!(!all_ok(&check_openloop_fresh(
-            4000.0, 3900.0, 35.0, 4.0, 4.0, 1900.0, 2000.0
-        )));
-        // A site dropped out of coordination.
-        assert!(!all_ok(&check_openloop_fresh(
-            4000.0, 4000.0, 35.0, 3.0, 4.0, 1900.0, 2000.0
-        )));
-        // Scheduled-arrival p99 outside even the wide fresh band.
-        assert!(!all_ok(&check_openloop_fresh(
-            4000.0, 4000.0, 800.0, 4.0, 4.0, 1900.0, 2000.0
-        )));
-        // Achieved rate collapsed below half the smoke rate.
-        assert!(!all_ok(&check_openloop_fresh(
-            4000.0, 4000.0, 35.0, 4.0, 4.0, 700.0, 2000.0
         )));
     }
 
@@ -1521,78 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn doctored_trace_overhead_fails() {
-        // Overhead blown past the witness band: tracing is no longer
-        // close to free.
-        let doctored = GOOD_TRACE.replace("\"overhead_pct\": 2.75", "\"overhead_pct\": 23.4");
-        let checks = check_trace_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(failed(&checks), vec!["trace overhead inside witness band"]);
-    }
-
-    #[test]
-    fn doctored_trace_violations_fail() {
-        // A single invariant violation means the protocol (or the
-        // checker) is broken — never certifiable.
-        let doctored = GOOD_TRACE.replace(
-            "\"checker_violations\": 0, \"checker_complete\": 1,\n         \"votes\": 410",
-            "\"checker_violations\": 3, \"checker_complete\": 1,\n         \"votes\": 410",
-        );
-        let checks = check_trace_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(failed(&checks), vec!["trace checker found no violations"]);
-    }
-
-    #[test]
-    fn doctored_trace_drops_fail() {
-        // Ring drops make the timeline incomplete: the checker refuses
-        // to certify, and so must the gate.
-        let dropped = GOOD_TRACE.replace(
-            "\"events\": 48210,\n         \"dropped\": 0, \"checker_violations\": 0, \"checker_complete\": 1",
-            "\"events\": 48210,\n         \"dropped\": 512, \"checker_violations\": 0, \"checker_complete\": 0",
-        );
-        let checks = check_trace_witness(&Json::parse(&dropped).unwrap());
-        assert_eq!(failed(&checks), vec!["trace complete (no ring drops)"]);
-    }
-
-    #[test]
-    fn doctored_trace_empty_or_silent_fails() {
-        // An armed run that recorded nothing proves nothing.
-        let empty = GOOD_TRACE.replace("\"events\": 48210", "\"events\": 0");
-        let checks = check_trace_witness(&Json::parse(&empty).unwrap());
-        assert_eq!(failed(&checks), vec!["trace observed protocol: events > 0"]);
-        // A trace with no commit batches never watched the termination
-        // protocol run.
-        let silent = GOOD_TRACE.replace("\"commits\": 233", "\"commits\": 0");
-        let checks = check_trace_witness(&Json::parse(&silent).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["trace observed protocol: commits > 0"]
-        );
-    }
-
-    #[test]
-    fn doctored_trace_commit_floor_fails() {
-        let doctored = GOOD_TRACE.replace(
-            "\"traced\": {\"committed\": 233",
-            "\"traced\": {\"committed\": 190",
-        );
-        let checks = check_trace_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(failed(&checks), vec!["trace armed run commits ≥ floor"]);
-    }
-
-    #[test]
-    fn fresh_trace_checks_flag_regressions() {
-        assert!(all_ok(&check_trace_fresh(80.0, 4.2, 0.0, true, 15000.0)));
-        // Overhead outside even the wide fresh band.
-        assert!(!all_ok(&check_trace_fresh(80.0, 45.0, 0.0, true, 15000.0)));
-        // An invariant violation on the smoke trace.
-        assert!(!all_ok(&check_trace_fresh(80.0, 4.2, 1.0, true, 15000.0)));
-        // An incomplete (dropping) trace.
-        assert!(!all_ok(&check_trace_fresh(80.0, 4.2, 0.0, false, 15000.0)));
-        // An armed run that captured nothing.
-        assert!(!all_ok(&check_trace_fresh(80.0, 4.2, 0.0, true, 0.0)));
-    }
-
-    #[test]
     fn missing_fields_fail_closed() {
         let checks = check_throughput_witness(&Json::parse("{}").unwrap());
         assert!(!all_ok(&checks), "absent protocols must not pass");
@@ -1602,10 +1120,6 @@ mod tests {
         assert!(!all_ok(&checks), "absent points must not pass");
         let checks = check_reads_witness(&Json::parse("{}").unwrap());
         assert!(!all_ok(&checks), "absent sweeps must not pass");
-        let checks = check_trace_witness(&Json::parse("{}").unwrap());
-        assert!(!all_ok(&checks), "absent traced cell must not pass");
-        let checks = check_openloop_witness(&Json::parse("{}").unwrap());
-        assert!(!all_ok(&checks), "absent sustained cell must not pass");
     }
 
     const GOOD_WIRE: &str = r#"{

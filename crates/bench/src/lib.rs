@@ -15,9 +15,7 @@ pub mod gate;
 pub mod json;
 pub mod mem;
 pub mod netbench;
-pub mod openloop;
 pub mod recovery;
-pub mod tracebench;
 pub mod wirebench;
 
 pub use mem::CountingAlloc;
@@ -70,15 +68,7 @@ pub struct ExpEnv {
     pub realistic: bool,
     /// Placement policy installed in the cluster's catalog.
     pub policy: PolicyKind,
-    /// Whether the cluster records a causal event trace (ring capacity
-    /// is sized for a full figure run; see [`TRACE_RING_CAPACITY`]).
-    pub trace: bool,
 }
-
-/// Per-site trace ring capacity used by traced experiment runs — sized
-/// so a full fig12-style workload never drops an event (a partial trace
-/// cannot be certified by the invariant checker).
-pub const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 impl ExpEnv {
     /// Standard environment: 4 sites, partial replication, realistic
@@ -92,14 +82,7 @@ impl ExpEnv {
             seed: SEED,
             realistic: true,
             policy: PolicyKind::default(),
-            trace: false,
         }
-    }
-
-    /// Arms causal event tracing on the cluster under test.
-    pub fn with_tracing(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Selects the placement policy.
@@ -125,10 +108,6 @@ pub fn setup(env: ExpEnv) -> (Cluster, Fragmented) {
     config.seed = env.seed;
     if env.realistic {
         config = config.with_lan_profile();
-    }
-    if env.trace {
-        config = config.with_tracing();
-        config.trace_capacity = TRACE_RING_CAPACITY;
     }
     let cluster = Cluster::start(config);
     let alloc = allocate(&doc, &frags, env.sites, env.mode);
@@ -170,10 +149,6 @@ pub fn boot_streamed(
     config.seed = env.seed;
     if env.realistic {
         config = config.with_lan_profile();
-    }
-    if env.trace {
-        config = config.with_tracing();
-        config.trace_capacity = TRACE_RING_CAPACITY;
     }
     let cluster = Cluster::start(config);
     let parts: Vec<_> = built
@@ -222,7 +197,6 @@ mod tests {
             seed: 1,
             realistic: false,
             policy: PolicyKind::Primary,
-            trace: false,
         };
         let (cluster, frags) = setup(env);
         let report = run(&cluster, &frags, WorkloadConfig::read_only(2, 1));

@@ -23,7 +23,7 @@ use dtx_locks::{ProtocolKind, TxnId};
 use dtx_net::{LatencyModel, Network, SiteId};
 use dtx_storage::{CostModel, Wal};
 use dtx_trace::{EventKind, Tracer};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -260,10 +260,6 @@ pub struct Cluster {
     durables: Vec<Arc<Wal>>,
     /// Per-site kill switches and armed crash points.
     faults: Vec<FaultHooks>,
-    /// Round-robin cursor of [`Cluster::submit_round_robin`]: the
-    /// multi-coordinator submission path spreads successive transactions
-    /// over every site.
-    next_coord: AtomicUsize,
 }
 
 /// What one site restart replayed — reporting surface of
@@ -336,7 +332,6 @@ impl Cluster {
             config,
             durables,
             faults,
-            next_coord: AtomicUsize::new(0),
         }
     }
 
@@ -647,18 +642,6 @@ impl Cluster {
     /// Submits a transaction at `site`, returning its outcome channel.
     pub fn submit_async(&self, site: SiteId, spec: TxnSpec) -> Receiver<TxnOutcome> {
         self.instance(site).submit_async(spec)
-    }
-
-    /// The multi-coordinator submission path: submits a transaction at
-    /// the next site in round-robin order, so a stream of calls attaches
-    /// clients to **all** sites as coordinators instead of one. Returns
-    /// the chosen coordinator and the outcome channel. Per-coordinator
-    /// submission/commit/inflight accounting rides in
-    /// [`Metrics::coord_stats`](crate::Metrics::coord_stats).
-    pub fn submit_round_robin(&self, spec: TxnSpec) -> (SiteId, Receiver<TxnOutcome>) {
-        let n = self.next_coord.fetch_add(1, Ordering::Relaxed);
-        let inst = &self.instances[n % self.instances.len()];
-        (inst.site, inst.submit_async(spec))
     }
 
     /// The instance at `site`.

@@ -144,8 +144,8 @@ pub struct LockManager {
     /// The request each waiter of `wfg` was refused (one per waiter: a
     /// transaction waits on one operation at a time), kept and dropped
     /// with the waiter's out-edges. A release reassesses its waiters
-    /// against it (`lift_waiters`), and [`LockManager::live_wfg`] checks
-    /// the edges against it.
+    /// against it (`lift_waiters`), so every edge names a holder that
+    /// still blocks the request.
     refused: HashMap<TxnId, AcquiredLock>,
     /// Versioned snapshots of every hosted document: its committed state
     /// as installed and as of each local commit that wrote it (an abort
@@ -363,7 +363,7 @@ impl LockManager {
     ///
     /// On conflict the operation's own acquisitions are rolled back, a
     /// wait-for edge `txn → holder` is added to `wfg` for every holder and
-    /// the refused request is recorded for [`LockManager::live_wfg`]; if
+    /// the refused request is recorded for `lift_waiters`; if
     /// that closes a cycle the result carries `deadlock = true` for the
     /// scheduler to handle (Alg. 1 l. 19).
     /// `tolerate_empty` is set when the document is a *fragment* of a
@@ -828,17 +828,13 @@ impl LockManager {
         self.store.stats()
     }
 
-    /// Read access to this site's waits-for relation, every edge as
-    /// recorded (the immediate local deadlock tag searches it).
+    /// This site's waits-for relation: what the immediate local deadlock
+    /// tag searches and what the site contributes to a detection round
+    /// (Alg. 4 l. 4). Every release re-points the edges of the waiters
+    /// it touches (`lift_waiters`), so each edge names a holder that
+    /// still blocks its waiter.
     pub fn wfg(&self) -> &WaitForGraph {
         &self.wfg
-    }
-
-    /// What this site contributes to a detection round (Alg. 4 l. 4): the
-    /// edges of [`LockManager::wfg`] whose holder still blocks the request
-    /// its waiter was refused ([`WaitForGraph::live`]).
-    pub fn live_wfg(&self) -> WaitForGraph {
-        self.wfg.live(&self.table, &self.refused)
     }
 
     /// Drops every wait edge out of `txn`, and its refusal record: it got
@@ -1409,12 +1405,12 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Both holders still block: the cycle is live, every edge of it.
-        assert!(lm.live_wfg().has_cycle());
-        assert_eq!(lm.live_wfg().edges(), lm.wfg().edges());
+        assert!(lm.wfg().has_cycle());
+        assert_edges_are_live(&lm);
     }
 
     #[test]
-    fn an_edge_whose_lock_was_undone_is_not_live() {
+    fn an_undo_drops_the_wait_edges_its_locks_caused() {
         let mut lm = manager();
         let executed = |r: ProcessResult| matches!(r, ProcessResult::Executed(_));
         let scan = |path: &str| OpSpec::query("d2", q(path));
@@ -1471,7 +1467,7 @@ mod tests {
             }
         ));
         assert!(!lm.wfg().has_cycle());
-        assert_eq!(lm.live_wfg().edges(), vec![(t1, t2)]);
+        assert_eq!(lm.wfg().edges(), vec![(t1, t2)]);
     }
 
     /// Inserting a product: X on the `product` guide node, refused by any
@@ -1508,7 +1504,7 @@ mod tests {
         // the holder that blocks it.
         assert!(lm.commit_local(TxnId(1)).unwrap().is_empty());
         assert_eq!(lm.wfg().waits_for(TxnId(3)), [TxnId(2)]);
-        assert_eq!(lm.live_wfg().edges(), [(TxnId(3), TxnId(2))]);
+        assert_eq!(lm.wfg().edges(), [(TxnId(3), TxnId(2))]);
         assert_eq!(lm.commit_local(TxnId(2)).unwrap(), [TxnId(3)]);
         assert!(lm.wfg().is_empty());
         assert!(executes(&mut lm, 3, 0, &insert_product()));
@@ -1619,6 +1615,103 @@ mod tests {
         ));
         assert!(lm.refused.is_empty());
         assert!(lm.wfg().is_empty());
+    }
+
+    /// Every recorded edge `w → h` names a holder that still refuses the
+    /// request `w` was refused, so the graph a site contributes to a
+    /// detection round holds no wait that has already ended.
+    fn assert_edges_are_live(lm: &LockManager) {
+        for (w, h) in lm.wfg().edges() {
+            let &(node, mode) = lm.refused.get(&w).expect("a waiter keeps its refusal");
+            assert!(
+                lm.table.blockers(w, node, mode).contains(&h),
+                "{w:?} -> {h:?} outlived the lock that refused {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_wait_edge_names_a_holder_that_still_blocks() {
+        let change = |path: &str| {
+            OpSpec::update(
+                "d2",
+                UpdateOp::Change {
+                    target: q(path),
+                    new_value: "0".into(),
+                },
+            )
+        };
+        let ops = [
+            OpSpec::query("d2", q("/products/product")),
+            OpSpec::query("d2", q("/products/product/name")),
+            OpSpec::query("d2", q("/products/product/price")),
+            change("/products/product/name"),
+            change("/products/product/price"),
+            insert_product(),
+        ];
+        let mut lm = manager();
+        // Four clients, one transaction each at a time. A refused client
+        // retries the same operation, as its coordinator would.
+        let mut txn = [1u64, 2, 3, 4];
+        let mut next_seq = [0usize; 4];
+        let mut waiting: [Option<usize>; 4] = [None; 4];
+        let (mut refusals, mut undos, mut ends) = (0, 0, 0);
+        let mut rng = 22u64;
+        for _ in 0..3_000 {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (rng >> 33) as usize;
+            let c = r % 4;
+            let t = TxnId(txn[c]);
+            let end = match r / 4 % 8 {
+                0..=4 => {
+                    let op = waiting[c].unwrap_or(r / 32 % ops.len());
+                    match lm.process_operation(t, next_seq[c], &ops[op], TxnMode::Updating, false) {
+                        ProcessResult::Executed(_) => {
+                            waiting[c] = None;
+                            next_seq[c] += 1;
+                            false
+                        }
+                        ProcessResult::Conflict { deadlock, .. } => {
+                            refusals += 1;
+                            waiting[c] = Some(op);
+                            if deadlock {
+                                lm.abort_local(t);
+                            }
+                            deadlock
+                        }
+                        ProcessResult::Failed(e) => panic!("{e}"),
+                    }
+                }
+                // A sibling site refused the last operation: undo it here.
+                5 if waiting[c].is_none() && next_seq[c] > 0 => {
+                    undos += 1;
+                    next_seq[c] -= 1;
+                    lm.undo_op(t, next_seq[c]);
+                    false
+                }
+                6 if waiting[c].is_none() => {
+                    lm.commit_local(t).unwrap();
+                    true
+                }
+                _ => {
+                    lm.abort_local(t);
+                    true
+                }
+            };
+            if end {
+                ends += 1;
+                txn[c] += 4;
+                next_seq[c] = 0;
+                waiting[c] = None;
+            }
+            assert_edges_are_live(&lm);
+        }
+        assert!(
+            refusals > 100 && undos > 50 && ends > 100,
+            "{refusals} {undos} {ends}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::op::{AbortReason, TxnStatus};
 use dtx_locks::TxnId;
 use dtx_net::SiteId;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Sub-bucket resolution bits of [`Histogram`]: 2⁴ = 16 linear
@@ -109,29 +109,6 @@ impl Histogram {
     /// Largest recorded value (exact).
     pub fn max(&self) -> Duration {
         Duration::from_nanos(self.max_ns.load(Ordering::Relaxed))
-    }
-
-    /// Adds every sample of `other` into `self`, bucket by bucket.
-    ///
-    /// Because both histograms share the same fixed bucket layout, a
-    /// merge is exact: percentiles of the merged histogram equal the
-    /// percentiles of a single histogram that recorded the union of
-    /// both sample sets. This is how the open-loop driver folds its
-    /// per-worker histograms into one summary without any cross-thread
-    /// contention on the record path.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_ns
-            .fetch_add(other.sum_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_ns
-            .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// The `q`-quantile (`0.0 < q <= 1.0`, e.g. `0.999`), accurate to
@@ -303,25 +280,6 @@ pub struct Metrics {
     wal_appends: AtomicU64,
     /// WAL forced writes (would-be fsyncs) across the cluster (gauge).
     wal_forces: AtomicU64,
-    /// Transactions submitted per coordinator site — the multi-coordinator
-    /// load harness attaches clients round-robin to every site, and this
-    /// is the witness that every site actually coordinated.
-    coord_submitted: RwLock<Vec<AtomicU64>>,
-    /// Transactions committed per coordinator site (the commit-spread
-    /// fairness source of `BENCH_openloop.json`).
-    coord_committed: RwLock<Vec<AtomicU64>>,
-    /// Transactions currently open (submitted, not yet terminated) per
-    /// coordinator site. Under an open-loop driver this is the queue the
-    /// offered rate builds at each coordinator.
-    coord_inflight: RwLock<Vec<AtomicU64>>,
-    /// High-water mark of `coord_inflight` per site.
-    coord_inflight_peak: RwLock<Vec<AtomicU64>>,
-    /// Whether [`Metrics::record`] retains full [`TxnRecord`]s. Figure
-    /// runs keep them (the throughput/concurrency series need every
-    /// record); million-transaction open-loop runs switch to
-    /// counters+histograms only, so the record path stays O(1) memory
-    /// and never contends on the records mutex.
-    retain_records: AtomicBool,
 }
 
 impl Default for Metrics {
@@ -360,73 +318,7 @@ impl Metrics {
             phase_terminating_hist: Histogram::new(),
             wal_appends: AtomicU64::new(0),
             wal_forces: AtomicU64::new(0),
-            coord_submitted: RwLock::new(Vec::new()),
-            coord_committed: RwLock::new(Vec::new()),
-            coord_inflight: RwLock::new(Vec::new()),
-            coord_inflight_peak: RwLock::new(Vec::new()),
-            retain_records: AtomicBool::new(true),
         }
-    }
-
-    /// Selects whether [`Metrics::record`] retains full per-transaction
-    /// records (`true`, the default) or only feeds the histograms and
-    /// counters (`false` — constant memory, for sustained open-loop runs
-    /// of 10⁶+ transactions). With retention off, the record-derived
-    /// surfaces ([`Metrics::records`], [`Metrics::summary`]'s exact
-    /// fields, the throughput/concurrency series) cover only what was
-    /// recorded while retention was on.
-    pub fn set_retain_records(&self, retain: bool) {
-        self.retain_records.store(retain, Ordering::Relaxed);
-    }
-
-    /// Counts one transaction accepted by its coordinator `site`:
-    /// per-coordinator submission count and inflight gauge move up, and
-    /// the inflight high-water mark is kept. The matching decrement
-    /// happens in [`Metrics::record`] when the transaction terminates.
-    pub fn note_coord_submit(&self, site: SiteId) {
-        bump_slot(&self.coord_submitted, site, 1);
-        let inflight = bump_slot(&self.coord_inflight, site, 1);
-        max_slot(&self.coord_inflight_peak, site, inflight);
-    }
-
-    /// Transactions submitted with `site` as coordinator so far.
-    pub fn coord_submitted(&self, site: SiteId) -> u64 {
-        load_slot(&self.coord_submitted, site)
-    }
-
-    /// Transactions committed with `site` as coordinator so far.
-    pub fn coord_committed(&self, site: SiteId) -> u64 {
-        load_slot(&self.coord_committed, site)
-    }
-
-    /// Transactions currently open at coordinator `site`.
-    pub fn coord_inflight(&self, site: SiteId) -> u64 {
-        load_slot(&self.coord_inflight, site)
-    }
-
-    /// High-water mark of simultaneously open transactions at `site`.
-    pub fn coord_inflight_peak(&self, site: SiteId) -> u64 {
-        load_slot(&self.coord_inflight_peak, site)
-    }
-
-    /// Per-coordinator `(site, submitted, committed, inflight peak)`
-    /// rows, for every site that coordinated at least one transaction.
-    pub fn coord_stats(&self) -> Vec<CoordStats> {
-        let submitted = self.coord_submitted.read();
-        submitted
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let site = SiteId(i as u16);
-                CoordStats {
-                    site,
-                    submitted: s.load(Ordering::Relaxed),
-                    committed: self.coord_committed(site),
-                    inflight_peak: self.coord_inflight_peak(site),
-                }
-            })
-            .filter(|c| c.submitted > 0)
-            .collect()
     }
 
     /// Counts one site restart that replayed its write-ahead log.
@@ -634,22 +526,17 @@ impl Metrics {
     }
 
     /// Records a terminated transaction, feeding the response-time and
-    /// per-phase histograms and closing the per-coordinator inflight
-    /// accounting opened by [`Metrics::note_coord_submit`].
+    /// per-phase histograms.
     pub fn record(&self, rec: TxnRecord) {
         if rec.status == TxnStatus::Committed {
             self.response_hist.record(rec.response_time());
-            bump_slot(&self.coord_committed, rec.coordinator, 1);
         }
-        dec_slot(&self.coord_inflight, rec.coordinator);
         self.phase_ready_hist.record(rec.phase_times.ready);
         self.phase_waiting_hist.record(rec.phase_times.waiting);
         self.phase_remote_hist.record(rec.phase_times.remote);
         self.phase_terminating_hist
             .record(rec.phase_times.terminating);
-        if self.retain_records.load(Ordering::Relaxed) {
-            self.records.lock().push(rec);
-        }
+        self.records.lock().push(rec);
     }
 
     /// The committed-response-time histogram (p50/p99/p999 source).
@@ -815,73 +702,6 @@ impl Metrics {
     pub fn elapsed(&self) -> Duration {
         self.origin.elapsed()
     }
-}
-
-/// Adds `delta` to the per-site counter slot (growing the vector on
-/// first touch, same discipline as `Metrics::note_site_op`) and returns
-/// the post-increment value.
-fn bump_slot(slots: &RwLock<Vec<AtomicU64>>, site: SiteId, delta: u64) -> u64 {
-    let idx = site.0 as usize;
-    {
-        let v = slots.read();
-        if let Some(c) = v.get(idx) {
-            return c.fetch_add(delta, Ordering::Relaxed) + delta;
-        }
-    }
-    let mut v = slots.write();
-    while v.len() <= idx {
-        v.push(AtomicU64::new(0));
-    }
-    v[idx].fetch_add(delta, Ordering::Relaxed) + delta
-}
-
-/// Decrements the per-site counter slot, saturating at zero (a record
-/// without a matching submit — direct `Metrics::record` callers — must
-/// not wrap the gauge).
-fn dec_slot(slots: &RwLock<Vec<AtomicU64>>, site: SiteId) {
-    let v = slots.read();
-    if let Some(c) = v.get(site.0 as usize) {
-        let _ = c.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    }
-}
-
-/// Raises the per-site slot to at least `value` (high-water mark).
-fn max_slot(slots: &RwLock<Vec<AtomicU64>>, site: SiteId, value: u64) {
-    let idx = site.0 as usize;
-    {
-        let v = slots.read();
-        if let Some(c) = v.get(idx) {
-            c.fetch_max(value, Ordering::Relaxed);
-            return;
-        }
-    }
-    let mut v = slots.write();
-    while v.len() <= idx {
-        v.push(AtomicU64::new(0));
-    }
-    v[idx].fetch_max(value, Ordering::Relaxed);
-}
-
-/// Reads the per-site counter slot (zero when the site was never touched).
-fn load_slot(slots: &RwLock<Vec<AtomicU64>>, site: SiteId) -> u64 {
-    slots
-        .read()
-        .get(site.0 as usize)
-        .map(|c| c.load(Ordering::Relaxed))
-        .unwrap_or(0)
-}
-
-/// Per-coordinator accounting rows (see [`Metrics::coord_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoordStats {
-    /// The coordinator site.
-    pub site: SiteId,
-    /// Transactions submitted with this site as coordinator.
-    pub submitted: u64,
-    /// Transactions committed with this site as coordinator.
-    pub committed: u64,
-    /// High-water mark of simultaneously open transactions here.
-    pub inflight_peak: u64,
 }
 
 /// Stores `value` into the per-site gauge slot, growing the vector on
@@ -1218,94 +1038,6 @@ mod tests {
         assert_eq!((n0, n2), ("ready", "remote"));
         assert_eq!(h0.count(), 50);
         assert_eq!(h2.count(), 50);
-    }
-
-    #[test]
-    fn histogram_merge_equals_union_of_samples() {
-        // Merging N per-worker histograms must equal one histogram that
-        // recorded the union of all samples: same bucket layout, so the
-        // merge is exact — count, sum, max and every pinned percentile.
-        let workers: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
-        let union = Histogram::new();
-        let mut rng_state = 42u64;
-        for i in 0..8000u64 {
-            // Deterministic spread over five orders of magnitude.
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let ns = 1_000 + rng_state % 100_000_000;
-            workers[(i % 4) as usize].record_ns(ns);
-            union.record_ns(ns);
-        }
-        let merged = Histogram::new();
-        for w in &workers {
-            merged.merge_from(w);
-        }
-        assert_eq!(merged.count(), union.count());
-        assert_eq!(merged.mean(), union.mean());
-        assert_eq!(merged.max(), union.max());
-        for q in [0.50, 0.99, 0.999] {
-            assert_eq!(
-                merged.percentile(q),
-                union.percentile(q),
-                "merged and union-recorded p{q} must be identical"
-            );
-        }
-    }
-
-    #[test]
-    fn coord_accounting_tracks_submit_commit_and_inflight() {
-        let m = Metrics::new();
-        let base = Instant::now();
-        let (a, b) = (SiteId(0), SiteId(3));
-        m.note_coord_submit(a);
-        m.note_coord_submit(a);
-        m.note_coord_submit(b);
-        assert_eq!(m.coord_submitted(a), 2);
-        assert_eq!(m.coord_submitted(b), 1);
-        assert_eq!(m.coord_inflight(a), 2);
-        assert_eq!(m.coord_inflight_peak(a), 2);
-        let mut r = rec(1, 0, 10, TxnStatus::Committed, base);
-        r.coordinator = a;
-        m.record(r);
-        let mut r = rec(2, 0, 12, TxnStatus::Aborted(AbortReason::Deadlock), base);
-        r.coordinator = a;
-        m.record(r);
-        let mut r = rec(3, 0, 9, TxnStatus::Committed, base);
-        r.coordinator = b;
-        m.record(r);
-        assert_eq!(m.coord_committed(a), 1, "aborts don't count as commits");
-        assert_eq!(m.coord_committed(b), 1);
-        assert_eq!(m.coord_inflight(a), 0);
-        assert_eq!(m.coord_inflight(b), 0);
-        assert_eq!(m.coord_inflight_peak(a), 2, "peak survives the drain");
-        let stats = m.coord_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(
-            stats[0],
-            CoordStats {
-                site: a,
-                submitted: 2,
-                committed: 1,
-                inflight_peak: 2
-            }
-        );
-        // A record without a matching submit must not wrap the gauge.
-        m.record(rec(4, 0, 5, TxnStatus::Committed, base));
-        assert_eq!(m.coord_inflight(SiteId(0)), 0);
-    }
-
-    #[test]
-    fn retain_records_off_keeps_histograms_and_counters_only() {
-        let m = Metrics::new();
-        let base = Instant::now();
-        m.set_retain_records(false);
-        m.note_coord_submit(SiteId(0));
-        m.record(rec(1, 0, 10, TxnStatus::Committed, base));
-        assert!(m.records().is_empty(), "no record retained");
-        assert_eq!(m.response_histogram().count(), 1, "histogram still fed");
-        assert_eq!(m.coord_committed(SiteId(0)), 1, "counters still fed");
-        m.set_retain_records(true);
-        m.record(rec(2, 0, 10, TxnStatus::Committed, base));
-        assert_eq!(m.records().len(), 1);
     }
 
     #[test]

@@ -128,8 +128,7 @@ pub enum Message {
         site: SiteId,
         /// Round this reply answers.
         round: u64,
-        /// Snapshot of the local graph's live edges
-        /// ([`crate::LockManager::live_wfg`]).
+        /// Snapshot of the local graph ([`crate::LockManager::wfg`]).
         graph: WaitForGraph,
     },
     /// Detector → coordinator of the victim: abort this transaction

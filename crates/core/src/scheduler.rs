@@ -679,7 +679,6 @@ impl Scheduler {
                     Ok(Control::Submit { spec, reply }) => {
                         let id = self.idgen.next();
                         let now = Instant::now();
-                        self.metrics.note_coord_submit(self.site);
                         self.txns.push(CoordTxn {
                             id,
                             spec,
@@ -2083,7 +2082,7 @@ impl Scheduler {
         }
         self.wfg_deadline = None;
         // Union of all graphs (Alg. 4 l. 5), starting from the local one.
-        let mut merged = self.lockmgr.live_wfg();
+        let mut merged = self.lockmgr.wfg().clone();
         for g in self.wfg_replies.values() {
             merged.union(g);
         }
@@ -2314,7 +2313,7 @@ impl Scheduler {
                     Message::WfgReply {
                         site: self.site,
                         round,
-                        graph: self.lockmgr.live_wfg(),
+                        graph: self.lockmgr.wfg().clone(),
                     },
                 );
             }

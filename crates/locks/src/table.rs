@@ -191,18 +191,6 @@ impl LockTable {
         out
     }
 
-    /// True when `holder` holds a lock on `node` that is incompatible with
-    /// `mode` — the rule [`LockTable::try_acquire`] refuses by, so a
-    /// refused request whose holders no longer block it would now be
-    /// granted by them.
-    pub fn blocks(&self, holder: TxnId, node: GuideId, mode: LockMode) -> bool {
-        self.grants.get(&node).is_some_and(|grants| {
-            grants
-                .iter()
-                .any(|g| g.txn == holder && !g.mode.compatible(mode))
-        })
-    }
-
     /// The transactions whose locks on `node` refuse `mode` to `waiter`,
     /// by [`LockTable::try_acquire`]'s rule, without requesting anything:
     /// empty when the request would now be granted.
@@ -352,14 +340,23 @@ mod tests {
         t.try_acquire(TxnId(1), g(5), IS);
         // t2's IX on node 4 is refused by t1's ST, and only by it.
         assert!(!t.try_acquire(TxnId(2), g(4), IX).is_granted());
-        assert!(t.blocks(TxnId(1), g(4), IX));
-        assert!(!t.blocks(TxnId(1), g(4), ST), "ST is compatible with ST");
-        assert!(!t.blocks(TxnId(1), g(5), IX), "IS is compatible with IX");
-        assert!(!t.blocks(TxnId(3), g(4), IX), "t3 holds nothing");
+        assert_eq!(t.blockers(TxnId(2), g(4), IX), vec![TxnId(1)]);
+        assert!(
+            t.blockers(TxnId(2), g(4), ST).is_empty(),
+            "ST is compatible with ST"
+        );
+        assert!(
+            t.blockers(TxnId(2), g(5), IX).is_empty(),
+            "IS is compatible with IX"
+        );
+        assert!(
+            !t.blockers(TxnId(2), g(4), IX).contains(&TxnId(3)),
+            "t3 holds nothing"
+        );
         // Once t1's ST on node 4 is gone, it blocks nothing there, though
         // it still holds a lock elsewhere.
         t.release_scoped(TxnId(1), &[(g(4), ST)]);
-        assert!(!t.blocks(TxnId(1), g(4), IX));
+        assert!(t.blockers(TxnId(2), g(4), IX).is_empty());
         assert!(!t.is_lock_free(TxnId(1)));
         assert!(t.try_acquire(TxnId(2), g(4), IX).is_granted());
     }

@@ -92,6 +92,7 @@ pub struct WireStats {
     bytes_in: AtomicU64,
     decode_errors: AtomicU64,
     pending_dropped: AtomicU64,
+    accept_errors: AtomicU64,
 }
 
 impl WireStats {
@@ -128,6 +129,13 @@ impl WireStats {
     pub fn pending_dropped(&self) -> u64 {
         self.pending_dropped.load(Ordering::Relaxed)
     }
+
+    /// Failed `accept` calls on the listener, such as running out of
+    /// file descriptors. The acceptor pauses `ACCEPT_ERROR_PAUSE` after
+    /// each one.
+    pub fn accept_errors(&self) -> u64 {
+        self.accept_errors.load(Ordering::Relaxed)
+    }
 }
 
 /// Inbound scheduler-message sink (decoded `Msg` frames).
@@ -145,6 +153,11 @@ const PENDING_CAP: usize = 4096;
 /// Size of one blocking `read` on a connection. Every reader thread
 /// holds one such buffer, and frames average ~140 bytes.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// How long the acceptor sleeps after a failed `accept`. An error such
+/// as `EMFILE` persists until a descriptor frees up, and retrying it at
+/// once would spin a core.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
 
 /// How long one write may wait for the peer to drain its socket. A peer
 /// that is stopped but still connected then closes the connection
@@ -442,14 +455,21 @@ fn install_routes<M>(inner: &SockInner<M>, conn: &Arc<Conn>, sites: &[SiteId]) {
 }
 
 /// The acceptor thread: blocks in `accept` until `shutdown` sets the
-/// stop flag and wakes it with a connection of its own.
+/// stop flag and wakes it with a connection of its own. A failed
+/// `accept` is counted and followed by a short pause.
 fn accept_loop<M: WireCodec + Send + 'static>(inner: Arc<SockInner<M>>) {
     for stream in inner.listener.incoming() {
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        if let Ok(stream) = stream {
-            let _ = open_conn(&inner, stream);
+        match stream {
+            Ok(stream) => {
+                let _ = open_conn(&inner, stream);
+            }
+            Err(_) => {
+                inner.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(ACCEPT_ERROR_PAUSE);
+            }
         }
     }
 }
@@ -720,6 +740,35 @@ mod tests {
         assert!(
             t0.elapsed() < second,
             "b.shutdown() took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_failing_accept_is_counted_and_paced() {
+        let t = bind(&[SiteId(0)]);
+        // Make the listener non-blocking and wake the acceptor once: every
+        // later `accept` fails with `WouldBlock`, an error that persists
+        // like `EMFILE` does.
+        t.inner.listener.set_nonblocking(true).unwrap();
+        let _peer = TcpStream::connect(t.local_addr()).unwrap();
+        let t0 = Instant::now();
+        while t.stats().accept_errors() == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "no accept error counted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = t.stats().accept_errors();
+        std::thread::sleep(Duration::from_millis(200));
+        let errors = t.stats().accept_errors() - before;
+        assert!(errors <= 30, "{errors} accept errors in 200 ms");
+        let t0 = Instant::now();
+        t.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
             t0.elapsed()
         );
     }

@@ -19,9 +19,8 @@
 //!   collector, and the protocol-invariant checker [`trace::check`];
 //! * [`core`] — the DTX engine itself: schedulers, lock managers,
 //!   coordinator/participant transaction processing, distributed deadlock
-//!   detection, clusters with multi-coordinator submission (every site can
-//!   coordinate, round-robin via `Cluster::submit_round_robin`) and metrics
-//!   with per-coordinator accounting and mergeable latency histograms;
+//!   detection, clusters in which every site can coordinate, and metrics
+//!   with latency histograms;
 //! * [`xmark`] — XMark-like data/workload generation, fragmentation and the
 //!   DTXTester client simulator.
 //!

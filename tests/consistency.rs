@@ -290,3 +290,42 @@ fn readers_only_ever_see_values_written_by_committed_transactions() {
     }
     cluster.shutdown();
 }
+
+#[test]
+fn every_site_coordinates_its_fair_share_of_commits() {
+    // A read-mostly mix submitted at each of four sites: every site must
+    // commit, and no coordinator may commit more than twice another's.
+    let cluster = Cluster::start(ClusterConfig::new(4, ProtocolKind::Xdgl));
+    let sites = cluster.sites();
+    cluster
+        .load_document("d", "<r><a>0</a><b>0</b></r>", &sites)
+        .unwrap();
+    let pending: Vec<_> = (0..400)
+        .map(|i| {
+            let op = if i % 5 == 0 {
+                OpSpec::update(
+                    "d",
+                    UpdateOp::Change {
+                        target: Query::parse(if i % 2 == 0 { "/r/a" } else { "/r/b" }).unwrap(),
+                        new_value: i.to_string(),
+                    },
+                )
+            } else {
+                OpSpec::query("d", Query::parse("/r/*").unwrap())
+            };
+            let site = i % sites.len();
+            (
+                site,
+                cluster.submit_async(sites[site], TxnSpec::new(vec![op])),
+            )
+        })
+        .collect();
+    let mut commits = vec![0u32; sites.len()];
+    for (site, rx) in pending {
+        commits[site] += u32::from(rx.recv().unwrap().committed());
+    }
+    let (min, max) = (commits.iter().min().unwrap(), commits.iter().max().unwrap());
+    assert!(*min > 0, "every site committed something: {commits:?}");
+    assert!(max <= &(min * 2), "commit spread outside 2x: {commits:?}");
+    cluster.shutdown();
+}
