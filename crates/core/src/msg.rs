@@ -26,10 +26,10 @@ pub enum Message {
         /// The operation itself.
         op: OpSpec,
         /// Correlation id of this dispatch, unique per coordinator
-        /// scheduler. Echoed in the response: the coordinator's
-        /// continuation table is keyed by it, so responses to undone
-        /// retries or aborted transactions fall on the floor instead of
-        /// polluting a newer dispatch.
+        /// scheduler. Echoed in the response: the transaction's awaiting
+        /// phase holds the answers to its current dispatch, and the id
+        /// tells them from answers to an earlier, undone attempt, which
+        /// fall on the floor instead of polluting the newer dispatch.
         corr: u64,
         /// Whether the transaction contains updates (coarse protocols
         /// lock conservatively for updating transactions).

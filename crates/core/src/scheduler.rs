@@ -27,11 +27,14 @@
 //!
 //! Where Algorithm 1 says the coordinator "waits for the operation to be
 //! executed on all the sites" (l. 14), the transaction enters
-//! `Phase::AwaitingRemoteOps` and the loop moves on: the dispatched
-//! operation lives in a continuation table keyed by a correlation id, and
-//! the arrival of the last `RemoteDone` (or the deadline) resumes it.
-//! Commit and abort acknowledgement waits (Alg. 5/6) work the same way
-//! through `Phase::AwaitingCommitAcks` / `Phase::AwaitingAbortAcks`.
+//! `Phase::AwaitingRemoteOps` and the loop moves on. Each awaiting phase
+//! holds the answers it collects, and the arrival of the last one (or the
+//! deadline) resumes the transaction. The correlation id of a dispatch or
+//! vote round tells this attempt's answers from an earlier attempt's,
+//! which are dropped. The vote round and the commit and abort
+//! acknowledgement waits (Alg. 5/6) work the same way through
+//! `Phase::AwaitingPrepareAcks`, `Phase::AwaitingCommitAcks` and
+//! `Phase::AwaitingAbortAcks`.
 //! One scheduler thread therefore pipelines many in-flight distributed
 //! transactions instead of head-of-line blocking on each round-trip — the
 //! earlier design's nested message pump served participant duties while
@@ -81,7 +84,8 @@ use dtx_net::{Endpoint, Envelope, Network, SiteId};
 use dtx_storage::{LoggedOutcome, Wal, WalRecord};
 use dtx_trace::{EventKind, TraceSink};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -307,9 +311,9 @@ pub struct DocShipment {
 /// every point where Algorithm 1/5/6 says "wait".
 ///
 /// The event loop is the only thing that advances a transaction between
-/// phases; message handlers record arrivals in the continuation tables and
-/// trigger the transition when a phase's completion condition is met.
-#[derive(Debug, Clone)]
+/// phases; message handlers record each answer in the phase that awaits
+/// it and trigger the transition when the phase has every answer.
+#[derive(Debug)]
 enum Phase {
     /// Runnable: the next operation can be dispatched.
     Ready,
@@ -322,11 +326,12 @@ enum Phase {
         /// Sites whose refusal of the last attempt is not lifted yet.
         refusing: Vec<SiteId>,
     },
-    /// A distributed operation is in flight (Alg. 1 l. 14): responses are
-    /// collected under `corr` until every site in `sites` reported (or
-    /// `deadline` passes).
+    /// A distributed operation is in flight (Alg. 1 l. 14): answers to
+    /// dispatch `corr` are collected until every site in `sites` reported
+    /// (or `deadline` passes).
     AwaitingRemoteOps {
-        /// Correlation id of this dispatch (continuation-table key).
+        /// Correlation id of this dispatch; answers carrying another one
+        /// belong to an earlier attempt and are dropped.
         corr: u64,
         /// Index of the in-flight operation.
         op_seq: usize,
@@ -339,33 +344,39 @@ enum Phase {
         fragmented: bool,
         /// Response deadline (remote timeout).
         deadline: Instant,
+        /// The answers received so far, by site.
+        answers: HashMap<SiteId, Answer>,
         /// Sites that lifted their refusal after their response arrived
         /// (links are FIFO, so an earlier lift was for an earlier attempt).
         lifted: Vec<SiteId>,
     },
     /// Presumed-abort vote requests sent ([`Message::Prepare`]); awaiting
-    /// `expected` votes. Only distributed **update** transactions pass
-    /// through here — read-only ones have nothing to make durable and
-    /// keep the one-phase batched termination.
+    /// one vote per remote participant. Only distributed **update**
+    /// transactions pass through here — read-only ones have nothing to
+    /// make durable and keep the one-phase batched termination.
     AwaitingPrepareAcks {
-        /// Number of votes required.
-        expected: usize,
+        /// Correlation id of this vote round.
+        corr: u64,
+        /// The votes received so far, by site.
+        votes: HashMap<SiteId, bool>,
         /// Vote deadline (a missing vote aborts — presumed abort).
         deadline: Instant,
     },
-    /// Commit requests sent (Alg. 5 l. 4); awaiting `expected` acks.
+    /// Commit requests sent (Alg. 5 l. 4); awaiting one ack per remote
+    /// participant.
     AwaitingCommitAcks {
-        /// Number of acknowledgements required.
-        expected: usize,
+        /// The acknowledgements received so far, by site.
+        acks: HashMap<SiteId, bool>,
         /// Ack deadline.
         deadline: Instant,
     },
-    /// Abort requests sent (Alg. 6 l. 4); awaiting `expected` acks.
+    /// Abort requests sent (Alg. 6 l. 4); awaiting one ack per remote
+    /// participant.
     AwaitingAbortAcks {
-        /// Number of acknowledgements required.
-        expected: usize,
         /// Why the transaction aborts (reported to the client).
         reason: AbortReason,
+        /// The acknowledgements received so far, by site.
+        acks: HashMap<SiteId, bool>,
         /// Ack deadline.
         deadline: Instant,
     },
@@ -382,6 +393,18 @@ impl Phase {
             Phase::AwaitingPrepareAcks { .. } => "AwaitingPrepareAcks",
             Phase::AwaitingCommitAcks { .. } => "AwaitingCommitAcks",
             Phase::AwaitingAbortAcks { .. } => "AwaitingAbortAcks",
+        }
+    }
+
+    /// When an awaiting phase gives up on its missing answers; `None` for
+    /// the runnable and waiting phases.
+    fn deadline(&self) -> Option<Instant> {
+        match *self {
+            Phase::Ready | Phase::Waiting { .. } => None,
+            Phase::AwaitingRemoteOps { deadline, .. }
+            | Phase::AwaitingPrepareAcks { deadline, .. }
+            | Phase::AwaitingCommitAcks { deadline, .. }
+            | Phase::AwaitingAbortAcks { deadline, .. } => Some(deadline),
         }
     }
 }
@@ -404,7 +427,6 @@ struct PinnedPlan {
 
 /// Coordinator-side execution state (Alg. 1's view of one transaction).
 struct CoordTxn {
-    id: TxnId,
     spec: TxnSpec,
     next_op: usize,
     phase: Phase,
@@ -479,17 +501,61 @@ struct PreparedTxn {
     recovered: bool,
 }
 
-/// A participant's report about one remote operation.
-#[derive(Debug, Clone)]
-struct DoneInfo {
-    acquired: bool,
-    executed: bool,
-    failed: bool,
-    deadlock: bool,
-    /// The participant refused the dispatch for a catalog-epoch mismatch
-    /// (nothing executed, no locks taken).
-    stale: bool,
-    result: Option<OpResult>,
+/// A participant's answer about one dispatched operation.
+#[derive(Debug)]
+enum Answer {
+    /// The operation ran and produced this result.
+    Executed(OpResult),
+    /// A lock was refused (or the replica copy fence paused the update):
+    /// nothing ran. `deadlock` tags a wait-for cycle the refusal closed.
+    Refused { deadlock: bool },
+    /// The operation failed for a non-lock reason; nothing ran.
+    Failed,
+    /// The dispatch carried a placement version of the target document
+    /// other than the participant's: nothing ran, no lock was taken.
+    Stale,
+}
+
+impl Answer {
+    /// The answer a [`Message::RemoteDone`]'s flags carry. A combination
+    /// no participant sends counts as [`Answer::Failed`].
+    fn from_wire(
+        acquired: bool,
+        executed: bool,
+        failed: bool,
+        deadlock: bool,
+        stale: bool,
+        result: Option<OpResult>,
+    ) -> Answer {
+        match (acquired, executed, failed, result) {
+            _ if stale => Answer::Stale,
+            (false, false, false, None) => Answer::Refused { deadlock },
+            (true, true, false, Some(r)) if !deadlock => Answer::Executed(r),
+            _ => Answer::Failed,
+        }
+    }
+
+    /// The [`Message::RemoteDone`] that carries this answer.
+    fn into_wire(self, txn: TxnId, op_seq: usize, corr: u64, site: SiteId) -> Message {
+        let (acquired, executed, failed, deadlock, stale, result) = match self {
+            Answer::Executed(r) => (true, true, false, false, false, Some(r)),
+            Answer::Refused { deadlock } => (false, false, false, deadlock, false, None),
+            Answer::Failed => (true, false, true, false, false, None),
+            Answer::Stale => (false, false, false, false, true, None),
+        };
+        Message::RemoteDone {
+            txn,
+            op_seq,
+            corr,
+            site,
+            acquired,
+            executed,
+            failed,
+            deadlock,
+            stale,
+            result,
+        }
+    }
 }
 
 /// The scheduler of one DTX instance.
@@ -500,17 +566,11 @@ pub struct Scheduler {
     control: Receiver<Control>,
     catalog: Arc<Catalog>,
     lockmgr: LockManager,
-    txns: Vec<CoordTxn>,
+    /// The transactions this site coordinates, by id (ordered, so
+    /// dispatch order is deterministic).
+    txns: BTreeMap<TxnId, CoordTxn>,
     /// Coordinator of each transaction seen as a participant.
     txn_coord: HashMap<TxnId, SiteId>,
-    /// Continuation table: responses collected per in-flight distributed
-    /// operation, keyed by correlation id. Stale responses (undone retry,
-    /// aborted transaction) find no entry and are dropped.
-    pending_done: HashMap<u64, HashMap<SiteId, DoneInfo>>,
-    /// Commit acknowledgements per transaction.
-    pending_commit: HashMap<TxnId, HashMap<SiteId, bool>>,
-    /// Abort acknowledgements per transaction.
-    pending_abort: HashMap<TxnId, HashMap<SiteId, bool>>,
     /// Group-commit outbox: accumulated termination decisions, flushed
     /// as one [`Message::TerminateBatch`] per site every tick.
     term_outbox: HashMap<SiteId, TermBatch>,
@@ -528,7 +588,9 @@ pub struct Scheduler {
     /// Correlation-id source (unique per dispatch from this scheduler).
     next_corr: u64,
     next_detection: Instant,
-    rr_cursor: usize,
+    /// The transaction dispatched last; the round-robin scan resumes
+    /// after it.
+    rr_cursor: TxnId,
     rng: u64,
     /// This site's write-ahead log (owned by the cluster so it survives a
     /// scheduler kill — the "stable storage" of the durability fiction).
@@ -538,8 +600,6 @@ pub struct Scheduler {
     /// An armed crash point fired: fall out of the event loop without
     /// flushing, aborting or replying (a crash loses all of that).
     crashed: bool,
-    /// Prepare votes per transaction: `(vote round corr, votes by site)`.
-    pending_prepare: HashMap<TxnId, (u64, HashMap<SiteId, bool>)>,
     /// Participant-side in-doubt table: prepared transactions awaiting
     /// their decision.
     prepared: HashMap<TxnId, PreparedTxn>,
@@ -596,11 +656,8 @@ impl Scheduler {
             control,
             catalog,
             lockmgr,
-            txns: Vec::new(),
+            txns: BTreeMap::new(),
             txn_coord: HashMap::new(),
-            pending_done: HashMap::new(),
-            pending_commit: HashMap::new(),
-            pending_abort: HashMap::new(),
             term_outbox: HashMap::new(),
             wfg_round: 0,
             wfg_replies: HashMap::new(),
@@ -611,12 +668,11 @@ impl Scheduler {
             cfg,
             next_corr: 0,
             next_detection: now + cfg.deadlock_period + stagger,
-            rr_cursor: 0,
+            rr_cursor: TxnId(0),
             rng: cfg.seed ^ ((site.0 as u64) << 32) | 1,
             wal,
             faults,
             crashed: false,
-            pending_prepare: HashMap::new(),
             prepared: HashMap::new(),
             refused: HashSet::new(),
             participant_seen: HashMap::new(),
@@ -679,22 +735,24 @@ impl Scheduler {
                     Ok(Control::Submit { spec, reply }) => {
                         let id = self.idgen.next();
                         let now = Instant::now();
-                        self.txns.push(CoordTxn {
+                        self.txns.insert(
                             id,
-                            spec,
-                            next_op: 0,
-                            phase: Phase::Ready,
-                            phase_entered: now,
-                            times: PhaseTimes::default(),
-                            wait_since: None,
-                            stale_retries: 0,
-                            pinned: None,
-                            remote_sites: Vec::new(),
-                            decided: false,
-                            results: Vec::new(),
-                            submitted: now,
-                            reply,
-                        });
+                            CoordTxn {
+                                spec,
+                                next_op: 0,
+                                phase: Phase::Ready,
+                                phase_entered: now,
+                                times: PhaseTimes::default(),
+                                wait_since: None,
+                                stale_retries: 0,
+                                pinned: None,
+                                remote_sites: Vec::new(),
+                                decided: false,
+                                results: Vec::new(),
+                                submitted: now,
+                                reply,
+                            },
+                        );
                     }
                     Ok(Control::LoadDoc {
                         name,
@@ -785,7 +843,7 @@ impl Scheduler {
                     && (!self.lockmgr.wfg().is_empty()
                         || self
                             .txns
-                            .iter()
+                            .values()
                             .any(|t| matches!(t.phase, Phase::Waiting { .. })))
                 {
                     self.start_deadlock_round();
@@ -833,10 +891,10 @@ impl Scheduler {
         // participants (they release locks there).
         self.flush_terminations();
         // Abort whatever is still in flight so clients unblock.
-        while let Some(txn) = self.txns.pop() {
-            let _ = self.lockmgr.abort_local(txn.id);
+        while let Some((id, txn)) = self.txns.pop_last() {
+            let _ = self.lockmgr.abort_local(id);
             let _ = txn.reply.send(TxnOutcome {
-                txn: txn.id,
+                txn: id,
                 status: TxnStatus::Aborted(AbortReason::Shutdown),
                 response_time: txn.submitted.elapsed(),
                 results: Vec::new(),
@@ -855,14 +913,10 @@ impl Scheduler {
         Duration::from_nanos((base.as_nanos() as f64 * frac) as u64)
     }
 
-    fn txn_index(&self, id: TxnId) -> Option<usize> {
-        self.txns.iter().position(|t| t.id == id)
-    }
-
     fn set_phase(&mut self, id: TxnId, phase: Phase) {
-        if let Some(idx) = self.txn_index(id) {
+        if let Some(txn) = self.txns.get_mut(&id) {
             let name = phase.name();
-            self.txns[idx].set_phase(phase);
+            txn.set_phase(phase);
             self.trace.emit(|| EventKind::PhaseEnter {
                 txn: id.0,
                 phase: name,
@@ -883,41 +937,35 @@ impl Scheduler {
         if !self.prepared.is_empty() || !self.participant_seen.is_empty() {
             earliest = earliest.min(self.next_indoubt_sweep);
         }
-        for t in &self.txns {
+        for t in self.txns.values() {
             let at = match t.phase {
-                Phase::Waiting { retry_at, .. } => retry_at,
-                Phase::AwaitingRemoteOps { deadline, .. }
-                | Phase::AwaitingPrepareAcks { deadline, .. }
-                | Phase::AwaitingCommitAcks { deadline, .. }
-                | Phase::AwaitingAbortAcks { deadline, .. } => deadline,
-                Phase::Ready => Instant::now(),
+                Phase::Ready => Some(Instant::now()),
+                Phase::Waiting { retry_at, .. } => Some(retry_at),
+                _ => t.phase.deadline(),
             };
-            earliest = earliest.min(at);
+            earliest = at.map_or(earliest, |at| earliest.min(at));
         }
         earliest
     }
 
     /// Round-robin pick of a runnable coordinated transaction: in
-    /// `Phase::Ready`, or in wait mode with an expired retry time.
+    /// `Phase::Ready`, or in wait mode with an expired retry time. The scan
+    /// starts after the last pick and wraps.
     fn pick_available(&mut self) -> Option<TxnId> {
-        if self.txns.is_empty() {
-            return None;
-        }
         let now = Instant::now();
-        let n = self.txns.len();
-        for off in 0..n {
-            let idx = (self.rr_cursor + off) % n;
-            let ready = match self.txns[idx].phase {
+        let after = (Bound::Excluded(self.rr_cursor), Bound::Unbounded);
+        let id = self
+            .txns
+            .range(after)
+            .chain(self.txns.range(..=self.rr_cursor))
+            .find(|(_, t)| match t.phase {
                 Phase::Ready => true,
                 Phase::Waiting { retry_at, .. } => now >= retry_at,
                 _ => false,
-            };
-            if ready {
-                self.rr_cursor = (idx + 1) % n;
-                return Some(self.txns[idx].id);
-            }
-        }
-        None
+            })
+            .map(|(&id, _)| id)?;
+        self.rr_cursor = id;
+        Some(id)
     }
 
     /// Number of transactions currently awaiting remote responses; the
@@ -926,7 +974,7 @@ impl Scheduler {
     fn note_remote_inflight(&self) {
         let n = self
             .txns
-            .iter()
+            .values()
             .filter(|t| matches!(t.phase, Phase::AwaitingRemoteOps { .. }))
             .count();
         self.metrics.note_inflight_remote(n);
@@ -937,23 +985,24 @@ impl Scheduler {
     // -----------------------------------------------------------------
 
     fn execute_next_op(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
         // Wait-timeout safety net.
-        if let Some(since) = self.txns[idx].wait_since {
-            if since.elapsed() > WAIT_TIMEOUT {
-                self.begin_abort(id, AbortReason::OperationFailed("wait-mode timeout".into()));
-                return;
-            }
+        if txn
+            .wait_since
+            .is_some_and(|since| since.elapsed() > WAIT_TIMEOUT)
+        {
+            self.begin_abort(id, AbortReason::OperationFailed("wait-mode timeout".into()));
+            return;
         }
-        let op_seq = self.txns[idx].next_op;
-        if op_seq >= self.txns[idx].spec.ops.len() {
+        let op_seq = txn.next_op;
+        if op_seq >= txn.spec.ops.len() {
             // No available operation left (Alg. 1 l. 24) → commit.
             self.begin_commit(id);
             return;
         }
-        let op = self.txns[idx].spec.ops[op_seq].clone();
+        let op = txn.spec.ops[op_seq].clone();
         // A wait-mode retry re-dispatches under the operation's pinned
         // plan (see [`PinnedPlan`]) — but only while the pin's document
         // version is still current. A placement mutation *of this
@@ -962,20 +1011,14 @@ impl Scheduler {
         // version for it (a dropped local replica must not keep serving
         // reads), so the check happens here, and the abandoned plan's
         // wait edges are cleared at its sites before routing anew.
-        let dead_pin_sites = match &self.txns[idx].pinned {
-            Some(pin) if pin.version != self.catalog.version_of(&op.doc) => Some(pin.sites.clone()),
-            _ => None,
-        };
-        if let Some(sites) = dead_pin_sites {
-            self.abandon_plan(id, &sites);
-            if let Some(idx) = self.txn_index(id) {
-                self.txns[idx].pinned = None;
-            }
+        let dead_pin = txn
+            .pinned
+            .take_if(|pin| pin.version != self.catalog.version_of(&op.doc));
+        let pinned = txn.pinned.clone();
+        if let Some(dead) = dead_pin {
+            self.abandon_plan(id, &dead.sites);
         }
-        let Some(idx) = self.txn_index(id) else {
-            return;
-        };
-        let pin = match self.txns[idx].pinned.clone() {
+        let pin = match pinned {
             Some(pin) => pin,
             None => {
                 // Placement is entirely the catalog's call (Alg. 1 l. 12,
@@ -1012,7 +1055,9 @@ impl Scheduler {
                     fragmented: plan.is_fragment_fan_out(),
                     version,
                 };
-                self.txns[idx].pinned = Some(pin.clone());
+                if let Some(txn) = self.txns.get_mut(&id) {
+                    txn.pinned = Some(pin.clone());
+                }
                 pin
             }
         };
@@ -1035,8 +1080,8 @@ impl Scheduler {
     }
 
     fn coord_txn_mode(&self, id: TxnId) -> TxnMode {
-        match self.txn_index(id) {
-            Some(idx) if self.txns[idx].spec.is_read_only() => TxnMode::ReadOnly,
+        match self.txns.get(&id) {
+            Some(txn) if txn.spec.is_read_only() => TxnMode::ReadOnly,
             _ => TxnMode::Updating,
         }
     }
@@ -1099,7 +1144,6 @@ impl Scheduler {
         self.next_corr += 1;
         let corr = self.next_corr;
         let mode = self.coord_txn_mode(id);
-        self.pending_done.insert(corr, HashMap::new());
         // Send to remote participants (Alg. 1 l. 13).
         let mut sent = 0u64;
         for &s in sites {
@@ -1131,11 +1175,10 @@ impl Scheduler {
         }
         // Execute locally when the coordinator also holds the data
         // ("including the coordinator if it contains data involved").
+        let mut answers = HashMap::new();
         if sites.contains(&self.site) {
-            let done = self.participant_execute(id, op_seq, op, mode, fragmented);
-            if let Some(map) = self.pending_done.get_mut(&corr) {
-                map.insert(self.site, done);
-            }
+            let answer = self.participant_execute(id, op_seq, op, mode, fragmented);
+            answers.insert(self.site, answer);
         }
         self.set_phase(
             id,
@@ -1145,66 +1188,74 @@ impl Scheduler {
                 sites: sites.to_vec(),
                 fragmented,
                 deadline: Instant::now() + self.cfg.remote_timeout,
+                answers,
                 lifted: Vec::new(),
             },
         );
         self.note_remote_inflight();
         // Degenerate completion (every participant local) resolves now.
-        self.try_finish_remote_op(id);
+        self.try_advance(id);
     }
 
-    /// Advances a transaction out of `Phase::AwaitingRemoteOps` if every
-    /// dispatched site has reported.
-    fn try_finish_remote_op(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
+    /// Advances `id` out of its awaiting phase once the phase holds every
+    /// answer it waits for: one per dispatched site for an operation, one
+    /// per remote participant for a vote, commit or abort round.
+    fn try_advance(&mut self, id: TxnId) {
+        let Some(txn) = self.txns.get(&id) else {
             return;
         };
-        let Phase::AwaitingRemoteOps {
-            corr, ref sites, ..
-        } = self.txns[idx].phase
-        else {
-            return;
-        };
-        let expected = sites.len();
-        let complete = self
-            .pending_done
-            .get(&corr)
-            .map(|m| m.len() >= expected)
-            .unwrap_or(false);
-        if complete {
-            self.finish_remote_op(id, true);
+        let participants = txn.remote_sites.len();
+        match &txn.phase {
+            Phase::AwaitingRemoteOps { sites, answers, .. } if answers.len() >= sites.len() => {
+                self.finish_remote_op(id, true)
+            }
+            Phase::AwaitingPrepareAcks { votes, .. } if votes.len() >= participants => {
+                self.finish_prepare(id, true)
+            }
+            Phase::AwaitingCommitAcks { acks, .. } if acks.len() >= participants => {
+                self.finish_commit(id, true)
+            }
+            Phase::AwaitingAbortAcks { acks, .. } if acks.len() >= participants => {
+                self.finish_abort(id, true)
+            }
+            _ => {}
         }
     }
 
     /// Alg. 1 l. 14-22, resumed event-style: all responses arrived
     /// (`complete`) or the deadline passed. Either advance, undo + wait,
-    /// re-route (stale catalog), or abort.
+    /// re-route (stale catalog), or abort. The answers are weighed in a
+    /// fixed order: stale refusals, then the deadlock-victim tag, then lock
+    /// refusals, then failures.
     fn finish_remote_op(&mut self, id: TxnId, complete: bool) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
         let Phase::AwaitingRemoteOps {
-            corr,
             op_seq,
             ref sites,
             fragmented,
-            ref lifted,
+            ref mut answers,
+            ref mut lifted,
             ..
-        } = self.txns[idx].phase
+        } = txn.phase
         else {
             return;
         };
         let sites = sites.clone();
-        let lifted = lifted.clone();
-        let mut statuses = self.pending_done.remove(&corr).unwrap_or_default();
+        let answers = std::mem::take(answers);
+        let lifted = std::mem::take(lifted);
         if !complete {
             // A participant did not answer: undo what executed and abort.
-            self.undo_partial(id, op_seq, &statuses);
+            self.undo_partial(id, op_seq, &answers);
             self.record_participation(id, &sites);
             self.begin_abort(id, AbortReason::RemoteTimeout);
             return;
         }
-        if statuses.values().any(|d| d.stale) {
+        let victim = answers
+            .values()
+            .any(|a| matches!(a, Answer::Refused { deadlock: true }));
+        if answers.values().any(|a| matches!(a, Answer::Stale)) {
             // A participant refused the dispatch: its view of the target
             // document's placement version differs from the one this plan
             // was routed under. Undo whatever
@@ -1217,31 +1268,31 @@ impl Scheduler {
             let engaged: Vec<SiteId> = sites
                 .iter()
                 .copied()
-                .filter(|s| !statuses.get(s).is_some_and(|d| d.stale))
+                .filter(|s| !matches!(answers.get(s), Some(Answer::Stale)))
                 .collect();
             self.record_participation(id, &engaged);
-            self.undo_partial(id, op_seq, &statuses);
+            self.undo_partial(id, op_seq, &answers);
             self.metrics.note_stale_reroute();
             // An engaged participant may still have tagged this
             // transaction as the deadlock victim — that verdict survives
             // the re-route decision (the cycle is real regardless of the
             // refused site).
-            if statuses.values().any(|d| d.deadlock) {
+            if victim {
                 self.begin_abort(id, AbortReason::Deadlock);
                 return;
             }
-            let Some(idx) = self.txn_index(id) else {
+            let Some(txn) = self.txns.get_mut(&id) else {
                 return;
             };
-            self.txns[idx].stale_retries += 1;
-            if self.txns[idx].stale_retries > MAX_STALE_REROUTES {
+            txn.stale_retries += 1;
+            if txn.stale_retries > MAX_STALE_REROUTES {
                 self.begin_abort(id, AbortReason::StaleCatalog);
             } else {
                 // Route anew next time: the pinned plan's version is dead.
                 // Conflict edges this dispatch left at engaged sites are
                 // dropped with it — the fresh plan may never revisit them.
-                self.txns[idx].pinned = None;
-                self.txns[idx].set_phase(Phase::Ready);
+                txn.pinned = None;
+                self.set_phase(id, Phase::Ready);
                 self.abandon_plan(id, &engaged);
                 self.note_remote_inflight();
             }
@@ -1249,54 +1300,58 @@ impl Scheduler {
         }
         // Record participation for commit/abort routing.
         self.record_participation(id, &sites);
-        let any_failed = statuses.values().any(|d| d.failed);
-        let any_deadlock = statuses.values().any(|d| d.deadlock);
-        let all_acquired = statuses.values().all(|d| d.acquired);
-        if !all_acquired {
+        if answers
+            .values()
+            .any(|a| matches!(a, Answer::Refused { .. }))
+        {
             // Alg. 1 l. 15-17: undo wherever it executed, then wait for
             // the refusals not lifted yet.
-            self.undo_partial(id, op_seq, &statuses);
-            if any_deadlock {
+            self.undo_partial(id, op_seq, &answers);
+            if victim {
                 self.begin_abort(id, AbortReason::Deadlock);
             } else {
-                let refusing = statuses
+                let refusing = answers
                     .iter()
-                    .filter(|&(s, d)| !d.acquired && !lifted.contains(s))
+                    .filter(|&(s, a)| matches!(a, Answer::Refused { .. }) && !lifted.contains(s))
                     .map(|(&s, _)| s)
                     .collect();
                 self.enter_wait(id, refusing);
             }
             return;
         }
-        if any_failed || any_deadlock {
+        if answers.values().any(|a| matches!(a, Answer::Failed)) {
             // Alg. 1 l. 19-20.
-            let reason = if any_deadlock {
-                AbortReason::Deadlock
-            } else {
-                AbortReason::OperationFailed("remote operation failed".into())
-            };
-            self.begin_abort(id, reason);
+            self.begin_abort(
+                id,
+                AbortReason::OperationFailed("remote operation failed".into()),
+            );
             return;
         }
         // Success everywhere. For replicated documents the replicas agree
-        // and one answer suffices; for fragmented documents the coordinator
-        // merges the per-fragment results (query values united in site
-        // order, update counts summed). The merge mode travels with the
-        // routing plan — the scheduler never consults the catalog here.
+        // and one answer suffices (the local one when there is one); for
+        // fragmented documents the coordinator merges the per-fragment
+        // results (query values united in site order, update counts
+        // summed). The merge mode travels with the routing plan — the
+        // scheduler never consults the catalog here.
+        let mut results: Vec<(SiteId, OpResult)> = answers
+            .into_iter()
+            .filter_map(|(s, a)| match a {
+                Answer::Executed(r) => Some((s, r)),
+                _ => None,
+            })
+            .collect();
+        results.sort_by_key(|&(s, _)| s);
         let result = if fragmented {
-            let mut ordered: Vec<(SiteId, DoneInfo)> = statuses.into_iter().collect();
-            ordered.sort_by_key(|(s, _)| *s);
             let mut values: Vec<String> = Vec::new();
             let mut affected = 0usize;
             let mut is_query = false;
-            for (_, d) in ordered {
-                match d.result {
-                    Some(OpResult::Query { values: v }) => {
+            for (_, r) in results {
+                match r {
+                    OpResult::Query { values: v } => {
                         is_query = true;
                         values.extend(v);
                     }
-                    Some(OpResult::Update { affected: a }) => affected += a,
-                    None => {}
+                    OpResult::Update { affected: a } => affected += a,
                 }
             }
             if is_query {
@@ -1314,21 +1369,19 @@ impl Scheduler {
                 OpResult::Update { affected }
             }
         } else {
-            statuses
-                .remove(&self.site)
-                .and_then(|d| d.result)
-                .or_else(|| statuses.into_values().find_map(|d| d.result))
-                .unwrap_or(OpResult::Update { affected: 0 })
+            results
+                .into_iter()
+                .min_by_key(|&(s, _)| s != self.site)
+                .map_or(OpResult::Update { affected: 0 }, |(_, r)| r)
         };
         self.op_succeeded(id, result);
     }
 
     fn record_participation(&mut self, id: TxnId, sites: &[SiteId]) {
         let my_site = self.site;
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
-        let txn = &mut self.txns[idx];
         for &s in sites {
             if s != my_site && !txn.remote_sites.contains(&s) {
                 txn.remote_sites.push(s);
@@ -1336,9 +1389,9 @@ impl Scheduler {
         }
     }
 
-    fn undo_partial(&mut self, id: TxnId, op_seq: usize, statuses: &HashMap<SiteId, DoneInfo>) {
-        for (&site, done) in statuses {
-            if done.executed {
+    fn undo_partial(&mut self, id: TxnId, op_seq: usize, answers: &HashMap<SiteId, Answer>) {
+        for (&site, answer) in answers {
+            if matches!(answer, Answer::Executed(_)) {
                 if site == self.site {
                     let waiters = self.lockmgr.undo_op(id, op_seq);
                     self.wake_waiters(waiters);
@@ -1371,7 +1424,7 @@ impl Scheduler {
     /// a [`Message::Wake`].
     fn wake_waiters(&mut self, waiters: Vec<TxnId>) {
         for w in waiters {
-            if self.txn_index(w).is_some() {
+            if self.txns.contains_key(&w) {
                 self.lift(w, self.site);
             } else if let Some(&coord) = self.txn_coord.get(&w) {
                 if coord != self.site {
@@ -1386,41 +1439,36 @@ impl Scheduler {
     /// it is refused, but only if `site` already answered it: links are
     /// FIFO, so a lift that overtook the answer was for an earlier attempt.
     fn lift(&mut self, id: TxnId, site: SiteId) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
-        match &mut self.txns[idx].phase {
+        match &mut txn.phase {
             Phase::Waiting { retry_at, refusing } => {
                 refusing.retain(|&s| s != site);
                 if refusing.is_empty() {
                     *retry_at = Instant::now();
                 }
             }
-            Phase::AwaitingRemoteOps { corr, lifted, .. }
-                if self
-                    .pending_done
-                    .get(corr)
-                    .is_some_and(|answers| answers.contains_key(&site)) =>
-            {
-                lifted.push(site);
-            }
+            Phase::AwaitingRemoteOps {
+                answers, lifted, ..
+            } if answers.contains_key(&site) => lifted.push(site),
             _ => {}
         }
     }
 
     fn op_succeeded(&mut self, id: TxnId, result: OpResult) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
-        let txn = &mut self.txns[idx];
         txn.results.push(result);
         txn.next_op += 1;
         txn.wait_since = None;
         // The next operation routes fresh, with a fresh stale budget.
         txn.pinned = None;
         txn.stale_retries = 0;
-        txn.set_phase(Phase::Ready);
-        if txn.next_op >= txn.spec.ops.len() {
+        let last = txn.next_op >= txn.spec.ops.len();
+        self.set_phase(id, Phase::Ready);
+        if last {
             self.begin_commit(id);
         }
     }
@@ -1433,19 +1481,19 @@ impl Scheduler {
     /// at once.
     fn enter_wait(&mut self, id: TxnId, refusing: Vec<SiteId>) {
         let backstop = self.jitter(WAIT_BACKSTOP);
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
         let now = Instant::now();
+        txn.wait_since.get_or_insert(now);
         let waits = !refusing.is_empty();
-        let txn = &mut self.txns[idx];
-        txn.set_phase(Phase::Waiting {
-            retry_at: if waits { now + backstop } else { now },
-            refusing,
-        });
-        if txn.wait_since.is_none() {
-            txn.wait_since = Some(now);
-        }
+        self.set_phase(
+            id,
+            Phase::Waiting {
+                retry_at: if waits { now + backstop } else { now },
+                refusing,
+            },
+        );
         if waits {
             self.next_detection = self.next_detection.min(now + RETRY_INTERVAL);
         }
@@ -1464,23 +1512,22 @@ impl Scheduler {
     /// transactions have nothing to make durable — they keep the
     /// one-phase batched termination (and its message economy).
     fn begin_commit(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get(&id) else {
             return;
         };
-        let remotes = self.txns[idx].remote_sites.clone();
+        let remotes = txn.remote_sites.clone();
         if remotes.is_empty() {
             self.consolidate_local(id);
             return;
         }
-        if self.txns[idx].spec.is_read_only() {
-            self.pending_commit.insert(id, HashMap::new());
+        if txn.spec.is_read_only() {
             for &s in &remotes {
                 self.enqueue_termination(s, id, true);
             }
             self.set_phase(
                 id,
                 Phase::AwaitingCommitAcks {
-                    expected: remotes.len(),
+                    acks: HashMap::new(),
                     deadline: Instant::now() + self.cfg.remote_timeout,
                 },
             );
@@ -1490,7 +1537,6 @@ impl Scheduler {
         self.metrics.note_prepare_round();
         self.next_corr += 1;
         let corr = self.next_corr;
-        self.pending_prepare.insert(id, (corr, HashMap::new()));
         for &s in &remotes {
             let _ = self.net.send(
                 self.site,
@@ -1505,7 +1551,8 @@ impl Scheduler {
         self.set_phase(
             id,
             Phase::AwaitingPrepareAcks {
-                expected: remotes.len(),
+                corr,
+                votes: HashMap::new(),
                 deadline: Instant::now() + self.cfg.remote_timeout,
             },
         );
@@ -1517,64 +1564,42 @@ impl Scheduler {
         }
     }
 
-    /// Advances a transaction out of `Phase::AwaitingPrepareAcks` if
-    /// every vote arrived.
-    fn try_finish_prepare(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
-            return;
-        };
-        let Phase::AwaitingPrepareAcks { expected, .. } = self.txns[idx].phase else {
-            return;
-        };
-        let complete = self
-            .pending_prepare
-            .get(&id)
-            .map(|(_, votes)| votes.len() >= expected)
-            .unwrap_or(false);
-        if complete {
-            self.finish_prepare(id, true);
-        }
-    }
-
     /// Phase 2 entry: all votes arrived (`complete`) or the vote deadline
     /// passed. A unanimous yes force-logs the commit decision (the only
     /// forced coordinator write of presumed abort) and sends the commit
     /// round; anything else aborts — a missing vote IS a no under
     /// presumed abort.
     fn finish_prepare(&mut self, id: TxnId, complete: bool) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
-        if !matches!(self.txns[idx].phase, Phase::AwaitingPrepareAcks { .. }) {
+        let Phase::AwaitingPrepareAcks { ref votes, .. } = txn.phase else {
             return;
-        }
-        let votes = self.pending_prepare.remove(&id);
-        let all_yes =
-            complete && votes.is_some_and(|(_, v)| !v.is_empty() && v.values().all(|&ok| ok));
+        };
+        let all_yes = complete && !votes.is_empty() && votes.values().all(|&ok| ok);
         if !all_yes {
             self.begin_abort(id, AbortReason::CommitFailed);
             return;
         }
-        let remotes = self.txns[idx].remote_sites.clone();
+        let remotes = txn.remote_sites.clone();
         self.wal.force(WalRecord::Decision {
             txn: id,
             participants: remotes.clone(),
         });
-        self.txns[idx].decided = true;
+        txn.decided = true;
         if self.faults.take_if(CrashPoint::AfterDecide) {
             // Die with the decision on stable storage but no commit sent:
             // only WAL replay can (and must) deliver it after restart.
             self.crashed = true;
             return;
         }
-        self.pending_commit.insert(id, HashMap::new());
         for &s in &remotes {
             self.enqueue_termination(s, id, true);
         }
         self.set_phase(
             id,
             Phase::AwaitingCommitAcks {
-                expected: remotes.len(),
+                acks: HashMap::new(),
                 deadline: Instant::now() + self.cfg.remote_timeout,
             },
         );
@@ -1619,8 +1644,9 @@ impl Scheduler {
         }
         for &txn in &batch.commits {
             let forced = self
-                .txn_index(txn)
-                .map(|i| self.txns[i].decided)
+                .txns
+                .get(&txn)
+                .map(|t| t.decided)
                 .unwrap_or_else(|| self.reco_commits.contains_key(&txn));
             if forced {
                 self.trace.emit(|| EventKind::CommitSent {
@@ -1673,75 +1699,55 @@ impl Scheduler {
         }
     }
 
-    /// Advances a transaction out of `Phase::AwaitingCommitAcks` if
-    /// every ack arrived.
-    fn try_finish_commit(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
-            return;
-        };
-        let Phase::AwaitingCommitAcks { expected, .. } = self.txns[idx].phase else {
-            return;
-        };
-        let complete = self
-            .pending_commit
-            .get(&id)
-            .map(|m| m.len() >= expected)
-            .unwrap_or(false);
-        if complete {
-            self.finish_commit(id, true);
-        }
-    }
-
     /// Alg. 5 l. 5-11, resumed event-style.
     fn finish_commit(&mut self, id: TxnId, complete: bool) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
-        let mut acks = self.pending_commit.remove(&id).unwrap_or_default();
-        let all_ok = complete && acks.values().all(|&ok| ok);
-        if !all_ok {
-            if self.txns[idx].decided {
-                // The commit decision is forced onto stable storage — it
-                // can never be walked back (a prepared participant may
-                // already have committed it). A missing ack means the
-                // batch or its ack was lost: re-deliver to the
-                // participants still owed the commit and keep waiting;
-                // re-commits there are idempotent no-ops.
-                let remotes = self.txns[idx].remote_sites.clone();
-                acks.retain(|_, ok| *ok);
-                let missing: Vec<SiteId> = remotes
-                    .iter()
-                    .copied()
-                    .filter(|s| !acks.contains_key(s))
-                    .collect();
-                self.pending_commit.insert(id, acks);
-                for &s in &missing {
-                    self.enqueue_termination(s, id, true);
-                }
-                self.set_phase(
-                    id,
-                    Phase::AwaitingCommitAcks {
-                        expected: remotes.len(),
-                        deadline: Instant::now() + self.cfg.remote_timeout,
-                    },
-                );
-                return;
-            }
+        let Phase::AwaitingCommitAcks { ref mut acks, .. } = txn.phase else {
+            return;
+        };
+        if complete && acks.values().all(|&ok| ok) {
+            self.consolidate_local(id);
+            return;
+        }
+        if !txn.decided {
             // Alg. 5 l. 5-7 (one-phase read-only path): a site did not
             // consolidate → abort.
             self.begin_abort(id, AbortReason::CommitFailed);
             return;
         }
-        self.consolidate_local(id);
+        // The commit decision is forced onto stable storage — it can never
+        // be walked back (a prepared participant may already have
+        // committed it). A missing ack means the batch or its ack was
+        // lost: re-deliver to the participants still owed the commit and
+        // keep waiting; re-commits there are idempotent no-ops.
+        acks.retain(|_, ok| *ok);
+        let acks = std::mem::take(acks);
+        let missing: Vec<SiteId> = txn
+            .remote_sites
+            .iter()
+            .copied()
+            .filter(|s| !acks.contains_key(s))
+            .collect();
+        for &s in &missing {
+            self.enqueue_termination(s, id, true);
+        }
+        self.set_phase(
+            id,
+            Phase::AwaitingCommitAcks {
+                acks,
+                deadline: Instant::now() + self.cfg.remote_timeout,
+            },
+        );
     }
 
     /// Local consolidation: persist + release (Alg. 5 l. 10-11), then
     /// report the outcome.
     fn consolidate_local(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(decided) = self.txns.get(&id).map(|t| t.decided) else {
             return;
         };
-        let decided = self.txns[idx].decided;
         let released = self.lockmgr.commit_local(id);
         if decided {
             // Every participant acked the commit: the unforced End lets
@@ -1751,16 +1757,19 @@ impl Scheduler {
         // Gauges go out before the client reply so a caller that observed
         // the outcome also observes the post-commit snapshot-store state.
         self.publish_snapshot_gauges();
+        let Some(txn) = self.txns.remove(&id) else {
+            return;
+        };
         match released {
             Ok(waiters) => {
-                let txn = self.txns.remove(idx);
-                self.finish(txn, TxnStatus::Committed);
+                self.finish(id, txn, TxnStatus::Committed);
                 self.wake_waiters(waiters);
             }
-            Err(e) => {
-                let txn = self.txns.remove(idx);
-                self.finish(txn, TxnStatus::Failed(format!("local persist failed: {e}")));
-            }
+            Err(e) => self.finish(
+                id,
+                txn,
+                TxnStatus::Failed(format!("local persist failed: {e}")),
+            ),
         }
     }
 
@@ -1785,7 +1794,7 @@ impl Scheduler {
     /// other terminations) and the transaction parks in
     /// `Phase::AwaitingAbortAcks`.
     fn begin_abort(&mut self, id: TxnId, reason: AbortReason) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get_mut(&id) else {
             return;
         };
         // An in-flight distributed operation may have executed at sites not
@@ -1794,14 +1803,15 @@ impl Scheduler {
         // that have not executed yet treat `Abort` as a no-op; the per-pair
         // FIFO transport guarantees `Abort` cannot overtake `ExecRemote`).
         if let Phase::AwaitingRemoteOps {
-            corr,
             op_seq,
-            sites,
+            ref sites,
+            ref mut answers,
             ..
-        } = self.txns[idx].phase.clone()
+        } = txn.phase
         {
-            let statuses = self.pending_done.remove(&corr).unwrap_or_default();
-            self.undo_partial(id, op_seq, &statuses);
+            let sites = sites.clone();
+            let answers = std::mem::take(answers);
+            self.undo_partial(id, op_seq, &answers);
             self.record_participation(id, &sites);
             self.note_remote_inflight();
         }
@@ -1809,60 +1819,46 @@ impl Scheduler {
         let waiters = self.lockmgr.abort_local(id);
         self.wake_waiters(waiters);
         self.publish_snapshot_gauges();
-        let Some(idx) = self.txn_index(id) else {
+        let Some(remotes) = self.txns.get(&id).map(|t| t.remote_sites.clone()) else {
             return;
         };
-        let remotes = self.txns[idx].remote_sites.clone();
         if remotes.is_empty() {
-            let txn = self.txns.remove(idx);
-            self.finish(txn, TxnStatus::Aborted(reason));
+            if let Some(txn) = self.txns.remove(&id) {
+                self.finish(id, txn, TxnStatus::Aborted(reason));
+            }
             return;
         }
-        self.pending_abort.insert(id, HashMap::new());
         for &s in &remotes {
             self.enqueue_termination(s, id, false);
         }
         self.set_phase(
             id,
             Phase::AwaitingAbortAcks {
-                expected: remotes.len(),
                 reason,
+                acks: HashMap::new(),
                 deadline: Instant::now() + self.cfg.remote_timeout,
             },
         );
     }
 
-    /// Advances a transaction out of `Phase::AwaitingAbortAcks` if every
-    /// ack arrived.
-    fn try_finish_abort(&mut self, id: TxnId) {
-        let Some(idx) = self.txn_index(id) else {
-            return;
-        };
-        let Phase::AwaitingAbortAcks { expected, .. } = self.txns[idx].phase else {
-            return;
-        };
-        let complete = self
-            .pending_abort
-            .get(&id)
-            .map(|m| m.len() >= expected)
-            .unwrap_or(false);
-        if complete {
-            self.finish_abort(id, true);
-        }
-    }
-
     /// Alg. 6 l. 5-14, resumed event-style.
     fn finish_abort(&mut self, id: TxnId, complete: bool) {
-        let Some(idx) = self.txn_index(id) else {
+        let Some(txn) = self.txns.get(&id) else {
             return;
         };
-        let Phase::AwaitingAbortAcks { ref reason, .. } = self.txns[idx].phase else {
+        let Phase::AwaitingAbortAcks {
+            ref reason,
+            ref acks,
+            ..
+        } = txn.phase
+        else {
             return;
         };
         let reason = reason.clone();
-        let acks = self.pending_abort.remove(&id).unwrap_or_default();
         let all_ok = complete && acks.values().all(|&ok| ok);
-        let txn = self.txns.remove(idx);
+        let Some(txn) = self.txns.remove(&id) else {
+            return;
+        };
         if !all_ok {
             // Alg. 6 l. 5-10: request failure everywhere; the transaction
             // *fails* and the application is alerted.
@@ -1870,19 +1866,20 @@ impl Scheduler {
                 let _ = self.net.send(self.site, s, Message::Fail { txn: id });
             }
             self.finish(
+                id,
                 txn,
                 TxnStatus::Failed("abort could not complete at a site".into()),
             );
         } else {
-            self.finish(txn, TxnStatus::Aborted(reason));
+            self.finish(id, txn, TxnStatus::Aborted(reason));
         }
     }
 
-    fn finish(&mut self, mut txn: CoordTxn, status: TxnStatus) {
+    fn finish(&mut self, id: TxnId, mut txn: CoordTxn, status: TxnStatus) {
         let now = Instant::now();
         txn.set_phase(Phase::Ready); // close the timing bucket of the final phase
         self.metrics.record(TxnRecord {
-            txn: txn.id,
+            txn: id,
             coordinator: self.site,
             submitted: txn.submitted,
             finished: now,
@@ -1897,7 +1894,7 @@ impl Scheduler {
             Vec::new()
         };
         let _ = txn.reply.send(TxnOutcome {
-            txn: txn.id,
+            txn: id,
             status,
             response_time: now.duration_since(txn.submitted),
             results,
@@ -1914,39 +1911,24 @@ impl Scheduler {
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         // Collect first: the handlers mutate `self.txns`.
-        let mut remote_expired = Vec::new();
-        let mut prepare_expired = Vec::new();
-        let mut commit_expired = Vec::new();
-        let mut abort_expired = Vec::new();
-        for t in &self.txns {
-            match t.phase {
-                Phase::AwaitingRemoteOps { deadline, .. } if now >= deadline => {
-                    remote_expired.push(t.id)
-                }
-                Phase::AwaitingPrepareAcks { deadline, .. } if now >= deadline => {
-                    prepare_expired.push(t.id)
-                }
-                Phase::AwaitingCommitAcks { deadline, .. } if now >= deadline => {
-                    commit_expired.push(t.id)
-                }
-                Phase::AwaitingAbortAcks { deadline, .. } if now >= deadline => {
-                    abort_expired.push(t.id)
-                }
-                _ => {}
+        let expired: Vec<TxnId> = self
+            .txns
+            .iter()
+            .filter(|(_, t)| t.phase.deadline().is_some_and(|d| now >= d))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in expired {
+            let Some(txn) = self.txns.get(&id) else {
+                continue;
+            };
+            match txn.phase {
+                Phase::AwaitingRemoteOps { .. } => self.finish_remote_op(id, false),
+                // A missing vote is a no vote — presumed abort.
+                Phase::AwaitingPrepareAcks { .. } => self.finish_prepare(id, false),
+                Phase::AwaitingCommitAcks { .. } => self.finish_commit(id, false),
+                Phase::AwaitingAbortAcks { .. } => self.finish_abort(id, false),
+                Phase::Ready | Phase::Waiting { .. } => {}
             }
-        }
-        for id in remote_expired {
-            self.finish_remote_op(id, false);
-        }
-        for id in prepare_expired {
-            // A missing vote is a no vote — presumed abort.
-            self.finish_prepare(id, false);
-        }
-        for id in commit_expired {
-            self.finish_commit(id, false);
-        }
-        for id in abort_expired {
-            self.finish_abort(id, false);
         }
     }
 
@@ -1965,7 +1947,7 @@ impl Scheduler {
         op: &OpSpec,
         mode: TxnMode,
         tolerate_empty: bool,
-    ) -> DoneInfo {
+    ) -> Answer {
         if mode == TxnMode::ReadOnly && !op.is_update() {
             // Snapshot path mirrors the coordinator's: answer from this
             // participant's pinned snapshot, touching neither the lock
@@ -1973,65 +1955,23 @@ impl Scheduler {
             return match self.lockmgr.snapshot_read(txn, op) {
                 ProcessResult::Executed(result) => {
                     self.metrics.note_snapshot_read();
-                    DoneInfo {
-                        acquired: true,
-                        executed: true,
-                        failed: false,
-                        deadlock: false,
-                        stale: false,
-                        result: Some(result),
-                    }
+                    Answer::Executed(result)
                 }
-                _ => DoneInfo {
-                    acquired: true,
-                    executed: false,
-                    failed: true,
-                    deadlock: false,
-                    stale: false,
-                    result: None,
-                },
+                _ => Answer::Failed,
             };
         }
         if op.is_update() && self.fence_blocks(txn, &op.doc) {
             // Replica copy fence: report a (non-deadlock) conflict so the
             // coordinator parks the transaction and retries after the copy.
-            return DoneInfo {
-                acquired: false,
-                executed: false,
-                failed: false,
-                deadlock: false,
-                stale: false,
-                result: None,
-            };
+            return Answer::Refused { deadlock: false };
         }
         match self
             .lockmgr
             .process_operation(txn, op_seq, op, mode, tolerate_empty)
         {
-            ProcessResult::Executed(result) => DoneInfo {
-                acquired: true,
-                executed: true,
-                failed: false,
-                deadlock: false,
-                stale: false,
-                result: Some(result),
-            },
-            ProcessResult::Conflict { deadlock, .. } => DoneInfo {
-                acquired: false,
-                executed: false,
-                failed: false,
-                deadlock,
-                stale: false,
-                result: None,
-            },
-            ProcessResult::Failed(_) => DoneInfo {
-                acquired: true,
-                executed: false,
-                failed: true,
-                deadlock: false,
-                stale: false,
-                result: None,
-            },
+            ProcessResult::Executed(result) => Answer::Executed(result),
+            ProcessResult::Conflict { deadlock, .. } => Answer::Refused { deadlock },
+            ProcessResult::Failed(_) => Answer::Failed,
         }
     }
 
@@ -2095,12 +2035,12 @@ impl Scheduler {
 
     /// Routes a detector verdict to the victim's coordinator.
     fn abort_victim(&mut self, victim: TxnId) {
-        if let Some(idx) = self.txn_index(victim) {
+        if let Some(txn) = self.txns.get(&victim) {
             // Only transactions that can still be waiting are viable
             // victims; one already in its termination protocol holds no
             // waits (its graph edges are gone) and must not be disturbed.
             if matches!(
-                self.txns[idx].phase,
+                txn.phase,
                 Phase::Ready | Phase::Waiting { .. } | Phase::AwaitingRemoteOps { .. }
             ) {
                 self.begin_abort(victim, AbortReason::Deadlock);
@@ -2147,15 +2087,8 @@ impl Scheduler {
                 // executing — and without recording the coordinator: this
                 // site did nothing for the transaction, so it must not be
                 // treated as a participant needing cleanup.
-                let done = if doc_version != self.catalog.version_of(&op.doc) {
-                    DoneInfo {
-                        acquired: false,
-                        executed: false,
-                        failed: false,
-                        deadlock: false,
-                        stale: true,
-                        result: None,
-                    }
+                let answer = if doc_version != self.catalog.version_of(&op.doc) {
+                    Answer::Stale
                 } else {
                     self.txn_coord.insert(txn, coordinator);
                     self.participant_seen.insert(txn, Instant::now());
@@ -2166,22 +2099,8 @@ impl Scheduler {
                     };
                     self.participant_execute(txn, op_seq, &op, mode, fragment)
                 };
-                let _ = self.net.send(
-                    self.site,
-                    coordinator,
-                    Message::RemoteDone {
-                        txn,
-                        op_seq,
-                        corr,
-                        site: self.site,
-                        acquired: done.acquired,
-                        executed: done.executed,
-                        failed: done.failed,
-                        deadlock: done.deadlock,
-                        stale: done.stale,
-                        result: done.result,
-                    },
-                );
+                let done = answer.into_wire(txn, op_seq, corr, self.site);
+                let _ = self.net.send(self.site, coordinator, done);
             }
             Message::RemoteDone {
                 txn,
@@ -2195,21 +2114,19 @@ impl Scheduler {
                 result,
                 ..
             } => {
-                // Continuation-table lookup; stale correlation ids (undone
-                // retries, aborted transactions) find no entry and drop.
-                if let Some(map) = self.pending_done.get_mut(&corr) {
-                    map.insert(
-                        site,
-                        DoneInfo {
-                            acquired,
-                            executed,
-                            failed,
-                            deadlock,
-                            stale,
-                            result,
-                        },
-                    );
-                    self.try_finish_remote_op(txn);
+                // Only the dispatch in flight collects answers; one to an
+                // undone retry or an ended transaction drops here.
+                let answer = Answer::from_wire(acquired, executed, failed, deadlock, stale, result);
+                if let Some(Phase::AwaitingRemoteOps {
+                    corr: current,
+                    answers,
+                    ..
+                }) = self.txns.get_mut(&txn).map(|t| &mut t.phase)
+                {
+                    if *current == corr {
+                        answers.insert(site, answer);
+                        self.try_advance(txn);
+                    }
                 }
             }
             Message::UndoOp { txn, op_seq } => {
@@ -2219,43 +2136,14 @@ impl Scheduler {
             Message::TerminateBatch { commits, aborts } => {
                 // Participant side of group commit: apply every decision
                 // in the batch, then answer the whole batch with ONE ack.
-                let mut commit_acks = Vec::with_capacity(commits.len());
-                for txn in commits {
-                    if let Some(p) = self.prepared.remove(&txn) {
-                        if p.recovered {
-                            self.metrics.note_indoubt_commit();
-                            self.trace.emit(|| EventKind::InDoubt {
-                                txn: txn.0,
-                                commit: true,
-                            });
-                        }
-                    }
-                    let released = self.lockmgr.commit_local(txn);
-                    let ok = released.is_ok();
-                    self.txn_coord.remove(&txn);
-                    self.participant_seen.remove(&txn);
-                    commit_acks.push((txn, ok));
-                    if let Ok(waiters) = released {
-                        self.wake_waiters(waiters);
-                    }
-                }
-                let mut abort_acks = Vec::with_capacity(aborts.len());
-                for txn in aborts {
-                    if let Some(p) = self.prepared.remove(&txn) {
-                        if p.recovered {
-                            self.metrics.note_indoubt_abort();
-                            self.trace.emit(|| EventKind::InDoubt {
-                                txn: txn.0,
-                                commit: false,
-                            });
-                        }
-                    }
-                    let waiters = self.lockmgr.abort_local(txn);
-                    self.txn_coord.remove(&txn);
-                    self.participant_seen.remove(&txn);
-                    abort_acks.push((txn, true));
-                    self.wake_waiters(waiters);
-                }
+                let commit_acks: Vec<(TxnId, bool)> = commits
+                    .into_iter()
+                    .map(|txn| (txn, self.resolve_participant(txn, true, false)))
+                    .collect();
+                let abort_acks: Vec<(TxnId, bool)> = aborts
+                    .into_iter()
+                    .map(|txn| (txn, self.resolve_participant(txn, false, false)))
+                    .collect();
                 let entries = (commit_acks.len() + abort_acks.len()) as u64;
                 self.metrics.note_termination_msg(entries);
                 self.publish_snapshot_gauges();
@@ -2274,12 +2162,14 @@ impl Scheduler {
                 commits,
                 aborts,
             } => {
-                // Unpack the batched ack into the per-transaction pending
-                // tables; each transaction resumes individually.
+                // Unpack the batched ack into the rounds awaiting it; each
+                // transaction resumes individually.
                 for (txn, ok) in commits {
-                    if let Some(map) = self.pending_commit.get_mut(&txn) {
-                        map.insert(site, ok);
-                        self.try_finish_commit(txn);
+                    if let Some(Phase::AwaitingCommitAcks { acks, .. }) =
+                        self.txns.get_mut(&txn).map(|t| &mut t.phase)
+                    {
+                        acks.insert(site, ok);
+                        self.try_advance(txn);
                     } else if let Some(waiting) = self.reco_commits.get_mut(&txn) {
                         // Ack for a commit decision re-delivered after
                         // restart: once every owed participant answered,
@@ -2292,18 +2182,16 @@ impl Scheduler {
                     }
                 }
                 for (txn, ok) in aborts {
-                    if let Some(map) = self.pending_abort.get_mut(&txn) {
-                        map.insert(site, ok);
-                        self.try_finish_abort(txn);
+                    if let Some(Phase::AwaitingAbortAcks { acks, .. }) =
+                        self.txns.get_mut(&txn).map(|t| &mut t.phase)
+                    {
+                        acks.insert(site, ok);
+                        self.try_advance(txn);
                     }
                 }
             }
             Message::Fail { txn } => {
-                self.prepared.remove(&txn);
-                self.participant_seen.remove(&txn);
-                let waiters = self.lockmgr.abort_local(txn);
-                self.txn_coord.remove(&txn);
-                self.wake_waiters(waiters);
+                self.resolve_participant(txn, false, false);
                 self.publish_snapshot_gauges();
             }
             Message::WfgRequest { from, round } => {
@@ -2324,7 +2212,7 @@ impl Scheduler {
                 }
             }
             Message::AbortVictim { txn } => {
-                if self.txn_index(txn).is_some() {
+                if self.txns.contains_key(&txn) {
                     self.abort_victim(txn);
                 }
             }
@@ -2386,17 +2274,18 @@ impl Scheduler {
                 site,
                 ok,
             } => {
-                // Stale vote rounds (re-routed, aborted) mismatch on corr
-                // and drop.
-                let mut recorded = false;
-                if let Some((c, votes)) = self.pending_prepare.get_mut(&txn) {
-                    if *c == corr {
+                // Only the vote round in flight collects votes; one of an
+                // earlier round drops here.
+                if let Some(Phase::AwaitingPrepareAcks {
+                    corr: current,
+                    votes,
+                    ..
+                }) = self.txns.get_mut(&txn).map(|t| &mut t.phase)
+                {
+                    if *current == corr {
                         votes.insert(site, ok);
-                        recorded = true;
+                        self.try_advance(txn);
                     }
-                }
-                if recorded {
-                    self.try_finish_prepare(txn);
                 }
             }
             Message::DecisionRequest { txn, from } => {
@@ -2408,45 +2297,16 @@ impl Scheduler {
             Message::DecisionReply { txn, decision } => {
                 // Only meaningful while this site is in doubt about `txn`;
                 // late and duplicate replies drop here.
-                let Some(p) = self.prepared.get(&txn) else {
+                if !self.prepared.contains_key(&txn) {
                     return;
-                };
-                let recovered = p.recovered;
-                match decision {
-                    Decision::Commit => {
-                        self.prepared.remove(&txn);
-                        let released = self.lockmgr.commit_local(txn);
-                        self.txn_coord.remove(&txn);
-                        self.participant_seen.remove(&txn);
-                        if let Ok(waiters) = released {
-                            self.wake_waiters(waiters);
-                        }
-                        self.publish_snapshot_gauges();
-                        if recovered {
-                            self.metrics.note_indoubt_commit();
-                        }
-                        self.trace.emit(|| EventKind::InDoubt {
-                            txn: txn.0,
-                            commit: true,
-                        });
-                    }
-                    Decision::Abort => {
-                        self.prepared.remove(&txn);
-                        let waiters = self.lockmgr.abort_local(txn);
-                        self.txn_coord.remove(&txn);
-                        self.participant_seen.remove(&txn);
-                        self.wake_waiters(waiters);
-                        self.publish_snapshot_gauges();
-                        if recovered {
-                            self.metrics.note_indoubt_abort();
-                        }
-                        self.trace.emit(|| EventKind::InDoubt {
-                            txn: txn.0,
-                            commit: false,
-                        });
-                    }
-                    Decision::Uncertain => {} // keep asking
                 }
+                let commit = match decision {
+                    Decision::Commit => true,
+                    Decision::Abort => false,
+                    Decision::Uncertain => return, // keep asking
+                };
+                self.resolve_participant(txn, commit, true);
+                self.publish_snapshot_gauges();
             }
             Message::InDoubtQuery { txn, from } => {
                 let decision = if self.prepared.contains_key(&txn) {
@@ -2472,6 +2332,40 @@ impl Scheduler {
         }
     }
 
+    /// Ends `txn` at this site in the participant role: consolidates it
+    /// (`commit`) or rolls it back, forgets its coordinator, prepared entry
+    /// and orphan clock, and passes on the lifts its release causes. The
+    /// resolution of a prepared transaction recovered from the WAL counts
+    /// as an in-doubt outcome; it is traced as [`EventKind::InDoubt`], as
+    /// is any resolution by a [`Message::DecisionReply`] (`by_reply`).
+    /// Returns whether the local termination succeeded (a rollback always
+    /// does).
+    fn resolve_participant(&mut self, txn: TxnId, commit: bool, by_reply: bool) -> bool {
+        if let Some(p) = self.prepared.remove(&txn) {
+            match (p.recovered, commit) {
+                (true, true) => self.metrics.note_indoubt_commit(),
+                (true, false) => self.metrics.note_indoubt_abort(),
+                (false, _) => {}
+            }
+            if p.recovered || by_reply {
+                self.trace
+                    .emit(|| EventKind::InDoubt { txn: txn.0, commit });
+            }
+        }
+        self.txn_coord.remove(&txn);
+        self.participant_seen.remove(&txn);
+        let released = if commit {
+            self.lockmgr.commit_local(txn)
+        } else {
+            Ok(self.lockmgr.abort_local(txn))
+        };
+        let ok = released.is_ok();
+        if let Ok(waiters) = released {
+            self.wake_waiters(waiters);
+        }
+        ok
+    }
+
     /// The coordinator-side verdict for a participant's
     /// [`Message::DecisionRequest`]: a logged decision means commit; a
     /// transaction still live here (undecided, mid-vote, or re-delivering
@@ -2482,7 +2376,7 @@ impl Scheduler {
         if self.wal.decision_of(txn) == LoggedOutcome::Committed {
             return Decision::Commit;
         }
-        if self.txn_index(txn).is_some() || self.pending_prepare.contains_key(&txn) {
+        if self.txns.contains_key(&txn) {
             Decision::Uncertain
         } else {
             Decision::Abort
@@ -2545,7 +2439,7 @@ impl Scheduler {
             .iter()
             .filter(|&(txn, &seen)| {
                 now.duration_since(seen) >= self.cfg.orphan_timeout
-                    && self.txn_index(*txn).is_none()
+                    && !self.txns.contains_key(txn)
                     && !self.prepared.contains_key(txn)
                     && self.txn_coord.contains_key(txn)
             })
@@ -2553,10 +2447,7 @@ impl Scheduler {
             .collect();
         for txn in orphans {
             self.refused.insert(txn);
-            self.txn_coord.remove(&txn);
-            self.participant_seen.remove(&txn);
-            let waiters = self.lockmgr.abort_local(txn);
-            self.wake_waiters(waiters);
+            self.resolve_participant(txn, false, false);
             self.publish_snapshot_gauges();
             self.metrics.note_orphan_abort();
         }

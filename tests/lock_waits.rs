@@ -24,9 +24,12 @@ fn change_ids() -> OpSpec {
     )
 }
 
-fn cluster() -> Cluster {
+fn cluster(traced: bool) -> Cluster {
     let mut config =
         ClusterConfig::new(3, ProtocolKind::Xdgl).with_deadlock_period(Duration::from_secs(1));
+    if traced {
+        config = config.with_tracing();
+    }
     config.op_cost.per_node = Duration::from_millis(20);
     let cluster = Cluster::start(config);
     let person = |id: u32| format!("<people><person><id>{id}</id></person></people>");
@@ -43,7 +46,7 @@ fn cluster() -> Cluster {
 #[test]
 fn a_waiter_is_redispatched_when_its_blocker_releases() {
     for round in 0..5 {
-        let cluster = cluster();
+        let cluster = cluster(false);
         let read_items = OpSpec::query("e", Query::parse("/items/item").unwrap());
         let rx1 = cluster.submit_async(SiteId(2), TxnSpec::new(vec![change_ids(), read_items]));
         std::thread::sleep(Duration::from_millis(30));
@@ -69,4 +72,31 @@ fn a_waiter_is_redispatched_when_its_blocker_releases() {
             "round {round}: t2 was dispatched {dispatches} times while t1 held its locks"
         );
     }
+}
+
+#[test]
+fn the_trace_shows_a_waiter_enter_and_leave_wait_mode() {
+    let cluster = cluster(true);
+    let read_items = OpSpec::query("e", Query::parse("/items/item").unwrap());
+    let rx1 = cluster.submit_async(SiteId(2), TxnSpec::new(vec![change_ids(), read_items]));
+    std::thread::sleep(Duration::from_millis(30));
+    let rx2 = cluster.submit_async(SiteId(0), TxnSpec::new(vec![change_ids()]));
+    let o1 = rx1.recv_timeout(Duration::from_secs(10)).expect("t1 ends");
+    let o2 = rx2.recv_timeout(Duration::from_secs(10)).expect("t2 ends");
+    let tracer = cluster.tracer().expect("tracing armed");
+    cluster.shutdown();
+    assert!(
+        o1.committed() && o2.committed(),
+        "t1 {:?}, t2 {:?}",
+        o1.status,
+        o2.status
+    );
+    let life = tracer.collect().life_of(o2.txn.0);
+    let waiting = life
+        .find("-> Waiting")
+        .unwrap_or_else(|| panic!("no wait:\n{life}"));
+    assert!(
+        life[waiting..].contains("-> Ready"),
+        "no return to Ready after the wait:\n{life}"
+    );
 }
