@@ -52,6 +52,7 @@ fn xpath_eval(c: &mut Criterion) {
     let base = generate(XmarkConfig::sized(200_000, 3));
     let doc = base.parse();
     let keyed = format!("/site/people/person[id={}]/name", base.person_ids[7]);
+    let keyed_descendant = format!("//item[id={}]/description", base.item_ids[7]);
     let queries = [
         ("child_path", "/site/people/person/name"),
         ("predicate", "/site/people/person[profile/age>40]/name"),
@@ -69,12 +70,26 @@ fn xpath_eval(c: &mut Criterion) {
             "nested_predicate",
             "/site/open_auctions/open_auction[bidder/increase>10]/current",
         ),
+        // The workload's one leading-`//` template.
+        ("keyed_descendant", keyed_descendant.as_str()),
     ];
     let mut group = c.benchmark_group("xpath_eval");
     for (name, q) in queries {
         let query = Query::parse(q).unwrap();
         group.bench_function(name, |b| {
             b.iter(|| eval(black_box(&doc), black_box(&query)))
+        });
+    }
+    // The same `//` queries through the guide the lock manager evaluates
+    // with: only the paths that lead to an `item` are descended.
+    let guide = DataGuide::build(&doc);
+    for (name, q) in [
+        ("descendant_guided", "//item/name"),
+        ("keyed_descendant_guided", keyed_descendant.as_str()),
+    ] {
+        let query = Query::parse(q).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(&guide).eval(black_box(&doc), black_box(&query)))
         });
     }
     group.finish();

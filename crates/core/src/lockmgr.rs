@@ -22,7 +22,7 @@ use dtx_locks::{LockOutcome, LockProtocol, LockTable, TxnId, TxnMode, WaitForGra
 use dtx_storage::{DataManager, StorageError, StorageResult, Wal, WalRecord};
 use dtx_trace::{doc_hash, EventKind, TraceSink};
 use dtx_xml::Document;
-use dtx_xpath::{apply_update, eval, undo_update, UndoRecord, UpdateOp};
+use dtx_xpath::{apply_update, undo_update, UndoRecord, UpdateOp};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -469,7 +469,9 @@ impl LockManager {
         // 3. Execute against the in-memory document (Alg. 3 l. 6).
         match &op.kind {
             OpKind::Query(q) => {
-                let nodes = eval(&state.doc, q);
+                // Evaluated through the guide the locks were placed on: a
+                // leading `//` step visits only the paths that can match.
+                let nodes = state.guide.eval(&state.doc, q);
                 let values: Vec<String> = nodes
                     .iter()
                     .map(|&n| dtx_xpath::eval::string_value(&state.doc, n))
@@ -700,7 +702,7 @@ impl LockManager {
         let Some(snap) = snap else {
             return ProcessResult::Failed(format!("document {:?} not hosted here", op.doc));
         };
-        let nodes = eval(&snap.doc, q);
+        let nodes = snap.guide.eval(&snap.doc, q);
         let values: Vec<String> = nodes
             .iter()
             .map(|&n| dtx_xpath::eval::string_value(&snap.doc, n))

@@ -19,11 +19,17 @@
 //!   safe for locking);
 //! * query matching: [`DataGuide::match_query`] maps a `dtx-xpath` query to
 //!   the set of guide nodes its evaluation can touch, the input to XDGL's
-//!   lock-placement rules.
+//!   lock-placement rules;
+//! * guided evaluation: [`DataGuide::eval`] evaluates a query whose first
+//!   step is `//name` by descending only into the document nodes whose
+//!   label path is, or leads to, a guide node labelled `name` — the same
+//!   result as [`dtx_xpath::eval()`], at the cost of what the path reaches
+//!   rather than of the whole document.
 //!
 //! Guide nodes are identified by dense [`GuideId`]s; node 0 is always the
 //! root. The paper's example numbers DataGuide nodes the same way (Fig. 5).
 
+mod guided;
 pub mod incremental;
 pub mod snapshot;
 pub mod stream;
@@ -336,13 +342,17 @@ impl DataGuide {
                     vec![]
                 }
             }
-            Axis::Descendant => self
-                .descendants(self.root())
-                .into_iter()
-                .filter(|&g| !self.nodes[g.index()].is_attr && self.test_matches(g, &step.test))
-                .collect(),
+            Axis::Descendant => self.elements_matching(&step.test).collect(),
             Axis::Attribute => vec![],
         }
+    }
+
+    /// The element guide nodes `test` matches, root included, in
+    /// pre-order: what a leading `//` step reaches.
+    fn elements_matching<'a>(&'a self, test: &'a NodeTest) -> impl Iterator<Item = GuideId> + 'a {
+        self.descendants(self.root())
+            .into_iter()
+            .filter(move |&g| !self.nodes[g.index()].is_attr && self.test_matches(g, test))
     }
 
     /// Matches a relative query from given context guide nodes.

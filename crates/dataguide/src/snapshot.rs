@@ -42,7 +42,8 @@ pub struct Snapshot {
     pub seq: u64,
     /// The document state.
     pub doc: Arc<Document>,
-    /// The matching DataGuide (extents exact as of `seq`).
+    /// A DataGuide covering every label path of `doc` (a site publishes
+    /// its live guide, a superset), so [`DataGuide::eval`] is exact on it.
     pub guide: Arc<DataGuide>,
 }
 

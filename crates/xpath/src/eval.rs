@@ -4,9 +4,10 @@
 //! visited node (two buffers for the whole path, one traversal stack per
 //! `//` expansion, a string only to compare mixed content):
 //!
-//! * every name test is resolved to the document's [`Symbol`] once per
-//!   step, so testing a node is an integer compare (a name the document
-//!   never interned matches nothing);
+//! * every name test of the query — on its main path and inside its
+//!   predicates — is resolved to the document's [`Symbol`] once per
+//!   evaluation, so testing a node is an integer compare (a name the
+//!   document never interned matches nothing);
 //! * the spine of the path maps one context set to the next in two
 //!   reused buffers, in the order nodes are first reached, and pays for
 //!   de-duplication only where duplicates can arise — a `//` step over
@@ -14,9 +15,8 @@
 //!   parent, so child and attribute steps from distinct nodes reach
 //!   distinct nodes;
 //! * predicates are existential, so they need neither order nor
-//!   de-duplication: [`matches_predicate`] walks the predicate's relative
-//!   paths depth-first and stops at the first target that satisfies it,
-//!   building no node set;
+//!   de-duplication: a predicate walks its relative paths depth-first and
+//!   stops at the first target that satisfies it, building no node set;
 //! * string-values are compared by borrowing wherever the value is one
 //!   stored string.
 
@@ -35,21 +35,21 @@ pub fn eval(doc: &Document, query: &Query) -> Vec<NodeId> {
     };
     // The first step is matched against the virtual document root, whose
     // only child is the root element; `/@x` there matches nothing.
-    let test = Test::resolve(doc, &first.test);
+    let first = Resolved::new(doc, first);
     let root = doc.root();
     let mut current = Vec::new();
     let mut keep = |n: NodeId| {
-        if passes(doc, n, first) {
+        if first.passes(doc, n) {
             current.push(n);
         }
         false
     };
     if first.axis != Axis::Attribute {
-        if doc.node(root).is_ok_and(|node| test.matches(node)) {
+        if doc.node(root).is_ok_and(|node| first.test.matches(node)) {
             keep(root);
         }
         if first.axis == Axis::Descendant {
-            visit(doc, root, Axis::Descendant, test, &mut keep);
+            visit(doc, root, Axis::Descendant, first.test, &mut keep);
         }
     }
     run_steps(doc, current, rest, true)
@@ -58,6 +58,20 @@ pub fn eval(doc: &Document, query: &Query) -> Vec<NodeId> {
 /// Evaluates a (relative) query starting from the given context nodes.
 pub fn eval_from(doc: &Document, context: &[NodeId], query: &Query) -> Vec<NodeId> {
     run_steps(doc, context.to_vec(), &query.steps, context.len() <= 1)
+}
+
+/// Maps `context` through `steps`, as the steps after a query's first
+/// one are: `context` must hold distinct nodes in document order (what a
+/// first step reaches), and the result is in document order too.
+pub fn eval_steps(doc: &Document, context: Vec<NodeId>, steps: &[Step]) -> Vec<NodeId> {
+    run_steps(doc, context, steps, true)
+}
+
+/// Keeps the nodes of `nodes` that satisfy `pred`, resolving the
+/// predicate's names once for all of them.
+pub fn retain_matching(doc: &Document, nodes: &mut Vec<NodeId>, pred: &Predicate) {
+    let cond = Cond::new(doc, pred);
+    nodes.retain(|&n| cond.holds(doc, n));
 }
 
 /// Maps `current` through `steps`. `distinct` says `current` is known to
@@ -74,14 +88,14 @@ fn run_steps(
         if current.is_empty() {
             break;
         }
-        let test = Test::resolve(doc, &step.test);
+        let step = Resolved::new(doc, step);
         let dedup = !distinct || (step.axis == Axis::Descendant && current.len() > 1);
         if dedup {
             seen.reset(doc.arena_len());
         }
         for &ctx in &current {
-            visit(doc, ctx, step.axis, test, &mut |n| {
-                if (!dedup || seen.insert(n)) && passes(doc, n, step) {
+            visit(doc, ctx, step.axis, step.test, &mut |n| {
+                if (!dedup || seen.insert(n)) && step.passes(doc, n) {
                     next.push(n);
                 }
                 false
@@ -120,6 +134,68 @@ impl Test {
             Test::Nothing => false,
             Test::Wildcard => node.is_element(),
             Test::Text => node.is_text(),
+        }
+    }
+}
+
+/// A step with its name test, and every name its predicate mentions,
+/// resolved against one document.
+struct Resolved<'q> {
+    axis: Axis,
+    test: Test,
+    predicate: Option<Cond<'q>>,
+}
+
+impl<'q> Resolved<'q> {
+    fn new(doc: &Document, step: &'q Step) -> Self {
+        Resolved {
+            axis: step.axis,
+            test: Test::resolve(doc, &step.test),
+            predicate: step.predicate.as_ref().map(|p| Cond::new(doc, p)),
+        }
+    }
+
+    fn path(doc: &Document, path: &'q Query) -> Vec<Self> {
+        path.steps.iter().map(|s| Resolved::new(doc, s)).collect()
+    }
+
+    fn passes(&self, doc: &Document, n: NodeId) -> bool {
+        self.predicate.as_ref().is_none_or(|c| c.holds(doc, n))
+    }
+}
+
+/// A [`Predicate`] whose relative paths are [`Resolved`].
+enum Cond<'q> {
+    Exists(Vec<Resolved<'q>>),
+    Cmp(Vec<Resolved<'q>>, CmpOp, &'q Literal),
+    And(Box<Cond<'q>>, Box<Cond<'q>>),
+    Or(Box<Cond<'q>>, Box<Cond<'q>>),
+    Not(Box<Cond<'q>>),
+}
+
+impl<'q> Cond<'q> {
+    fn new(doc: &Document, pred: &'q Predicate) -> Self {
+        let boxed = |p: &'q Predicate| Box::new(Cond::new(doc, p));
+        match pred {
+            Predicate::Exists(path) => Cond::Exists(Resolved::path(doc, path)),
+            Predicate::Cmp { path, op, value } => Cond::Cmp(Resolved::path(doc, path), *op, value),
+            Predicate::And(a, b) => Cond::And(boxed(a), boxed(b)),
+            Predicate::Or(a, b) => Cond::Or(boxed(a), boxed(b)),
+            Predicate::Not(p) => Cond::Not(boxed(p)),
+        }
+    }
+
+    /// Whether the predicate holds with `n` as the context node.
+    fn holds(&self, doc: &Document, n: NodeId) -> bool {
+        match self {
+            Cond::Exists(path) => any_target(doc, n, path, &mut |_| true),
+            // XPath existential semantics: true if ANY target compares true.
+            Cond::Cmp(path, op, value) => {
+                any_target(doc, n, path, &mut |t| compare_node(doc, t, *op, value))
+            }
+            Cond::And(a, b) => a.holds(doc, n) && b.holds(doc, n),
+            Cond::Or(a, b) => a.holds(doc, n) || b.holds(doc, n),
+            Cond::Not(p) => !p.holds(doc, n),
         }
     }
 }
@@ -169,24 +245,9 @@ fn visit(
     }
 }
 
-fn passes(doc: &Document, n: NodeId, step: &Step) -> bool {
-    step.predicate
-        .as_ref()
-        .is_none_or(|p| matches_predicate(doc, n, p))
-}
-
 /// Evaluates a predicate with `n` as the context node.
 pub fn matches_predicate(doc: &Document, n: NodeId, pred: &Predicate) -> bool {
-    match pred {
-        Predicate::Exists(path) => any_target(doc, n, &path.steps, &mut |_| true),
-        // XPath existential semantics: true if ANY target compares true.
-        Predicate::Cmp { path, op, value } => any_target(doc, n, &path.steps, &mut |t| {
-            compare_node(doc, t, *op, value)
-        }),
-        Predicate::And(a, b) => matches_predicate(doc, n, a) && matches_predicate(doc, n, b),
-        Predicate::Or(a, b) => matches_predicate(doc, n, a) || matches_predicate(doc, n, b),
-        Predicate::Not(p) => !matches_predicate(doc, n, p),
-    }
+    Cond::new(doc, pred).holds(doc, n)
 }
 
 /// True when `f` holds for some node `steps` reaches from `ctx`:
@@ -194,15 +255,14 @@ pub fn matches_predicate(doc: &Document, n: NodeId, pred: &Predicate) -> bool {
 fn any_target(
     doc: &Document,
     ctx: NodeId,
-    steps: &[Step],
+    steps: &[Resolved<'_>],
     f: &mut dyn FnMut(NodeId) -> bool,
 ) -> bool {
     let Some((step, rest)) = steps.split_first() else {
         return f(ctx);
     };
-    let test = Test::resolve(doc, &step.test);
-    visit(doc, ctx, step.axis, test, &mut |n| {
-        passes(doc, n, step) && any_target(doc, n, rest, f)
+    visit(doc, ctx, step.axis, step.test, &mut |n| {
+        step.passes(doc, n) && any_target(doc, n, rest, f)
     })
 }
 

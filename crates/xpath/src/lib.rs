@@ -29,6 +29,6 @@ pub mod parse;
 pub mod update;
 
 pub use ast::{Axis, CmpOp, Literal, NodeTest, Predicate, Query, Step};
-pub use eval::{eval, eval_from, matches_predicate};
+pub use eval::{eval, eval_from, eval_steps, matches_predicate, retain_matching};
 pub use parse::ParseError;
 pub use update::{apply_update, undo_update, UndoRecord, UpdateError, UpdateOp};
