@@ -1,13 +1,12 @@
 //! `bench_net` — the network fabric's bounded-thread scaling claim.
 //!
 //! The paper's testbed is a switched full-duplex LAN (§3.1): every pair
-//! of sites has an independent path. `dtx-net` models it with a
-//! **sharded timer-wheel reactor** whose delivery-thread count is
-//! bounded by `NetConfig::workers` no matter how many links carry
-//! traffic. This bench runs the all-to-all storm at `8/32/64/128` sites:
-//! 128 sites is 16,256 ordered links — a thread per link would be ~16k
-//! OS threads — and completes with a recorded, bounded delivery-thread
-//! count. (The two earlier fabrics the reactor was measured against, a
+//! of sites has an independent path. `dtx-net` models it with **one
+//! delivery thread that owns one timer wheel**, no matter how many links
+//! carry traffic. This bench runs the all-to-all storm at `8/32/64/128`
+//! sites: 128 sites is 16,256 ordered links — a thread per link would be
+//! ~16k OS threads — and completes with a recorded delivery-thread count
+//! of one. (The two earlier fabrics the reactor was measured against, a
 //! single hub thread and a thread per link, are gone; their recorded
 //! verdict is quoted in EXPERIMENTS.md.)
 //!
@@ -22,7 +21,6 @@
 //! gates on.
 
 use dtx_bench::netbench::{storm, sweep_msgs_per_link, StormResult};
-use dtx_net::NetConfig;
 use std::fmt::Write as _;
 
 fn print_result(r: &StormResult) {
@@ -82,10 +80,8 @@ fn main() {
         let r = storm(sites, msgs, seed);
         print_result(&r);
         println!(
-            "# {} links drained by {} delivery threads (bound: {})",
-            r.links_active,
-            r.delivery_threads,
-            NetConfig::default().workers
+            "# {} links drained by {} delivery thread(s)",
+            r.links_active, r.delivery_threads
         );
         return;
     }

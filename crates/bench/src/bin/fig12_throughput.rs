@@ -34,8 +34,8 @@ struct ProtocolResult {
     /// What the per-transaction termination protocol would have sent —
     /// must sit strictly above `termination_msgs` (the batching win).
     termination_msgs_unbatched: u64,
-    /// Network delivery worker threads spawned (reactor pool; bounded
-    /// by `NetConfig::workers` no matter how many links carry traffic).
+    /// Network delivery threads spawned: the one delivery thread (1)
+    /// no matter how many links carry traffic.
     net_worker_threads: u64,
     /// Committed-transaction response-time percentiles (ms): exact
     /// median plus the log-bucketed histogram's p99/p999 tail.

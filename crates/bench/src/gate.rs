@@ -33,11 +33,10 @@ pub const FRESH_INGEST_TOL: f64 = 0.70;
 /// host is ±4 commits around the recorded value).
 pub const FRESH_COMMIT_FLOOR: f64 = COMMIT_FLOOR - 6.0;
 
-/// The bounded-thread ceiling a reactor storm may ever report — the
-/// acceptance bound for the 128-site run (the default pool is ≤ 8; 32
-/// leaves room for bigger configured pools without ever approaching
-/// O(sites²)).
-pub const MAX_DELIVERY_THREADS: f64 = 32.0;
+/// The delivery-thread ceiling a storm or fig12 run may ever report: the
+/// network has exactly one delivery thread, however many links it
+/// serves (the 128-site storm's 16 256 of them included).
+pub const MAX_DELIVERY_THREADS: f64 = 1.0;
 
 /// Witness band for the snapshot-read flatness claim: across the
 /// contention sweep the recorded read-only p99 may vary by at most this

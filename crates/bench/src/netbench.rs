@@ -41,10 +41,9 @@ pub struct StormResult {
 /// Drives `sites` senders all-to-all: every ordered pair carries
 /// `msgs_per_link` frames over a LAN latency model. Returns once every
 /// receiver drained its full expected count, asserting **per-link FIFO
-/// live** along the way, plus the reactor's thread bound.
+/// live** along the way, plus the one-delivery-thread bound.
 pub fn storm(sites: u16, msgs_per_link: u32, seed: u64) -> StormResult {
     let net: Network<Frame> = Network::new(LatencyModel::lan(seed));
-    let workers = net.net_config().workers as u64;
     let endpoints: Vec<_> = (0..sites).map(|s| net.register(SiteId(s))).collect();
     let expected_per_site = (sites as u64 - 1) * msgs_per_link as u64;
     let total_msgs = expected_per_site * sites as u64;
@@ -96,8 +95,8 @@ pub fn storm(sites: u16, msgs_per_link: u32, seed: u64) -> StormResult {
     let expected_links = (sites as u64) * (sites as u64 - 1);
     assert_eq!(links_active, expected_links, "every ordered pair counted");
     assert!(
-        delivery_threads <= workers,
-        "reactor must bound delivery threads: {delivery_threads} > {workers}"
+        delivery_threads <= 1,
+        "one delivery thread serves every link: {delivery_threads} spawned"
     );
     StormResult {
         sites,

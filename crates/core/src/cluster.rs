@@ -683,22 +683,16 @@ impl Cluster {
         self.env.net.stats().links_active()
     }
 
-    /// Network delivery worker threads spawned: bounded by
-    /// [`dtx_net::NetConfig::workers`] regardless of how many links
-    /// exist.
+    /// Network delivery threads spawned: the network's one delivery
+    /// thread (1) once any delayed message was sent, 0 before that and
+    /// under the zero-latency model — however many links exist.
     pub fn net_worker_threads(&self) -> u64 {
         self.env.net.stats().delivery_threads()
     }
 
     /// Stops all schedulers and tears the network down. In-flight
     /// transactions are aborted with [`crate::op::AbortReason::Shutdown`].
-    /// The final delivery-thread count is recorded into the
-    /// [`Metrics::net_worker_threads`] gauge — the [`Metrics`] handle
-    /// outlives the cluster, so post-run reports read it from there.
     pub fn shutdown(mut self) {
-        self.env
-            .metrics
-            .note_net_workers(self.env.net.stats().delivery_threads());
         for inst in &mut self.instances {
             inst.shutdown();
         }

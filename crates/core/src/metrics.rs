@@ -239,12 +239,6 @@ pub struct Metrics {
     /// Approximate resident snapshot bytes per site (gauge, shared-`Arc`
     /// structures counted once per site store).
     snapshot_bytes: RwLock<Vec<AtomicU64>>,
-    /// High-water mark of network delivery worker threads: bounded by
-    /// the reactor's pool size (`NetConfig::workers`) no matter how many
-    /// site pairs carry traffic. Recorded by `Cluster::shutdown` (the
-    /// metrics handle outlives the cluster); live values are read off
-    /// `Cluster::net_worker_threads` directly.
-    net_worker_threads: AtomicU64,
     /// Site restarts that replayed a write-ahead log (WAL recovery runs).
     recoveries: AtomicU64,
     /// Presumed-abort prepare rounds started by coordinators (one per
@@ -305,7 +299,6 @@ impl Metrics {
             snapshot_reads: AtomicU64::new(0),
             snapshots_live: RwLock::new(Vec::new()),
             snapshot_bytes: RwLock::new(Vec::new()),
-            net_worker_threads: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             prepare_rounds: AtomicU64::new(0),
             indoubt_commits: AtomicU64::new(0),
@@ -424,17 +417,6 @@ impl Metrics {
     /// measured against.
     pub fn termination_msgs_unbatched(&self) -> u64 {
         self.termination_msgs_unbatched.load(Ordering::Relaxed)
-    }
-
-    /// Reports the number of network delivery worker threads; the
-    /// high-water mark is kept.
-    pub fn note_net_workers(&self, n: u64) {
-        self.net_worker_threads.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// High-water mark of network delivery worker threads.
-    pub fn net_worker_threads(&self) -> u64 {
-        self.net_worker_threads.load(Ordering::Relaxed)
     }
 
     /// Counts `n` coordinator → participant operation dispatches.
@@ -921,15 +903,6 @@ mod tests {
         m.set_snapshot_gauges(SiteId(0), 1, 400);
         assert_eq!(m.snapshots_live(), 3);
         assert_eq!(m.snapshot_bytes(), 900);
-    }
-
-    #[test]
-    fn net_worker_gauge_keeps_high_water_mark() {
-        let m = Metrics::new();
-        m.note_net_workers(3);
-        m.note_net_workers(8);
-        m.note_net_workers(7);
-        assert_eq!(m.net_worker_threads(), 8);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //!   the destination's channel (FIFO per sender-receiver pair, like TCP).
 //!   [`Network::wake`] puts a bare wake-up on that channel, so a site
 //!   blocked on its endpoint also wakes for work handed over elsewhere.
-//! * Delayed delivery is driven by one fabric, a **sharded timer-wheel
-//!   reactor**: every in-flight delayed message lives in a wheel slot,
-//!   and a small fixed pool of delivery workers (default `min(8, cores)`,
-//!   see [`NetConfig`]) drains the wheels — thread count is O(workers) no
-//!   matter how many site pairs carry traffic, which is what lets
-//!   hundred-site clusters run.
+//! * Delayed delivery is driven by **one delivery thread that owns one
+//!   timer wheel**: every in-flight delayed message lives in a wheel
+//!   slot, and the thread drains fired slots for every link at once — one
+//!   thread no matter how many site pairs carry traffic, which is what
+//!   lets hundred-site clusters run. It is spawned on the first delayed
+//!   send.
 //! * [`LatencyModel`] — fixed + per-KiB + seeded jitter; the default is
 //!   calibrated to a 100 Mbit/s switched LAN. Tests use
 //!   [`LatencyModel::zero`], which delivers synchronously.
@@ -42,9 +42,10 @@
 //!    endpoints disconnect; nothing vanishes.
 //!
 //! The first two fall out of two facts: the clamp and the jitter-stream
-//! position are computed at **send time** under the links lock, and a
-//! link is pinned to one wheel shard by hash, so one worker owns all of a
-//! link's messages and drains them in `(deliver_at, seq)` order.
+//! position are computed at **send time** under the links lock, and the
+//! one delivery thread drains every link's messages in `(deliver_at, seq)`
+//! order — so across links, too, delivery follows `deliver_at` at wheel
+//! tick granularity, on every host.
 //!
 //! The transport is generic over the payload type `M`; `dtx-core` provides
 //! its `Message` enum and implements [`Wire`] to give payloads a size.
@@ -89,35 +90,6 @@ pub trait Wire: Send + 'static {
     /// `TerminateBatch` (default: `"msg"`).
     fn wire_label(&self) -> &'static str {
         "msg"
-    }
-}
-
-/// The delivery machinery's one setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetConfig {
-    /// Size of the reactor's delivery-worker pool — the **upper bound**
-    /// on delivery threads regardless of cluster size. Workers are
-    /// spawned lazily: a shard with no traffic never starts its thread.
-    /// Default: `min(8, available cores)`, at least 1.
-    pub workers: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        NetConfig {
-            workers: cores.clamp(1, 8),
-        }
-    }
-}
-
-impl NetConfig {
-    /// Sets the delivery-worker pool size (clamped to ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 }
 
@@ -205,7 +177,8 @@ pub fn link_delay(
     k: u64,
     bytes: usize,
 ) -> Duration {
-    let mut rng = mix64(model.seed ^ ((from.0 as u64) << 48) ^ ((to.0 as u64) << 32) ^ k);
+    // xorshift needs a nonzero state.
+    let mut rng = mix64(model.seed ^ ((from.0 as u64) << 48) ^ ((to.0 as u64) << 32) ^ k) | 1;
     model.delay(bytes, &mut rng)
 }
 
@@ -265,14 +238,13 @@ impl NetStats {
     /// Distinct ordered `(from, to)` pairs that carried delayed traffic
     /// so far. Zero under [`LatencyModel::zero`] (delivery is
     /// synchronous, no link bookkeeping exists). This counts *links*,
-    /// not threads: many links share one of
-    /// [`NetStats::delivery_threads`] workers.
+    /// not threads: every link shares the one delivery thread.
     pub fn links_active(&self) -> u64 {
         self.links.load(Ordering::Relaxed)
     }
 
-    /// Delivery threads spawned so far: wheel-shard workers, bounded by
-    /// [`NetConfig::workers`]; 0 under [`LatencyModel::zero`].
+    /// Delivery threads spawned so far: 1 once a delayed message was
+    /// sent, 0 before that and under [`LatencyModel::zero`].
     pub fn delivery_threads(&self) -> u64 {
         self.delivery_threads.load(Ordering::Relaxed)
     }
@@ -319,9 +291,8 @@ struct Delayed<M> {
 }
 
 /// Per-ordered-pair link bookkeeping, updated at send time under the
-/// links lock: the jitter stream position, the FIFO clamp, and the queue
-/// delayed messages are handed to.
-struct LinkBook<M> {
+/// links lock: the jitter stream position and the FIFO clamp.
+struct LinkBook {
     /// Messages sent on this link so far (the `k` of the jitter stream).
     sent: u64,
     /// Delivery instant of the link's latest message — the FIFO clamp: a
@@ -331,9 +302,14 @@ struct LinkBook<M> {
     /// relies on this (an `Abort` must not overtake the `ExecRemote` it
     /// cancels).
     last: Instant,
-    /// Where this link's delayed messages go: a clone of the link's
-    /// wheel-shard queue (the shard is fixed by hash, so one worker owns
-    /// the whole link). `None` until the first send and after shutdown.
+}
+
+/// Everything the delayed send path touches, under one lock.
+struct Links<M> {
+    /// Per ordered `(from, to)` pair: jitter position and FIFO clamp.
+    books: HashMap<(SiteId, SiteId), LinkBook>,
+    /// The delivery thread's queue: `None` until the first delayed send
+    /// spawns the thread, and again after shutdown.
     tx: Option<Sender<Delayed<M>>>,
 }
 
@@ -368,15 +344,8 @@ struct Inner<M> {
     /// not a simulated failure).
     dead: RwLock<HashSet<SiteId>>,
     latency: LatencyModel,
-    cfg: NetConfig,
     stats: NetStats,
-    /// Per ordered `(from, to)` pair: jitter position, FIFO clamp, and
-    /// the link's delivery queue.
-    links: Mutex<HashMap<(SiteId, SiteId), LinkBook<M>>>,
-    /// Wheel-shard queues, spawned lazily on the first link hashed to
-    /// the shard. Always locked *after* `links` (send path) — never the
-    /// other way around.
-    shard_txs: Mutex<Vec<Option<Sender<Delayed<M>>>>>,
+    links: Mutex<Links<M>>,
     seq: AtomicU64,
     /// Chaos-harness fault injection; disarmed (no drops, no partitions)
     /// by default. Guarded by its own lock, taken before `links`.
@@ -384,8 +353,8 @@ struct Inner<M> {
     /// Fast-path flag: true when any fault (drop rate or partition) is
     /// armed, so the default path never takes the faults lock.
     faults_armed: AtomicBool,
-    /// Set by [`Network::shutdown`]: delivery workers stop sleeping and
-    /// flush their remaining queue immediately.
+    /// Set by [`Network::shutdown`]: the delivery thread stops sleeping
+    /// and flushes its remaining queue immediately.
     flushing: AtomicBool,
     /// Causal tracing ([`Network::set_tracer`]): when armed, every send,
     /// delivery and drop stamps an event into the tracer's per-site
@@ -393,9 +362,9 @@ struct Inner<M> {
     /// path pays one relaxed load, never the lock.
     tracer: RwLock<Option<Arc<Tracer>>>,
     trace_armed: AtomicBool,
-    /// Delivery worker handles, joined at shutdown so the drain is
-    /// complete before endpoints disconnect.
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The delivery thread, joined at shutdown so the drain is complete
+    /// before endpoints disconnect.
+    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl<M> Inner<M> {
@@ -484,19 +453,10 @@ impl<M> Endpoint<M> {
 }
 
 impl<M: Wire> Network<M> {
-    /// Creates a network with the given latency model and the default
-    /// [`NetConfig`]. Delivery threads are spawned lazily, and only when
-    /// the model actually delays messages.
+    /// Creates a network with the given latency model. The delivery
+    /// thread is spawned lazily, and only when the model actually delays
+    /// messages.
     pub fn new(latency: LatencyModel) -> Self {
-        Self::with_config(latency, NetConfig::default())
-    }
-
-    /// Creates a network with an explicit [`NetConfig`] (`workers` is
-    /// clamped to ≥ 1).
-    pub fn with_config(latency: LatencyModel, cfg: NetConfig) -> Self {
-        let cfg = NetConfig {
-            workers: cfg.workers.max(1),
-        };
         let inner = Inner {
             endpoints: RwLock::new(HashMap::new()),
             remote: RwLock::new(HashSet::new()),
@@ -504,27 +464,22 @@ impl<M: Wire> Network<M> {
             remote_armed: AtomicBool::new(false),
             dead: RwLock::new(HashSet::new()),
             latency,
-            cfg,
             stats: NetStats::default(),
-            links: Mutex::new(HashMap::new()),
-            shard_txs: Mutex::new(vec![None; cfg.workers]),
+            links: Mutex::new(Links {
+                books: HashMap::new(),
+                tx: None,
+            }),
             seq: AtomicU64::new(0),
             faults: Mutex::new(FaultState::default()),
             faults_armed: AtomicBool::new(false),
             flushing: AtomicBool::new(false),
             tracer: RwLock::new(None),
             trace_armed: AtomicBool::new(false),
-            workers: Mutex::new(Vec::new()),
+            worker: Mutex::new(None),
         };
         Network {
             inner: Arc::new(inner),
         }
-    }
-
-    /// The delivery configuration this network was created with
-    /// (`workers ≥ 1`).
-    pub fn net_config(&self) -> NetConfig {
-        self.inner.cfg
     }
 
     /// Registers `site`, returning its endpoint. Re-registering replaces
@@ -715,7 +670,7 @@ impl<M: Wire> Network<M> {
         // Delayed path. Under the links lock: advance the link's jitter
         // stream (delay = pure function of (seed, from, to, k) — see
         // [`link_delay`]), apply the FIFO clamp, and hand the message to
-        // the link's wheel-shard queue.
+        // the delivery thread's queue.
         let now = Instant::now();
         let mut links = self.inner.links.lock();
         // The global tie-break seq is drawn under the same lock that
@@ -724,13 +679,9 @@ impl<M: Wire> Network<M> {
         // must agree per link or concurrent same-pair senders could have
         // a clamped later message pop first.
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let book = links.entry((from, to)).or_insert_with(|| {
+        let book = links.books.entry((from, to)).or_insert_with(|| {
             self.inner.stats.links.fetch_add(1, Ordering::Relaxed);
-            LinkBook {
-                sent: 0,
-                last: now,
-                tx: None,
-            }
+            LinkBook { sent: 0, last: now }
         });
         let k = book.sent;
         book.sent += 1;
@@ -752,33 +703,26 @@ impl<M: Wire> Network<M> {
             label,
             envelope,
         };
-        if book.tx.is_none() {
-            if self.inner.flushing.load(Ordering::Relaxed) {
-                return Err(NetError::Closed);
-            }
-            // Pin the link to its wheel shard (pure hash of the pair) and
-            // make sure the shard's worker runs; the link's whole
-            // lifetime stays on this one worker.
-            let shard =
-                (mix64(((from.0 as u64) << 16) ^ (to.0 as u64)) as usize) % self.inner.cfg.workers;
-            let mut shards = self.inner.shard_txs.lock();
-            if shards[shard].is_none() {
+        let tx = match &links.tx {
+            Some(tx) => tx,
+            None => {
+                if self.inner.flushing.load(Ordering::Relaxed) {
+                    return Err(NetError::Closed);
+                }
                 let (tx, rx) = unbounded::<Delayed<M>>();
                 let weak = Arc::downgrade(&self.inner);
                 let handle = std::thread::Builder::new()
-                    .name(format!("dtx-net-wheel-{shard}"))
+                    .name("dtx-net-wheel".into())
                     .spawn(move || wheel_loop(rx, weak))
-                    .expect("spawn wheel worker");
-                self.inner.workers.lock().push(handle);
+                    .expect("spawn wheel thread");
+                *self.inner.worker.lock() = Some(handle);
                 self.inner
                     .stats
                     .delivery_threads
                     .fetch_add(1, Ordering::Relaxed);
-                shards[shard] = Some(tx);
+                links.tx.insert(tx)
             }
-            book.tx = shards[shard].clone();
-        }
-        let tx = book.tx.as_ref().expect("just ensured");
+        };
         tx.send(delayed).map_err(|_| NetError::Closed)
     }
 
@@ -858,19 +802,15 @@ impl<M: Wire> Network<M> {
     /// either make it into a queue — and are then delivered — or get
     /// [`NetError::Closed`]; nothing vanishes silently.
     pub fn shutdown(&self) {
-        // 1. Flag workers to stop sleeping; queued messages flush.
+        // 1. Flag the delivery thread to stop sleeping; queued messages
+        //    flush.
         self.inner.flushing.store(true, Ordering::SeqCst);
-        // 2. Disconnect the queues: each worker drains what is buffered
-        //    and exits on the hangup.
-        for book in self.inner.links.lock().values_mut() {
-            book.tx = None;
-        }
-        for shard in self.inner.shard_txs.lock().iter_mut() {
-            *shard = None;
-        }
-        // 3. Join the workers — the drain is complete when this returns.
-        let workers = std::mem::take(&mut *self.inner.workers.lock());
-        for h in workers {
+        // 2. Disconnect its queue: it drains what is buffered and exits
+        //    on the hangup.
+        self.inner.links.lock().tx = None;
+        // 3. Join it — the drain is complete when this returns.
+        let worker = self.inner.worker.lock().take();
+        if let Some(h) = worker {
             let _ = h.join();
         }
         // 4. Only now do endpoints disconnect.
@@ -884,7 +824,7 @@ fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (z ^ (z >> 31)) | 1
+    z ^ (z >> 31)
 }
 
 /// Stamps a [`EventKind::MsgSend`] into the sender's ring.
@@ -938,7 +878,7 @@ fn trace_delivery<M>(tr: &Tracer, d: &Delayed<M>, delivered: bool) {
 /// The hot path builds `due` already link-ordered — overdue arrivals in
 /// channel order, then fired slots in window order with stable per-slot
 /// drains — so no sort is needed (the reactor's per-message costs are
-/// what bound one worker's drain rate).
+/// what bound the delivery thread's drain rate).
 fn deliver_batch<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>) {
     if due.is_empty() {
         return;
@@ -970,8 +910,8 @@ const WHEEL_TICK: Duration = Duration::from_micros(50);
 /// nanos cover ~585 years of wheel lifetime).
 const WHEEL_TICK_NS: u64 = WHEEL_TICK.as_nanos() as u64;
 
-/// One wheel shard's state: a hashed timer wheel whose slot index is the
-/// message's delivery tick modulo the slot count. Entries further than
+/// The delivery thread's state: a hashed timer wheel whose slot index is
+/// the message's delivery tick modulo the slot count. Entries further than
 /// one revolution out simply stay in their slot across passes (the due
 /// check is against the slot window's end, so they fire on the
 /// revolution that reaches their instant).
@@ -1031,8 +971,8 @@ impl<M> Wheel<M> {
             let ticks = now.duration_since(self.origin).as_nanos() as u64 / WHEEL_TICK_NS;
             self.cursor = (ticks as usize) % WHEEL_SLOTS;
             // u64 nanos throughout — a u32 tick product would wrap after
-            // ~2.5 days of shard uptime and desync cursor_time from
-            // cursor, stalling the shard in a days-long catch-up loop.
+            // ~2.5 days of wheel uptime and desync cursor_time from
+            // cursor, stalling the wheel in a days-long catch-up loop.
             self.cursor_time = self.origin + Duration::from_nanos(ticks * WHEEL_TICK_NS);
             return;
         }
@@ -1088,16 +1028,15 @@ impl<M> Wheel<M> {
     }
 }
 
-/// One delivery worker: owns the timer wheel of its shard. Messages
-/// arrive already FIFO-clamped (monotone `deliver_at` per link) and a
-/// link is pinned to exactly one shard, so stable slot drains preserve
-/// per-link FIFO without any sorting — and a pool of size 1 additionally
-/// delivers across links in `deliver_at` order at wheel-tick granularity
+/// The delivery thread: owns the network's one timer wheel. Messages
+/// arrive already FIFO-clamped (monotone `deliver_at` per link), so
+/// stable slot drains preserve per-link FIFO without any sorting — and
+/// across links delivery follows `deliver_at` at wheel-tick granularity
 /// (later windows never fire before earlier ones). On flush (shutdown)
 /// the wheel and queue drain completely, sorted into `(deliver_at, seq)`
 /// order, without sleeping.
 fn wheel_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: std::sync::Weak<Inner<M>>) {
-    // A busy worker (≥ this many messages moved in one pass) switches to
+    // A busy thread (≥ this many messages moved in one pass) switches to
     // poll mode: it naps without blocking on its queue, so senders pay
     // no receiver-wake on every push and the next pass drains a batch.
     const BUSY: usize = 32;
@@ -1253,7 +1192,11 @@ mod tests {
             t0.elapsed()
         );
         assert_eq!(net.stats().links_active(), 1);
-        assert_eq!(net.stats().delivery_threads(), 1, "one wheel shard woke");
+        assert_eq!(
+            net.stats().delivery_threads(),
+            1,
+            "the delivery thread woke"
+        );
         net.shutdown();
     }
 
@@ -1355,17 +1298,15 @@ mod tests {
 
     #[test]
     fn reactor_bounds_delivery_threads() {
-        // Many more links than workers: every pair of a 6-site all-to-all
-        // mesh carries traffic, yet the thread count stays at the pool
-        // bound while per-link FIFO holds.
+        // Every pair of a 6-site all-to-all mesh carries traffic, yet one
+        // delivery thread serves all 30 links while per-link FIFO holds.
         let model = LatencyModel {
             fixed: Duration::from_millis(2),
             per_kib: Duration::ZERO,
             jitter: Duration::from_micros(200),
             seed: 11,
         };
-        let cfg = NetConfig::default().with_workers(3);
-        let net: Network<Msg> = Network::with_config(model, cfg);
+        let net: Network<Msg> = Network::new(model);
         let endpoints: Vec<_> = (0..6).map(|s| net.register(SiteId(s))).collect();
         for round in 0..10u32 {
             for from in 0..6u16 {
@@ -1388,11 +1329,7 @@ mod tests {
             }
         }
         assert_eq!(net.stats().links_active(), 30, "every ordered pair counted");
-        assert!(
-            net.stats().delivery_threads() <= 3,
-            "pool bound holds: {} threads",
-            net.stats().delivery_threads()
-        );
+        assert_eq!(net.stats().delivery_threads(), 1, "one thread for 30 links");
         net.shutdown();
     }
 
@@ -1529,13 +1466,6 @@ mod tests {
     }
 
     #[test]
-    fn net_config_sanitizes_degenerate_values() {
-        let cfg = NetConfig { workers: 0 };
-        let net: Network<Msg> = Network::with_config(LatencyModel::zero(), cfg);
-        assert_eq!(net.net_config().workers, 1);
-    }
-
-    #[test]
     fn seeded_drops_replay_exactly_and_count() {
         // The chaos contract: the k-th attempt's fate is a pure function
         // of (seed, link, k) — two runs with the same seed lose exactly
@@ -1561,6 +1491,59 @@ mod tests {
         let got: Vec<u32> = a.drain(500).iter().map(|e| e.payload.0).collect();
         let kept: Vec<u32> = (0..200u32).filter(|&i| !fate[i as usize]).collect();
         assert_eq!(got, kept, "survivors arrive, in order");
+    }
+
+    #[test]
+    fn odd_drop_rates_are_realised() {
+        // Every rate is realised as `per_mille`/1000, odd ones included:
+        // the draw must be able to land on either parity.
+        const DRAWS: u64 = 200_000;
+        for per_mille in [1u32, 3, 5, 333] {
+            let drops = (0..DRAWS)
+                .filter(|&k| link_drops(7, SiteId(0), SiteId(1), k, per_mille))
+                .count() as f64;
+            let p = per_mille as f64 / 1000.0;
+            let mean = DRAWS as f64 * p;
+            let sd = (DRAWS as f64 * p * (1.0 - p)).sqrt();
+            assert!(
+                (drops - mean).abs() <= 4.0 * sd,
+                "{per_mille}‰: {drops} drops of {DRAWS}, expected {mean} ± {:.0}",
+                4.0 * sd
+            );
+        }
+    }
+
+    #[test]
+    fn link_delay_stream_is_pinned() {
+        // Pinned values: every modelled delay of a recorded run comes
+        // from these streams, so a change to the mixer must not move them.
+        let lan = LatencyModel::lan(2009);
+        let wide = LatencyModel {
+            fixed: Duration::from_micros(100),
+            per_kib: Duration::from_micros(80),
+            jitter: Duration::from_millis(3),
+            seed: 7,
+        };
+        let cases = [
+            (&lan, 0, 1, 0, 128, 183_500),
+            (&lan, 1, 0, 1, 2048, 346_033),
+            (&lan, 3, 2, 17, 64, 183_252),
+            (&lan, 7, 5, 1000, 9000, 811_527),
+            (&lan, 0, 3, 123_456, 0, 186_141),
+            (&wide, 0, 1, 0, 128, 1_798_544),
+            (&wide, 1, 0, 1, 2048, 2_222_061),
+            (&wide, 3, 2, 17, 64, 1_814_176),
+            (&wide, 7, 5, 1000, 9000, 3_642_843),
+            (&wide, 0, 3, 123_456, 0, 1_862_280),
+        ];
+        for (model, from, to, k, bytes, nanos) in cases {
+            assert_eq!(
+                link_delay(model, SiteId(from), SiteId(to), k, bytes),
+                Duration::from_nanos(nanos),
+                "seed {} link {from}->{to} k={k} bytes={bytes}",
+                model.seed
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    computed delay is far shorter.
 
 use dtx::core::{Message, OpSpec, SiteId, TxnId};
-use dtx::net::{link_delay, Envelope, LatencyModel, NetConfig, Network, Wire};
+use dtx::net::{link_delay, Envelope, LatencyModel, Network, Wire};
 use dtx::xml::document::{Fragment, InsertPos};
 use dtx::xpath::{Query, UpdateOp};
 use std::time::{Duration, Instant};
@@ -97,9 +97,8 @@ fn per_link_fifo_survives_concurrent_jittered_storm() {
 
 /// Reactor shutdown drain: in-flight delayed messages must not vanish —
 /// every accepted message is delivered, in per-link FIFO order, before
-/// endpoints disconnect, and the flush skips the remaining sleeps. The
-/// in-crate test pins this for the default pool; this one pins it across
-/// several pool sizes (including a pool larger than the link count).
+/// endpoints disconnect, and the flush skips the remaining sleeps (here
+/// with jitter, so the flush has to sort the wheel's remains).
 #[test]
 fn reactor_shutdown_flushes_in_flight_messages() {
     let model = LatencyModel {
@@ -108,60 +107,57 @@ fn reactor_shutdown_flushes_in_flight_messages() {
         jitter: Duration::from_micros(100),
         seed: 9,
     };
-    for workers in [1usize, 2, 8] {
-        let cfg = NetConfig::default().with_workers(workers);
-        let net: Network<Frame> = Network::with_config(model, cfg);
-        let a = net.register(SiteId(0));
-        let _b = net.register(SiteId(1));
-        let _c = net.register(SiteId(2));
-        for seq in 0..25u32 {
-            for from in [1u16, 2] {
-                net.send(
-                    SiteId(from),
-                    SiteId(0),
-                    Frame {
-                        from,
-                        seq,
-                        bytes: 64,
-                    },
-                )
-                .expect("send");
-            }
-        }
-        let t0 = Instant::now();
-        net.shutdown();
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "flush must skip the 250ms sleeps (workers={workers}: {:?})",
-            t0.elapsed()
-        );
-        let got = a.drain(100);
-        assert_eq!(got.len(), 50, "nothing vanished (workers={workers})");
+    let net: Network<Frame> = Network::new(model);
+    let a = net.register(SiteId(0));
+    let _b = net.register(SiteId(1));
+    let _c = net.register(SiteId(2));
+    for seq in 0..25u32 {
         for from in [1u16, 2] {
-            let link: Vec<u32> = got
-                .iter()
-                .filter(|e| e.payload.from == from)
-                .map(|e| e.payload.seq)
-                .collect();
-            assert_eq!(
-                link,
-                (0..25).collect::<Vec<_>>(),
-                "link {from} FIFO through the flush (workers={workers})"
-            );
+            net.send(
+                SiteId(from),
+                SiteId(0),
+                Frame {
+                    from,
+                    seq,
+                    bytes: 64,
+                },
+            )
+            .expect("send");
         }
-        assert!(matches!(a.recv(), Err(dtx::net::NetError::Closed)));
     }
+    let t0 = Instant::now();
+    net.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_millis(200),
+        "flush must skip the 250ms sleeps ({:?})",
+        t0.elapsed()
+    );
+    let got = a.drain(100);
+    assert_eq!(got.len(), 50, "nothing vanished");
+    for from in [1u16, 2] {
+        let link: Vec<u32> = got
+            .iter()
+            .filter(|e| e.payload.from == from)
+            .map(|e| e.payload.seq)
+            .collect();
+        assert_eq!(
+            link,
+            (0..25).collect::<Vec<_>>(),
+            "link {from} FIFO through the flush"
+        );
+    }
+    assert!(matches!(a.recv(), Err(dtx::net::NetError::Closed)));
 }
 
-/// A worker pool of size 1 serializes every link through one wheel: on
+/// The one delivery thread serializes every link through one wheel: on
 /// top of per-link FIFO, delivery across links follows `deliver_at`
 /// (messages in different wheel windows never invert). Delays are spaced
 /// several ms apart — far beyond the wheel tick — so each message owns
 /// its window and the expected global order is exact. The test then
 /// shuts down with messages still in flight: completing at all is the
-/// no-deadlock assertion (a worker must never wait on another shard).
+/// no-deadlock assertion (the thread must never block on its own queue).
 #[test]
-fn single_worker_pool_orders_cross_link_by_deliver_at_and_shuts_down() {
+fn one_delivery_thread_orders_cross_link_by_deliver_at_and_shuts_down() {
     // Delay = fixed + per_kib * KiB: distinct sizes give distinct,
     // well-separated delays. No jitter — the order must be exact.
     let model = LatencyModel {
@@ -170,13 +166,11 @@ fn single_worker_pool_orders_cross_link_by_deliver_at_and_shuts_down() {
         jitter: Duration::ZERO,
         seed: 0,
     };
-    let cfg = NetConfig::default().with_workers(1);
-    let net: Network<Frame> = Network::with_config(model, cfg);
+    let net: Network<Frame> = Network::new(model);
     let a = net.register(SiteId(0));
     for s in 1..=3u16 {
         net.register(SiteId(s));
     }
-    assert_eq!(net.net_config().workers, 1);
     // Send in an order unrelated to the delay order: sender 1 slowest
     // (3 KiB → 34ms), sender 3 fastest (1 KiB → 18ms). All sends happen
     // within well under one delay gap (8ms), so deliver_at order is the
@@ -207,13 +201,13 @@ fn single_worker_pool_orders_cross_link_by_deliver_at_and_shuts_down() {
     assert_eq!(
         got,
         vec![3, 2, 1],
-        "one worker delivers across links in deliver_at order"
+        "one thread delivers across links in deliver_at order"
     );
     assert_eq!(net.stats().delivery_threads(), 1);
     // In-flight shutdown: queue a fresh burst on every link and shut
-    // down immediately. The single worker must drain everything (in
-    // order) and join — if it ever blocked on its own queue or another
-    // shard, this would hang, not pass.
+    // down immediately. The delivery thread must drain everything (in
+    // order) and join — if it ever blocked on its own queue, this would
+    // hang, not pass.
     for seq in 0..10u32 {
         for from in [1u16, 2, 3] {
             net.send(
