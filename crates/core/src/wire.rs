@@ -11,6 +11,12 @@
 //! `DataGuide::to_wire`, but length-prefixed binary instead of
 //! line-oriented text.
 //!
+//! Every list goes through [`WireWriter::put_seq`] / [`WireReader::seq`],
+//! which guard its item count against the remaining input before
+//! reserving anything; each call site only states its item's minimum
+//! encoded size (1 byte; 2 for acks, wait-for edges and fragment
+//! children).
+//!
 //! Three invariants, pinned by tests here and in `tests/wire_props.rs`:
 //!
 //! * **Round trip**: `encode(decode(encode(m))) == encode(m)` for every
@@ -99,8 +105,10 @@ fn read_usize(r: &mut WireReader<'_>) -> Result<usize, WireError> {
 }
 
 /// Queries travel as their `Display` text and re-`parse` on decode: the
-/// grammar is the stable surface (it already round-trips — PR 1 pinned
-/// `parse(display(q)) == q`), and it stays human-readable in captures.
+/// grammar is the stable surface (`parse(display(q)) == q`, pinned by the
+/// xpath crate's tests), and it stays human-readable in captures. The
+/// parser bounds predicate nesting, so a hostile query is an error, not
+/// a recursion off the decoding thread's stack.
 fn put_query(w: &mut WireWriter, q: &Query) {
     w.put_str(&q.to_string());
 }
@@ -136,10 +144,7 @@ fn put_fragment(w: &mut WireWriter, f: &Fragment) {
         Fragment::Element { label, children } => {
             w.put_u8(0);
             w.put_str(label);
-            put_usize(w, children.len());
-            for c in children {
-                put_fragment(w, c);
-            }
+            w.put_seq(children, put_fragment);
         }
         Fragment::Attribute { label, value } => {
             w.put_u8(1);
@@ -158,21 +163,11 @@ fn read_fragment(r: &mut WireReader<'_>, depth: usize) -> Result<Fragment, WireE
         return Err(WireError::Malformed("fragment nested too deep"));
     }
     match r.u8()? {
-        0 => {
-            let label = r.str()?;
-            let count = read_usize(r)?;
-            // A child costs ≥ 2 bytes (tag + empty string's length), so
-            // a count beyond half the remaining input is a lie — reject
-            // before reserving anything.
-            if count > r.remaining() / 2 {
-                return Err(WireError::BadLength(count as u64));
-            }
-            let mut children = Vec::with_capacity(count);
-            for _ in 0..count {
-                children.push(read_fragment(r, depth + 1)?);
-            }
-            Ok(Fragment::Element { label, children })
-        }
+        // A child costs ≥ 2 bytes (tag + empty string's length).
+        0 => Ok(Fragment::Element {
+            label: r.str()?,
+            children: r.seq(2, |r| read_fragment(r, depth + 1))?,
+        }),
         1 => Ok(Fragment::Attribute {
             label: r.str()?,
             value: r.str()?,
@@ -281,10 +276,7 @@ fn put_op_result(w: &mut WireWriter, res: &OpResult) {
     match res {
         OpResult::Query { values } => {
             w.put_u8(0);
-            put_usize(w, values.len());
-            for v in values {
-                w.put_str(v);
-            }
+            w.put_seq(values, |w, v| w.put_str(v));
         }
         OpResult::Update { affected } => {
             w.put_u8(1);
@@ -295,17 +287,9 @@ fn put_op_result(w: &mut WireWriter, res: &OpResult) {
 
 fn read_op_result(r: &mut WireReader<'_>) -> Result<OpResult, WireError> {
     match r.u8()? {
-        0 => {
-            let count = read_usize(r)?;
-            if count > r.remaining() {
-                return Err(WireError::BadLength(count as u64));
-            }
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(r.str()?);
-            }
-            Ok(OpResult::Query { values })
-        }
+        0 => Ok(OpResult::Query {
+            values: r.seq(1, WireReader::str)?,
+        }),
         1 => Ok(OpResult::Update {
             affected: read_usize(r)?,
         }),
@@ -316,85 +300,30 @@ fn read_op_result(r: &mut WireReader<'_>) -> Result<OpResult, WireError> {
     }
 }
 
-fn put_txn_vec(w: &mut WireWriter, v: &[TxnId]) {
-    put_usize(w, v.len());
-    for &t in v {
-        put_txn(w, t);
-    }
+/// A `(TxnId, bool)` acknowledgement costs ≥ 2 bytes on the wire.
+fn put_ack(w: &mut WireWriter, &(t, ok): &(TxnId, bool)) {
+    put_txn(w, t);
+    w.put_bool(ok);
 }
 
-fn read_txn_vec(r: &mut WireReader<'_>) -> Result<Vec<TxnId>, WireError> {
-    let count = read_usize(r)?;
-    if count > r.remaining() {
-        return Err(WireError::BadLength(count as u64));
-    }
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(read_txn(r)?);
-    }
-    Ok(v)
-}
-
-fn put_ack_vec(w: &mut WireWriter, v: &[(TxnId, bool)]) {
-    put_usize(w, v.len());
-    for &(t, ok) in v {
-        put_txn(w, t);
-        w.put_bool(ok);
-    }
-}
-
-fn read_ack_vec(r: &mut WireReader<'_>) -> Result<Vec<(TxnId, bool)>, WireError> {
-    let count = read_usize(r)?;
-    if count > r.remaining() / 2 {
-        return Err(WireError::BadLength(count as u64));
-    }
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push((read_txn(r)?, r.bool()?));
-    }
-    Ok(v)
-}
-
-fn put_site_vec(w: &mut WireWriter, v: &[SiteId]) {
-    put_usize(w, v.len());
-    for &s in v {
-        put_site(w, s);
-    }
-}
-
-fn read_site_vec(r: &mut WireReader<'_>) -> Result<Vec<SiteId>, WireError> {
-    let count = read_usize(r)?;
-    if count > r.remaining() {
-        return Err(WireError::BadLength(count as u64));
-    }
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(read_site(r)?);
-    }
-    Ok(v)
+fn read_ack(r: &mut WireReader<'_>) -> Result<(TxnId, bool), WireError> {
+    Ok((read_txn(r)?, r.bool()?))
 }
 
 /// The graph travels as its sorted `(waiter, holder)` edge list
 /// ([`WaitForGraph::edges`]) and is rebuilt through `add_edge` — the
-/// canonical form, so decode∘encode is byte-stable.
+/// canonical form, so decode∘encode is byte-stable. An edge is two
+/// `TxnId`s, so it costs ≥ 2 bytes.
 fn put_wfg(w: &mut WireWriter, g: &WaitForGraph) {
-    let edges = g.edges();
-    put_usize(w, edges.len());
-    for (waiter, holder) in edges {
+    w.put_seq(&g.edges(), |w, &(waiter, holder)| {
         put_txn(w, waiter);
         put_txn(w, holder);
-    }
+    });
 }
 
 fn read_wfg(r: &mut WireReader<'_>) -> Result<WaitForGraph, WireError> {
-    let count = read_usize(r)?;
-    if count > r.remaining() / 2 {
-        return Err(WireError::BadLength(count as u64));
-    }
     let mut g = WaitForGraph::new();
-    for _ in 0..count {
-        let waiter = read_txn(r)?;
-        let holder = read_txn(r)?;
+    for (waiter, holder) in r.seq(2, |r| Ok((read_txn(r)?, read_txn(r)?)))? {
         g.add_edge(waiter, holder);
     }
     Ok(g)
@@ -480,8 +409,8 @@ impl WireCodec for Message {
             }
             Message::TerminateBatch { commits, aborts } => {
                 w.put_u8(3);
-                put_txn_vec(w, commits);
-                put_txn_vec(w, aborts);
+                w.put_seq(commits, |w, &t| put_txn(w, t));
+                w.put_seq(aborts, |w, &t| put_txn(w, t));
             }
             Message::TerminateBatchAck {
                 site,
@@ -490,8 +419,8 @@ impl WireCodec for Message {
             } => {
                 w.put_u8(4);
                 put_site(w, *site);
-                put_ack_vec(w, commits);
-                put_ack_vec(w, aborts);
+                w.put_seq(commits, put_ack);
+                w.put_seq(aborts, put_ack);
             }
             Message::Fail { txn } => {
                 w.put_u8(5);
@@ -528,7 +457,7 @@ impl WireCodec for Message {
                 w.put_u8(11);
                 put_txn(w, *txn);
                 w.put_varint(*corr);
-                put_site_vec(w, participants);
+                w.put_seq(participants, |w, &s| put_site(w, s));
             }
             Message::PrepareAck {
                 txn,
@@ -593,13 +522,13 @@ impl WireCodec for Message {
                 op_seq: read_usize(r)?,
             }),
             3 => Ok(Message::TerminateBatch {
-                commits: read_txn_vec(r)?,
-                aborts: read_txn_vec(r)?,
+                commits: r.seq(1, read_txn)?,
+                aborts: r.seq(1, read_txn)?,
             }),
             4 => Ok(Message::TerminateBatchAck {
                 site: read_site(r)?,
-                commits: read_ack_vec(r)?,
-                aborts: read_ack_vec(r)?,
+                commits: r.seq(2, read_ack)?,
+                aborts: r.seq(2, read_ack)?,
             }),
             5 => Ok(Message::Fail { txn: read_txn(r)? }),
             6 => Ok(Message::WfgRequest {
@@ -617,7 +546,7 @@ impl WireCodec for Message {
             11 => Ok(Message::Prepare {
                 txn: read_txn(r)?,
                 corr: r.varint()?,
-                participants: read_site_vec(r)?,
+                participants: r.seq(1, read_site)?,
             }),
             12 => Ok(Message::PrepareAck {
                 txn: read_txn(r)?,
@@ -701,7 +630,7 @@ fn read_status(r: &mut WireReader<'_>) -> Result<TxnStatus, WireError> {
 fn put_delta(w: &mut WireWriter, d: &CatalogDelta) {
     w.put_str(&d.doc);
     w.put_varint(d.version);
-    put_site_vec(w, &d.sites);
+    w.put_seq(&d.sites, |w, &s| put_site(w, s));
     w.put_bool(d.fragmented);
     put_site(w, d.origin);
 }
@@ -710,7 +639,7 @@ fn read_delta(r: &mut WireReader<'_>) -> Result<CatalogDelta, WireError> {
     Ok(CatalogDelta {
         doc: r.str()?,
         version: r.varint()?,
-        sites: read_site_vec(r)?,
+        sites: r.seq(1, read_site)?,
         fragmented: r.bool()?,
         origin: read_site(r)?,
     })
@@ -817,7 +746,7 @@ pub enum CtrlMsg {
 
 /// Every [`CtrlMsg`] variant's wire tag (first body byte of a `Ctrl`
 /// frame), mirroring [`MESSAGE_TAGS`]; frozen by `WIRE.md` §5.
-pub const CTRL_TAGS: [(&str, u8); 10] = [
+pub const CTRL_TAGS: [(&str, u8); 11] = [
     ("Peers", 0),
     ("Ready", 1),
     ("Register", 2),
@@ -828,6 +757,7 @@ pub const CTRL_TAGS: [(&str, u8); 10] = [
     ("Gossip", 7),
     ("StatsRequest", 8),
     ("StatsReply", 9),
+    ("Shutdown", 10),
 ];
 
 impl CtrlMsg {
@@ -855,11 +785,10 @@ impl WireCodec for CtrlMsg {
             CtrlMsg::Peers { total_sites, peers } => {
                 w.put_u8(0);
                 w.put_varint(*total_sites as u64);
-                put_usize(w, peers.len());
-                for (site, addr) in peers {
+                w.put_seq(peers, |w, (site, addr)| {
                     put_site(w, *site);
                     w.put_str(addr);
-                }
+                });
             }
             CtrlMsg::Ready { node } => {
                 w.put_u8(1);
@@ -874,7 +803,7 @@ impl WireCodec for CtrlMsg {
                 w.put_u8(2);
                 w.put_varint(*corr);
                 w.put_str(doc);
-                put_site_vec(w, sites);
+                w.put_seq(sites, |w, &s| put_site(w, s));
                 w.put_bool(*fragmented);
             }
             CtrlMsg::LoadDoc { corr, doc, xml } => {
@@ -892,10 +821,7 @@ impl WireCodec for CtrlMsg {
             CtrlMsg::Submit { corr, spec } => {
                 w.put_u8(5);
                 w.put_varint(*corr);
-                put_usize(w, spec.ops.len());
-                for op in &spec.ops {
-                    put_op_spec(w, op);
-                }
+                w.put_seq(&spec.ops, put_op_spec);
             }
             CtrlMsg::Outcome {
                 corr,
@@ -909,17 +835,11 @@ impl WireCodec for CtrlMsg {
                 put_txn(w, *txn);
                 put_status(w, status);
                 w.put_varint(*response_us);
-                put_usize(w, results.len());
-                for res in results {
-                    put_op_result(w, res);
-                }
+                w.put_seq(results, put_op_result);
             }
             CtrlMsg::Gossip { deltas } => {
                 w.put_u8(7);
-                put_usize(w, deltas.len());
-                for d in deltas {
-                    put_delta(w, d);
-                }
+                w.put_seq(deltas, put_delta);
             }
             CtrlMsg::StatsRequest { corr } => {
                 w.put_u8(8);
@@ -951,14 +871,7 @@ impl WireCodec for CtrlMsg {
                     what: "Peers.total_sites",
                     tag: total,
                 })?;
-                let count = read_usize(r)?;
-                if count > r.remaining() {
-                    return Err(WireError::BadLength(count as u64));
-                }
-                let mut peers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    peers.push((read_site(r)?, r.str()?));
-                }
+                let peers = r.seq(1, |r| Ok((read_site(r)?, r.str()?)))?;
                 Ok(CtrlMsg::Peers { total_sites, peers })
             }
             1 => Ok(CtrlMsg::Ready {
@@ -967,7 +880,7 @@ impl WireCodec for CtrlMsg {
             2 => Ok(CtrlMsg::Register {
                 corr: r.varint()?,
                 doc: r.str()?,
-                sites: read_site_vec(r)?,
+                sites: r.seq(1, read_site)?,
                 fragmented: r.bool()?,
             }),
             3 => Ok(CtrlMsg::LoadDoc {
@@ -980,53 +893,22 @@ impl WireCodec for CtrlMsg {
                 ok: r.bool()?,
                 detail: r.str()?,
             }),
-            5 => {
-                let corr = r.varint()?;
-                let count = read_usize(r)?;
-                if count > r.remaining() {
-                    return Err(WireError::BadLength(count as u64));
-                }
-                let mut ops = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ops.push(read_op_spec(r)?);
-                }
-                Ok(CtrlMsg::Submit {
-                    corr,
-                    spec: TxnSpec { ops },
-                })
-            }
-            6 => {
-                let corr = r.varint()?;
-                let txn = read_txn(r)?;
-                let status = read_status(r)?;
-                let response_us = r.varint()?;
-                let count = read_usize(r)?;
-                if count > r.remaining() {
-                    return Err(WireError::BadLength(count as u64));
-                }
-                let mut results = Vec::with_capacity(count);
-                for _ in 0..count {
-                    results.push(read_op_result(r)?);
-                }
-                Ok(CtrlMsg::Outcome {
-                    corr,
-                    txn,
-                    status,
-                    response_us,
-                    results,
-                })
-            }
-            7 => {
-                let count = read_usize(r)?;
-                if count > r.remaining() {
-                    return Err(WireError::BadLength(count as u64));
-                }
-                let mut deltas = Vec::with_capacity(count);
-                for _ in 0..count {
-                    deltas.push(read_delta(r)?);
-                }
-                Ok(CtrlMsg::Gossip { deltas })
-            }
+            5 => Ok(CtrlMsg::Submit {
+                corr: r.varint()?,
+                spec: TxnSpec {
+                    ops: r.seq(1, read_op_spec)?,
+                },
+            }),
+            6 => Ok(CtrlMsg::Outcome {
+                corr: r.varint()?,
+                txn: read_txn(r)?,
+                status: read_status(r)?,
+                response_us: r.varint()?,
+                results: r.seq(1, read_op_result)?,
+            }),
+            7 => Ok(CtrlMsg::Gossip {
+                deltas: r.seq(1, read_delta)?,
+            }),
             8 => Ok(CtrlMsg::StatsRequest { corr: r.varint()? }),
             9 => Ok(CtrlMsg::StatsReply {
                 corr: r.varint()?,
@@ -1276,9 +1158,11 @@ mod tests {
             },
             CtrlMsg::Shutdown,
         ];
-        assert_eq!(samples.len(), CTRL_TAGS.len() + 1, "Shutdown has tag 10");
-        for c in &samples {
+        assert_eq!(samples.len(), CTRL_TAGS.len(), "one sample per tag");
+        for (c, &(name, tag)) in samples.iter().zip(CTRL_TAGS.iter()) {
+            assert_eq!(c.label(), name, "sample order matches tag table");
             let bytes = c.encode();
+            assert_eq!(bytes[0], tag, "first body byte of {name} is its tag");
             let decoded = CtrlMsg::decode(&bytes)
                 .unwrap_or_else(|e| panic!("decode {} failed: {e}", c.label()));
             assert_eq!(&decoded, c, "{} round trips", c.label());
@@ -1322,6 +1206,32 @@ mod tests {
             read_fragment(&mut r, 0),
             Err(WireError::Malformed("fragment nested too deep"))
         );
+    }
+
+    #[test]
+    fn a_50k_deep_query_is_rejected_on_a_default_thread_stack() {
+        // An ExecRemote whose query text nests 50 000 parentheses: about
+        // 100 KB, one ordinary frame.
+        let text = format!("/a[{}b{}]", "(".repeat(50_000), ")".repeat(50_000));
+        let mut w = WireWriter::new();
+        w.put_u8(0);
+        put_txn(&mut w, TxnId(1));
+        put_site(&mut w, SiteId(0));
+        put_usize(&mut w, 0);
+        w.put_str("xmark");
+        w.put_u8(0);
+        w.put_str(&text);
+        w.put_varint(1);
+        w.put_bool(false);
+        w.put_varint(1);
+        w.put_bool(false);
+        let bytes = w.finish();
+        // Socket readers decode on threads spawned with the default
+        // stack; an unbounded parse would abort the process here.
+        let got = std::thread::spawn(move || Message::decode(&bytes).err())
+            .join()
+            .unwrap();
+        assert_eq!(got, Some(WireError::Malformed("unparsable query")));
     }
 
     /// Pulls the `(tag, variant)` rows out of one of `WIRE.md`'s
@@ -1380,23 +1290,16 @@ mod tests {
             assert_eq!(*spec_tag, tag, "WIRE.md §4 tag for {name}");
         }
 
-        // §5 is CTRL_TAGS plus the Shutdown row (tag 10, no fields).
         let ctrl_rows = spec_table(&s5);
         assert_eq!(
             ctrl_rows.len(),
-            CTRL_TAGS.len() + 1,
-            "WIRE.md §5 lists every CtrlMsg variant incl. Shutdown"
+            CTRL_TAGS.len(),
+            "WIRE.md §5 lists every CtrlMsg variant"
         );
         for ((spec_tag, spec_name), &(name, tag)) in ctrl_rows.iter().zip(CTRL_TAGS.iter()) {
             assert_eq!(spec_name, name, "WIRE.md §5 row order matches CTRL_TAGS");
             assert_eq!(*spec_tag, tag, "WIRE.md §5 tag for {name}");
         }
-        let last = ctrl_rows.last().unwrap();
-        assert_eq!(
-            (last.0, last.1.as_str()),
-            (CTRL_TAGS.len() as u8, "Shutdown"),
-            "Shutdown closes the §5 table at the next free tag"
-        );
 
         // Header constants quoted in §2 stay honest too.
         assert!(spec.contains("`0xD7 0x58`"), "§2 quotes MAGIC");

@@ -175,16 +175,20 @@ impl DataGuide {
                 "a" => true,
                 other => return Err(format!("guide wire line {i}: bad kind {other:?}")),
             };
-            let extent: u64 = extent
-                .parse()
-                .map_err(|_| format!("guide wire line {i}: bad extent {extent:?}"))?;
+            // Extents are counts, applied as signed deltas: above
+            // `i64::MAX` is corruption.
+            let extent: i64 = extent
+                .parse::<u64>()
+                .ok()
+                .and_then(|e| i64::try_from(e).ok())
+                .ok_or_else(|| format!("guide wire line {i}: bad extent {extent:?}"))?;
             match (&mut guide, parent) {
                 (None, "-") => {
                     if is_attr {
                         return Err("guide root cannot be an attribute".into());
                     }
                     let mut g = DataGuide::new(label);
-                    g.add_extent(g.root(), extent as i64 - 1);
+                    g.add_extent(g.root(), extent - 1);
                     guide = Some(g);
                 }
                 (None, _) => return Err("guide wire: first node must be the root".into()),
@@ -204,7 +208,7 @@ impl DataGuide {
                             "guide wire line {i}: duplicate node under parent {pid}"
                         ));
                     }
-                    g.add_extent(gid, extent as i64);
+                    g.add_extent(gid, extent);
                 }
             }
         }
@@ -286,6 +290,7 @@ mod tests {
         assert!(DataGuide::from_wire("dataguide/1\n- e 1 r\n9 e 1 dangling\n").is_err());
         assert!(DataGuide::from_wire("dataguide/1\n- a 1 r\n").is_err());
         assert!(DataGuide::from_wire("dataguide/1\n- e x r\n").is_err());
+        assert!(DataGuide::from_wire("dataguide/1\n- e 9223372036854775808 r\n").is_err());
     }
 
     #[test]

@@ -55,7 +55,8 @@
 //! `Hello` writes them: the one place a reader writes.
 
 use crate::wire::{
-    extract_frame, frame, FrameHeader, FrameKind, WireCodec, WireReader, WireWriter, HEADER_LEN,
+    extract_frame, frame, FrameHeader, FrameKind, WireCodec, WireError, WireReader, WireWriter,
+    HEADER_LEN,
 };
 use crate::{Envelope, NetError, SiteId};
 use parking_lot::{Mutex, RwLock};
@@ -367,21 +368,21 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
 /// unknown at handshake time and carries the same value.
 fn hello<M>(inner: &SockInner<M>) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_varint(inner.hosted.len() as u64);
-    for site in &inner.hosted {
-        w.put_varint(site.0 as u64);
-    }
+    w.put_seq(&inner.hosted, |w, site| w.put_varint(site.0 as u64));
     let me = inner.hosted.first().copied().unwrap_or(DRIVER_SITE);
     frame(FrameKind::Hello, me, me, &w.finish())
 }
 
 /// The site list of a `Hello` body, or `None` when it is malformed.
 fn hello_sites(body: &[u8]) -> Option<Vec<SiteId>> {
-    let mut r = WireReader::new(body);
-    let count = r.varint().ok()?;
-    (0..count.min(u16::MAX as u64))
-        .map(|_| Some(SiteId(u16::try_from(r.varint().ok()?).ok()?)))
-        .collect()
+    let site = |r: &mut WireReader<'_>| match r.varint()? {
+        v if v <= u16::MAX as u64 => Ok(SiteId(v as u16)),
+        tag => Err(WireError::BadTag {
+            what: "SiteId",
+            tag,
+        }),
+    };
+    WireReader::new(body).seq(1, site).ok()
 }
 
 /// Sets up a fresh connection: writes this process's `Hello` first, then

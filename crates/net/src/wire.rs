@@ -194,6 +194,15 @@ impl WireWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
+
+    /// A sequence: varint item count, then each item through `put`.
+    /// Read back with [`WireReader::seq`].
+    pub fn put_seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.put_varint(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+    }
 }
 
 /// Bounds-checked decoder over a byte slice. Every method returns
@@ -260,8 +269,9 @@ impl<'a> WireReader<'a> {
     }
 
     /// A varint validated to fit `usize` and to not exceed the remaining
-    /// input — the guard every length prefix goes through, so a flipped
-    /// length bit cannot trigger a huge allocation.
+    /// input — the guard every byte-length prefix goes through, so a
+    /// flipped length bit cannot trigger a huge allocation. Item counts
+    /// go through the same kind of guard in [`WireReader::seq`].
     pub fn len_prefix(&mut self) -> Result<usize, WireError> {
         let n = self.varint()?;
         if n > MAX_BODY_LEN as u64 || n > self.remaining() as u64 {
@@ -292,6 +302,27 @@ impl<'a> WireReader<'a> {
         std::str::from_utf8(raw)
             .map(str::to_owned)
             .map_err(|_| WireError::BadUtf8)
+    }
+
+    /// A sequence written by [`WireWriter::put_seq`]: a varint count, then
+    /// `count` items through `read`. Every item costs at least `min_item`
+    /// bytes (at least 1), so a count above `remaining() / min_item` is
+    /// [`WireError::BadLength`] before anything is reserved — the guard
+    /// every item count goes through.
+    pub fn seq<T>(
+        &mut self,
+        min_item: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.varint()?;
+        if n > (self.remaining() / min_item.max(1)) as u64 {
+            return Err(WireError::BadLength(n));
+        }
+        let mut items = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            items.push(read(self)?);
+        }
+        Ok(items)
     }
 }
 
@@ -498,6 +529,46 @@ mod tests {
             WireReader::new(&bytes).len_prefix(),
             Err(WireError::BadLength(_))
         ));
+    }
+
+    #[test]
+    fn seq_rejects_a_count_one_past_what_min_item_allows() {
+        // Three 2-byte pairs: a count of 3 fits exactly, 4 is a lie.
+        let pair = |r: &mut WireReader<'_>| Ok((r.u8()?, r.u8()?));
+        let mut w = WireWriter::new();
+        w.put_seq(&[(1u8, 2u8), (3, 4), (5, 6)], |w, &(a, b)| {
+            w.put_u8(a);
+            w.put_u8(b);
+        });
+        let bytes = w.finish();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.seq(2, pair).unwrap(), vec![(1, 2), (3, 4), (5, 6)]);
+        r.expect_end().unwrap();
+
+        let mut lying = bytes.clone();
+        lying[0] = 4;
+        assert_eq!(
+            WireReader::new(&lying).seq(2, pair),
+            Err(WireError::BadLength(4))
+        );
+        // With 1-byte items the same body allows a count up to 6.
+        lying[0] = 7;
+        assert_eq!(
+            WireReader::new(&lying).seq(1, |r| r.u8()),
+            Err(WireError::BadLength(7))
+        );
+        lying[0] = 6;
+        assert_eq!(
+            WireReader::new(&lying).seq(1, |r| r.u8()).unwrap(),
+            vec![1, 2, 3, 4, 5, 6]
+        );
+        // A huge declared count errors before reserving anything.
+        let mut w = WireWriter::new();
+        w.put_varint(u64::MAX);
+        assert_eq!(
+            WireReader::new(&w.finish()).seq(1, |r| r.u8()),
+            Err(WireError::BadLength(u64::MAX))
+        );
     }
 
     #[test]

@@ -186,10 +186,36 @@ impl fmt::Display for Predicate {
                 let p = path.to_string();
                 write!(f, "{}", p.strip_prefix('/').unwrap_or(&p))
             }
-            Predicate::And(a, b) => write!(f, "{a} and {b}"),
-            Predicate::Or(a, b) => write!(f, "{a} or {b}"),
+            // The parser folds `and`/`or` chains to the left, so a right
+            // operand of the same strength needs parentheses as well.
+            Predicate::And(a, b) => {
+                operand(f, a, 1)?;
+                f.write_str(" and ")?;
+                operand(f, b, 2)
+            }
+            Predicate::Or(a, b) => {
+                operand(f, a, 0)?;
+                f.write_str(" or ")?;
+                operand(f, b, 1)
+            }
             Predicate::Not(p) => write!(f, "not({p})"),
         }
+    }
+}
+
+/// Writes `p`, parenthesized when it binds more loosely than `min`
+/// (`or` binds at 0, `and` at 1, everything else at 2), so that the
+/// text parses back to the same tree.
+fn operand(f: &mut fmt::Formatter<'_>, p: &Predicate, min: u8) -> fmt::Result {
+    let strength = match p {
+        Predicate::Or(..) => 0,
+        Predicate::And(..) => 1,
+        _ => 2,
+    };
+    if strength < min {
+        write!(f, "({p})")
+    } else {
+        write!(f, "{p}")
     }
 }
 
@@ -242,6 +268,9 @@ impl fmt::Display for Literal {
                     write!(f, "{n}")
                 }
             }
+            // The grammar has no escapes: a string holding `"` is written
+            // with `'` (one holding both quote kinds has no literal form).
+            Literal::Str(s) if s.contains('"') => write!(f, "'{s}'"),
             Literal::Str(s) => write!(f, "\"{s}\""),
         }
     }
@@ -260,6 +289,12 @@ mod tests {
             "/products/product[id=4]",
             "/site//item[name=\"Mouse\"]/price",
             "/a/*[b>10 and not(c)]",
+            "/r/x[a and (b or c)]",
+            "/r/x[(a or b) and c]",
+            "/r/x[a or (b or c)]",
+            "/r/x[a and (b and c)]",
+            "/r/x[a or b and c]",
+            "/r/x[t='say \"hi\"']",
         ] {
             let q = Query::parse(src).unwrap();
             assert_eq!(q.to_string(), src, "display mismatch for {src}");
@@ -288,5 +323,99 @@ mod tests {
         assert_eq!(Literal::Number(4.0).to_string(), "4");
         assert_eq!(Literal::Number(10.3).to_string(), "10.3");
         assert_eq!(Literal::Str("x".into()).to_string(), "\"x\"");
+        assert_eq!(Literal::Str("x\"y".into()).to_string(), "'x\"y'");
+    }
+
+    /// xorshift64* — the same seed always generates the same trees.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// A relative path of one or two steps, the first a child or
+    /// attribute step (the only starts the grammar has for them).
+    fn gen_path(next: &mut impl FnMut() -> u64, depth: u32) -> Query {
+        const NAMES: [&str; 4] = ["a", "b", "item", "text"];
+        let mut steps = vec![Step {
+            axis: if next().is_multiple_of(4) {
+                Axis::Attribute
+            } else {
+                Axis::Child
+            },
+            test: NodeTest::Name(NAMES[(next() % 4) as usize].into()),
+            predicate: None,
+        }];
+        if steps[0].axis == Axis::Child && next().is_multiple_of(3) {
+            steps.push(Step {
+                axis: if next().is_multiple_of(2) {
+                    Axis::Child
+                } else {
+                    Axis::Descendant
+                },
+                test: match next() % 3 {
+                    0 => NodeTest::Wildcard,
+                    1 => NodeTest::Text,
+                    _ => NodeTest::Name(NAMES[(next() % 4) as usize].into()),
+                },
+                predicate: (depth > 0 && next().is_multiple_of(4))
+                    .then(|| gen_pred(next, depth - 1)),
+            });
+        }
+        Query { steps }
+    }
+
+    fn gen_pred(next: &mut impl FnMut() -> u64, depth: u32) -> Predicate {
+        let leaf = depth == 0 || next().is_multiple_of(3);
+        match if leaf { next() % 2 } else { 2 + next() % 3 } {
+            0 => Predicate::Exists(gen_path(next, depth)),
+            1 => Predicate::Cmp {
+                path: gen_path(next, depth),
+                op: [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ][(next() % 6) as usize],
+                value: match next() % 4 {
+                    0 => Literal::Number((next() % 2000) as f64 / 8.0 - 100.0),
+                    1 => Literal::Str("say \"hi\"".into()),
+                    2 => Literal::Str("it's".into()),
+                    _ => Literal::Str(String::new()),
+                },
+            },
+            2 => Predicate::And(
+                Box::new(gen_pred(next, depth - 1)),
+                Box::new(gen_pred(next, depth - 1)),
+            ),
+            3 => Predicate::Or(
+                Box::new(gen_pred(next, depth - 1)),
+                Box::new(gen_pred(next, depth - 1)),
+            ),
+            _ => Predicate::Not(Box::new(gen_pred(next, depth - 1))),
+        }
+    }
+
+    #[test]
+    fn seeded_predicate_trees_survive_display_and_parse() {
+        let mut next = rng(0xD7C5_2009);
+        for _ in 0..2000 {
+            let q = Query {
+                steps: vec![Step {
+                    axis: Axis::Child,
+                    test: NodeTest::Name("r".into()),
+                    predicate: Some(gen_pred(&mut next, 5)),
+                }],
+            };
+            let text = q.to_string();
+            let back = Query::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(back, q, "{text}");
+        }
     }
 }

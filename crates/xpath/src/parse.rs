@@ -15,6 +15,11 @@
 //! cmpop      := "=" | "!=" | "<" | "<=" | ">" | ">="
 //! literal    := NUMBER | STRING
 //! ```
+//!
+//! Each `[`, `(` and `not(` opens one level of predicate nesting; past
+//! [`MAX_PREDICATE_DEPTH`] levels the parse fails instead of recursing
+//! further, so query text that arrives off the wire cannot overflow the
+//! decoding thread's stack.
 
 use crate::ast::{Axis, CmpOp, Literal, NodeTest, Predicate, Query, Step};
 use std::fmt;
@@ -40,11 +45,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest predicate nesting the parser accepts. Real queries nest a few
+/// levels; the bound matches the wire decoder's fragment depth bound.
+pub const MAX_PREDICATE_DEPTH: usize = 256;
+
 /// Parses an absolute query. See the module-level grammar.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut p = P {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     if p.peek() != Some(b'/') {
@@ -64,6 +74,8 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
 struct P<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Open `[`, `(` and `not(` levels around the current position.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -199,7 +211,14 @@ impl<'a> P<'a> {
         })
     }
 
+    /// One nesting level: every `[`, `(` and `not(` parses its content
+    /// here, so this is where the depth bound is kept. (An error ends the
+    /// whole parse, so only the `Ok` path needs to restore `depth`.)
     fn or_expr(&mut self) -> Result<Predicate, ParseError> {
+        if self.depth == MAX_PREDICATE_DEPTH {
+            return Err(self.err("predicates nested too deep"));
+        }
+        self.depth += 1;
         let mut left = self.and_expr()?;
         loop {
             self.skip_ws();
@@ -207,6 +226,7 @@ impl<'a> P<'a> {
                 let right = self.and_expr()?;
                 left = Predicate::Or(Box::new(left), Box::new(right));
             } else {
+                self.depth -= 1;
                 return Ok(left);
             }
         }
@@ -469,5 +489,28 @@ mod tests {
         assert!(query.steps[0].predicate.is_some());
         let query = q("/notes/note");
         assert_eq!(query.steps.len(), 2);
+    }
+
+    /// `/a[` + `open` repeated `levels - 1` times + `b` + closers + `]`:
+    /// exactly `levels` nesting levels.
+    fn nested(levels: usize, open: &str, close: &str) -> String {
+        let inner = levels - 1;
+        format!("/a[{}b{}]", open.repeat(inner), close.repeat(inner))
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded() {
+        for (open, close) in [("(", ")"), ("not(", ")"), ("b[", "]")] {
+            let at_cap = nested(MAX_PREDICATE_DEPTH, open, close);
+            assert!(
+                parse_query(&at_cap).is_ok(),
+                "{open}: the cap itself parses"
+            );
+            let past = nested(MAX_PREDICATE_DEPTH + 1, open, close);
+            let err = parse_query(&past).unwrap_err();
+            assert_eq!(err.message, "predicates nested too deep", "{open}");
+        }
+        // Far past the cap the parse stops at the cap: no stack overflow.
+        assert!(parse_query(&nested(50_000, "(", ")")).is_err());
     }
 }

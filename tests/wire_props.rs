@@ -14,6 +14,11 @@
 //!    `ExecRemote` and a maximally nested legal fragment) survive
 //!    encode ∘ decode byte-identically.
 //!
+//! 4. **Text decoders too** — query text (which `Message` bodies carry
+//!    and re-parse) and the `DataGuide` line format, damaged by seeded
+//!    token edits, either error or decode to a value whose own text form
+//!    decodes back to it; nothing panics.
+//!
 //! One sample per `Message` and `CtrlMsg` variant keeps the sweep
 //! honest: adding a variant without extending the samples fails the
 //! count assertion against the frozen tag tables.
@@ -22,6 +27,7 @@ use dtx::core::wire::{CtrlMsg, CTRL_TAGS, MESSAGE_TAGS};
 use dtx::core::{
     AbortReason, CatalogDelta, Message, OpResult, OpSpec, SiteId, TxnId, TxnSpec, TxnStatus,
 };
+use dtx::dataguide::DataGuide;
 use dtx::locks::wfg::WaitForGraph;
 use dtx::net::wire::{WireCodec, WireError};
 use dtx::net::Wire;
@@ -124,7 +130,7 @@ fn message_samples() -> Vec<Message> {
     ]
 }
 
-/// One sample per `CtrlMsg` variant (plus `Shutdown`), in tag order.
+/// One sample per `CtrlMsg` variant, in tag order.
 fn ctrl_samples() -> Vec<CtrlMsg> {
     let q = Query::parse("/site/regions").unwrap();
     vec![
@@ -253,6 +259,103 @@ fn seeded_bit_flips_never_panic() {
     }
 }
 
+/// Applies 1–4 seeded edits to `src`: replace, insert or delete one
+/// character, with replacements and insertions drawn from `tokens`.
+fn damage(src: &str, tokens: &[&str], next: &mut impl FnMut() -> u64) -> String {
+    let mut chars: Vec<String> = src.chars().map(String::from).collect();
+    for _ in 0..1 + next() % 4 {
+        let at = (next() as usize) % (chars.len() + 1);
+        let token = tokens[(next() as usize) % tokens.len()].to_string();
+        match next() % 3 {
+            0 if at < chars.len() => chars[at] = token,
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => chars.insert(at, token),
+        }
+    }
+    chars.concat()
+}
+
+#[test]
+fn seeded_query_text_damage_errors_or_round_trips() {
+    const TOKENS: [&str; 24] = [
+        "/", "//", "[", "]", "(", ")", "@", "*", "=", "!=", "<", ">=", "\"", "'", " ", " and ",
+        " or ", "not(", "text()", "a", "7", "-", ".", "é",
+    ];
+    let sources = [
+        "/site/people/person[id=7]",
+        "/site//item[name=\"Mouse\"]/price",
+        "/a/*[b>10 and not(c or @d!='x\"y')]",
+        "/r/x[a and (b or c)]/text()",
+        "/site/open_auctions/open_auction[bidder/increase>=-2.5]",
+    ];
+    let mut next = rng(0xD7C5_2010);
+    let (mut errors, mut parsed) = (0, 0);
+    for src in sources {
+        for _ in 0..400 {
+            let text = damage(src, &TOKENS, &mut next);
+            match Query::parse(&text) {
+                Err(_) => errors += 1,
+                Ok(q) => {
+                    parsed += 1;
+                    let shown = q.to_string();
+                    assert_eq!(
+                        Query::parse(&shown).as_ref(),
+                        Ok(&q),
+                        "{text:?} shown as {shown:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        errors > 100 && parsed > 100,
+        "{errors} errors, {parsed} parsed"
+    );
+}
+
+#[test]
+fn seeded_dataguide_wire_damage_errors_or_round_trips() {
+    const TOKENS: [&str; 12] = [
+        " ",
+        "\n",
+        "-",
+        "e",
+        "a",
+        "0",
+        "9",
+        "9223372036854775808",
+        "18446744073709551615",
+        "4294967296",
+        "x",
+        "dataguide/1",
+    ];
+    let xml = "<site><people><person id=\"p1\"><name>Ana</name></person>\
+        <person><name>Bo</name><phone>5</phone></person></people>\
+        <regions><item><name>Mouse</name></item></regions></site>";
+    let wire = DataGuide::from_xml_stream(xml).unwrap().to_wire();
+    let mut next = rng(0xD7C5_2011);
+    let (mut errors, mut parsed) = (0, 0);
+    for _ in 0..2000 {
+        let text = damage(&wire, &TOKENS, &mut next);
+        match DataGuide::from_wire(&text) {
+            Err(_) => errors += 1,
+            Ok(g) => {
+                parsed += 1;
+                let shown = g.to_wire();
+                let again = DataGuide::from_wire(&shown)
+                    .unwrap_or_else(|e| panic!("{text:?} shown as {shown:?}: {e}"));
+                assert_eq!(again.to_wire(), shown);
+            }
+        }
+    }
+    assert!(
+        errors > 100 && parsed > 100,
+        "{errors} errors, {parsed} parsed"
+    );
+}
+
 #[test]
 fn samples_cover_every_frozen_tag() {
     let msgs = message_samples();
@@ -262,11 +365,7 @@ fn samples_cover_every_frozen_tag() {
         assert_eq!(m.encode()[0], tag);
     }
     let ctrls = ctrl_samples();
-    assert_eq!(
-        ctrls.len(),
-        CTRL_TAGS.len() + 1,
-        "one CtrlMsg per tag plus Shutdown"
-    );
+    assert_eq!(ctrls.len(), CTRL_TAGS.len(), "one CtrlMsg per tag");
     for (c, &(name, tag)) in ctrls.iter().zip(CTRL_TAGS.iter()) {
         assert_eq!(c.label(), name);
         assert_eq!(c.encode()[0], tag);
