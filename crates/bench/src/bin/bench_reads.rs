@@ -26,6 +26,7 @@
 //! refreshes `BENCH_reads.json`, which `check_bench` gates on.
 
 use dtx_bench::{header, ms, row, seed_from_args, setup, ExpEnv};
+use dtx_core::metrics::percentile;
 use dtx_core::ProtocolKind;
 use dtx_xmark::tester::run_workload;
 use dtx_xmark::workload::{generate as gen_workload, WorkloadConfig};
@@ -57,19 +58,6 @@ struct Cell {
     snapshots_live_end: u64,
     snapshots_live_peak: u64,
     snapshot_bytes_peak: u64,
-}
-
-fn percentile(mut v: Vec<f64>, p: f64) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((v.len() as f64 * p).ceil() as usize).max(1) - 1;
-    v[idx.min(v.len() - 1)]
-}
-
-fn p99(v: Vec<f64>) -> f64 {
-    percentile(v, 0.99)
 }
 
 /// Runs one mixed workload cell: `clients` mixed clients at
@@ -148,17 +136,19 @@ fn run_cell(
             write_resp.push(ms(out.response_time));
         }
     }
+    read_resp.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    write_resp.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let metrics = cluster.metrics();
     let cell = Cell {
         knob,
         read_txns,
         read_committed,
         reader_deadlocks,
-        read_p50_ms: percentile(read_resp.clone(), 0.50),
-        read_p99_ms: p99(read_resp.clone()),
-        read_p999_ms: percentile(read_resp.clone(), 0.999),
+        read_p50_ms: percentile(&read_resp, 0.50).unwrap_or(0.0),
+        read_p99_ms: percentile(&read_resp, 0.99).unwrap_or(0.0),
+        read_p999_ms: percentile(&read_resp, 0.999).unwrap_or(0.0),
         read_mean_ms: read_resp.iter().sum::<f64>() / (read_resp.len().max(1) as f64),
-        write_p99_ms: p99(write_resp),
+        write_p99_ms: percentile(&write_resp, 0.99).unwrap_or(0.0),
         deadlocks: report.deadlocks(),
         snapshot_reads: metrics.snapshot_reads(),
         read_ops: read_committed * ops_per_txn,

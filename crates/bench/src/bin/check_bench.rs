@@ -9,7 +9,8 @@
 //!
 //! * **fig12** — XDGL over the standard 4-site mixed workload: commits
 //!   ≥ 228 / 250, batched termination messages strictly below the
-//!   unbatched-equivalent count;
+//!   unbatched-equivalent count, and the summary's response percentiles
+//!   present and ordered (0 < p50 ≤ p99 ≤ p999);
 //! * **net** — 8-site all-to-all storm: per-link FIFO and the
 //!   delivery-thread bound are asserted inside the storm itself;
 //! * **ingest** — tree vs streaming ingestion of the default 400 KB
@@ -41,6 +42,7 @@ use dtx_bench::json::Json;
 use dtx_bench::netbench::storm;
 use dtx_bench::recovery::replay_point;
 use dtx_bench::{run, setup, ExpEnv, BASE_BYTES, SEED};
+use dtx_core::metrics::percentile;
 use dtx_core::ProtocolKind;
 use dtx_dataguide::{DataGuide, GuideBuilder};
 use dtx_xmark::generator::{emit, generate, XmarkConfig};
@@ -76,15 +78,19 @@ fn print_checks(title: &str, checks: &[Check]) -> bool {
 }
 
 /// Fresh fig12-style run: XDGL only (Node2PL takes ~10× longer and is
-/// not gated), standard 4-site environment, 250 transactions.
-fn fresh_throughput() -> (f64, f64, f64) {
+/// not gated), standard 4-site environment, 250 transactions. Returns
+/// commits, batched and unbatched termination messages, and the
+/// summary's p50/p99/p999 response times (ms).
+fn fresh_throughput() -> (f64, f64, f64, [f64; 3]) {
     let (cluster, frags) = setup(ExpEnv::standard(ProtocolKind::Xdgl));
     let report = run(&cluster, &frags, WorkloadConfig::with_updates(50, 20, SEED));
     let metrics = cluster.metrics();
+    let s = metrics.summary();
     let out = (
         report.committed() as f64,
         metrics.termination_msgs() as f64,
         metrics.termination_msgs_unbatched() as f64,
+        [s.p50_response, s.p99_response, s.p999_response].map(|d| d.as_secs_f64() * 1e3),
     );
     cluster.shutdown();
     out
@@ -117,8 +123,7 @@ fn fresh_reads() -> (f64, f64, f64, f64, f64) {
             }
         }
         read_resp.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let idx = ((read_resp.len() as f64 * 0.99).ceil() as usize).max(1) - 1;
-        p99s.push(read_resp.get(idx).copied().unwrap_or(0.0));
+        p99s.push(percentile(&read_resp, 0.99).unwrap_or(0.0));
         snapshot_reads += cluster.metrics().snapshot_reads();
         cluster.shutdown();
     }
@@ -271,10 +276,10 @@ fn main() {
     };
 
     println!("\n# fresh run: fig12 XDGL (250 txns, standard 4-site environment)");
-    let (committed, batched, unbatched) = fresh_throughput();
+    let (committed, batched, unbatched, percentiles) = fresh_throughput();
     all_ok &= print_checks(
         "fresh: throughput",
-        &gate::check_throughput_fresh(committed, batched, unbatched),
+        &gate::check_throughput_fresh(committed, batched, unbatched, percentiles),
     );
     deltas.push(Delta {
         metric: "fig12 XDGL committed",

@@ -37,8 +37,8 @@ struct ProtocolResult {
     /// Network delivery threads spawned: the one delivery thread (1)
     /// no matter how many links carry traffic.
     net_worker_threads: u64,
-    /// Committed-transaction response-time percentiles (ms): exact
-    /// median plus the log-bucketed histogram's p99/p999 tail.
+    /// Median committed-transaction response time (ms); this and the
+    /// tails below are exact nearest ranks over the run's records.
     p50_ms: f64,
     /// 99th percentile response time (ms).
     p99_ms: f64,

@@ -9,6 +9,7 @@
 //! replication below total replication; both rise with client count.
 
 use dtx_bench::{header, ms, row, run, seed_from_args, setup, ExpEnv};
+use dtx_core::metrics::percentile;
 use dtx_core::ProtocolKind;
 use dtx_xmark::fragment::ReplicationMode;
 use dtx_xmark::workload::WorkloadConfig;
@@ -45,7 +46,7 @@ fn main() {
                         .map(|o| o.response_time)
                         .collect();
                     rts.sort();
-                    rts.get(rts.len() * 95 / 100).copied().unwrap_or_default()
+                    percentile(&rts, 0.95).unwrap_or_default()
                 };
                 row(&[
                     clients.to_string(),

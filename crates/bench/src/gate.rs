@@ -186,21 +186,25 @@ pub fn check_throughput_witness(doc: &Json) -> Vec<Check> {
     checks
 }
 
-/// Validates the response-time percentile fields of one witness entry:
-/// all three present, positive, and ordered p50 ≤ p99 ≤ p999 (the
-/// histogram caps percentiles at the observed max, so equality is
-/// legitimate; inversion means a doctored or mis-merged witness).
-fn check_percentiles(checks: &mut Vec<Check>, at: &str, entry: &Json) {
-    let p50 = entry.num_field("p50_ms");
-    let p99 = entry.num_field("p99_ms");
-    let p999 = entry.num_field("p999_ms");
+/// Response-time percentiles (ms) of one run: all three present,
+/// positive, and ordered p50 ≤ p99 ≤ p999. Nearest ranks over one sample
+/// are ordered by construction (equal where a tail reaches the maximum),
+/// so an inversion or a missing field means a doctored or stale witness.
+fn ordered_percentiles(at: &str, [p50, p99, p999]: [Option<f64>; 3]) -> Check {
     let ok = matches!((p50, p99, p999),
         (Some(a), Some(b), Some(c)) if 0.0 < a && a <= b && b <= c);
-    checks.push(Check::new(
+    Check::new(
         format!("{at} percentiles present and ordered"),
         format!("p50 {p50:?} ≤ p99 {p99:?} ≤ p999 {p999:?} ms"),
         ok,
-    ));
+    )
+}
+
+/// [`ordered_percentiles`] over a witness entry's `p50_ms` / `p99_ms` /
+/// `p999_ms` fields.
+fn check_percentiles(checks: &mut Vec<Check>, at: &str, entry: &Json) {
+    let fields = ["p50_ms", "p99_ms", "p999_ms"].map(|f| entry.num_field(f));
+    checks.push(ordered_percentiles(at, fields));
 }
 
 /// Validates `BENCH_net.json`: the sites sweep proves the bounded-thread
@@ -322,16 +326,8 @@ fn check_reads_cells(checks: &mut Vec<Check>, sweep: &str, cells: &[Json]) {
             READS_MAX_LIVE_END + 1.0,
             false,
         );
-        let p50 = c.num_field("read_p50_ms");
-        let p99 = c.num_field("read_p99_ms");
-        let p999 = c.num_field("read_p999_ms");
-        let ok = matches!((p50, p99, p999),
-            (Some(a), Some(b), Some(cc)) if 0.0 < a && a <= b && b <= cc);
-        checks.push(Check::new(
-            format!("reads {at} percentiles present and ordered"),
-            format!("p50 {p50:?} ≤ p99 {p99:?} ≤ p999 {p999:?} ms"),
-            ok,
-        ));
+        let fields = ["read_p50_ms", "read_p99_ms", "read_p999_ms"].map(|f| c.num_field(f));
+        checks.push(ordered_percentiles(&format!("reads {at}"), fields));
     }
 }
 
@@ -588,8 +584,14 @@ pub fn check_reads_fresh(
     ]
 }
 
-/// Checks a fresh fig12-style XDGL run.
-pub fn check_throughput_fresh(committed: f64, batched: f64, unbatched: f64) -> Vec<Check> {
+/// Checks a fresh fig12-style XDGL run; `percentiles` are its
+/// `Metrics::summary` p50/p99/p999 response times (ms).
+pub fn check_throughput_fresh(
+    committed: f64,
+    batched: f64,
+    unbatched: f64,
+    percentiles: [f64; 3],
+) -> Vec<Check> {
     vec![
         Check::new(
             "fig12 XDGL commits ≥ floor (fresh)",
@@ -601,6 +603,7 @@ pub fn check_throughput_fresh(committed: f64, batched: f64, unbatched: f64) -> V
             format!("{batched:.0} < {unbatched:.0}"),
             batched < unbatched,
         ),
+        ordered_percentiles("fig12 XDGL (fresh)", percentiles.map(Some)),
     ]
 }
 
@@ -917,21 +920,30 @@ mod tests {
 
     #[test]
     fn doctored_throughput_percentiles_fail() {
-        // Inverted tail: a p99 recorded below the median is a doctored
-        // or mis-merged histogram.
+        // Inverted tail: a p99 recorded below the median is doctored.
         let inverted = GOOD_THROUGHPUT.replace("\"p99_ms\": 890.0", "\"p99_ms\": 50.0");
         let checks = check_throughput_witness(&Json::parse(&inverted).unwrap());
         assert_eq!(
             failed(&checks),
             vec!["fig12 XDGL percentiles present and ordered"]
         );
-        // A witness predating the histogram fields must not pass.
+        // A witness predating the percentile fields must not pass.
         let missing = GOOD_THROUGHPUT.replace("\"p999_ms\": 1400.0", "\"old_field\": 1.0");
         let checks = check_throughput_witness(&Json::parse(&missing).unwrap());
         assert_eq!(
             failed(&checks),
             vec!["fig12 XDGL percentiles present and ordered"]
         );
+    }
+
+    #[test]
+    fn doctored_fresh_throughput_percentiles_fail() {
+        let fresh = |p| check_throughput_fresh(230.0, 1300.0, 1500.0, p);
+        assert!(all_ok(&fresh([12.0, 40.0, 40.0])));
+        let name = vec!["fig12 XDGL (fresh) percentiles present and ordered"];
+        // A p99 below the median, and a run with no commit at all.
+        assert_eq!(failed(&fresh([12.0, 5.0, 40.0])), name);
+        assert_eq!(failed(&fresh([0.0, 0.0, 0.0])), name);
     }
 
     #[test]
@@ -1256,10 +1268,11 @@ mod tests {
 
     #[test]
     fn fresh_checks_flag_catastrophic_regressions_only() {
-        assert!(all_ok(&check_throughput_fresh(230.0, 1300.0, 1500.0)));
-        assert!(all_ok(&check_throughput_fresh(223.0, 1300.0, 1500.0)));
-        assert!(!all_ok(&check_throughput_fresh(200.0, 1300.0, 1500.0)));
-        assert!(!all_ok(&check_throughput_fresh(230.0, 1500.0, 1500.0)));
+        let p = [12.0, 40.0, 45.0];
+        assert!(all_ok(&check_throughput_fresh(230.0, 1300.0, 1500.0, p)));
+        assert!(all_ok(&check_throughput_fresh(223.0, 1300.0, 1500.0, p)));
+        assert!(!all_ok(&check_throughput_fresh(200.0, 1300.0, 1500.0, p)));
+        assert!(!all_ok(&check_throughput_fresh(230.0, 1500.0, 1500.0, p)));
         assert!(all_ok(&check_ingest_fresh(60.0, 50.0)));
         assert!(!all_ok(&check_ingest_fresh(20.0, 50.0)));
     }

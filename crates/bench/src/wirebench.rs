@@ -9,6 +9,7 @@
 //! The driver is deliberately dumb: launch, mesh, load, submit, collect,
 //! shut down; all protocol behavior lives in the site processes.
 
+use dtx_core::metrics::percentile;
 use dtx_core::wire::CtrlMsg;
 use dtx_core::{CtrlClient, Message, SiteId, TxnStatus};
 use dtx_net::wire::WireCodec;
@@ -378,10 +379,7 @@ fn drive(procs: &[SiteProc], env: WireEnv) -> Result<WireRun, String> {
     client.shutdown();
 
     response_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let pct = |q: f64| -> f64 {
-        let idx = ((response_ms.len() as f64 * q).ceil() as usize).max(1) - 1;
-        response_ms.get(idx).copied().unwrap_or(0.0)
-    };
+    let pct = |q: f64| percentile(&response_ms, q).unwrap_or(0.0);
     Ok(WireRun {
         sites: total,
         txns,

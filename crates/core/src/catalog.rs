@@ -102,11 +102,6 @@ impl Catalog {
         *self.policy.write() = policy;
     }
 
-    /// The installed policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.read().name()
-    }
-
     /// Registers (or replaces) the replica set of `doc` (full copies).
     /// Site lists are kept sorted and deduplicated. Bumps the epoch and
     /// the document's version.
@@ -643,7 +638,6 @@ mod tests {
             c.route(&read("d"), &RoutingCtx::new(SiteId(9))),
             Some(RoutingPlan::ReadOne { site: SiteId(0) })
         );
-        assert_eq!(c.policy_name(), "locality");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use dtx_locks::{ProtocolKind, TxnId};
 pub use dtx_net::SiteId;
 pub use gossip::CatalogDelta;
 pub use lockmgr::{LockManager, OpCostModel, ProcessResult};
-pub use metrics::{Histogram, Metrics, PhaseTimes, Summary, TxnRecord};
+pub use metrics::{Metrics, PhaseTimes, Summary, TxnRecord};
 pub use msg::Message;
 pub use op::{AbortReason, OpKind, OpResult, OpSpec, TxnOutcome, TxnSpec, TxnStatus};
 pub use process::{CtrlClient, SiteHost, SiteHostConfig};

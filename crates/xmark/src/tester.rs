@@ -52,18 +52,6 @@ impl TestReport {
         }
         committed.iter().map(|o| o.response_time).sum::<Duration>() / (committed.len() as u32)
     }
-
-    /// Mean response over all terminated transactions.
-    pub fn mean_response_all(&self) -> Duration {
-        if self.outcomes.is_empty() {
-            return Duration::ZERO;
-        }
-        self.outcomes
-            .iter()
-            .map(|o| o.response_time)
-            .sum::<Duration>()
-            / (self.outcomes.len() as u32)
-    }
 }
 
 /// Runs `workload` against `cluster`, one thread per client, returning the

@@ -12,64 +12,42 @@ use crate::node::{Node, NodeId, NodeKind};
 /// Serializer over a borrowed document.
 pub struct Serializer<'a> {
     doc: &'a Document,
-    indent: Option<usize>,
 }
 
 impl<'a> Serializer<'a> {
     /// Compact serializer (no added whitespace).
     pub fn new(doc: &'a Document) -> Self {
-        Serializer { doc, indent: None }
-    }
-
-    /// Pretty-printing serializer with `width`-space indentation.
-    pub fn pretty(doc: &'a Document, width: usize) -> Self {
-        Serializer {
-            doc,
-            indent: Some(width),
-        }
+        Serializer { doc }
     }
 
     /// Serializes the whole document.
     pub fn document(&self) -> String {
         let mut out = String::new();
-        self.node_into(self.doc.root(), 0, &mut out);
+        self.node_into(self.doc.root(), &mut out);
         out
     }
 
     /// Serializes the subtree rooted at `id`.
     pub fn subtree(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.node_into(id, 0, &mut out);
+        self.node_into(id, &mut out);
         out
     }
 
-    fn pad(&self, depth: usize, out: &mut String) {
-        if let Some(w) = self.indent {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            for _ in 0..depth * w {
-                out.push(' ');
-            }
-        }
-    }
-
-    fn node_into(&self, id: NodeId, depth: usize, out: &mut String) {
+    fn node_into(&self, id: NodeId, out: &mut String) {
         let node = match self.doc.node(id) {
             Ok(n) => n,
             Err(_) => return,
         };
         match &node.kind {
             NodeKind::Element { label } => {
-                self.pad(depth, out);
                 let name = self.doc.interner().resolve(*label);
                 out.push('<');
                 out.push_str(name);
                 // Attributes go inside the tag wherever they sit among the
                 // children; everything else is content. Two walks over
                 // `children` in place: no per-element allocation.
-                let mut content = 0usize;
-                let mut only_text = false;
+                let mut has_content = false;
                 for &c in &node.children {
                     match self.doc.node(c).map(|n| &n.kind) {
                         Ok(NodeKind::Attribute { label, value }) => {
@@ -79,27 +57,18 @@ impl<'a> Serializer<'a> {
                             escape_into(value, true, out);
                             out.push('"');
                         }
-                        kind => {
-                            content += 1;
-                            only_text = content == 1 && matches!(kind, Ok(NodeKind::Text { .. }));
-                        }
+                        _ => has_content = true,
                     }
                 }
-                if content == 0 {
+                if !has_content {
                     out.push_str("/>");
                     return;
                 }
                 out.push('>');
                 for &c in &node.children {
-                    match self.doc.node(c).map(|n| &n.kind) {
-                        Ok(NodeKind::Attribute { .. }) => {}
-                        // Keep `<id>4</id>` on one line even when pretty.
-                        Ok(NodeKind::Text { value }) if only_text => escape_into(value, false, out),
-                        _ => self.node_into(c, depth + 1, out),
+                    if !self.doc.node(c).is_ok_and(Node::is_attribute) {
+                        self.node_into(c, out);
                     }
-                }
-                if !only_text {
-                    self.pad(depth, out);
                 }
                 out.push_str("</");
                 out.push_str(name);
@@ -112,10 +81,7 @@ impl<'a> Serializer<'a> {
                 escape_into(value, true, out);
                 out.push('"');
             }
-            NodeKind::Text { value } => {
-                self.pad(depth, out);
-                escape_into(value, false, out);
-            }
+            NodeKind::Text { value } => escape_into(value, false, out),
         }
     }
 }
@@ -215,16 +181,6 @@ mod tests {
         let doc2 = parse(&xml).unwrap();
         let a = doc2.interner().get("a").unwrap();
         assert_eq!(doc2.attribute(doc2.root(), a).unwrap(), Some("x\"<>&"));
-    }
-
-    #[test]
-    fn pretty_printing_indents() {
-        let doc = parse("<r><a><b>x</b></a></r>").unwrap();
-        let pretty = Serializer::pretty(&doc, 2).document();
-        assert_eq!(pretty, "<r>\n  <a>\n    <b>x</b>\n  </a>\n</r>");
-        // Pretty output reparses to an equivalent document.
-        let doc2 = parse(&pretty).unwrap();
-        assert_eq!(doc2.to_xml(), doc.to_xml());
     }
 
     #[test]

@@ -33,24 +33,6 @@ impl Query {
         }
     }
 
-    /// The label names mentioned on the main spine of the query (excluding
-    /// predicate paths), used for coarse conflict estimation in baselines.
-    pub fn spine_names(&self) -> Vec<&str> {
-        self.steps
-            .iter()
-            .filter_map(|s| match &s.test {
-                NodeTest::Name(n) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// True when any step uses the descendant axis — such queries fan out
-    /// over the DataGuide.
-    pub fn has_descendant_axis(&self) -> bool {
-        self.steps.iter().any(|s| s.axis == Axis::Descendant)
-    }
-
     /// All predicates appearing in the query, with the index of the step
     /// carrying them. The XDGL rules lock predicate target paths with ST.
     pub fn predicates(&self) -> impl Iterator<Item = (usize, &Predicate)> {
@@ -305,8 +287,6 @@ mod tests {
     fn path_helper_builds_child_steps() {
         let q = Query::path(&["site", "people"]);
         assert_eq!(q.to_string(), "/site/people");
-        assert!(!q.has_descendant_axis());
-        assert_eq!(q.spine_names(), vec!["site", "people"]);
     }
 
     #[test]

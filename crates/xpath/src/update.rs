@@ -66,17 +66,6 @@ impl UpdateOp {
             UpdateOp::Transpose { a, b } => vec![a, b],
         }
     }
-
-    /// Short operation name for metrics and traces.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            UpdateOp::Insert { .. } => "insert",
-            UpdateOp::Remove { .. } => "remove",
-            UpdateOp::Rename { .. } => "rename",
-            UpdateOp::Change { .. } => "change",
-            UpdateOp::Transpose { .. } => "transpose",
-        }
-    }
 }
 
 impl fmt::Display for UpdateOp {
@@ -478,7 +467,6 @@ mod tests {
     #[test]
     fn op_metadata() {
         let op = UpdateOp::Remove { target: q("/a/b") };
-        assert_eq!(op.op_name(), "remove");
         assert_eq!(op.queries().len(), 1);
         assert_eq!(op.to_string(), "remove /a/b");
         let op = UpdateOp::Transpose {

@@ -20,7 +20,7 @@
 //! * [`core`] — the DTX engine itself: schedulers, lock managers,
 //!   coordinator/participant transaction processing, distributed deadlock
 //!   detection, clusters in which every site can coordinate, and metrics
-//!   with latency histograms;
+//!   with exact latency percentiles;
 //! * [`xmark`] — XMark-like data/workload generation, fragmentation and the
 //!   DTXTester client simulator.
 //!
