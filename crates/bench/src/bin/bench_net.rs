@@ -2,11 +2,12 @@
 //!
 //! The paper's testbed is a switched full-duplex LAN (§3.1): every pair
 //! of sites has an independent path. `dtx-net` models it with **one
-//! delivery thread that owns one timer wheel**, no matter how many links
-//! carry traffic. This bench runs the all-to-all storm at `8/32/64/128`
-//! sites: 128 sites is 16,256 ordered links — a thread per link would be
-//! ~16k OS threads — and completes with a recorded delivery-thread count
-//! of one. (The two earlier fabrics the reactor was measured against, a
+//! delivery thread that owns one ordered queue** of pending messages, no
+//! matter how many links carry traffic. This bench runs the all-to-all
+//! storm at `8/32/64/128` sites: 128 sites is 16,256 ordered links — a
+//! thread per link would be ~16k OS threads — and completes with a
+//! recorded delivery-thread count of one. (The two earlier fabrics the
+//! one delivery thread was measured against, a
 //! single hub thread and a thread per link, are gone; their recorded
 //! verdict is quoted in EXPERIMENTS.md.)
 //!
@@ -71,7 +72,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--sites takes a site count"));
 
-    println!("# bench_net — all-to-all storm over the timer-wheel reactor");
+    println!("# bench_net — all-to-all storm over the one delivery thread");
     if let Some(sites) = sites_arg {
         // Scale smoke: one storm at the requested site count — the
         // bounded-thread claim exercised on every push.

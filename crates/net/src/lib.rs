@@ -13,11 +13,12 @@
 //!   [`Network::wake`] puts a bare wake-up on that channel, so a site
 //!   blocked on its endpoint also wakes for work handed over elsewhere.
 //! * Delayed delivery is driven by **one delivery thread that owns one
-//!   timer wheel**: every in-flight delayed message lives in a wheel
-//!   slot, and the thread drains fired slots for every link at once — one
-//!   thread no matter how many site pairs carry traffic, which is what
-//!   lets hundred-site clusters run. It is spawned on the first delayed
-//!   send.
+//!   ordered queue**: every in-flight delayed message waits in a min-heap
+//!   keyed by its delivery instant, and the thread sleeps until the first
+//!   one is due, then hands out everything due on every link at once —
+//!   one thread no matter how many site pairs carry traffic, which is
+//!   what lets hundred-site clusters run. It is spawned on the first
+//!   delayed send.
 //! * [`LatencyModel`] — fixed + per-KiB + seeded jitter; the default is
 //!   calibrated to a 100 Mbit/s switched LAN. Tests use
 //!   [`LatencyModel::zero`], which delivers synchronously.
@@ -43,9 +44,9 @@
 //!
 //! The first two fall out of two facts: the clamp and the jitter-stream
 //! position are computed at **send time** under the links lock, and the
-//! one delivery thread drains every link's messages in `(deliver_at, seq)`
-//! order — so across links, too, delivery follows `deliver_at` at wheel
-//! tick granularity, on every host.
+//! one delivery thread pops every link's messages in `(deliver_at, seq)`
+//! order — so across links, too, delivery follows `deliver_at` exactly,
+//! on every host, and no message is delivered before its instant.
 //!
 //! The transport is generic over the payload type `M`; `dtx-core` provides
 //! its `Message` enum and implements [`Wire`] to give payloads a size.
@@ -59,10 +60,11 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use dtx_trace::{EventKind, Tracer};
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -249,9 +251,11 @@ impl NetStats {
         self.delivery_threads.load(Ordering::Relaxed)
     }
 
-    /// Messages dropped by fault injection (seeded drops and partitions).
-    /// These still count in [`NetStats::messages`] — they were sent; the
-    /// simulated network lost them.
+    /// Messages the simulated network lost: seeded drops and partitions
+    /// (fault injection), and traffic to a [`Network::deregister`]ed site,
+    /// whether it died before the send or while the message was in
+    /// flight. These still count in [`NetStats::messages`] — they were
+    /// sent; the simulated network lost them.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -289,6 +293,29 @@ struct Delayed<M> {
     label: &'static str,
     envelope: Envelope<M>,
 }
+
+/// The delivery order: `(deliver_at, seq)`. The send-time clamp makes
+/// `deliver_at` monotone per link, and `seq`, drawn under the same lock,
+/// breaks its ties in send order — so this order is per-link FIFO.
+impl<M> Ord for Delayed<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
+    }
+}
+
+impl<M> PartialOrd for Delayed<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> PartialEq for Delayed<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<M> Eq for Delayed<M> {}
 
 /// Per-ordered-pair link bookkeeping, updated at send time under the
 /// links lock: the jitter stream position and the FIFO clamp.
@@ -353,9 +380,9 @@ struct Inner<M> {
     /// Fast-path flag: true when any fault (drop rate or partition) is
     /// armed, so the default path never takes the faults lock.
     faults_armed: AtomicBool,
-    /// Set by [`Network::shutdown`]: the delivery thread stops sleeping
-    /// and flushes its remaining queue immediately.
-    flushing: AtomicBool,
+    /// Set by [`Network::shutdown`]: a delayed send after it gets
+    /// [`NetError::Closed`] instead of spawning a new delivery thread.
+    closed: AtomicBool,
     /// Causal tracing ([`Network::set_tracer`]): when armed, every send,
     /// delivery and drop stamps an event into the tracer's per-site
     /// rings. `trace_armed` is the fast-path flag — the untraced hot
@@ -472,7 +499,7 @@ impl<M: Wire> Network<M> {
             seq: AtomicU64::new(0),
             faults: Mutex::new(FaultState::default()),
             faults_armed: AtomicBool::new(false),
-            flushing: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
             tracer: RwLock::new(None),
             trace_armed: AtomicBool::new(false),
             worker: Mutex::new(None),
@@ -496,8 +523,9 @@ impl<M: Wire> Network<M> {
     }
 
     /// Removes `site`'s endpoint: the site is dead to the network. Later
-    /// (and already in-flight) traffic to it is silently discarded —
-    /// exactly what a real network does to a dead host — until a
+    /// (and already in-flight) traffic to it is silently discarded and
+    /// counted in [`NetStats::dropped`] — exactly what a real network
+    /// does to a dead host — until a
     /// [`Network::register`] brings the site back. The kill half of the
     /// chaos harness's site kill/restart.
     pub fn deregister(&self, site: SiteId) {
@@ -629,28 +657,28 @@ impl<M: Wire> Network<M> {
             };
         }
         let envelope = Envelope { from, to, payload };
-        if self.inner.latency.is_zero() {
-            let endpoints = self.inner.endpoints.read();
-            let Some(dest) = endpoints.get(&to) else {
-                // A killed site eats traffic silently; a site that never
-                // existed is a wiring error.
-                if self.inner.dead.read().contains(&to) {
-                    self.inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tr) = &tracer {
-                        trace_send(tr, msg_id, from, to, label, tr.now_ns(), bytes);
-                        tr.record(
-                            from.0,
-                            EventKind::MsgDrop {
-                                msg: msg_id,
-                                from: from.0,
-                                to: to.0,
-                            },
-                        );
-                    }
-                    return Ok(());
+        let endpoints = self.inner.endpoints.read();
+        let Some(dest) = endpoints.get(&to) else {
+            // A killed site eats traffic silently; a site that never
+            // existed is a wiring error. Both paths, zero and delayed.
+            if self.inner.dead.read().contains(&to) {
+                self.inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                if let Some(tr) = &tracer {
+                    trace_send(tr, msg_id, from, to, label, tr.now_ns(), bytes);
+                    tr.record(
+                        from.0,
+                        EventKind::MsgDrop {
+                            msg: msg_id,
+                            from: from.0,
+                            to: to.0,
+                        },
+                    );
                 }
-                return Err(NetError::UnknownSite(to));
-            };
+                return Ok(());
+            }
+            return Err(NetError::UnknownSite(to));
+        };
+        if self.inner.latency.is_zero() {
             if let Some(tr) = &tracer {
                 trace_send(tr, msg_id, from, to, label, tr.now_ns(), bytes);
                 tr.record(
@@ -667,6 +695,7 @@ impl<M: Wire> Network<M> {
                 .send(Queued::Msg(envelope))
                 .map_err(|_| NetError::UnknownSite(to));
         }
+        drop(endpoints);
         // Delayed path. Under the links lock: advance the link's jitter
         // stream (delay = pure function of (seed, from, to, k) — see
         // [`link_delay`]), apply the FIFO clamp, and hand the message to
@@ -674,7 +703,7 @@ impl<M: Wire> Network<M> {
         let now = Instant::now();
         let mut links = self.inner.links.lock();
         // The global tie-break seq is drawn under the same lock that
-        // assigns the link position k: every drain breaks equal
+        // assigns the link position k: the delivery heap breaks equal
         // deliver_at (the clamp's doing) by seq, so seq order and k order
         // must agree per link or concurrent same-pair senders could have
         // a clamped later message pop first.
@@ -706,15 +735,15 @@ impl<M: Wire> Network<M> {
         let tx = match &links.tx {
             Some(tx) => tx,
             None => {
-                if self.inner.flushing.load(Ordering::Relaxed) {
+                if self.inner.closed.load(Ordering::Relaxed) {
                     return Err(NetError::Closed);
                 }
                 let (tx, rx) = unbounded::<Delayed<M>>();
                 let weak = Arc::downgrade(&self.inner);
                 let handle = std::thread::Builder::new()
-                    .name("dtx-net-wheel".into())
-                    .spawn(move || wheel_loop(rx, weak))
-                    .expect("spawn wheel thread");
+                    .name("dtx-net-delivery".into())
+                    .spawn(move || delivery_loop(rx, weak))
+                    .expect("spawn delivery thread");
                 *self.inner.worker.lock() = Some(handle);
                 self.inner
                     .stats
@@ -802,11 +831,10 @@ impl<M: Wire> Network<M> {
     /// either make it into a queue — and are then delivered — or get
     /// [`NetError::Closed`]; nothing vanishes silently.
     pub fn shutdown(&self) {
-        // 1. Flag the delivery thread to stop sleeping; queued messages
-        //    flush.
-        self.inner.flushing.store(true, Ordering::SeqCst);
-        // 2. Disconnect its queue: it drains what is buffered and exits
-        //    on the hangup.
+        // 1. Refuse to respawn the delivery thread.
+        self.inner.closed.store(true, Ordering::SeqCst);
+        // 2. Disconnect its queue: the hangup ends its wait, and it
+        //    delivers everything pending, due or not, and exits.
         self.inner.links.lock().tx = None;
         // 3. Join it — the drain is complete when this returns.
         let worker = self.inner.worker.lock().take();
@@ -873,12 +901,11 @@ fn trace_delivery<M>(tr: &Tracer, d: &Delayed<M>, delivered: bool) {
 }
 
 /// Hands a due batch out **in its existing order** under a single
-/// endpoints read-lock acquisition; a message whose endpoint is gone is
-/// dropped — exactly what a real network does to a dead host's traffic.
-/// The hot path builds `due` already link-ordered — overdue arrivals in
-/// channel order, then fired slots in window order with stable per-slot
-/// drains — so no sort is needed (the reactor's per-message costs are
-/// what bound the delivery thread's drain rate).
+/// endpoints read-lock acquisition. [`delivery_loop`] pops the batch off
+/// its heap in `(deliver_at, seq)` order — per-link send order — so no
+/// sort is needed. A message whose destination died while it was in
+/// flight is dropped and counted in [`NetStats::dropped`], exactly as
+/// [`Network::send`] counts one sent to a site already dead.
 fn deliver_batch<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>) {
     if due.is_empty() {
         return;
@@ -890,171 +917,37 @@ fn deliver_batch<M: Send + 'static>(inner: &Inner<M>, due: &mut Vec<Delayed<M>>)
         if let Some(tr) = &tracer {
             trace_delivery(tr, &d, dest.is_some());
         }
-        if let Some(dest) = dest {
-            let _ = dest.send(Queued::Msg(d.envelope));
-        }
-    }
-}
-
-/// Slots per timer wheel: with [`WHEEL_TICK`] each wheel has a ~51 ms
-/// horizon (1024 × 50 µs); messages further out stay in their hash slot
-/// across revolutions (checked once per revolution).
-const WHEEL_SLOTS: usize = 1024;
-
-/// Width of one wheel slot — the scheduling granularity. Delivery happens
-/// when a slot's window has fully passed, so a message is never delivered
-/// *early*, at most one tick + scheduling noise late.
-const WHEEL_TICK: Duration = Duration::from_micros(50);
-
-/// [`WHEEL_TICK`] in nanoseconds (u64 arithmetic on the hot path; u64
-/// nanos cover ~585 years of wheel lifetime).
-const WHEEL_TICK_NS: u64 = WHEEL_TICK.as_nanos() as u64;
-
-/// The delivery thread's state: a hashed timer wheel whose slot index is
-/// the message's delivery tick modulo the slot count. Entries further than
-/// one revolution out simply stay in their slot across passes (the due
-/// check is against the slot window's end, so they fire on the
-/// revolution that reaches their instant).
-struct Wheel<M> {
-    slots: Vec<Vec<Delayed<M>>>,
-    origin: Instant,
-    /// Index of the slot whose window fires next.
-    cursor: usize,
-    /// Start of the cursor slot's window. Invariant: every message with
-    /// `deliver_at < cursor_time` has left the wheel — which is what
-    /// makes the overdue fast path in [`Wheel::insert`] order-safe.
-    cursor_time: Instant,
-    /// Messages currently in the wheel.
-    pending: usize,
-}
-
-impl<M> Wheel<M> {
-    fn new() -> Self {
-        let origin = Instant::now();
-        Wheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            origin,
-            cursor: 0,
-            cursor_time: origin,
-            pending: 0,
-        }
-    }
-
-    fn slot_of(&self, at: Instant) -> usize {
-        ((at.duration_since(self.origin).as_nanos() as u64 / WHEEL_TICK_NS) as usize) % WHEEL_SLOTS
-    }
-
-    /// Files a message into its slot — or straight into `due` when its
-    /// instant already lies behind the cursor (the wheel invariant
-    /// guarantees every earlier message of the same link is already out,
-    /// so delivering it in this batch cannot reorder the link).
-    fn insert(&mut self, d: Delayed<M>, due: &mut Vec<Delayed<M>>) {
-        if d.deliver_at < self.cursor_time {
-            due.push(d);
-        } else {
-            let idx = self.slot_of(d.deliver_at);
-            self.slots[idx].push(d);
-            self.pending += 1;
-        }
-    }
-
-    /// Fires every slot whose window has fully passed, moving due
-    /// entries (instant inside the fired window) into `due` — stably, so
-    /// a slot's per-link insertion order (= send order) carries straight
-    /// through to delivery order. Entries for later revolutions stay, in
-    /// order. With an empty wheel the cursor snaps forward instead of
-    /// stepping through idle slots one by one.
-    fn advance(&mut self, now: Instant, due: &mut Vec<Delayed<M>>) {
-        if self.pending == 0 {
-            // Nothing can fire; realign the cursor with the clock so a
-            // long idle gap costs O(1) instead of one step per tick.
-            let ticks = now.duration_since(self.origin).as_nanos() as u64 / WHEEL_TICK_NS;
-            self.cursor = (ticks as usize) % WHEEL_SLOTS;
-            // u64 nanos throughout — a u32 tick product would wrap after
-            // ~2.5 days of wheel uptime and desync cursor_time from
-            // cursor, stalling the wheel in a days-long catch-up loop.
-            self.cursor_time = self.origin + Duration::from_nanos(ticks * WHEEL_TICK_NS);
-            return;
-        }
-        while self.cursor_time + WHEEL_TICK <= now {
-            let end = self.cursor_time + WHEEL_TICK;
-            let slot = &mut self.slots[self.cursor];
-            if slot.iter().all(|d| d.deliver_at < end) {
-                // Common case — no entry waits for a later revolution
-                // (experiment delays sit far inside one wheel horizon):
-                // the whole slot moves, order intact, no per-entry shuffle.
-                self.pending -= slot.len();
-                due.append(slot);
-            } else {
-                let mut keep = Vec::new();
-                for d in slot.drain(..) {
-                    if d.deliver_at < end {
-                        self.pending -= 1;
-                        due.push(d);
-                    } else {
-                        keep.push(d);
-                    }
-                }
-                *slot = keep;
+        match dest {
+            Some(dest) => {
+                let _ = dest.send(Queued::Msg(d.envelope));
             }
-            self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
-            self.cursor_time = end;
-        }
-    }
-
-    /// Empties the whole wheel into `due` (shutdown flush).
-    fn drain_all(&mut self, due: &mut Vec<Delayed<M>>) {
-        for slot in &mut self.slots {
-            due.append(slot);
-        }
-        self.pending = 0;
-    }
-
-    /// How long until the next slot holding any entry could fire; `None`
-    /// when the wheel is empty. Entries bound for a later revolution make
-    /// this a spurious-wake *underestimate*, never an oversleep.
-    fn next_fire(&self, now: Instant) -> Option<Duration> {
-        if self.pending == 0 {
-            return None;
-        }
-        for off in 0..WHEEL_SLOTS {
-            let idx = (self.cursor + off) % WHEEL_SLOTS;
-            if !self.slots[idx].is_empty() {
-                let fire_at = self.cursor_time + WHEEL_TICK * (off as u32 + 1);
-                return Some(fire_at.saturating_duration_since(now));
+            None => {
+                inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
-        None
     }
 }
 
-/// The delivery thread: owns the network's one timer wheel. Messages
-/// arrive already FIFO-clamped (monotone `deliver_at` per link), so
-/// stable slot drains preserve per-link FIFO without any sorting — and
-/// across links delivery follows `deliver_at` at wheel-tick granularity
-/// (later windows never fire before earlier ones). On flush (shutdown)
-/// the wheel and queue drain completely, sorted into `(deliver_at, seq)`
-/// order, without sleeping.
-fn wheel_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: std::sync::Weak<Inner<M>>) {
-    // A busy thread (≥ this many messages moved in one pass) switches to
-    // poll mode: it naps without blocking on its queue, so senders pay
-    // no receiver-wake on every push and the next pass drains a batch.
-    const BUSY: usize = 32;
-    let mut wheel: Wheel<M> = Wheel::new();
-    let mut due: Vec<Delayed<M>> = Vec::new();
+/// The delivery thread. Every pending delayed message waits in one
+/// min-heap keyed by `(deliver_at, seq)` (see [`Delayed`]'s order), so
+/// per-link FIFO holds and delivery across links follows `deliver_at`
+/// exactly; nothing is delivered before its instant. Each pass takes
+/// everything queued, delivers every message that is due — all of them
+/// once the queue has hung up — and then blocks on the queue: without a
+/// deadline when nothing is pending, otherwise until the first pending
+/// message is due. The queue's only sender lives in [`Inner`], so both
+/// [`Network::shutdown`] and dropping the network end the wait.
+fn delivery_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: Weak<Inner<M>>) {
+    let mut pending: BinaryHeap<Reverse<Delayed<M>>> = BinaryHeap::new();
+    let mut due = Vec::new();
     loop {
-        // Intake everything queued right now.
-        let mut disconnected = false;
-        let mut moved = 0usize;
+        let mut hangup = false;
         loop {
             match rx.try_recv() {
-                Ok(d) => {
-                    wheel.insert(d, &mut due);
-                    moved += 1;
-                }
+                Ok(d) => pending.push(Reverse(d)),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
+                    hangup = true;
                     break;
                 }
             }
@@ -1062,57 +955,27 @@ fn wheel_loop<M: Send + 'static>(rx: Receiver<Delayed<M>>, inner: std::sync::Wea
         let Some(strong) = inner.upgrade() else {
             return; // network dropped without shutdown: nobody listens
         };
-        if disconnected || strong.flushing.load(Ordering::Relaxed) {
-            // Shutdown flush: everything goes out now, with no sleeps.
-            // The wheel drains in slot ring order, possibly several
-            // revolutions deep, so the batch is first sorted into
-            // `(deliver_at, seq)` order — which preserves per-link FIFO
-            // exactly: the send-time clamp makes `deliver_at` monotone
-            // per link and `seq` (drawn under the same lock) breaks ties
-            // in send order. The queue is (or is about to be)
-            // disconnected, so loop until the hangup delivers the rest.
-            wheel.drain_all(&mut due);
-            due.sort_unstable_by_key(|d| (d.deliver_at, d.seq));
-            deliver_batch(&strong, &mut due);
-            if disconnected {
-                return;
-            }
-            drop(strong);
-            match rx.recv() {
-                Ok(d) => {
-                    due.push(d);
-                    continue;
-                }
-                Err(_) => return,
-            }
-        }
-        // Fire every slot whose window has passed and deliver the batch.
         let now = Instant::now();
-        wheel.advance(now, &mut due);
-        moved += due.len();
+        while let Some(Reverse(first)) = pending.peek() {
+            if !hangup && first.deliver_at > now {
+                break;
+            }
+            due.extend(pending.pop().map(|Reverse(d)| d));
+        }
         deliver_batch(&strong, &mut due);
         drop(strong);
-        if moved >= BUSY {
-            // Poll mode: traffic is flowing. Nap one tick *without*
-            // parking on the queue — pushes stay wake-free and the next
-            // pass drains whatever accumulated as one batch.
-            std::thread::sleep(WHEEL_TICK);
-            continue;
+        if hangup {
+            return;
         }
-        // Idle(ish): block until the next candidate slot, a new message,
-        // or the periodic liveness check (the weak upgrade above notices
-        // a dropped network).
-        let wait = wheel
-            .next_fire(now)
-            .unwrap_or(Duration::from_millis(50))
-            .clamp(Duration::from_micros(10), Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok(d) => wheel.insert(d, &mut due),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Next iteration's intake sees the hangup and flushes.
-            }
-        }
+        // A hangup ends either wait with an error; the next intake sees
+        // it and flushes.
+        let next = match pending.peek() {
+            None => rx.recv().ok(),
+            Some(Reverse(first)) => rx
+                .recv_timeout(first.deliver_at.saturating_duration_since(Instant::now()))
+                .ok(),
+        };
+        pending.extend(next.map(Reverse));
     }
 }
 
@@ -1143,14 +1006,24 @@ mod tests {
         assert_eq!(net.stats().delivery_threads(), 0, "no threads either");
     }
 
+    /// The synchronous model and a delaying one: the delayed path checks
+    /// its destination exactly as the zero-latency path does.
+    fn both_models() -> [LatencyModel; 2] {
+        [LatencyModel::zero(), LatencyModel::lan(1)]
+    }
+
     #[test]
     fn unknown_destination_is_an_error() {
-        let net: Network<Msg> = Network::new(LatencyModel::zero());
-        let _a = net.register(SiteId(0));
-        assert_eq!(
-            net.send(SiteId(0), SiteId(9), Msg(1)),
-            Err(NetError::UnknownSite(SiteId(9)))
-        );
+        for model in both_models() {
+            let net: Network<Msg> = Network::new(model);
+            let _a = net.register(SiteId(0));
+            assert_eq!(
+                net.send(SiteId(0), SiteId(9), Msg(1)),
+                Err(NetError::UnknownSite(SiteId(9))),
+                "{model:?}"
+            );
+            net.shutdown();
+        }
     }
 
     #[test]
@@ -1261,9 +1134,8 @@ mod tests {
 
     #[test]
     fn independent_links_deliver_concurrently() {
-        // A backlog on link 1→0 must not delay link 2→0: the fast
-        // message overtakes the other link's queue (cross-link ordering
-        // is not promised; per-link FIFO is).
+        // A backlog on link 1→0 must not hold back link 2→0, and
+        // per-link FIFO holds on each link.
         let model = LatencyModel {
             fixed: Duration::from_millis(30),
             per_kib: Duration::ZERO,
@@ -1564,20 +1436,50 @@ mod tests {
 
     #[test]
     fn killed_site_eats_traffic_until_reregistered() {
-        let net: Network<Msg> = Network::new(LatencyModel::zero());
+        for model in both_models() {
+            let net: Network<Msg> = Network::new(model);
+            let _a = net.register(SiteId(0));
+            let b = net.register(SiteId(1));
+            net.deregister(SiteId(1));
+            drop(b);
+            // Dead host: sends succeed, messages vanish.
+            net.send(SiteId(0), SiteId(1), Msg(1)).unwrap();
+            assert_eq!(net.stats().dropped(), 1, "{model:?}");
+            // Never-registered host: still a wiring error.
+            assert!(net.send(SiteId(0), SiteId(9), Msg(1)).is_err());
+            // Restart: a fresh endpoint receives again.
+            let b2 = net.register(SiteId(1));
+            net.send(SiteId(0), SiteId(1), Msg(2)).unwrap();
+            let got = b2.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got.unwrap().payload, Msg(2), "{model:?}");
+            net.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_site_killed_in_flight_counts_its_traffic_dropped() {
+        let model = LatencyModel {
+            fixed: Duration::from_millis(200),
+            per_kib: Duration::ZERO,
+            jitter: Duration::ZERO,
+            seed: 1,
+        };
+        let tracer = Arc::new(Tracer::new(2, 64));
+        let net: Network<Msg> = Network::new(model);
+        net.set_tracer(Some(tracer.clone()));
         let _a = net.register(SiteId(0));
-        let b = net.register(SiteId(1));
-        net.deregister(SiteId(1));
-        drop(b);
-        // Dead host: sends succeed, messages vanish.
+        let _b = net.register(SiteId(1));
         net.send(SiteId(0), SiteId(1), Msg(1)).unwrap();
-        assert_eq!(net.stats().dropped(), 1);
-        // Never-registered host: still a wiring error.
-        assert!(net.send(SiteId(0), SiteId(9), Msg(1)).is_err());
-        // Restart: a fresh endpoint receives again.
-        let b2 = net.register(SiteId(1));
-        net.send(SiteId(0), SiteId(1), Msg(2)).unwrap();
-        assert_eq!(b2.try_recv().unwrap().payload, Msg(2));
+        net.deregister(SiteId(1));
+        net.shutdown();
+        assert_eq!(net.stats().dropped(), 1, "lost in flight, and counted");
+        let trace = tracer.collect();
+        let drops = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::MsgDrop { .. }))
+            .count();
+        assert_eq!(drops, 1);
     }
 
     #[test]

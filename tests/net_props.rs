@@ -95,10 +95,11 @@ fn per_link_fifo_survives_concurrent_jittered_storm() {
     net.shutdown();
 }
 
-/// Reactor shutdown drain: in-flight delayed messages must not vanish —
-/// every accepted message is delivered, in per-link FIFO order, before
+/// Shutdown drain: in-flight delayed messages must not vanish — every
+/// accepted message is delivered, in per-link FIFO order, before
 /// endpoints disconnect, and the flush skips the remaining sleeps (here
-/// with jitter, so the flush has to sort the wheel's remains).
+/// with jitter, so the two links' messages interleave in the pending
+/// queue and the flush must still keep each link in send order).
 #[test]
 fn reactor_shutdown_flushes_in_flight_messages() {
     let model = LatencyModel {
@@ -149,11 +150,11 @@ fn reactor_shutdown_flushes_in_flight_messages() {
     assert!(matches!(a.recv(), Err(dtx::net::NetError::Closed)));
 }
 
-/// The one delivery thread serializes every link through one wheel: on
-/// top of per-link FIFO, delivery across links follows `deliver_at`
-/// (messages in different wheel windows never invert). Delays are spaced
-/// several ms apart — far beyond the wheel tick — so each message owns
-/// its window and the expected global order is exact. The test then
+/// The one delivery thread serializes every link through one ordered
+/// queue: on top of per-link FIFO, delivery across links follows
+/// `deliver_at`. Delays are spaced several ms apart, far beyond any
+/// send-time skew between the three senders, so the expected global
+/// order is known without timing the sends. The test then
 /// shuts down with messages still in flight: completing at all is the
 /// no-deadlock assertion (the thread must never block on its own queue).
 #[test]
@@ -330,4 +331,120 @@ fn terminate_batch_never_overtakes_exec_remote() {
         );
         net.shutdown();
     }
+}
+
+/// Delivery across links is exact, not rounded to some scheduling tick:
+/// a 2 KiB frame on 1→0 followed at once by a 1 KiB frame on 2→0, which
+/// falls due 30 µs earlier, must arrive second. A trial whose two sends
+/// were more than 10 µs apart proves nothing (the second frame may then
+/// fall due later) and is redone, up to a cap.
+#[test]
+fn cross_link_delivery_follows_deliver_at_exactly() {
+    const TRIALS: usize = 30;
+    const MAX_ATTEMPTS: usize = 3000;
+    let model = LatencyModel {
+        fixed: Duration::from_millis(2),
+        per_kib: Duration::from_micros(30),
+        jitter: Duration::ZERO,
+        seed: 0,
+    };
+    let net: Network<Frame> = Network::new(model);
+    let a = net.register(SiteId(0));
+    net.register(SiteId(1));
+    net.register(SiteId(2));
+    let frame = |from: u16, seq: u32, bytes: usize| Frame { from, seq, bytes };
+    let recv = || {
+        a.recv_timeout(Duration::from_secs(10))
+            .expect("network alive")
+            .expect("delivered")
+            .payload
+    };
+    // Warm-up: the first delayed send spawns the delivery thread.
+    net.send(SiteId(1), SiteId(0), frame(1, 0, 64))
+        .expect("send");
+    recv();
+    let (mut trials, mut attempts) = (0, 0);
+    while trials < TRIALS {
+        attempts += 1;
+        assert!(
+            attempts <= MAX_ATTEMPTS,
+            "only {trials} of {attempts} trials sent both frames within 10 µs"
+        );
+        let (big, small) = (frame(1, 1, 2048), frame(2, 1, 1024));
+        let t0 = Instant::now();
+        net.send(SiteId(1), SiteId(0), big).expect("send");
+        let gap = t0.elapsed();
+        net.send(SiteId(2), SiteId(0), small).expect("send");
+        let order = [recv().from, recv().from];
+        if gap > Duration::from_micros(10) {
+            continue;
+        }
+        assert_eq!(
+            order,
+            [2, 1],
+            "trial {trials}: the frame due 30 µs earlier must arrive first"
+        );
+        trials += 1;
+    }
+    net.shutdown();
+}
+
+/// No message is delivered before its modelled instant: with jitter on
+/// three links, each arrival comes at least `link_delay` after the
+/// instant taken just before its `send`.
+#[test]
+fn no_message_arrives_before_its_delay() {
+    const PER_LINK: u32 = 40;
+    let model = LatencyModel {
+        fixed: Duration::from_micros(500),
+        per_kib: Duration::from_micros(200),
+        jitter: Duration::from_micros(700),
+        seed: 0xEA71,
+    };
+    let net: Network<Frame> = Network::new(model);
+    let a = net.register(SiteId(0));
+    for s in 1..=3u16 {
+        net.register(SiteId(s));
+    }
+    let (earliest, arrivals) = std::thread::scope(|scope| {
+        let receiver = scope.spawn(move || {
+            let mut arrivals = Vec::new();
+            for _ in 0..3 * PER_LINK {
+                let env = a
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("network alive")
+                    .expect("delivered");
+                arrivals.push((env.payload.from, env.payload.seq, Instant::now()));
+            }
+            arrivals
+        });
+        let mut earliest = Vec::new();
+        let mut size = size_stream(0x5EED);
+        for seq in 0..PER_LINK {
+            for from in 1..=3u16 {
+                let bytes = size();
+                let delay = link_delay(&model, SiteId(from), SiteId(0), seq as u64, bytes);
+                let before = Instant::now();
+                net.send(SiteId(from), SiteId(0), Frame { from, seq, bytes })
+                    .expect("send");
+                earliest.push(((from, seq), before + delay));
+            }
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        let arrivals = receiver.join().expect("receiver");
+        (earliest, arrivals)
+    });
+    assert_eq!(arrivals.len(), earliest.len());
+    for (from, seq, at) in arrivals {
+        let (_, due) = earliest
+            .iter()
+            .find(|(key, _)| *key == (from, seq))
+            .expect("every arrival was sent");
+        assert!(
+            at >= *due,
+            "link {from} -> 0 message {seq} arrived {:?} early",
+            *due - at
+        );
+    }
+    net.shutdown();
 }
