@@ -28,12 +28,8 @@ struct ProtocolResult {
     max_inflight_remote: usize,
     /// Coordinator → participant operation dispatches (placement cost).
     remote_msgs: u64,
-    /// Termination-protocol messages actually sent (group commit:
-    /// `TerminateBatch` + acks).
+    /// Termination-protocol messages sent (`TerminateBatch` + acks).
     termination_msgs: u64,
-    /// What the per-transaction termination protocol would have sent —
-    /// must sit strictly above `termination_msgs` (the batching win).
-    termination_msgs_unbatched: u64,
     /// Network delivery threads spawned: the one delivery thread (1)
     /// no matter how many links carry traffic.
     net_worker_threads: u64,
@@ -74,7 +70,7 @@ fn write_json(results: &[ProtocolResult]) -> std::io::Result<()> {
             out,
             "    {{\"name\": \"{}\", \"committed\": {}, \"submitted\": {}, \"aborted\": {}, \
              \"wall_ms\": {:.2}, \"max_inflight_remote\": {}, \"remote_msgs\": {}, \
-             \"termination_msgs\": {}, \"termination_msgs_unbatched\": {}, \
+             \"termination_msgs\": {}, \
              \"net_worker_threads\": {}, \
              \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
              \"phase_p99_ms\": {{{}}}, \"wal_appends\": {}, \"wal_forces\": {}, \
@@ -87,7 +83,6 @@ fn write_json(results: &[ProtocolResult]) -> std::io::Result<()> {
             r.max_inflight_remote,
             r.remote_msgs,
             r.termination_msgs,
-            r.termination_msgs_unbatched,
             r.net_worker_threads,
             r.p50_ms,
             r.p99_ms,
@@ -127,9 +122,8 @@ fn main() {
             report.aborted(),
         );
         println!(
-            "termination msgs {} (unbatched protocol would send {}), net links {}, delivery threads {}",
+            "termination msgs {}, net links {}, delivery threads {}",
             metrics.termination_msgs(),
-            metrics.termination_msgs_unbatched(),
             cluster.net_links_active(),
             cluster.net_worker_threads(),
         );
@@ -165,7 +159,6 @@ fn main() {
             max_inflight_remote: metrics.max_inflight_remote(),
             remote_msgs: metrics.remote_msgs(),
             termination_msgs: metrics.termination_msgs(),
-            termination_msgs_unbatched: metrics.termination_msgs_unbatched(),
             net_worker_threads: cluster.net_worker_threads(),
             p50_ms: ms(summary.p50_response),
             p99_ms: ms(summary.p99_response),

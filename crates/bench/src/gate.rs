@@ -149,8 +149,7 @@ fn require(checks: &mut Vec<Check>, name: &str, got: Option<f64>, bound: f64, at
 }
 
 /// Validates `BENCH_throughput.json`: XDGL commits at least the floor,
-/// and batched termination traffic sits strictly below the unbatched
-/// equivalent.
+/// on one delivery thread, with ordered response percentiles.
 pub fn check_throughput_witness(doc: &Json) -> Vec<Check> {
     let mut checks = Vec::new();
     let Some(xdgl) = doc.get("protocols").and_then(|p| p.find_by("name", "XDGL")) else {
@@ -167,14 +166,6 @@ pub fn check_throughput_witness(doc: &Json) -> Vec<Check> {
         COMMIT_FLOOR,
         true,
     );
-    let batched = xdgl.num_field("termination_msgs");
-    let unbatched = xdgl.num_field("termination_msgs_unbatched");
-    let ok = matches!((batched, unbatched), (Some(b), Some(u)) if b < u);
-    checks.push(Check::new(
-        "fig12 termination batched < unbatched",
-        format!("{:?} < {:?}", batched, unbatched),
-        ok,
-    ));
     require(
         &mut checks,
         "fig12 delivery threads bounded",
@@ -586,22 +577,12 @@ pub fn check_reads_fresh(
 
 /// Checks a fresh fig12-style XDGL run; `percentiles` are its
 /// `Metrics::summary` p50/p99/p999 response times (ms).
-pub fn check_throughput_fresh(
-    committed: f64,
-    batched: f64,
-    unbatched: f64,
-    percentiles: [f64; 3],
-) -> Vec<Check> {
+pub fn check_throughput_fresh(committed: f64, percentiles: [f64; 3]) -> Vec<Check> {
     vec![
         Check::new(
             "fig12 XDGL commits ≥ floor (fresh)",
             format!("{committed:.0} ≥ {FRESH_COMMIT_FLOOR:.0}"),
             committed >= FRESH_COMMIT_FLOOR,
-        ),
-        Check::new(
-            "fig12 termination batched < unbatched (fresh)",
-            format!("{batched:.0} < {unbatched:.0}"),
-            batched < unbatched,
         ),
         ordered_percentiles("fig12 XDGL (fresh)", percentiles.map(Some)),
     ]
@@ -749,10 +730,10 @@ mod tests {
 
     const GOOD_THROUGHPUT: &str = r#"{"protocols": [
         {"name": "XDGL", "committed": 233, "termination_msgs": 1392,
-         "termination_msgs_unbatched": 1500, "net_worker_threads": 1,
+         "net_worker_threads": 1,
          "p50_ms": 120.5, "p99_ms": 890.0, "p999_ms": 1400.0},
         {"name": "Node2PL", "committed": 183, "termination_msgs": 1470,
-         "termination_msgs_unbatched": 1500, "net_worker_threads": 1,
+         "net_worker_threads": 1,
          "p50_ms": 900.1, "p99_ms": 5200.0, "p999_ms": 8100.0}
     ]}"#;
 
@@ -908,17 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn doctored_termination_batching_fails() {
-        let doctored =
-            GOOD_THROUGHPUT.replace("\"termination_msgs\": 1392", "\"termination_msgs\": 1500");
-        let checks = check_throughput_witness(&Json::parse(&doctored).unwrap());
-        assert_eq!(
-            failed(&checks),
-            vec!["fig12 termination batched < unbatched"]
-        );
-    }
-
-    #[test]
     fn doctored_throughput_percentiles_fail() {
         // Inverted tail: a p99 recorded below the median is doctored.
         let inverted = GOOD_THROUGHPUT.replace("\"p99_ms\": 890.0", "\"p99_ms\": 50.0");
@@ -938,7 +908,7 @@ mod tests {
 
     #[test]
     fn doctored_fresh_throughput_percentiles_fail() {
-        let fresh = |p| check_throughput_fresh(230.0, 1300.0, 1500.0, p);
+        let fresh = |p| check_throughput_fresh(230.0, p);
         assert!(all_ok(&fresh([12.0, 40.0, 40.0])));
         let name = vec!["fig12 XDGL (fresh) percentiles present and ordered"];
         // A p99 below the median, and a run with no commit at all.
@@ -1269,10 +1239,9 @@ mod tests {
     #[test]
     fn fresh_checks_flag_catastrophic_regressions_only() {
         let p = [12.0, 40.0, 45.0];
-        assert!(all_ok(&check_throughput_fresh(230.0, 1300.0, 1500.0, p)));
-        assert!(all_ok(&check_throughput_fresh(223.0, 1300.0, 1500.0, p)));
-        assert!(!all_ok(&check_throughput_fresh(200.0, 1300.0, 1500.0, p)));
-        assert!(!all_ok(&check_throughput_fresh(230.0, 1500.0, 1500.0, p)));
+        assert!(all_ok(&check_throughput_fresh(230.0, p)));
+        assert!(all_ok(&check_throughput_fresh(223.0, p)));
+        assert!(!all_ok(&check_throughput_fresh(200.0, p)));
         assert!(all_ok(&check_ingest_fresh(60.0, 50.0)));
         assert!(!all_ok(&check_ingest_fresh(20.0, 50.0)));
     }

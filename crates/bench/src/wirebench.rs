@@ -408,7 +408,7 @@ pub struct CodecBench {
 }
 
 /// A representative protocol mix for the codec microbench: the hot
-/// fig12 messages (remote execution round trip, batched termination,
+/// fig12 messages (remote execution round trip, termination,
 /// 2PC votes) weighted roughly as they occur on the wire.
 fn codec_mix() -> Vec<Message> {
     use dtx_core::{OpKind, OpSpec, TxnId};

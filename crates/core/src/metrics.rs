@@ -114,13 +114,10 @@ pub struct Metrics {
     /// source's guide, so `add_replica` must not move this counter.
     guides_built: AtomicU64,
     /// Termination-protocol messages actually sent (`TerminateBatch` and
-    /// its acks, both directions). Group commit coalesces per (site,
-    /// tick), so under heavy traffic this sits strictly below
-    /// [`Metrics::termination_msgs_unbatched`].
+    /// its acks, both directions).
     termination_msgs: AtomicU64,
-    /// What the per-transaction termination protocol *would* have sent:
-    /// one `Commit`/`Abort` per (transaction, site) plus one ack each —
-    /// the batching win's regression witness.
+    /// Per-transaction decisions those messages carried. The scheduler
+    /// sends one decision per message, so this equals `termination_msgs`.
     termination_msgs_unbatched: AtomicU64,
     /// Query operations answered from a pinned snapshot (the lock-free
     /// read path): no lock table, no WFG. Together with the per-site
@@ -276,23 +273,21 @@ impl Metrics {
     }
 
     /// Counts one termination-protocol message (a `TerminateBatch` or its
-    /// ack) that batched `entries` per-transaction decisions; the
-    /// unbatched counter advances by what the per-transaction protocol
-    /// would have sent for the same work.
+    /// ack) that carried `entries` per-transaction decisions; the
+    /// unbatched counter advances by `entries`.
     pub fn note_termination_msg(&self, entries: u64) {
         self.termination_msgs.fetch_add(1, Ordering::Relaxed);
         self.termination_msgs_unbatched
             .fetch_add(entries, Ordering::Relaxed);
     }
 
-    /// Termination-protocol messages actually sent (batched protocol).
+    /// Termination-protocol messages actually sent.
     pub fn termination_msgs(&self) -> u64 {
         self.termination_msgs.load(Ordering::Relaxed)
     }
 
-    /// Termination-protocol messages the unbatched per-transaction
-    /// protocol would have sent — the baseline the batching win is
-    /// measured against.
+    /// Per-transaction decisions the termination messages carried: what
+    /// one message per decision sends.
     pub fn termination_msgs_unbatched(&self) -> u64 {
         self.termination_msgs_unbatched.load(Ordering::Relaxed)
     }

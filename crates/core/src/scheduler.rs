@@ -54,21 +54,9 @@
 //! site's *live* edges, those whose holder still blocks the waiter's
 //! refused request.
 //!
-//! ## Group commit
-//!
-//! Termination is **batched per (site, tick)**: instead of one
-//! `Commit`/`Abort` (and one ack) per transaction per site, commit and
-//! abort decisions accumulate in a per-site outbox and every event-loop
-//! iteration flushes each site's accumulated decisions as a single
-//! [`Message::TerminateBatch`]; the participant answers every batch with
-//! a single [`Message::TerminateBatchAck`] carrying the per-transaction
-//! outcomes. Transactions still park individually in
-//! `Phase::AwaitingCommitAcks` / `Phase::AwaitingAbortAcks` and are
-//! resumed individually as their entries in batched acks arrive — only
-//! the wire traffic is coalesced, cutting termination messages from
-//! O(txns × sites) to O(sites) per tick under heavy load
-//! (`termination_msgs` vs `termination_msgs_unbatched` in
-//! [`Metrics`] witness the ratio).
+//! A commit (Alg. 5 l. 4) or abort (Alg. 6 l. 4) goes to each participant
+//! the moment it is decided, as a one-entry [`Message::TerminateBatch`];
+//! the participant answers with a [`Message::TerminateBatchAck`].
 
 use crate::catalog::Catalog;
 use crate::lockmgr::{LockManager, ProcessResult};
@@ -165,7 +153,8 @@ impl Default for SchedulerConfig {
 /// each is one "the coordinator dies here" case of the 2PC matrix. The
 /// scheduler checks (and consumes) the armed point at the matching spot,
 /// sets its crashed flag, and falls out of the event loop **without**
-/// flushing, aborting, or replying — exactly what a process kill loses.
+/// sending, aborting, or replying further — exactly what a process kill
+/// loses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// After the `ExecRemote` dispatches of a distributed operation went
@@ -180,9 +169,10 @@ pub enum CrashPoint {
     /// message was sent: only the restarted coordinator's log knows the
     /// outcome (the decision-replay case).
     AfterDecide,
-    /// After the decision was logged and the commit reached exactly one
-    /// participant — the lowest site id: surviving participants must
-    /// converge through peers (the cooperative-termination case).
+    /// After the decision was logged and the commit was sent to exactly
+    /// one participant — the lowest site id — and to no other: surviving
+    /// participants must converge through peers (the
+    /// cooperative-termination case).
     AfterDecideSendOne,
 }
 
@@ -353,7 +343,7 @@ enum Phase {
     /// Presumed-abort vote requests sent ([`Message::Prepare`]); awaiting
     /// one vote per remote participant. Only distributed **update**
     /// transactions pass through here — read-only ones have nothing to
-    /// make durable and keep the one-phase batched termination.
+    /// make durable and keep the one-phase termination.
     AwaitingPrepareAcks {
         /// Correlation id of this vote round.
         corr: u64,
@@ -472,17 +462,6 @@ impl CoordTxn {
     }
 }
 
-/// Per-site accumulator of termination decisions (group commit): filled
-/// by [`Scheduler::begin_commit`] / [`Scheduler::begin_abort`], drained
-/// once per event-loop tick into a single [`Message::TerminateBatch`].
-#[derive(Debug, Default)]
-struct TermBatch {
-    /// Transactions to consolidate at the site, in decision order.
-    commits: Vec<TxnId>,
-    /// Transactions to cancel at the site, in decision order.
-    aborts: Vec<TxnId>,
-}
-
 /// Participant-side state of one prepared (in-doubt) transaction: who to
 /// ask for the decision and how long the asking has gone unanswered.
 #[derive(Debug)]
@@ -509,8 +488,10 @@ enum Answer {
     /// A lock was refused (or the replica copy fence paused the update):
     /// nothing ran. `deadlock` tags a wait-for cycle the refusal closed.
     Refused { deadlock: bool },
-    /// The operation failed for a non-lock reason; nothing ran.
-    Failed,
+    /// The operation failed for a non-lock reason, given here; nothing
+    /// ran. The reason stays at the site that executed: the wire carries
+    /// only the flag.
+    Failed(String),
     /// The dispatch carried a placement version of the target document
     /// other than the participant's: nothing ran, no lock was taken.
     Stale,
@@ -531,7 +512,7 @@ impl Answer {
             _ if stale => Answer::Stale,
             (false, false, false, None) => Answer::Refused { deadlock },
             (true, true, false, Some(r)) if !deadlock => Answer::Executed(r),
-            _ => Answer::Failed,
+            _ => Answer::Failed("remote operation failed".into()),
         }
     }
 
@@ -540,7 +521,7 @@ impl Answer {
         let (acquired, executed, failed, deadlock, stale, result) = match self {
             Answer::Executed(r) => (true, true, false, false, false, Some(r)),
             Answer::Refused { deadlock } => (false, false, false, deadlock, false, None),
-            Answer::Failed => (true, false, true, false, false, None),
+            Answer::Failed(_) => (true, false, true, false, false, None),
             Answer::Stale => (false, false, false, false, true, None),
         };
         Message::RemoteDone {
@@ -569,11 +550,10 @@ pub struct Scheduler {
     /// The transactions this site coordinates, by id (ordered, so
     /// dispatch order is deterministic).
     txns: BTreeMap<TxnId, CoordTxn>,
-    /// Coordinator of each transaction seen as a participant.
-    txn_coord: HashMap<TxnId, SiteId>,
-    /// Group-commit outbox: accumulated termination decisions, flushed
-    /// as one [`Message::TerminateBatch`] per site every tick.
-    term_outbox: HashMap<SiteId, TermBatch>,
+    /// Each transaction this site takes part in as a participant: its
+    /// coordinator, and when that coordinator last dispatched work here
+    /// (the orphan sweep's clock).
+    txn_coord: HashMap<TxnId, (SiteId, Instant)>,
     /// Current deadlock-detection round and its collected graphs.
     wfg_round: u64,
     wfg_replies: HashMap<SiteId, WaitForGraph>,
@@ -598,7 +578,7 @@ pub struct Scheduler {
     /// Kill switch + armed crash point, shared with the cluster.
     faults: FaultHooks,
     /// An armed crash point fired: fall out of the event loop without
-    /// flushing, aborting or replying (a crash loses all of that).
+    /// sending, aborting or replying further (a crash loses all of that).
     crashed: bool,
     /// Participant-side in-doubt table: prepared transactions awaiting
     /// their decision.
@@ -608,18 +588,16 @@ pub struct Scheduler {
     /// must be refused — that refusal is what makes those abort paths
     /// safe against an in-flight vote round.
     refused: HashSet<TxnId>,
-    /// Last time each participant-side transaction showed coordinator
-    /// activity (feeds the orphan sweep).
-    participant_seen: HashMap<TxnId, Instant>,
     /// Commit decisions recovered from the log without an `End`:
-    /// participants still owed the decision, per transaction. `End` is
-    /// appended when the set drains.
+    /// participants still owed the decision, per transaction. [`Self::run`]
+    /// re-sends them before its first pass; `End` is appended when the
+    /// set drains.
     reco_commits: HashMap<TxnId, HashSet<SiteId>>,
     /// Next in-doubt/orphan sweep.
     next_indoubt_sweep: Instant,
     /// This site's trace sink (disabled by default; the cluster arms it
     /// before the scheduler thread starts). Phase transitions, yes-votes,
-    /// batched commit/abort decisions and in-doubt resolutions are
+    /// sent commit/abort decisions and in-doubt resolutions are
     /// recorded here; the WAL and lock table carry their own sinks.
     trace: TraceSink,
 }
@@ -630,7 +608,7 @@ impl Scheduler {
     /// salvaged after a restart ([`RecoveredState::default`] on a fresh
     /// boot): in-doubt transactions enter the prepared table (their first
     /// decision request goes out on the first sweep) and undelivered
-    /// commit decisions are re-queued for their participants.
+    /// commit decisions are recorded; [`Scheduler::run`] re-sends them.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         site: SiteId,
@@ -658,7 +636,6 @@ impl Scheduler {
             lockmgr,
             txns: BTreeMap::new(),
             txn_coord: HashMap::new(),
-            term_outbox: HashMap::new(),
             wfg_round: 0,
             wfg_replies: HashMap::new(),
             wfg_expected: 0,
@@ -675,13 +652,12 @@ impl Scheduler {
             crashed: false,
             prepared: HashMap::new(),
             refused: HashSet::new(),
-            participant_seen: HashMap::new(),
             reco_commits: HashMap::new(),
             next_indoubt_sweep: now + cfg.indoubt_period,
             trace: TraceSink::disabled(),
         };
         for (txn, coordinator, peers) in recovered.in_doubt {
-            s.txn_coord.insert(txn, coordinator);
+            s.txn_coord.insert(txn, (coordinator, now));
             // Backdate `since` so the first sweep asks immediately.
             let since = now.checked_sub(s.cfg.indoubt_period).unwrap_or(now);
             s.prepared.insert(
@@ -697,10 +673,7 @@ impl Scheduler {
         }
         for (txn, participants) in recovered.undelivered {
             s.reco_commits
-                .insert(txn, participants.iter().copied().collect());
-            for &p in &participants {
-                s.enqueue_termination(p, txn, true);
-            }
+                .insert(txn, participants.into_iter().collect());
         }
         s
     }
@@ -712,7 +685,7 @@ impl Scheduler {
 
     /// Runs the event loop until a [`Control::Shutdown`] arrives — or the
     /// site is killed / hits an armed crash point, in which case the loop
-    /// exits **abruptly**: no flush, no aborts, no client replies. Every
+    /// exits **abruptly**: no aborts, no client replies. Every
     /// in-memory structure dies with the thread; only the cluster-owned
     /// WAL survives, exactly as a crash loses RAM but not stable storage.
     ///
@@ -722,7 +695,20 @@ impl Scheduler {
     /// [`dtx_net::Network::wake`] or `next_wakeup`, so whoever sends on
     /// `control` must wake the site after the send (a wake-up that comes
     /// in while the loop is busy is kept, not lost).
+    ///
+    /// Before the first pass it re-sends every recovered commit decision,
+    /// by (transaction, site): here rather than in [`Scheduler::new`], so
+    /// the sink [`Scheduler::set_trace`] armed records the sends.
     pub fn run(mut self) {
+        let mut owed: Vec<(TxnId, SiteId)> = self
+            .reco_commits
+            .iter()
+            .flat_map(|(&txn, sites)| sites.iter().map(move |&s| (txn, s)))
+            .collect();
+        owed.sort();
+        for (txn, site) in owed {
+            self.send_termination(site, txn, true);
+        }
         loop {
             // 0. Fault hooks: a killed or crashed site just stops.
             if self.crashed || self.faults.kill.load(Ordering::Relaxed) {
@@ -832,7 +818,7 @@ impl Scheduler {
             }
             if self.crashed {
                 // An armed crash fired inside a handler: nothing below —
-                // no flush, no sweep, no dispatch — may run.
+                // no sweep, no dispatch — may run.
                 continue;
             }
             // 3. Distributed deadlock detection (Algorithm 4): due one
@@ -854,10 +840,6 @@ impl Scheduler {
             self.sweep_deadlines();
             // 4¼. In-doubt resolution + orphan sweep (presumed abort).
             self.sweep_recovery();
-            // 4½. Group commit: flush the accumulated termination
-            //     decisions — one TerminateBatch per site, regardless of
-            //     how many transactions terminated since the last flush.
-            self.flush_terminations();
             // 5. Dispatch the next operation of an available transaction
             //    (Alg. 1 l. 3: "next_transaction_available"). Dispatch
             //    never blocks, so consecutive iterations interleave many
@@ -887,9 +869,6 @@ impl Scheduler {
     }
 
     fn shutdown(&mut self) {
-        // Batched decisions already made must still reach their
-        // participants (they release locks there).
-        self.flush_terminations();
         // Abort whatever is still in flight so clients unblock.
         while let Some((id, txn)) = self.txns.pop_last() {
             let _ = self.lockmgr.abort_local(id);
@@ -934,7 +913,7 @@ impl Scheduler {
         if let Some(d) = self.wfg_deadline {
             earliest = earliest.min(d);
         }
-        if !self.prepared.is_empty() || !self.participant_seen.is_empty() {
+        if !self.prepared.is_empty() || !self.txn_coord.is_empty() {
             earliest = earliest.min(self.next_indoubt_sweep);
         }
         for t in self.txns.values() {
@@ -1064,8 +1043,17 @@ impl Scheduler {
         for &s in &pin.sites {
             self.metrics.note_site_op(s);
         }
-        if pin.sites.len() == 1 && pin.sites[0] == self.site {
-            self.execute_local_op(id, op_seq, &op);
+        if pin.sites == [self.site] {
+            // Alg. 1 l. 5-10: the operation only involves this site.
+            let mode = self.coord_txn_mode(id);
+            match self.participant_execute(id, op_seq, &op, mode, false) {
+                Answer::Executed(result) => self.op_succeeded(id, result),
+                // Alg. 1 l. 19-20 via Alg. 3's deadlock tag.
+                Answer::Refused { deadlock: true } => self.begin_abort(id, AbortReason::Deadlock),
+                Answer::Refused { deadlock: false } => self.enter_wait(id, vec![self.site]),
+                Answer::Failed(e) => self.begin_abort(id, AbortReason::OperationFailed(e)),
+                Answer::Stale => unreachable!("only a dispatch from another site is stale"),
+            }
         } else {
             self.dispatch_distributed_op(id, op_seq, &op, &pin.sites, pin.fragmented, pin.version);
         }
@@ -1083,47 +1071,6 @@ impl Scheduler {
         match self.txns.get(&id) {
             Some(txn) if txn.spec.is_read_only() => TxnMode::ReadOnly,
             _ => TxnMode::Updating,
-        }
-    }
-
-    /// Alg. 1 l. 5-10: the operation only involves the coordinator site.
-    fn execute_local_op(&mut self, id: TxnId, op_seq: usize, op: &OpSpec) {
-        let mode = self.coord_txn_mode(id);
-        if mode == TxnMode::ReadOnly && !op.is_update() {
-            // Snapshot path: pin (or reuse) this txn's snapshot of the
-            // document and answer from it — no lock table, no WFG edges.
-            match self.lockmgr.snapshot_read(id, op) {
-                ProcessResult::Executed(result) => {
-                    self.metrics.note_snapshot_read();
-                    self.op_succeeded(id, result);
-                }
-                ProcessResult::Conflict { .. } => {
-                    // snapshot_read never conflicts; treat defensively.
-                    self.enter_wait(id, vec![self.site]);
-                }
-                ProcessResult::Failed(e) => {
-                    self.begin_abort(id, AbortReason::OperationFailed(e));
-                }
-            }
-            return;
-        }
-        if op.is_update() && self.fence_blocks(id, &op.doc) {
-            self.enter_wait(id, vec![self.site]);
-            return;
-        }
-        match self.lockmgr.process_operation(id, op_seq, op, mode, false) {
-            ProcessResult::Executed(result) => self.op_succeeded(id, result),
-            ProcessResult::Conflict { deadlock, .. } => {
-                if deadlock {
-                    // Alg. 1 l. 19-20 via Alg. 3's deadlock tag.
-                    self.begin_abort(id, AbortReason::Deadlock);
-                } else {
-                    self.enter_wait(id, vec![self.site]);
-                }
-            }
-            ProcessResult::Failed(e) => {
-                self.begin_abort(id, AbortReason::OperationFailed(e));
-            }
         }
     }
 
@@ -1319,7 +1266,7 @@ impl Scheduler {
             }
             return;
         }
-        if answers.values().any(|a| matches!(a, Answer::Failed)) {
+        if answers.values().any(|a| matches!(a, Answer::Failed(_))) {
             // Alg. 1 l. 19-20.
             self.begin_abort(
                 id,
@@ -1426,7 +1373,7 @@ impl Scheduler {
         for w in waiters {
             if self.txns.contains_key(&w) {
                 self.lift(w, self.site);
-            } else if let Some(&coord) = self.txn_coord.get(&w) {
+            } else if let Some(&(coord, _)) = self.txn_coord.get(&w) {
                 if coord != self.site {
                     let _ = self.net.send(self.site, coord, Message::Wake { txn: w });
                 }
@@ -1508,9 +1455,9 @@ impl Scheduler {
     /// Distributed **update** transactions first run a presumed-abort
     /// vote round ([`Message::Prepare`]): each participant force-logs
     /// `Prepared` and answers; only a unanimous yes lets the coordinator
-    /// force-log the commit decision and send the commit batch. Read-only
+    /// force-log the commit decision and send the commit. Read-only
     /// transactions have nothing to make durable — they keep the
-    /// one-phase batched termination (and its message economy).
+    /// one-phase termination (and its message economy).
     fn begin_commit(&mut self, id: TxnId) {
         let Some(txn) = self.txns.get(&id) else {
             return;
@@ -1522,7 +1469,7 @@ impl Scheduler {
         }
         if txn.spec.is_read_only() {
             for &s in &remotes {
-                self.enqueue_termination(s, id, true);
+                self.send_termination(s, id, true);
             }
             self.set_phase(
                 id,
@@ -1593,8 +1540,16 @@ impl Scheduler {
             self.crashed = true;
             return;
         }
-        for &s in &remotes {
-            self.enqueue_termination(s, id, true);
+        // Dying after the commit went to exactly one participant (the
+        // lowest site id) leaves the others to learn the outcome from that
+        // peer through cooperative termination.
+        let crash = self.faults.take_if(CrashPoint::AfterDecideSendOne);
+        let targets = match remotes.iter().min() {
+            Some(&lowest) if crash => vec![lowest],
+            _ => remotes,
+        };
+        for s in targets {
+            self.send_termination(s, id, true);
         }
         self.set_phase(
             id,
@@ -1603,100 +1558,41 @@ impl Scheduler {
                 deadline: Instant::now() + self.cfg.remote_timeout,
             },
         );
-        if self.faults.take_if(CrashPoint::AfterDecideSendOne) {
-            // Die after the commit reached exactly one participant (the
-            // lowest site id): the others must learn the outcome from
-            // that peer through cooperative termination.
-            self.flush_lowest_only();
-            self.crashed = true;
-        }
+        self.crashed |= crash;
     }
 
-    /// Crash-shaping helper for [`CrashPoint::AfterDecideSendOne`]: sends
-    /// only the lowest-site batch of the outbox and drops the rest on the
-    /// floor, exactly as a crash mid-flush would.
-    fn flush_lowest_only(&mut self) {
-        let mut batches: Vec<(SiteId, TermBatch)> = self.term_outbox.drain().collect();
-        batches.sort_by_key(|(s, _)| *s);
-        if let Some((site, batch)) = batches.into_iter().next() {
-            self.trace_batch(site, &batch);
-            let _ = self.net.send(
-                self.site,
-                site,
-                Message::TerminateBatch {
-                    commits: batch.commits,
-                    aborts: batch.aborts,
-                },
-            );
-        }
-    }
-
-    /// Traces a termination batch bound for `site`: one
-    /// [`EventKind::CommitSent`] per commit whose decision was forced (a
+    /// Sends one termination decision for `id` to `site` now, as a
+    /// one-entry [`Message::TerminateBatch`]. Traces an
+    /// [`EventKind::CommitSent`] for a commit whose decision was forced (a
     /// 2PC update or a recovered re-delivery — the checker holds those to
-    /// the decision-before-commit law; one-phase read-only commits have
-    /// no forced `Decision` and are not recorded), one
-    /// [`EventKind::AbortSent`] per abort (never forced — presumed
+    /// the decision-before-commit law; one-phase read-only commits have no
+    /// forced `Decision` and are not recorded), and an
+    /// [`EventKind::AbortSent`] for every abort (never forced — presumed
     /// abort).
-    fn trace_batch(&self, site: SiteId, batch: &TermBatch) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        for &txn in &batch.commits {
+    fn send_termination(&mut self, site: SiteId, id: TxnId, commit: bool) {
+        let (commits, aborts) = if commit {
             let forced = self
                 .txns
-                .get(&txn)
-                .map(|t| t.decided)
-                .unwrap_or_else(|| self.reco_commits.contains_key(&txn));
+                .get(&id)
+                .map_or_else(|| self.reco_commits.contains_key(&id), |t| t.decided);
             if forced {
                 self.trace.emit(|| EventKind::CommitSent {
-                    txn: txn.0,
+                    txn: id.0,
                     to: site.0,
                 });
             }
-        }
-        for &txn in &batch.aborts {
+            (vec![id], Vec::new())
+        } else {
             self.trace.emit(|| EventKind::AbortSent {
-                txn: txn.0,
+                txn: id.0,
                 to: site.0,
             });
-        }
-    }
-
-    /// Adds one termination decision to `site`'s outbox batch.
-    fn enqueue_termination(&mut self, site: SiteId, id: TxnId, commit: bool) {
-        let batch = self.term_outbox.entry(site).or_default();
-        if commit {
-            batch.commits.push(id);
-        } else {
-            batch.aborts.push(id);
-        }
-    }
-
-    /// Group commit: sends each site's accumulated termination decisions
-    /// as one [`Message::TerminateBatch`], emptying the outbox. Called
-    /// once per event-loop tick — the tick *is* the coalescing window,
-    /// so the outbox never outlives one event-loop iteration. Sites are
-    /// flushed in id order so runs are reproducible.
-    fn flush_terminations(&mut self) {
-        if self.term_outbox.is_empty() {
-            return;
-        }
-        let mut batches: Vec<(SiteId, TermBatch)> = self.term_outbox.drain().collect();
-        batches.sort_by_key(|(s, _)| *s);
-        for (site, batch) in batches {
-            let entries = (batch.commits.len() + batch.aborts.len()) as u64;
-            self.metrics.note_termination_msg(entries);
-            self.trace_batch(site, &batch);
-            let _ = self.net.send(
-                self.site,
-                site,
-                Message::TerminateBatch {
-                    commits: batch.commits,
-                    aborts: batch.aborts,
-                },
-            );
-        }
+            (Vec::new(), vec![id])
+        };
+        self.metrics.note_termination_msg(1);
+        let _ = self
+            .net
+            .send(self.site, site, Message::TerminateBatch { commits, aborts });
     }
 
     /// Alg. 5 l. 5-11, resumed event-style.
@@ -1719,7 +1615,7 @@ impl Scheduler {
         }
         // The commit decision is forced onto stable storage — it can never
         // be walked back (a prepared participant may already have
-        // committed it). A missing ack means the batch or its ack was
+        // committed it). A missing ack means the commit or its ack was
         // lost: re-deliver to the participants still owed the commit and
         // keep waiting; re-commits there are idempotent no-ops.
         acks.retain(|_, ok| *ok);
@@ -1731,7 +1627,7 @@ impl Scheduler {
             .filter(|s| !acks.contains_key(s))
             .collect();
         for &s in &missing {
-            self.enqueue_termination(s, id, true);
+            self.send_termination(s, id, true);
         }
         self.set_phase(
             id,
@@ -1790,8 +1686,7 @@ impl Scheduler {
     /// operation was in flight its partial effects are undone and its
     /// participant set is folded into the abort targets. With no remote
     /// participants the transaction terminates immediately; otherwise the
-    /// decision joins the group-commit outbox (batched with this tick's
-    /// other terminations) and the transaction parks in
+    /// abort goes to each of them now and the transaction parks in
     /// `Phase::AwaitingAbortAcks`.
     fn begin_abort(&mut self, id: TxnId, reason: AbortReason) {
         let Some(txn) = self.txns.get_mut(&id) else {
@@ -1829,7 +1724,7 @@ impl Scheduler {
             return;
         }
         for &s in &remotes {
-            self.enqueue_termination(s, id, false);
+            self.send_termination(s, id, false);
         }
         self.set_phase(
             id,
@@ -1936,10 +1831,10 @@ impl Scheduler {
     // Algorithm 2 — participant
     // -----------------------------------------------------------------
 
-    /// Executes one dispatched operation in the participant role.
-    /// `tolerate_empty` travels with the routing plan (set for fragment
-    /// fan-outs, where an update matching nothing locally is a no-op) —
-    /// participants make no placement decisions of their own.
+    /// Executes one operation at this site, for a remote coordinator or
+    /// for this one. `tolerate_empty` travels with the routing plan (set
+    /// for fragment fan-outs, where an update matching nothing locally is
+    /// a no-op) — participants make no placement decisions of their own.
     fn participant_execute(
         &mut self,
         txn: TxnId,
@@ -1948,30 +1843,27 @@ impl Scheduler {
         mode: TxnMode,
         tolerate_empty: bool,
     ) -> Answer {
-        if mode == TxnMode::ReadOnly && !op.is_update() {
-            // Snapshot path mirrors the coordinator's: answer from this
-            // participant's pinned snapshot, touching neither the lock
-            // table nor the wait-for graph.
-            return match self.lockmgr.snapshot_read(txn, op) {
-                ProcessResult::Executed(result) => {
-                    self.metrics.note_snapshot_read();
-                    Answer::Executed(result)
-                }
-                _ => Answer::Failed,
-            };
-        }
-        if op.is_update() && self.fence_blocks(txn, &op.doc) {
+        let outcome = if mode == TxnMode::ReadOnly && !op.is_update() {
+            // Snapshot path: answer from this transaction's pinned
+            // snapshot, touching neither the lock table nor the wait-for
+            // graph.
+            let outcome = self.lockmgr.snapshot_read(txn, op);
+            if matches!(outcome, ProcessResult::Executed(_)) {
+                self.metrics.note_snapshot_read();
+            }
+            outcome
+        } else if op.is_update() && self.fence_blocks(txn, &op.doc) {
             // Replica copy fence: report a (non-deadlock) conflict so the
             // coordinator parks the transaction and retries after the copy.
             return Answer::Refused { deadlock: false };
-        }
-        match self
-            .lockmgr
-            .process_operation(txn, op_seq, op, mode, tolerate_empty)
-        {
+        } else {
+            self.lockmgr
+                .process_operation(txn, op_seq, op, mode, tolerate_empty)
+        };
+        match outcome {
             ProcessResult::Executed(result) => Answer::Executed(result),
             ProcessResult::Conflict { deadlock, .. } => Answer::Refused { deadlock },
-            ProcessResult::Failed(_) => Answer::Failed,
+            ProcessResult::Failed(e) => Answer::Failed(e),
         }
     }
 
@@ -2045,7 +1937,7 @@ impl Scheduler {
             ) {
                 self.begin_abort(victim, AbortReason::Deadlock);
             }
-        } else if let Some(&coord) = self.txn_coord.get(&victim) {
+        } else if let Some(&(coord, _)) = self.txn_coord.get(&victim) {
             let _ = self
                 .net
                 .send(self.site, coord, Message::AbortVictim { txn: victim });
@@ -2090,8 +1982,7 @@ impl Scheduler {
                 let answer = if doc_version != self.catalog.version_of(&op.doc) {
                     Answer::Stale
                 } else {
-                    self.txn_coord.insert(txn, coordinator);
-                    self.participant_seen.insert(txn, Instant::now());
+                    self.txn_coord.insert(txn, (coordinator, Instant::now()));
                     let mode = if update_txn {
                         TxnMode::Updating
                     } else {
@@ -2134,8 +2025,8 @@ impl Scheduler {
                 self.wake_waiters(waiters);
             }
             Message::TerminateBatch { commits, aborts } => {
-                // Participant side of group commit: apply every decision
-                // in the batch, then answer the whole batch with ONE ack.
+                // Participant side of Alg. 5/6: apply every decision in
+                // the message, then answer them all with one ack.
                 let commit_acks: Vec<(TxnId, bool)> = commits
                     .into_iter()
                     .map(|txn| (txn, self.resolve_participant(txn, true, false)))
@@ -2162,7 +2053,7 @@ impl Scheduler {
                 commits,
                 aborts,
             } => {
-                // Unpack the batched ack into the rounds awaiting it; each
+                // Unpack the ack into the rounds awaiting it; each
                 // transaction resumes individually.
                 for (txn, ok) in commits {
                     if let Some(Phase::AwaitingCommitAcks { acks, .. }) =
@@ -2353,7 +2244,6 @@ impl Scheduler {
             }
         }
         self.txn_coord.remove(&txn);
-        self.participant_seen.remove(&txn);
         let released = if commit {
             self.lockmgr.commit_local(txn)
         } else {
@@ -2435,13 +2325,12 @@ impl Scheduler {
             );
         }
         let orphans: Vec<TxnId> = self
-            .participant_seen
+            .txn_coord
             .iter()
-            .filter(|&(txn, &seen)| {
+            .filter(|&(txn, &(_, seen))| {
                 now.duration_since(seen) >= self.cfg.orphan_timeout
                     && !self.txns.contains_key(txn)
                     && !self.prepared.contains_key(txn)
-                    && self.txn_coord.contains_key(txn)
             })
             .map(|(&txn, _)| txn)
             .collect();
@@ -2451,8 +2340,5 @@ impl Scheduler {
             self.publish_snapshot_gauges();
             self.metrics.note_orphan_abort();
         }
-        // GC tracking entries for transactions already terminated.
-        let coords = &self.txn_coord;
-        self.participant_seen.retain(|t, _| coords.contains_key(t));
     }
 }

@@ -45,13 +45,18 @@ impl DataGuide {
             }
             _ => None,
         };
-        let nodes = guided.unwrap_or_else(|| dtx_xpath::eval(doc, query));
-        debug_assert_eq!(
-            nodes,
-            dtx_xpath::eval(doc, query),
-            "guided evaluation of {query} disagrees: the guide misses a path of the document"
-        );
-        nodes
+        match guided {
+            // Only a guided walk can disagree with the plain evaluation.
+            Some(nodes) => {
+                debug_assert_eq!(
+                    nodes,
+                    dtx_xpath::eval(doc, query),
+                    "guided evaluation of {query} disagrees: the guide misses a path of the document"
+                );
+                nodes
+            }
+            None => dtx_xpath::eval(doc, query),
+        }
     }
 
     /// The elements a leading `//` step with `test` reaches, root

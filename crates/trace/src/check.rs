@@ -8,8 +8,8 @@
 //!    ([`EventKind::VoteYes`]) before force-logging `Prepared` for that
 //!    transaction on the same site (presumed abort requires the vote to
 //!    survive a crash).
-//! 2. **decision-before-commit** — a coordinator never puts a commit
-//!    into a termination batch ([`EventKind::CommitSent`]) before
+//! 2. **decision-before-commit** — a coordinator never sends a commit
+//!    to a participant ([`EventKind::CommitSent`]) before
 //!    force-logging `Decision` for that transaction (a commit heard by
 //!    a participant must be recoverable).
 //! 3. **link-fifo** — per ordered site pair, messages are delivered in
@@ -166,7 +166,7 @@ fn check_forced_ordering(by_site: &HashMap<u16, Vec<&TraceEvent>>, report: &mut 
                             law: "decision-before-commit",
                             site,
                             detail: format!(
-                                "txn {txn} commit batched to s{to} with no forced Decision before it"
+                                "txn {txn} commit sent to s{to} with no forced Decision before it"
                             ),
                         });
                     }

@@ -178,22 +178,22 @@ pub enum EventKind {
         /// The transaction.
         txn: u64,
     },
-    /// The coordinator put this transaction's **commit** into a
-    /// termination batch bound for a participant (once per (txn,
-    /// participant) send, including recovery re-delivery). The checker
+    /// The coordinator sent this transaction's **commit** to a
+    /// participant (once per (txn, participant) send, including recovery
+    /// re-delivery). The checker
     /// demands a same-site `WalForce{rec: "Decision"}` earlier.
     CommitSent {
         /// The transaction.
         txn: u64,
-        /// The participant the batch is bound for.
+        /// The participant the commit is bound for.
         to: u16,
     },
-    /// The coordinator put this transaction's abort into a termination
-    /// batch (never forced — presumed abort).
+    /// The coordinator sent this transaction's abort to a participant
+    /// (never forced — presumed abort).
     AbortSent {
         /// The transaction.
         txn: u64,
-        /// The participant the batch is bound for.
+        /// The participant the abort is bound for.
         to: u16,
     },
     /// The site's scheduler died (fault injection or kill). Clears the

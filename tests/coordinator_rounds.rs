@@ -248,6 +248,38 @@ fn a_missing_vote_aborts_the_commit() {
 }
 
 #[test]
+fn each_commit_leaves_on_its_own_when_it_is_decided() {
+    let h = Harness::start();
+    let replies = [h.submit(), h.submit()];
+    let dispatches = [h.exec_remote(), h.exec_remote()];
+    for &(txn, corr) in &dispatches {
+        h.answer(executed(txn, corr));
+    }
+    let rounds = dispatches.map(|(txn, _)| (txn, h.prepare(txn)));
+    // Both votes are queued at the coordinator together: each decision
+    // still goes out alone, and neither waits for the other.
+    for &(txn, corr) in &rounds {
+        h.answer(vote_yes(txn, corr));
+    }
+    let mut sent: Vec<TxnId> = (0..2)
+        .map(|_| match h.batch() {
+            (commits, aborts) if commits.len() == 1 && aborts.is_empty() => commits[0],
+            other => panic!("expected one commit per message, got {other:?}"),
+        })
+        .collect();
+    sent.sort();
+    let mut txns = rounds.map(|(txn, _)| txn);
+    txns.sort();
+    assert_eq!(sent, txns);
+    for txn in txns {
+        h.ack(vec![(txn, true)], vec![]);
+    }
+    for rx in &replies {
+        assert_eq!(outcome(rx), TxnStatus::Committed);
+    }
+}
+
+#[test]
 fn a_lost_ack_of_a_decided_commit_resends_the_commit_and_a_late_ack_commits() {
     let h = Harness::start();
     let rx = h.submit();

@@ -373,8 +373,8 @@ fn cross_link_delivery_follows_deliver_at_exactly() {
         let (big, small) = (frame(1, 1, 2048), frame(2, 1, 1024));
         let t0 = Instant::now();
         net.send(SiteId(1), SiteId(0), big).expect("send");
-        let gap = t0.elapsed();
         net.send(SiteId(2), SiteId(0), small).expect("send");
+        let gap = t0.elapsed();
         let order = [recv().from, recv().from];
         if gap > Duration::from_micros(10) {
             continue;
