@@ -32,7 +32,7 @@ use dtx_xmark::tester::run_workload;
 use dtx_xmark::workload::{generate as gen_workload, WorkloadConfig};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One measured cell of either sweep.
 struct Cell {
@@ -98,6 +98,7 @@ fn run_cell(
     // Sample the retention gauges while the run is live: the peak shows
     // versions actually accumulating under pins, the end value shows GC
     // returning to one version per document replica.
+    let idle_live = cluster.metrics().snapshots_live();
     let stop = AtomicBool::new(false);
     let (report, live_peak, bytes_peak) = std::thread::scope(|scope| {
         let sampler = scope.spawn(|| {
@@ -139,6 +140,13 @@ fn run_cell(
     read_resp.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     write_resp.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let metrics = cluster.metrics();
+    // A read-only commit releases its remote pins one-way, after the
+    // client's reply: give the last releases a moment to land. A pin
+    // leak does not settle and shows in the end value.
+    let settle_by = Instant::now() + Duration::from_secs(1);
+    while metrics.snapshots_live() > idle_live && Instant::now() < settle_by {
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let cell = Cell {
         knob,
         read_txns,

@@ -441,9 +441,10 @@ fn codec_mix() -> Vec<Message> {
             values: vec!["Alice Cooper".into()],
         }),
     };
+    // The scheduler sends each decision alone: a one-commit batch.
     let batch = Message::TerminateBatch {
-        commits: (0..8).map(|i| TxnId(4 * i + 1)).collect(),
-        aborts: vec![TxnId(99)],
+        commits: vec![TxnId(71)],
+        aborts: Vec::new(),
     };
     let prepare = Message::Prepare {
         txn: TxnId(71),

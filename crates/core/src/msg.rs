@@ -84,14 +84,12 @@ pub enum Message {
         /// Operation index to undo.
         op_seq: usize,
     },
-    /// Coordinator → participant: **group termination** — every
-    /// transaction this coordinator decided to consolidate (Algorithm 5
-    /// l. 4) or cancel (Algorithm 6 l. 4) at this site since the last
-    /// scheduler tick, coalesced into one message. Under heavy traffic
-    /// this cuts the termination message count from O(txns × sites) to
-    /// O(sites) per tick; a batch of one is the degenerate per-transaction
-    /// protocol. Per-pair FIFO delivery still guarantees a batched abort
-    /// cannot overtake the `ExecRemote` it cancels.
+    /// Coordinator → participant: transactions this coordinator decided
+    /// to consolidate (Algorithm 5 l. 4) or cancel (Algorithm 6 l. 4) at
+    /// this site. The scheduler sends each decision alone, as a batch of
+    /// one, the moment it is made. A read-only transaction's commit entry
+    /// is a one-way snapshot-pin release. Per-pair FIFO delivery
+    /// guarantees an abort cannot overtake the `ExecRemote` it cancels.
     TerminateBatch {
         /// Transactions to consolidate, in decision order.
         commits: Vec<TxnId>,
@@ -100,7 +98,9 @@ pub enum Message {
     },
     /// Participant → coordinator: one acknowledgement per
     /// [`Message::TerminateBatch`], carrying the per-transaction outcomes
-    /// (the batched form of Alg. 5/6's per-transaction acks).
+    /// (the batched form of Alg. 5/6's per-transaction acks). Commit
+    /// entries of transactions the participant served read-only are not
+    /// acked; a batch with nothing left to ack gets no ack at all.
     TerminateBatchAck {
         /// Reporting site.
         site: SiteId,

@@ -34,7 +34,8 @@
 //! which are dropped. The vote round and the commit and abort
 //! acknowledgement waits (Alg. 5/6) work the same way through
 //! `Phase::AwaitingPrepareAcks`, `Phase::AwaitingCommitAcks` and
-//! `Phase::AwaitingAbortAcks`.
+//! `Phase::AwaitingAbortAcks`. A read-only transaction never waits to
+//! terminate: see the commit paragraph below.
 //! One scheduler thread therefore pipelines many in-flight distributed
 //! transactions instead of head-of-line blocking on each round-trip — the
 //! earlier design's nested message pump served participant duties while
@@ -56,7 +57,17 @@
 //!
 //! A commit (Alg. 5 l. 4) or abort (Alg. 6 l. 4) goes to each participant
 //! the moment it is decided, as a one-entry [`Message::TerminateBatch`];
-//! the participant answers with a [`Message::TerminateBatchAck`].
+//! the participant answers with a [`Message::TerminateBatchAck`]. The
+//! commit of a read-only transaction is the exception. Its participants
+//! only hold snapshot pins, and once the last read has answered nothing
+//! they could say changes the outcome (the read-only optimisation of
+//! R*, Mohan, Lindsay & Obermarck 1986). So the coordinator sends each
+//! of them a one-way pin release, consolidates at once, and the client
+//! hears `Committed` when the last read answers. Alg. 5 l. 5-7 (wait for
+//! every site to consolidate) is skipped for these transactions. A
+//! participant applies the release without an ack. If the release is
+//! lost, the participant's orphan sweep drops the pins
+//! `remote_timeout` after the transaction's last operation there.
 
 use crate::catalog::Catalog;
 use crate::lockmgr::{LockManager, ProcessResult};
@@ -119,7 +130,10 @@ pub struct SchedulerConfig {
     /// forming whatever this is; while nothing waits no round runs.
     pub deadlock_period: Duration,
     /// How long a coordinator waits for remote-operation responses and
-    /// commit/abort acknowledgements before treating the site as failed.
+    /// commit/abort acknowledgements before treating the site as failed,
+    /// and how long a participant keeps a read-only transaction's
+    /// snapshot pins after its last operation there when no release
+    /// comes.
     pub remote_timeout: Duration,
     /// Period of the in-doubt resolution sweep: a prepared participant
     /// whose decision is overdue by this much re-asks its coordinator
@@ -130,8 +144,9 @@ pub struct SchedulerConfig {
     /// How long a participant keeps orphaned remote work (executed
     /// operations whose coordinator never started a vote or termination
     /// round) before unilaterally aborting it — presumed abort makes that
-    /// safe, and the transaction is *poisoned* so a late vote request is
-    /// refused.
+    /// safe, and the transaction is *poisoned* so a late vote request or
+    /// operation is refused. A read-only transaction's snapshot pins,
+    /// whose release is one-way, expire after `remote_timeout` instead.
     pub orphan_timeout: Duration,
     /// Seed for retry jitter.
     pub seed: u64,
@@ -343,7 +358,7 @@ enum Phase {
     /// Presumed-abort vote requests sent ([`Message::Prepare`]); awaiting
     /// one vote per remote participant. Only distributed **update**
     /// transactions pass through here — read-only ones have nothing to
-    /// make durable and keep the one-phase termination.
+    /// make durable and release their pins one-way.
     AwaitingPrepareAcks {
         /// Correlation id of this vote round.
         corr: u64,
@@ -352,8 +367,8 @@ enum Phase {
         /// Vote deadline (a missing vote aborts — presumed abort).
         deadline: Instant,
     },
-    /// Commit requests sent (Alg. 5 l. 4); awaiting one ack per remote
-    /// participant.
+    /// A forced 2PC commit decision sent (Alg. 5 l. 4); awaiting one ack
+    /// per remote participant. Read-only transactions never enter it.
     AwaitingCommitAcks {
         /// The acknowledgements received so far, by site.
         acks: HashMap<SiteId, bool>,
@@ -551,9 +566,11 @@ pub struct Scheduler {
     /// dispatch order is deterministic).
     txns: BTreeMap<TxnId, CoordTxn>,
     /// Each transaction this site takes part in as a participant: its
-    /// coordinator, and when that coordinator last dispatched work here
-    /// (the orphan sweep's clock).
-    txn_coord: HashMap<TxnId, (SiteId, Instant)>,
+    /// coordinator, when that coordinator last dispatched work here (the
+    /// orphan sweep's clock), and its mode. A read-only transaction's
+    /// commit is a one-way pin release: it gets no ack, and its entry
+    /// expires after `remote_timeout` instead of `orphan_timeout`.
+    txn_coord: HashMap<TxnId, (SiteId, Instant, TxnMode)>,
     /// Current deadlock-detection round and its collected graphs.
     wfg_round: u64,
     wfg_replies: HashMap<SiteId, WaitForGraph>,
@@ -583,10 +600,11 @@ pub struct Scheduler {
     /// Participant-side in-doubt table: prepared transactions awaiting
     /// their decision.
     prepared: HashMap<TxnId, PreparedTxn>,
-    /// Poisoned transactions: this site orphan-aborted them or vouched
-    /// abort to a peer's in-doubt query, so any late [`Message::Prepare`]
-    /// must be refused — that refusal is what makes those abort paths
-    /// safe against an in-flight vote round.
+    /// Poisoned transactions: this site orphan-aborted them (or expired
+    /// their snapshot pins) or vouched abort to a peer's in-doubt query,
+    /// so any late [`Message::Prepare`] or [`Message::ExecRemote`] must
+    /// be refused — that refusal is what makes those abort paths safe
+    /// against an in-flight vote round or operation.
     refused: HashSet<TxnId>,
     /// Commit decisions recovered from the log without an `End`:
     /// participants still owed the decision, per transaction. [`Self::run`]
@@ -657,7 +675,8 @@ impl Scheduler {
             trace: TraceSink::disabled(),
         };
         for (txn, coordinator, peers) in recovered.in_doubt {
-            s.txn_coord.insert(txn, (coordinator, now));
+            s.txn_coord
+                .insert(txn, (coordinator, now, TxnMode::Updating));
             // Backdate `since` so the first sweep asks immediately.
             let since = now.checked_sub(s.cfg.indoubt_period).unwrap_or(now);
             s.prepared.insert(
@@ -869,6 +888,17 @@ impl Scheduler {
     }
 
     fn shutdown(&mut self) {
+        // A read-only transaction served here may have been answered
+        // while its pin release is still on the way: release its pins now.
+        let served: Vec<TxnId> = self
+            .txn_coord
+            .iter()
+            .filter(|&(_, &(.., mode))| mode == TxnMode::ReadOnly)
+            .map(|(&txn, _)| txn)
+            .collect();
+        for txn in served {
+            self.resolve_participant(txn, false, false);
+        }
         // Abort whatever is still in flight so clients unblock.
         while let Some((id, txn)) = self.txns.pop_last() {
             let _ = self.lockmgr.abort_local(id);
@@ -1373,7 +1403,7 @@ impl Scheduler {
         for w in waiters {
             if self.txns.contains_key(&w) {
                 self.lift(w, self.site);
-            } else if let Some(&(coord, _)) = self.txn_coord.get(&w) {
+            } else if let Some(&(coord, ..)) = self.txn_coord.get(&w) {
                 if coord != self.site {
                     let _ = self.net.send(self.site, coord, Message::Wake { txn: w });
                 }
@@ -1455,29 +1485,20 @@ impl Scheduler {
     /// Distributed **update** transactions first run a presumed-abort
     /// vote round ([`Message::Prepare`]): each participant force-logs
     /// `Prepared` and answers; only a unanimous yes lets the coordinator
-    /// force-log the commit decision and send the commit. Read-only
-    /// transactions have nothing to make durable — they keep the
-    /// one-phase termination (and its message economy).
+    /// force-log the commit decision and send the commit. A read-only
+    /// transaction has nothing to make durable and its last read has
+    /// answered: each participant gets a one-way pin release and the
+    /// transaction consolidates at once, waiting for no site.
     fn begin_commit(&mut self, id: TxnId) {
         let Some(txn) = self.txns.get(&id) else {
             return;
         };
         let remotes = txn.remote_sites.clone();
-        if remotes.is_empty() {
-            self.consolidate_local(id);
-            return;
-        }
-        if txn.spec.is_read_only() {
+        if remotes.is_empty() || txn.spec.is_read_only() {
             for &s in &remotes {
                 self.send_termination(s, id, true);
             }
-            self.set_phase(
-                id,
-                Phase::AwaitingCommitAcks {
-                    acks: HashMap::new(),
-                    deadline: Instant::now() + self.cfg.remote_timeout,
-                },
-            );
+            self.consolidate_local(id);
             return;
         }
         // Phase 1: vote requests to every remote participant.
@@ -1565,10 +1586,10 @@ impl Scheduler {
     /// one-entry [`Message::TerminateBatch`]. Traces an
     /// [`EventKind::CommitSent`] for a commit whose decision was forced (a
     /// 2PC update or a recovered re-delivery — the checker holds those to
-    /// the decision-before-commit law; one-phase read-only commits have no
-    /// forced `Decision` and are not recorded), and an
+    /// the decision-before-commit law; a read-only commit is a one-way
+    /// pin release with no forced `Decision` and is not recorded), and an
     /// [`EventKind::AbortSent`] for every abort (never forced — presumed
-    /// abort).
+    /// abort). Only the read-only commit goes unacknowledged.
     fn send_termination(&mut self, site: SiteId, id: TxnId, commit: bool) {
         let (commits, aborts) = if commit {
             let forced = self
@@ -1595,7 +1616,8 @@ impl Scheduler {
             .send(self.site, site, Message::TerminateBatch { commits, aborts });
     }
 
-    /// Alg. 5 l. 5-11, resumed event-style.
+    /// Alg. 5 l. 5-11, resumed event-style. Only a forced 2PC commit
+    /// waits here: a read-only commit consolidated when it was sent.
     fn finish_commit(&mut self, id: TxnId, complete: bool) {
         let Some(txn) = self.txns.get_mut(&id) else {
             return;
@@ -1605,12 +1627,6 @@ impl Scheduler {
         };
         if complete && acks.values().all(|&ok| ok) {
             self.consolidate_local(id);
-            return;
-        }
-        if !txn.decided {
-            // Alg. 5 l. 5-7 (one-phase read-only path): a site did not
-            // consolidate → abort.
-            self.begin_abort(id, AbortReason::CommitFailed);
             return;
         }
         // The commit decision is forced onto stable storage — it can never
@@ -1650,8 +1666,11 @@ impl Scheduler {
             // replay forget the decision instead of re-delivering it.
             self.wal.append(WalRecord::End { txn: id });
         }
-        // Gauges go out before the client reply so a caller that observed
-        // the outcome also observes the post-commit snapshot-store state.
+        // This site's gauges go out before the client reply, so a caller
+        // that observed the outcome also observes this site's post-commit
+        // snapshot-store state. A read-only transaction's remote
+        // participants release their pins one-way: their gauges settle
+        // after the reply.
         self.publish_snapshot_gauges();
         let Some(txn) = self.txns.remove(&id) else {
             return;
@@ -1937,7 +1956,7 @@ impl Scheduler {
             ) {
                 self.begin_abort(victim, AbortReason::Deadlock);
             }
-        } else if let Some(&(coord, _)) = self.txn_coord.get(&victim) {
+        } else if let Some(&(coord, ..)) = self.txn_coord.get(&victim) {
             let _ = self
                 .net
                 .send(self.site, coord, Message::AbortVictim { txn: victim });
@@ -1970,24 +1989,35 @@ impl Scheduler {
                 doc_version,
                 fragment,
             } => {
+                // A poisoned transaction is refused first: this site
+                // already aborted it (orphan or pin expiry), and running
+                // a late operation would start it afresh here — for a
+                // read-only one, on a newer snapshot than its earlier
+                // reads. The failure makes a live coordinator abort.
+                //
                 // Placement-version check: a dispatch routed under a
                 // different version *of this document* may be aimed at a
                 // placement that no longer holds (this site gained/lost
                 // the replica, the read-one choice is obsolete, ...).
                 // Mutations of other documents leave the version — and
                 // therefore this dispatch — untouched. Refuse without
-                // executing — and without recording the coordinator: this
-                // site did nothing for the transaction, so it must not be
-                // treated as a participant needing cleanup.
-                let answer = if doc_version != self.catalog.version_of(&op.doc) {
+                // executing.
+                //
+                // Neither refusal records the coordinator: this site did
+                // nothing for the transaction, so it must not be treated
+                // as a participant needing cleanup.
+                let answer = if self.refused.contains(&txn) {
+                    Answer::Failed("transaction already aborted at this site".into())
+                } else if doc_version != self.catalog.version_of(&op.doc) {
                     Answer::Stale
                 } else {
-                    self.txn_coord.insert(txn, (coordinator, Instant::now()));
                     let mode = if update_txn {
                         TxnMode::Updating
                     } else {
                         TxnMode::ReadOnly
                     };
+                    self.txn_coord
+                        .insert(txn, (coordinator, Instant::now(), mode));
                     self.participant_execute(txn, op_seq, &op, mode, fragment)
                 };
                 let done = answer.into_wire(txn, op_seq, corr, self.site);
@@ -2026,27 +2056,39 @@ impl Scheduler {
             }
             Message::TerminateBatch { commits, aborts } => {
                 // Participant side of Alg. 5/6: apply every decision in
-                // the message, then answer them all with one ack.
-                let commit_acks: Vec<(TxnId, bool)> = commits
-                    .into_iter()
-                    .map(|txn| (txn, self.resolve_participant(txn, true, false)))
-                    .collect();
+                // the message, then answer them all with one ack. The
+                // commit of a transaction served read-only is a one-way
+                // pin release: its coordinator has already answered the
+                // client and waits for nothing, so it is not acked.
+                let mut commit_acks: Vec<(TxnId, bool)> = Vec::new();
+                for txn in commits {
+                    let read_only = self
+                        .txn_coord
+                        .get(&txn)
+                        .is_some_and(|&(.., mode)| mode == TxnMode::ReadOnly);
+                    let ok = self.resolve_participant(txn, true, false);
+                    if !read_only {
+                        commit_acks.push((txn, ok));
+                    }
+                }
                 let abort_acks: Vec<(TxnId, bool)> = aborts
                     .into_iter()
                     .map(|txn| (txn, self.resolve_participant(txn, false, false)))
                     .collect();
-                let entries = (commit_acks.len() + abort_acks.len()) as u64;
-                self.metrics.note_termination_msg(entries);
                 self.publish_snapshot_gauges();
-                let _ = self.net.send(
-                    self.site,
-                    env.from,
-                    Message::TerminateBatchAck {
-                        site: self.site,
-                        commits: commit_acks,
-                        aborts: abort_acks,
-                    },
-                );
+                let entries = (commit_acks.len() + abort_acks.len()) as u64;
+                if entries > 0 {
+                    self.metrics.note_termination_msg(entries);
+                    let _ = self.net.send(
+                        self.site,
+                        env.from,
+                        Message::TerminateBatchAck {
+                            site: self.site,
+                            commits: commit_acks,
+                            aborts: abort_acks,
+                        },
+                    );
+                }
             }
             Message::TerminateBatchAck {
                 site,
@@ -2280,7 +2322,9 @@ impl Scheduler {
     /// operations whose coordinator has gone silent without ever voting —
     /// is unilaterally aborted and poisoned once the orphan timeout
     /// passes: presumed abort makes the unilateral abort safe, the poison
-    /// makes it safe even against a late vote request.
+    /// makes it safe even against a late vote request or operation. The
+    /// snapshot pins of a read-only transaction whose release never came
+    /// expire the same way after `remote_timeout`.
     fn sweep_recovery(&mut self) {
         let now = Instant::now();
         if now < self.next_indoubt_sweep {
@@ -2324,11 +2368,19 @@ impl Scheduler {
                 },
             );
         }
+        // A read-only transaction's entry only holds snapshot pins, which
+        // keep superseded versions alive: a lost release expires them
+        // `remote_timeout` after the last operation here, the longest a
+        // live coordinator waits on an answer.
         let orphans: Vec<TxnId> = self
             .txn_coord
             .iter()
-            .filter(|&(txn, &(_, seen))| {
-                now.duration_since(seen) >= self.cfg.orphan_timeout
+            .filter(|&(txn, &(_, seen, mode))| {
+                let timeout = match mode {
+                    TxnMode::ReadOnly => self.cfg.remote_timeout,
+                    TxnMode::Updating => self.cfg.orphan_timeout,
+                };
+                now.duration_since(seen) >= timeout
                     && !self.txns.contains_key(txn)
                     && !self.prepared.contains_key(txn)
             })

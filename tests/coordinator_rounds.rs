@@ -76,13 +76,21 @@ impl Harness {
 
     /// Submits a one-update transaction on `d` at the coordinator.
     fn submit(&self) -> Receiver<TxnOutcome> {
-        let op = OpSpec::update(
+        self.submit_op(OpSpec::update(
             "d",
             UpdateOp::Change {
                 target: Query::parse("/r/v").unwrap(),
                 new_value: "1".into(),
             },
-        );
+        ))
+    }
+
+    /// Submits a one-query (read-only) transaction on `d`.
+    fn submit_read(&self) -> Receiver<TxnOutcome> {
+        self.submit_op(OpSpec::query("d", Query::parse("/r/v").unwrap()))
+    }
+
+    fn submit_op(&self, op: OpSpec) -> Receiver<TxnOutcome> {
         let (reply, rx) = unbounded();
         self.control
             .send(Control::Submit {
@@ -186,6 +194,24 @@ fn executed(txn: TxnId, corr: u64) -> Message {
         deadlock: false,
         stale: false,
         result: Some(OpResult::Update { affected: 1 }),
+    }
+}
+
+/// The answer to a read: one value.
+fn read(txn: TxnId, corr: u64) -> Message {
+    Message::RemoteDone {
+        txn,
+        op_seq: 0,
+        corr,
+        site: PART,
+        acquired: true,
+        executed: true,
+        failed: false,
+        deadlock: false,
+        stale: false,
+        result: Some(OpResult::Query {
+            values: vec!["0".into()],
+        }),
     }
 }
 
@@ -304,6 +330,30 @@ fn an_abort_ack_never_counts_toward_a_commit_round() {
     );
     h.ack(vec![(txn, true)], vec![]);
     assert_eq!(outcome(&rx), TxnStatus::Committed);
+}
+
+#[test]
+fn a_read_only_transaction_commits_when_its_last_read_answers() {
+    let h = Harness::start();
+    let rx = h.submit_read();
+    let (txn, corr) = h.exec_remote();
+    h.answer(read(txn, corr));
+    // The pin release goes out one-way: no vote round, and the client
+    // hears the outcome without any ack from site 1.
+    assert_eq!(h.batch(), (vec![txn], vec![]));
+    let out = rx.recv_timeout(PATIENCE).expect("the transaction ends");
+    assert_eq!(out.status, TxnStatus::Committed);
+    assert_eq!(
+        out.results,
+        vec![OpResult::Query {
+            values: vec!["0".into()]
+        }]
+    );
+    // Nothing follows past the ack deadline: no re-sent release, no abort.
+    assert!(
+        h.next(REMOTE_TIMEOUT * 2).is_none(),
+        "the release was re-sent or followed up"
+    );
 }
 
 #[test]

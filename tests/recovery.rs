@@ -1,12 +1,14 @@
 //! Crash-recovery integration tests: the kill-the-coordinator-mid-2PC
 //! matrix (one case per [`CrashPoint`]), participant restart with
 //! byte-identical replay, silent-drop timeout termination, seeded
-//! message-loss chaos, and snapshot-version release on `drop_replica`.
+//! message-loss chaos, snapshot-version release on `drop_replica`, and
+//! the expiry of a snapshot pin whose one-way release was lost.
 
 use dtx::core::{
     AbortReason, Cluster, ClusterConfig, CrashPoint, OpResult, OpSpec, ProtocolKind, SiteId,
     TxnSpec, TxnStatus,
 };
+use dtx::net::link_drops;
 use dtx::trace::EventKind;
 use dtx::xml::{Fragment, InsertPos};
 use dtx::xpath::{Query, UpdateOp};
@@ -378,4 +380,74 @@ fn drop_replica_releases_snapshot_versions() {
     let out = cluster.submit(SiteId(0), change_txn("12.12"));
     assert!(out.committed(), "{:?}", out.status);
     cluster.shutdown();
+}
+
+/// A 2-site traced cluster (document `d` at site 1 only, the given
+/// remote timeout, the default 300 s orphan timeout) that has committed
+/// one read-only transaction coordinated by site 0 whose one-way pin
+/// release to site 1 was lost. Returns the cluster, its idle
+/// `snapshots_live` and when the read was submitted.
+fn read_losing_its_release(remote_timeout: Duration) -> (Cluster, u64, Instant) {
+    let mut cfg = ClusterConfig::new(2, ProtocolKind::Xdgl).with_tracing();
+    cfg.scheduler.remote_timeout = remote_timeout;
+    cfg.scheduler.indoubt_period = Duration::from_millis(25);
+    let cluster = Cluster::start(cfg);
+    cluster.load_document("d", DOC, &[SiteId(1)]).unwrap();
+    let idle = cluster.metrics().snapshots_live();
+    // A fault seed that passes the read's dispatch (send 0 on 0 → 1) and
+    // its answer (send 0 on 1 → 0), and drops the release (send 1 on
+    // 0 → 1).
+    let (s0, s1) = (SiteId(0), SiteId(1));
+    let seed = (0u64..)
+        .find(|&s| {
+            !link_drops(s, s0, s1, 0, 500)
+                && !link_drops(s, s1, s0, 0, 500)
+                && link_drops(s, s0, s1, 1, 500)
+        })
+        .unwrap();
+    cluster.set_message_drops(seed, 500);
+    let read_at = Instant::now();
+    let out = cluster.submit(
+        s0,
+        TxnSpec::new(vec![OpSpec::query("d", q("/products/product/id"))]),
+    );
+    // The client hears `Committed` without any answer from site 1.
+    assert!(out.committed(), "{:?}", out.status);
+    assert_eq!(cluster.net_dropped(), 1, "only the release is lost");
+    cluster.set_message_drops(seed, 0);
+    (cluster, idle, read_at)
+}
+
+#[test]
+fn a_lost_pin_release_expires_after_the_remote_timeout() {
+    let remote_timeout = Duration::from_millis(300);
+    let (cluster, idle, read_at) = read_losing_its_release(remote_timeout);
+    // A writer at site 1 publishes a new version; the read's pin keeps
+    // the old one alive until it expires.
+    let out = cluster.submit(SiteId(1), change_txn("60.00"));
+    assert!(out.committed(), "{:?}", out.status);
+    while cluster.metrics().snapshots_live() > idle {
+        assert!(
+            read_at.elapsed() < remote_timeout + Duration::from_secs(2),
+            "the pin outlived its lost release"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        read_at.elapsed() >= remote_timeout,
+        "the pin was released before the remote timeout: the release was not lost"
+    );
+    let tracer = cluster.tracer().expect("tracing is armed");
+    cluster.shutdown();
+    certify_trace(&tracer, "lost pin release");
+}
+
+#[test]
+fn a_shutdown_releases_the_pins_of_an_unreleased_read() {
+    // Shut down long before the pin could expire: the site releases it
+    // itself, so the trace still shows every pin unpinned.
+    let (cluster, _, _) = read_losing_its_release(Duration::from_secs(60));
+    let tracer = cluster.tracer().expect("tracing is armed");
+    cluster.shutdown();
+    certify_trace(&tracer, "shutdown with a pin release lost");
 }
