@@ -968,6 +968,10 @@ mod tests {
     use dtx_xpath::{Query, UpdateOp};
 
     fn manager() -> LockManager {
+        manager_under(ProtocolKind::Xdgl)
+    }
+
+    fn manager_under(protocol: ProtocolKind) -> LockManager {
         let mut store = MemStore::free();
         store
             .put_raw(
@@ -976,7 +980,7 @@ mod tests {
                  <product><id>14</id><name>Printer</name><price>55.50</price></product></products>",
             )
             .unwrap();
-        let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(store));
+        let mut lm = LockManager::new(protocol.instantiate(), Box::new(store));
         lm.load_document("d2").unwrap();
         lm
     }
@@ -1824,19 +1828,28 @@ mod tests {
 
     #[test]
     fn snapshot_read_takes_no_locks_and_adds_no_wfg_edges() {
-        let mut lm = manager();
-        let op = OpSpec::query("d2", q("/products/product/name"));
-        match lm.snapshot_read(TxnId(1), &op) {
-            ProcessResult::Executed(OpResult::Query { values }) => {
-                assert_eq!(values, vec!["Monitor".to_owned(), "Printer".to_owned()]);
+        for protocol in [ProtocolKind::Xdgl, ProtocolKind::Node2Pl] {
+            let mut lm = manager_under(protocol);
+            let op = OpSpec::query("d2", q("/products/product/name"));
+            match lm.snapshot_read(TxnId(1), &op) {
+                ProcessResult::Executed(OpResult::Query { values }) => {
+                    assert_eq!(values, vec!["Monitor".to_owned(), "Printer".to_owned()]);
+                }
+                other => panic!("{protocol:?}: {other:?}"),
             }
-            other => panic!("{other:?}"),
+            assert_eq!(
+                lm.lock_entries(),
+                0,
+                "{protocol:?}: snapshot reads hold no locks"
+            );
+            assert!(
+                lm.wfg().is_empty(),
+                "{protocol:?}: snapshot reads add no wait edges"
+            );
+            assert_eq!(lm.pinned_seq(TxnId(1), "d2"), Some(0));
+            lm.commit_local(TxnId(1)).unwrap();
+            assert!(lm.pinned_seq(TxnId(1), "d2").is_none());
         }
-        assert_eq!(lm.lock_entries(), 0, "snapshot reads hold no locks");
-        assert!(lm.wfg().is_empty(), "snapshot reads add no wait edges");
-        assert_eq!(lm.pinned_seq(TxnId(1), "d2"), Some(0));
-        lm.commit_local(TxnId(1)).unwrap();
-        assert!(lm.pinned_seq(TxnId(1), "d2").is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::op::{OpResult, OpSpec};
 use dtx_locks::{TxnId, WaitForGraph};
-use dtx_net::{SiteId, Wire};
+use dtx_net::SiteId;
 
 /// A message between DTX schedulers.
 #[derive(Debug)]
@@ -224,84 +224,4 @@ pub enum Decision {
     Abort,
     /// The responder is in doubt itself; ask again or ask elsewhere.
     Uncertain,
-}
-
-impl Wire for Message {
-    fn wire_label(&self) -> &'static str {
-        match self {
-            Message::ExecRemote { .. } => "ExecRemote",
-            Message::RemoteDone { .. } => "RemoteDone",
-            Message::UndoOp { .. } => "UndoOp",
-            Message::TerminateBatch { .. } => "TerminateBatch",
-            Message::TerminateBatchAck { .. } => "TerminateBatchAck",
-            Message::Fail { .. } => "Fail",
-            Message::WfgRequest { .. } => "WfgRequest",
-            Message::WfgReply { .. } => "WfgReply",
-            Message::AbortVictim { .. } => "AbortVictim",
-            Message::Wake { .. } => "Wake",
-            Message::ClearWaits { .. } => "ClearWaits",
-            Message::Prepare { .. } => "Prepare",
-            Message::PrepareAck { .. } => "PrepareAck",
-            Message::DecisionRequest { .. } => "DecisionRequest",
-            Message::DecisionReply { .. } => "DecisionReply",
-            Message::InDoubtQuery { .. } => "InDoubtQuery",
-        }
-    }
-
-    fn wire_size(&self) -> usize {
-        match self {
-            Message::ExecRemote { op, .. } => 48 + op.wire_size(),
-            Message::RemoteDone { result, .. } => {
-                64 + match result {
-                    Some(OpResult::Query { values }) => {
-                        values.iter().map(String::len).sum::<usize>()
-                    }
-                    _ => 0,
-                }
-            }
-            Message::WfgReply { graph, .. } => 32 + graph.edge_count() * 16,
-            Message::TerminateBatch { commits, aborts } => 16 + (commits.len() + aborts.len()) * 8,
-            Message::TerminateBatchAck {
-                commits, aborts, ..
-            } => 16 + (commits.len() + aborts.len()) * 9,
-            _ => 48,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dtx_xpath::Query;
-
-    #[test]
-    fn wire_sizes_reflect_payloads() {
-        let small = Message::TerminateBatch {
-            commits: vec![TxnId(1)],
-            aborts: vec![],
-        };
-        let op = OpSpec::query("d", Query::parse("/a/b/c").unwrap());
-        let exec = Message::ExecRemote {
-            txn: TxnId(1),
-            coordinator: SiteId(0),
-            op_seq: 0,
-            op,
-            corr: 1,
-            update_txn: false,
-            doc_version: 1,
-            fragment: false,
-        };
-        assert!(exec.wire_size() > small.wire_size());
-
-        let mut g = WaitForGraph::new();
-        for i in 0..10 {
-            g.add_edge(TxnId(i), TxnId(i + 1));
-        }
-        let reply = Message::WfgReply {
-            site: SiteId(0),
-            round: 1,
-            graph: g,
-        };
-        assert!(reply.wire_size() >= 32 + 160);
-    }
 }

@@ -5,7 +5,9 @@
 //! header) lives in [`dtx_net::wire`]; this module assigns every
 //! [`Message`] variant its wire **tag** (see [`MESSAGE_TAGS`]) and
 //! serializes each variant's fields in declaration order, per the
-//! normative spec in `WIRE.md` §4–5. The serde shims in
+//! normative spec in `WIRE.md` §4–5. The codec also defines a message's
+//! size: a `Message`'s [`Wire::wire_size`] is its frame length, so the
+//! simulated network charges the bytes a socket carries. The serde shims in
 //! `crates/compat` are no-op markers and no serialization registry is
 //! reachable, so these codecs are written by hand — like
 //! `DataGuide::to_wire`, but length-prefixed binary instead of
@@ -35,13 +37,13 @@ use crate::msg::{Decision, Message};
 use crate::op::{AbortReason, OpKind, OpResult, OpSpec, TxnSpec, TxnStatus};
 use dtx_locks::{TxnId, WaitForGraph};
 use dtx_net::wire::{WireCodec, WireError, WireReader, WireWriter};
-use dtx_net::SiteId;
+use dtx_net::{SiteId, Wire};
 use dtx_xml::document::{Fragment, InsertPos};
 use dtx_xpath::{Query, UpdateOp};
 
 /// Every [`Message`] variant's wire tag, in tag order — the first body
-/// byte of a `Msg` frame. Names equal [`dtx_net::Wire::wire_label`]
-/// strings; values are frozen by `WIRE.md` §4 (new variants append, old
+/// byte of a `Msg` frame. [`Wire::wire_label`] reads its names from
+/// here; values are frozen by `WIRE.md` §4 (new variants append, old
 /// tags are never reused — see the compat policy in `WIRE.md` §6).
 pub const MESSAGE_TAGS: [(&str, u8); 16] = [
     ("ExecRemote", 0),
@@ -110,7 +112,7 @@ fn read_usize(r: &mut WireReader<'_>) -> Result<usize, WireError> {
 /// parser bounds predicate nesting, so a hostile query is an error, not
 /// a recursion off the decoding thread's stack.
 fn put_query(w: &mut WireWriter, q: &Query) {
-    w.put_str(&q.to_string());
+    w.put_display(q);
 }
 
 fn read_query(r: &mut WireReader<'_>) -> Result<Query, WireError> {
@@ -349,8 +351,45 @@ fn read_decision(r: &mut WireReader<'_>) -> Result<Decision, WireError> {
     }
 }
 
+impl Message {
+    /// The variant's wire tag: its index in [`MESSAGE_TAGS`].
+    fn tag(&self) -> u8 {
+        match self {
+            Message::ExecRemote { .. } => 0,
+            Message::RemoteDone { .. } => 1,
+            Message::UndoOp { .. } => 2,
+            Message::TerminateBatch { .. } => 3,
+            Message::TerminateBatchAck { .. } => 4,
+            Message::Fail { .. } => 5,
+            Message::WfgRequest { .. } => 6,
+            Message::WfgReply { .. } => 7,
+            Message::AbortVictim { .. } => 8,
+            Message::Wake { .. } => 9,
+            Message::ClearWaits { .. } => 10,
+            Message::Prepare { .. } => 11,
+            Message::PrepareAck { .. } => 12,
+            Message::DecisionRequest { .. } => 13,
+            Message::DecisionReply { .. } => 14,
+            Message::InDoubtQuery { .. } => 15,
+        }
+    }
+}
+
+/// A message's size is its frame: the simulated network charges the
+/// bytes a socket would carry.
+impl Wire for Message {
+    fn wire_label(&self) -> &'static str {
+        MESSAGE_TAGS[usize::from(self.tag())].0
+    }
+
+    fn wire_size(&self) -> usize {
+        self.frame_len()
+    }
+}
+
 impl WireCodec for Message {
     fn encode_body(&self, w: &mut WireWriter) {
+        w.put_u8(self.tag());
         match self {
             Message::ExecRemote {
                 txn,
@@ -362,7 +401,6 @@ impl WireCodec for Message {
                 doc_version,
                 fragment,
             } => {
-                w.put_u8(0);
                 put_txn(w, *txn);
                 put_site(w, *coordinator);
                 put_usize(w, *op_seq);
@@ -384,7 +422,6 @@ impl WireCodec for Message {
                 stale,
                 result,
             } => {
-                w.put_u8(1);
                 put_txn(w, *txn);
                 put_usize(w, *op_seq);
                 w.put_varint(*corr);
@@ -403,12 +440,10 @@ impl WireCodec for Message {
                 }
             }
             Message::UndoOp { txn, op_seq } => {
-                w.put_u8(2);
                 put_txn(w, *txn);
                 put_usize(w, *op_seq);
             }
             Message::TerminateBatch { commits, aborts } => {
-                w.put_u8(3);
                 w.put_seq(commits, |w, &t| put_txn(w, t));
                 w.put_seq(aborts, |w, &t| put_txn(w, t));
             }
@@ -417,36 +452,29 @@ impl WireCodec for Message {
                 commits,
                 aborts,
             } => {
-                w.put_u8(4);
                 put_site(w, *site);
                 w.put_seq(commits, put_ack);
                 w.put_seq(aborts, put_ack);
             }
             Message::Fail { txn } => {
-                w.put_u8(5);
                 put_txn(w, *txn);
             }
             Message::WfgRequest { from, round } => {
-                w.put_u8(6);
                 put_site(w, *from);
                 w.put_varint(*round);
             }
             Message::WfgReply { site, round, graph } => {
-                w.put_u8(7);
                 put_site(w, *site);
                 w.put_varint(*round);
                 put_wfg(w, graph);
             }
             Message::AbortVictim { txn } => {
-                w.put_u8(8);
                 put_txn(w, *txn);
             }
             Message::Wake { txn } => {
-                w.put_u8(9);
                 put_txn(w, *txn);
             }
             Message::ClearWaits { txn } => {
-                w.put_u8(10);
                 put_txn(w, *txn);
             }
             Message::Prepare {
@@ -454,7 +482,6 @@ impl WireCodec for Message {
                 corr,
                 participants,
             } => {
-                w.put_u8(11);
                 put_txn(w, *txn);
                 w.put_varint(*corr);
                 w.put_seq(participants, |w, &s| put_site(w, s));
@@ -465,24 +492,20 @@ impl WireCodec for Message {
                 site,
                 ok,
             } => {
-                w.put_u8(12);
                 put_txn(w, *txn);
                 w.put_varint(*corr);
                 put_site(w, *site);
                 w.put_bool(*ok);
             }
             Message::DecisionRequest { txn, from } => {
-                w.put_u8(13);
                 put_txn(w, *txn);
                 put_site(w, *from);
             }
             Message::DecisionReply { txn, decision } => {
-                w.put_u8(14);
                 put_txn(w, *txn);
                 put_decision(w, *decision);
             }
             Message::InDoubtQuery { txn, from } => {
-                w.put_u8(15);
                 put_txn(w, *txn);
                 put_site(w, *from);
             }
@@ -763,27 +786,32 @@ pub const CTRL_TAGS: [(&str, u8); 11] = [
 impl CtrlMsg {
     /// The variant's name in [`CTRL_TAGS`] (and `WIRE.md` §5).
     pub fn label(&self) -> &'static str {
+        CTRL_TAGS[usize::from(self.tag())].0
+    }
+
+    /// The variant's wire tag: its index in [`CTRL_TAGS`].
+    fn tag(&self) -> u8 {
         match self {
-            CtrlMsg::Peers { .. } => "Peers",
-            CtrlMsg::Ready { .. } => "Ready",
-            CtrlMsg::Register { .. } => "Register",
-            CtrlMsg::LoadDoc { .. } => "LoadDoc",
-            CtrlMsg::Ack { .. } => "Ack",
-            CtrlMsg::Submit { .. } => "Submit",
-            CtrlMsg::Outcome { .. } => "Outcome",
-            CtrlMsg::Gossip { .. } => "Gossip",
-            CtrlMsg::StatsRequest { .. } => "StatsRequest",
-            CtrlMsg::StatsReply { .. } => "StatsReply",
-            CtrlMsg::Shutdown => "Shutdown",
+            CtrlMsg::Peers { .. } => 0,
+            CtrlMsg::Ready { .. } => 1,
+            CtrlMsg::Register { .. } => 2,
+            CtrlMsg::LoadDoc { .. } => 3,
+            CtrlMsg::Ack { .. } => 4,
+            CtrlMsg::Submit { .. } => 5,
+            CtrlMsg::Outcome { .. } => 6,
+            CtrlMsg::Gossip { .. } => 7,
+            CtrlMsg::StatsRequest { .. } => 8,
+            CtrlMsg::StatsReply { .. } => 9,
+            CtrlMsg::Shutdown => 10,
         }
     }
 }
 
 impl WireCodec for CtrlMsg {
     fn encode_body(&self, w: &mut WireWriter) {
+        w.put_u8(self.tag());
         match self {
             CtrlMsg::Peers { total_sites, peers } => {
-                w.put_u8(0);
                 w.put_varint(*total_sites as u64);
                 w.put_seq(peers, |w, (site, addr)| {
                     put_site(w, *site);
@@ -791,7 +819,6 @@ impl WireCodec for CtrlMsg {
                 });
             }
             CtrlMsg::Ready { node } => {
-                w.put_u8(1);
                 put_site(w, *node);
             }
             CtrlMsg::Register {
@@ -800,26 +827,22 @@ impl WireCodec for CtrlMsg {
                 sites,
                 fragmented,
             } => {
-                w.put_u8(2);
                 w.put_varint(*corr);
                 w.put_str(doc);
                 w.put_seq(sites, |w, &s| put_site(w, s));
                 w.put_bool(*fragmented);
             }
             CtrlMsg::LoadDoc { corr, doc, xml } => {
-                w.put_u8(3);
                 w.put_varint(*corr);
                 w.put_str(doc);
                 w.put_str(xml);
             }
             CtrlMsg::Ack { corr, ok, detail } => {
-                w.put_u8(4);
                 w.put_varint(*corr);
                 w.put_bool(*ok);
                 w.put_str(detail);
             }
             CtrlMsg::Submit { corr, spec } => {
-                w.put_u8(5);
                 w.put_varint(*corr);
                 w.put_seq(&spec.ops, put_op_spec);
             }
@@ -830,7 +853,6 @@ impl WireCodec for CtrlMsg {
                 response_us,
                 results,
             } => {
-                w.put_u8(6);
                 w.put_varint(*corr);
                 put_txn(w, *txn);
                 put_status(w, status);
@@ -838,11 +860,9 @@ impl WireCodec for CtrlMsg {
                 w.put_seq(results, put_op_result);
             }
             CtrlMsg::Gossip { deltas } => {
-                w.put_u8(7);
                 w.put_seq(deltas, put_delta);
             }
             CtrlMsg::StatsRequest { corr } => {
-                w.put_u8(8);
                 w.put_varint(*corr);
             }
             CtrlMsg::StatsReply {
@@ -852,14 +872,13 @@ impl WireCodec for CtrlMsg {
                 frames_out,
                 frames_in,
             } => {
-                w.put_u8(9);
                 w.put_varint(*corr);
                 w.put_varint(*bytes_out);
                 w.put_varint(*bytes_in);
                 w.put_varint(*frames_out);
                 w.put_varint(*frames_in);
             }
-            CtrlMsg::Shutdown => w.put_u8(10),
+            CtrlMsg::Shutdown => {}
         }
     }
 
@@ -929,7 +948,6 @@ impl WireCodec for CtrlMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtx_net::Wire;
 
     /// One sample of every `Message` variant, in tag order, with every
     /// field populated non-trivially.
@@ -1062,10 +1080,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_64kib_exec_remote_round_trips() {
-        let blob = "x".repeat(64 * 1024);
-        let m = Message::ExecRemote {
+    /// An `ExecRemote` inserting a 64 KiB text fragment.
+    fn exec_remote_64kib() -> Message {
+        Message::ExecRemote {
             txn: TxnId(7),
             coordinator: SiteId(0),
             op_seq: 0,
@@ -1073,7 +1090,7 @@ mod tests {
                 "xmark",
                 UpdateOp::Insert {
                     target: Query::parse("/site/regions").unwrap(),
-                    fragment: Fragment::elem_text("blob", blob),
+                    fragment: Fragment::elem_text("blob", "x".repeat(64 * 1024)),
                     pos: InsertPos::Into,
                 },
             ),
@@ -1081,7 +1098,71 @@ mod tests {
             update_txn: true,
             doc_version: 1,
             fragment: false,
+        }
+    }
+
+    #[test]
+    fn a_message_is_charged_its_frame_length() {
+        let mut samples = sample_messages();
+        samples.push(exec_remote_64kib());
+        for m in &samples {
+            assert_eq!(
+                m.wire_size(),
+                dtx_net::wire::HEADER_LEN + m.encode().len(),
+                "{}",
+                m.wire_label()
+            );
+        }
+    }
+
+    /// The simulated network counts, message for message, the bytes a
+    /// socket writes for the same traffic.
+    #[test]
+    fn the_simulation_charges_the_bytes_a_socket_carries() {
+        use dtx_net::socket::{SocketConfig, SocketTransport};
+        use dtx_net::{LatencyModel, Network};
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+
+        let net: Network<Message> = Network::new(LatencyModel::zero());
+        let _a = net.register(SiteId(0));
+        let b_sim = net.register(SiteId(1));
+        let bind = |site| {
+            SocketTransport::<Message>::bind(&[site], "127.0.0.1:0", SocketConfig::default())
+                .expect("bind")
         };
+        let (a, b) = (bind(SiteId(0)), bind(SiteId(1)));
+        let (tx, rx) = mpsc::channel();
+        b.set_msg_handler(Some(Arc::new(move |env| {
+            let _ = tx.send(env);
+        })));
+        a.connect(&b.local_addr().to_string(), &[SiteId(1)])
+            .expect("connect");
+        // Written before `connect` returns; the handshake has no
+        // simulated counterpart.
+        let hello = a.stats().bytes_out();
+
+        let mut samples = sample_messages();
+        samples.push(exec_remote_64kib());
+        let n = samples.len();
+        for m in samples {
+            a.send_msg(SiteId(0), SiteId(1), &m).expect("socket send");
+            net.send(SiteId(0), SiteId(1), m).expect("simulated send");
+        }
+        for _ in 0..n {
+            let env = rx.recv_timeout(Duration::from_secs(5)).expect("decoded");
+            let sim = b_sim.try_recv().expect("delivered synchronously");
+            assert_eq!(env.payload.encode(), sim.payload.encode());
+        }
+        assert_eq!(net.stats().bytes(), a.stats().bytes_out() - hello);
+        a.shutdown();
+        b.shutdown();
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_64kib_exec_remote_round_trips() {
+        let m = exec_remote_64kib();
         let bytes = m.encode();
         assert!(bytes.len() > 64 * 1024, "payload dominates the encoding");
         let decoded = Message::decode(&bytes).expect("decodes");

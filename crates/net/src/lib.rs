@@ -49,7 +49,8 @@
 //! on every host, and no message is delivered before its instant.
 //!
 //! The transport is generic over the payload type `M`; `dtx-core` provides
-//! its `Message` enum and implements [`Wire`] to give payloads a size.
+//! its `Message` enum and implements [`Wire`] to give payloads a size:
+//! the length of the frame its codec writes.
 
 #![deny(missing_docs)]
 
@@ -80,12 +81,13 @@ impl fmt::Display for SiteId {
     }
 }
 
-/// Payloads must report an approximate wire size for the latency model.
+/// A payload of the simulated network, which charges each message its
+/// size in the latency model and in [`NetStats::bytes`].
 pub trait Wire: Send + 'static {
-    /// Approximate serialized size in bytes (default: one small frame).
-    fn wire_size(&self) -> usize {
-        128
-    }
+    /// Size in bytes. For a payload with a [`wire::WireCodec`], this is
+    /// [`wire::WireCodec::frame_len`]: the frame a [`socket::SocketTransport`]
+    /// writes, header included.
+    fn wire_size(&self) -> usize;
 
     /// Short static label naming the payload kind, stamped on trace
     /// events so a captured timeline can tell a `Prepare` from a
@@ -95,12 +97,13 @@ pub trait Wire: Send + 'static {
     }
 }
 
-/// Latency model: `fixed + per_kib * size + U(0, jitter)`.
+/// Latency model: `fixed + per_kib * size_kib + U(0, jitter)`, where
+/// `size_kib` counts the whole KiB in the message's [`Wire::wire_size`].
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyModel {
     /// Propagation + protocol-stack cost per message.
     pub fixed: Duration,
-    /// Serialization cost per KiB (bandwidth).
+    /// Serialization cost per whole KiB of frame (bandwidth).
     pub per_kib: Duration,
     /// Upper bound of uniform jitter added per message.
     pub jitter: Duration,
@@ -232,7 +235,7 @@ impl NetStats {
         self.messages.load(Ordering::Relaxed)
     }
 
-    /// Payload bytes sent so far (per [`Wire::wire_size`]).
+    /// Bytes sent so far, each message counted at its [`Wire::wire_size`].
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }

@@ -81,10 +81,10 @@ pub const DRIVER_SITE: SiteId = SiteId(u16::MAX);
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SocketConfig {}
 
-/// Real bytes-on-wire counters (what `BENCH_wire.json` reports). Unlike
-/// [`crate::NetStats`], which counts *approximate* payload sizes from
-/// [`crate::Wire::wire_size`], these count the actual framed bytes
-/// written to and read from sockets.
+/// Real bytes-on-wire counters (what `BENCH_wire.json` reports): the
+/// framed bytes written to and read from sockets, `Hello` handshakes and
+/// control frames included. A `Msg` frame counts the same bytes
+/// [`crate::NetStats`] charges its message in the simulation.
 #[derive(Debug, Default)]
 pub struct WireStats {
     frames_out: AtomicU64,

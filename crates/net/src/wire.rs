@@ -25,7 +25,9 @@
 //!   must error, never panic).
 
 use crate::SiteId;
+use std::cell::RefCell;
 use std::fmt;
+use std::io::Write;
 
 /// First two bytes of every frame: `0xD7 'X'` ("DTX"). A connection that
 /// opens with anything else is not speaking DTX and is dropped
@@ -45,6 +47,10 @@ pub const HEADER_LEN: usize = 12;
 /// (documents stream in chunks well below this), so a length field this
 /// large means corruption — fail fast instead of allocating gigabytes.
 pub const MAX_BODY_LEN: usize = 64 << 20;
+
+/// Capacity [`WireCodec::frame_len`]'s scratch buffer keeps between
+/// calls.
+const SCRATCH_KEEP: usize = 64 << 10;
 
 /// What a frame carries (header byte 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,6 +201,19 @@ impl WireWriter {
         self.put_bytes(s.as_bytes());
     }
 
+    /// `x`'s `Display` text as a length-prefixed string, the bytes
+    /// `put_str(&x.to_string())` writes, formatted straight into the
+    /// buffer: the length is known only afterwards, so its varint is
+    /// appended and rotated in front of the text.
+    pub fn put_display(&mut self, x: &impl fmt::Display) {
+        let start = self.buf.len();
+        write!(self.buf, "{x}").expect("writing to a Vec never fails");
+        let text = self.buf.len() - start;
+        self.put_varint(text as u64);
+        let prefix = self.buf.len() - start - text;
+        self.buf[start..].rotate_right(prefix);
+    }
+
     /// A sequence: varint item count, then each item through `put`.
     /// Read back with [`WireReader::seq`].
     pub fn put_seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
@@ -341,6 +360,25 @@ pub trait WireCodec: Sized {
         let mut w = WireWriter::new();
         self.encode_body(&mut w);
         w.finish()
+    }
+
+    /// The length of this value's frame: [`HEADER_LEN`] plus the body
+    /// [`WireCodec::encode_body`] writes. The body is encoded into a
+    /// per-thread scratch buffer, which keeps up to 64 KiB between
+    /// calls, so sizing a value allocates no buffer of its own.
+    fn frame_len(&self) -> usize {
+        thread_local! {
+            static SCRATCH: RefCell<WireWriter> = RefCell::default();
+        }
+        SCRATCH.with(|w| {
+            let mut w = w.borrow_mut();
+            w.buf.clear();
+            self.encode_body(&mut w);
+            let len = HEADER_LEN + w.len();
+            // A rare huge body does not pin its buffer to the thread.
+            w.buf.shrink_to(SCRATCH_KEEP);
+            len
+        })
     }
 
     /// Decodes from a complete buffer; trailing bytes are an error.
@@ -504,6 +542,20 @@ mod tests {
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn put_display_writes_the_bytes_of_put_str() {
+        // Prefixes of one, two and three varint bytes.
+        for n in [0, 5, 127, 128, 300, 16_383, 16_384] {
+            let text = "é".repeat(n / 2) + &"x".repeat(n % 2);
+            let (mut shown, mut copied) = (WireWriter::new(), WireWriter::new());
+            shown.put_u8(9);
+            shown.put_display(&text);
+            copied.put_u8(9);
+            copied.put_str(&text);
+            assert_eq!(shown.finish(), copied.finish(), "{n}-byte text");
+        }
     }
 
     #[test]

@@ -111,17 +111,6 @@ impl Fragment {
             Fragment::Text { .. } => None,
         }
     }
-
-    /// Approximate serialized size in bytes, used by the storage cost model.
-    pub fn byte_size(&self) -> usize {
-        match self {
-            Fragment::Element { label, children } => {
-                2 * label.len() + 5 + children.iter().map(Fragment::byte_size).sum::<usize>()
-            }
-            Fragment::Attribute { label, value } => label.len() + value.len() + 4,
-            Fragment::Text { value } => value.len(),
-        }
-    }
 }
 
 /// Undo record for a removal: the detached subtree plus its position, so an
@@ -1343,7 +1332,6 @@ mod tests {
         );
         // product + id + "13" + cur = 4
         assert_eq!(f.node_count(), 4);
-        assert!(f.byte_size() > 0);
         assert_eq!(f.label(), Some("product"));
         assert_eq!(Fragment::text("x").label(), None);
     }

@@ -2,12 +2,15 @@
 //! and serializability evidence under concurrent mixed workloads.
 
 use dtx::core::{Cluster, ClusterConfig, OpSpec, ProtocolKind, SiteId, TxnSpec};
+use dtx::net::LatencyModel;
+use dtx::trace::EventKind;
 use dtx::xmark::fragment::{allocate, fragment_doc, load_allocation, ReplicationMode, LOGICAL_DOC};
 use dtx::xmark::generator::{generate, XmarkConfig};
 use dtx::xmark::tester::run_workload;
 use dtx::xmark::workload::{generate as gen_workload, WorkloadConfig};
 use dtx::xml::{Fragment, InsertPos};
 use dtx::xpath::{Query, UpdateOp};
+use std::time::Duration;
 
 fn person_count(cluster: &Cluster, site: SiteId, doc: &str) -> usize {
     let out = cluster.submit(
@@ -289,6 +292,75 @@ fn readers_only_ever_see_values_written_by_committed_transactions() {
         }
     }
     cluster.shutdown();
+}
+
+#[test]
+fn a_read_only_transaction_never_waits_for_a_writer_under_node2pl() {
+    // Every message takes FIXED. The writer, coordinated at site 0,
+    // changes /r/a in both fragments three times, so it holds X on /r/a at
+    // site 1 from about 1 FIXED and at both sites until at least 8 FIXED
+    // (three operation round trips, then the vote). A reader submitted at
+    // site 1 at 1.5 FIXED reads /r/a at both sites and needs 2 FIXED.
+    const FIXED: Duration = Duration::from_millis(25);
+    let mut config = ClusterConfig::new(2, ProtocolKind::Node2Pl).with_tracing();
+    config.latency = LatencyModel {
+        fixed: FIXED,
+        per_kib: Duration::ZERO,
+        jitter: Duration::ZERO,
+        seed: 1,
+    };
+    let cluster = Cluster::start(config);
+    cluster
+        .load_fragments(
+            "d",
+            &[
+                (SiteId(0), "<r><a>1</a></r>".into()),
+                (SiteId(1), "<r><a>2</a></r>".into()),
+            ],
+        )
+        .unwrap();
+    let change = |v: &str| {
+        OpSpec::update(
+            "d",
+            UpdateOp::Change {
+                target: Query::parse("/r/a").unwrap(),
+                new_value: v.into(),
+            },
+        )
+    };
+    let writer = cluster.submit_async(
+        SiteId(0),
+        TxnSpec::new(vec![change("7"), change("8"), change("9")]),
+    );
+    std::thread::sleep(FIXED * 3 / 2);
+    let read = OpSpec::query("d", Query::parse("/r/a").unwrap());
+    let reader = cluster
+        .submit_async(SiteId(1), TxnSpec::new(vec![read]))
+        .recv()
+        .unwrap();
+    let writer_ended_first = writer.try_recv().is_ok();
+    let tracer = cluster.tracer().expect("tracing armed");
+    cluster.shutdown();
+
+    assert!(reader.committed(), "{:?}", reader.status);
+    assert!(!writer_ended_first, "the reader committed after the writer");
+    let dtx::core::OpResult::Query { values } = &reader.results[0] else {
+        panic!("{:?}", reader.results[0]);
+    };
+    let mut values = values.clone();
+    values.sort();
+    assert_eq!(values, ["1", "2"], "the reader saw the committed state");
+    let trace = tracer.collect();
+    let reader_locks = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::LockGrant { txn, .. } if txn == reader.txn.0));
+    assert_eq!(reader_locks.count(), 0, "the reader took no lock");
+    let waits = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::LockWait { .. }));
+    assert_eq!(waits.count(), 0, "no wait edge was recorded");
 }
 
 #[test]
