@@ -6,12 +6,13 @@
 //! control frame arrives.
 //!
 //! ```text
-//! dtx-site --host 0 --total 4 [--listen 127.0.0.1:0] [--seed N] [--gossip-ms 200]
+//! dtx-site --host 0 --total 4 [--listen 127.0.0.1:0] [--seed N]
 //! ```
 //!
 //! `--host` takes a comma-separated site list, so one process can host
 //! several sites (the two-process demo in `README.md` runs `--host 0,1`
-//! and `--host 2,3`).
+//! and `--host 2,3`). The process knows only the placements the driver
+//! registers with it; nodes do not exchange catalogs.
 
 use dtx_core::{SiteHost, SiteHostConfig, SiteId};
 use std::time::Duration;
@@ -19,7 +20,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: dtx-site --host <site[,site...]> --total <n> \
-         [--listen <addr>] [--seed <n>] [--gossip-ms <ms>]"
+         [--listen <addr>] [--seed <n>]"
     );
     std::process::exit(2);
 }
@@ -29,10 +30,6 @@ fn main() {
     let mut total: u16 = 0;
     let mut listen = "127.0.0.1:0".to_string();
     let mut seed: u64 = 0xD7C5;
-    // First gossip well after the driver's registration wave: the wave
-    // mints identical placement versions on every node, so gossip only
-    // needs to catch true divergence, not race the driver.
-    let mut gossip_ms: u64 = 200;
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -48,7 +45,6 @@ fn main() {
             "--total" => total = val().parse().unwrap_or_else(|_| usage()),
             "--listen" => listen = val(),
             "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
-            "--gossip-ms" => gossip_ms = val().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
     }
@@ -59,7 +55,6 @@ fn main() {
     let mut config = SiteHostConfig::new(&hosted, total);
     config.listen = listen;
     config.seed = seed;
-    config.gossip_every = Duration::from_millis(gossip_ms.max(1));
     let host = match SiteHost::start(config) {
         Ok(h) => h,
         Err(e) => {

@@ -130,17 +130,26 @@ pub fn site_binary() -> Result<PathBuf, String> {
     ))
 }
 
-/// One spawned site process.
+/// One spawned site process. Dropping it kills and reaps the child: a
+/// `dtx-site` that never got `Shutdown` (a later spawn failed, or the
+/// drive failed or panicked) would otherwise serve forever.
 struct SiteProc {
     site: SiteId,
     addr: String,
     child: Child,
 }
 
+impl Drop for SiteProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Spawns `dtx-site` hosting `site`, reading its advertised listen
 /// address off stdout.
 fn spawn_site(bin: &PathBuf, site: SiteId, total: u16, seed: u64) -> Result<SiteProc, String> {
-    let mut child = Command::new(bin)
+    let child = Command::new(bin)
         .args([
             "--host".into(),
             site.0.to_string(),
@@ -152,23 +161,29 @@ fn spawn_site(bin: &PathBuf, site: SiteId, total: u16, seed: u64) -> Result<Site
         .stdout(Stdio::piped())
         .spawn()
         .map_err(|e| format!("spawn {}: {e}", bin.display()))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
+    // Owned from here on, so every early return below reaps the child.
+    let mut proc = SiteProc {
+        site,
+        addr: String::new(),
+        child,
+    };
+    let stdout = proc.child.stdout.take().ok_or("no child stdout")?;
     let mut lines = std::io::BufReader::new(stdout).lines();
     let line = lines
         .next()
         .ok_or("dtx-site exited before advertising its address")?
         .map_err(|e| format!("read dtx-site stdout: {e}"))?;
-    let addr = line
+    proc.addr = line
         .strip_prefix("DTX-SITE LISTENING ")
         .ok_or_else(|| format!("unexpected dtx-site banner: {line:?}"))?
         .to_string();
     // Keep draining the pipe so the child never blocks on a full one.
     std::thread::spawn(move || for _ in lines.map_while(Result::ok) {});
-    Ok(SiteProc { site, addr, child })
+    Ok(proc)
 }
 
-/// Waits for one control reply matching `want`, ignoring gossip and
-/// unrelated traffic.
+/// Waits for one control reply matching `want`, ignoring replies to
+/// other requests.
 fn await_reply<T>(
     client: &CtrlClient,
     mut want: impl FnMut(CtrlMsg) -> Option<T>,
@@ -196,29 +211,14 @@ pub fn run_process_cluster(env: WireEnv) -> Result<WireRun, String> {
     for i in 0..total {
         procs.push(spawn_site(&bin, SiteId(i), total, env.seed)?);
     }
-    let result = drive(&procs, env);
-    // Always reap the children, even on a failed drive.
-    for p in &mut procs {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match p.child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(20))
-                }
-                _ => {
-                    let _ = p.child.kill();
-                    let _ = p.child.wait();
-                    break;
-                }
-            }
-        }
-    }
-    result
+    // Returning, or unwinding from a panic, drops `procs`, which kills
+    // and reaps every site; nothing reads their exit status.
+    drive(&procs, env)
 }
 
-/// The driver proper, separated so the caller can reap children on any
-/// error path.
+/// The driver proper: meshes the spawned sites, loads and registers the
+/// base, runs the workload, collects the sites' wire counters and tells
+/// every site to shut down.
 fn drive(procs: &[SiteProc], env: WireEnv) -> Result<WireRun, String> {
     let total = env.sites;
     let client = CtrlClient::bind()?;
@@ -505,6 +505,32 @@ mod tests {
             b.mean_bytes > 10.0 && b.mean_bytes < 512.0,
             "mean body {} bytes",
             b.mean_bytes
+        );
+    }
+
+    #[test]
+    fn dropping_a_site_process_kills_and_reaps_it() {
+        // A child that would outlive the test by far, like a `dtx-site`
+        // waiting for a `Shutdown` that never comes.
+        let child = Command::new("sleep")
+            .arg("30")
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn sleep");
+        let mut proc = SiteProc {
+            site: SiteId(0),
+            addr: String::new(),
+            child,
+        };
+        let mut stdout = proc.child.stdout.take().expect("piped stdout");
+        let started = Instant::now();
+        drop(proc);
+        // The pipe reaches EOF only once the child is gone.
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut stdout, &mut rest).expect("read to EOF");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the child outlived its SiteProc"
         );
     }
 

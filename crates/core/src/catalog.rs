@@ -23,7 +23,6 @@
 //! catalog-global epoch used to, safely but wastefully, under placement
 //! churn).
 
-use crate::gossip::CatalogDelta;
 use crate::op::OpSpec;
 use crate::routing::{PlacementPolicy, PolicyKind, ReadChoice, RoutingCtx, RoutingPlan};
 use dtx_net::SiteId;
@@ -191,57 +190,6 @@ impl Catalog {
         entry.sites.retain(|&s| s != site);
         entry.version = self.bump_epoch();
         Ok(())
-    }
-
-    /// Exports every document's placement as a [`CatalogDelta`] stamped
-    /// `origin` — the payload one anti-entropy gossip round ships to a
-    /// peer process (see [`crate::gossip`]).
-    pub fn export_deltas(&self, origin: SiteId) -> Vec<CatalogDelta> {
-        self.map
-            .read()
-            .iter()
-            .map(|(doc, e)| CatalogDelta {
-                doc: doc.clone(),
-                version: e.version,
-                sites: e.sites.clone(),
-                fragmented: e.fragmented,
-                origin,
-            })
-            .collect()
-    }
-
-    /// Merges one gossiped delta by **dominance**: installed iff its
-    /// version is strictly greater than the local version of the same
-    /// document (0 when unknown), else ignored. Returns whether it was
-    /// installed. Installation adopts the delta's version verbatim (no
-    /// re-mint — every catalog must converge to identical versions) and
-    /// ratchets the epoch to at least that version, so later local
-    /// mutations always dominate everything already seen. A local
-    /// replica-copy fence survives the merge: the fence is a transient
-    /// local execution gate, not placement data.
-    pub fn apply_delta(&self, delta: &CatalogDelta) -> bool {
-        let mut map = self.map.write();
-        let (dominates, fenced) = match map.get(&delta.doc) {
-            None => (delta.version > 0, false),
-            Some(e) => (delta.version > e.version, e.fenced),
-        };
-        if !dominates {
-            return false;
-        }
-        let mut sites = delta.sites.clone();
-        sites.sort();
-        sites.dedup();
-        map.insert(
-            delta.doc.clone(),
-            Entry {
-                sites,
-                fragmented: delta.fragmented,
-                version: delta.version,
-                fenced,
-            },
-        );
-        self.epoch.fetch_max(delta.version, Ordering::SeqCst);
-        true
     }
 
     /// Routes one operation: the single placement entry point the

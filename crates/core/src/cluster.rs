@@ -14,7 +14,9 @@ use crate::metrics::Metrics;
 use crate::msg::Message;
 use crate::op::{TxnOutcome, TxnSpec, TxnStatus};
 use crate::routing::PolicyKind;
-use crate::scheduler::{Control, CrashPoint, DocShipment, FaultHooks, SchedulerConfig};
+use crate::scheduler::{
+    Control, CrashPoint, DocShipment, FaultHooks, OutcomeReply, SchedulerConfig,
+};
 use crate::site::{boot_site, SiteEnv};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dtx_dataguide::DataGuide;
@@ -157,9 +159,20 @@ impl DtxInstance {
     /// Submits a transaction, returning the outcome channel immediately.
     /// When the scheduler is gone the channel is already disconnected.
     pub fn submit_async(&self, spec: TxnSpec) -> Receiver<TxnOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.post(Control::Submit { spec, reply });
+        let (tx, rx) = bounded(1);
+        self.submit_with(
+            spec,
+            Box::new(move |outcome| {
+                let _ = tx.send(outcome);
+            }),
+        );
         rx
+    }
+
+    /// Submits a transaction whose outcome goes to `reply`. When the
+    /// scheduler is gone, `reply` is dropped uncalled.
+    pub(crate) fn submit_with(&self, spec: TxnSpec, reply: OutcomeReply) {
+        let _ = self.post(Control::Submit { spec, reply });
     }
 
     /// Submits a transaction and blocks for its outcome: a scheduler that

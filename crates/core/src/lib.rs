@@ -31,7 +31,6 @@
 
 pub mod catalog;
 pub mod cluster;
-pub mod gossip;
 pub mod lockmgr;
 pub mod metrics;
 pub mod msg;
@@ -46,7 +45,6 @@ pub use catalog::Catalog;
 pub use cluster::{Cluster, ClusterConfig, DtxInstance, RecoveryReport};
 pub use dtx_locks::{ProtocolKind, TxnId};
 pub use dtx_net::SiteId;
-pub use gossip::CatalogDelta;
 pub use lockmgr::{LockManager, OpCostModel, ProcessResult};
 pub use metrics::{Metrics, PhaseTimes, Summary, TxnRecord};
 pub use msg::Message;
@@ -54,6 +52,7 @@ pub use op::{AbortReason, OpKind, OpResult, OpSpec, TxnOutcome, TxnSpec, TxnStat
 pub use process::{CtrlClient, SiteHost, SiteHostConfig};
 pub use routing::{PlacementPolicy, PolicyKind, ReadChoice, RoutingCtx, RoutingPlan};
 pub use scheduler::{
-    Control, CrashPoint, DocShipment, FaultHooks, RecoveredState, Scheduler, SchedulerConfig,
+    Control, CrashPoint, DocShipment, FaultHooks, OutcomeReply, RecoveredState, Scheduler,
+    SchedulerConfig,
 };
 pub use wire::{CtrlMsg, CTRL_TAGS, MESSAGE_TAGS};

@@ -29,33 +29,36 @@
 //!   so ids are globally unique with zero coordination (and deadlock
 //!   victim selection, which compares ids, stays total across
 //!   processes).
-//! * **Catalogs** converge by gossip ([`crate::gossip`]): every node
-//!   applies the driver's identical `Register` sequence (minting
-//!   identical placement versions), and an anti-entropy loop exchanges
-//!   [`crate::CatalogDelta`]s so later placement changes propagate
-//!   without a coordinator.
+//! * **Placement** is whatever the driver registers at each node: the
+//!   driver sends the same `Register` sequence to every node, so every
+//!   catalog mints the same placement versions. Nodes never exchange
+//!   catalogs; a node the driver skipped does not know the document,
+//!   and a transaction submitted there aborts with
+//!   [`crate::AbortReason::OperationFailed`].
+//!
+//! A host runs one thread of its own, the control thread. A submission's
+//! outcome travels back on the scheduler's thread: the reply handed to
+//! [`crate::Control::Submit`] writes the `Outcome` frame itself.
 
 use crate::catalog::Catalog;
 use crate::cluster::{scheduler_down, DtxInstance};
-use crate::gossip::merge_deltas;
 use crate::lockmgr::OpCostModel;
 use crate::metrics::Metrics;
 use crate::msg::Message;
-use crate::op::TxnStatus;
+use crate::op::{TxnOutcome, TxnStatus};
 use crate::routing::PolicyKind;
 use crate::scheduler::{FaultHooks, SchedulerConfig};
 use crate::site::{boot_site, SiteEnv};
 use crate::wire::CtrlMsg;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use dtx_locks::txn::TxnIdGen;
-use dtx_locks::{ProtocolKind, TxnId};
+use dtx_locks::ProtocolKind;
 use dtx_net::socket::{SocketConfig, SocketTransport, DRIVER_SITE};
 use dtx_net::wire::{FrameHeader, WireCodec};
 use dtx_net::{LatencyModel, Network, SiteId};
 use dtx_storage::{CostModel, Wal};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -82,8 +85,6 @@ pub struct SiteHostConfig {
     pub storage_cost: CostModel,
     /// Master seed (retry jitter; offset per hosted site).
     pub seed: u64,
-    /// Anti-entropy period of the catalog gossip loop.
-    pub gossip_every: Duration,
 }
 
 impl SiteHostConfig {
@@ -91,7 +92,7 @@ impl SiteHostConfig {
     /// cluster: XDGL, the calibrated op/storage cost models of the
     /// in-process figure runs (only network *latency* is the real
     /// wire's job now — processing cost is part of the workload model,
-    /// not the transport), 25 ms gossip.
+    /// not the transport).
     pub fn new(hosted: &[SiteId], total_sites: u16) -> Self {
         // Chosen when a round unioned every recorded edge: over the real
         // wire a fast detector kept acting on stale edges and killed
@@ -114,7 +115,6 @@ impl SiteHostConfig {
             op_cost: OpCostModel::realistic(),
             storage_cost: CostModel::default(),
             seed: 0xD7C5,
-            gossip_every: Duration::from_millis(25),
         }
     }
 }
@@ -125,21 +125,15 @@ struct HostShared {
     catalog: Arc<Catalog>,
     /// Lowest hosted site — this process's identity on the control plane.
     me: SiteId,
-    /// Remote gossip targets: one representative (lowest) site per peer
-    /// process, learned from the driver's `Peers` message.
-    gossip_peers: RwLock<Vec<SiteId>>,
-    stopping: AtomicBool,
 }
 
 /// A running process-mode node: local schedulers for the hosted sites,
-/// a socket transport to everyone else, a control-plane thread and a
-/// catalog gossip loop.
+/// a socket transport to everyone else and a control-plane thread.
 pub struct SiteHost {
     shared: Arc<HostShared>,
     hosted: HashMap<SiteId, DtxInstance>,
     metrics: Arc<Metrics>,
     ctrl_thread: Option<JoinHandle<()>>,
-    gossip_thread: Option<JoinHandle<()>>,
     done_rx: Receiver<()>,
     config: SiteHostConfig,
 }
@@ -219,8 +213,6 @@ impl SiteHost {
             net,
             catalog,
             me,
-            gossip_peers: RwLock::new(Vec::new()),
-            stopping: AtomicBool::new(false),
         });
         // Control frames arrive on socket reader threads, which must not
         // block: they enqueue to a dedicated control thread.
@@ -238,20 +230,11 @@ impl SiteHost {
                 .spawn(move || control_loop(shared, listeners, ctrl_rx, done_tx))
                 .map_err(|e| format!("spawn control thread: {e}"))?
         };
-        let gossip_thread = {
-            let shared = Arc::clone(&shared);
-            let every = config.gossip_every;
-            std::thread::Builder::new()
-                .name(format!("dtx-gossip-{me}"))
-                .spawn(move || gossip_loop(shared, every))
-                .map_err(|e| format!("spawn gossip thread: {e}"))?
-        };
         Ok(SiteHost {
             shared,
             hosted,
             metrics,
             ctrl_thread: Some(ctrl_thread),
-            gossip_thread: Some(gossip_thread),
             done_rx,
             config,
         })
@@ -267,7 +250,7 @@ impl SiteHost {
         self.shared.me
     }
 
-    /// The node's catalog (gossip-converged placements).
+    /// The node's catalog (the placements the driver registered here).
     pub fn catalog(&self) -> Arc<Catalog> {
         Arc::clone(&self.shared.catalog)
     }
@@ -298,15 +281,11 @@ impl SiteHost {
         self.done_rx.recv_timeout(timeout).is_ok()
     }
 
-    /// Stops everything: schedulers (joined), gossip, control thread and
-    /// the socket transport.
+    /// Stops everything: schedulers (joined), control thread and the
+    /// socket transport.
     pub fn shutdown(mut self) {
-        self.shared.stopping.store(true, Ordering::SeqCst);
         for host in self.hosted.values_mut() {
             host.shutdown();
-        }
-        if let Some(h) = self.gossip_thread.take() {
-            let _ = h.join();
         }
         // Closing the transport clears its handlers, which drops the
         // control thread's sender — its loop then drains and exits; the
@@ -348,20 +327,13 @@ fn control_loop(
                 for (site, addr) in &peers {
                     by_addr.entry(addr.clone()).or_default().push(*site);
                 }
-                let mut gossip_peers = Vec::new();
                 for (addr, mut sites) in by_addr {
                     sites.sort();
                     let low = sites[0];
-                    if hosted.contains_key(&low) {
-                        continue; // our own process
-                    }
-                    gossip_peers.push(low);
-                    if low > shared.me {
+                    if low > shared.me && !hosted.contains_key(&low) {
                         let _ = shared.sock.connect(&addr, &sites);
                     }
                 }
-                gossip_peers.sort();
-                *shared.gossip_peers.write() = gossip_peers;
                 reply(&shared, header.from, &CtrlMsg::Ready { node: shared.me });
             }
             CtrlMsg::Register {
@@ -397,36 +369,21 @@ fn control_loop(
                 reply(&shared, header.from, &CtrlMsg::Ack { corr, ok, detail });
             }
             CtrlMsg::Submit { corr, spec } => {
-                let Some(instance) = hosted.get(&header.to) else {
-                    let failed = failed_outcome(corr, not_hosted(header.to));
-                    reply(&shared, header.from, &failed);
-                    continue;
+                let mut frame = OutcomeFrame {
+                    shared: Arc::clone(&shared),
+                    to: header.from,
+                    corr,
+                    answered: false,
                 };
-                // Block a throwaway thread on the outcome, not this loop:
-                // submissions overlap and the control plane must keep
-                // serving peers meanwhile.
-                let outcome_rx = instance.submit_async(spec);
-                let shared = Arc::clone(&shared);
-                let to = header.from;
-                let _ = std::thread::Builder::new()
-                    .name("dtx-outcome".into())
-                    .spawn(move || {
-                        // A scheduler that is gone (or dies before it
-                        // answers) drops the outcome sender: the driver
-                        // still gets its reply, as a failure.
-                        let outcome = outcome_rx.recv().unwrap_or_else(|_| scheduler_down());
-                        let msg = CtrlMsg::Outcome {
-                            corr,
-                            txn: outcome.txn,
-                            status: outcome.status,
-                            response_us: outcome.response_time.as_micros() as u64,
-                            results: outcome.results,
-                        };
-                        reply(&shared, to, &msg);
-                    });
-            }
-            CtrlMsg::Gossip { deltas } => {
-                merge_deltas(&shared.catalog, &deltas);
+                match hosted.get(&header.to) {
+                    Some(instance) => {
+                        instance.submit_with(spec, Box::new(move |outcome| frame.send(outcome)))
+                    }
+                    None => frame.send(TxnOutcome {
+                        status: TxnStatus::Failed(not_hosted(header.to)),
+                        ..scheduler_down()
+                    }),
+                }
             }
             CtrlMsg::StatsRequest { corr } => {
                 let s = shared.sock.stats();
@@ -458,39 +415,43 @@ fn not_hosted(site: SiteId) -> String {
     format!("site {site} not hosted here")
 }
 
-/// The reply to a submission no scheduler will ever answer: without it
-/// the driver would wait out its own timeout.
-fn failed_outcome(corr: u64, why: String) -> CtrlMsg {
-    CtrlMsg::Outcome {
-        corr,
-        txn: TxnId(0),
-        status: TxnStatus::Failed(why),
-        response_us: 0,
-        results: Vec::new(),
+/// Sends one control message back over the wire.
+fn reply(shared: &HostShared, to: SiteId, msg: &CtrlMsg) {
+    let _ = shared.sock.send_ctrl(shared.me, to, msg);
+}
+
+/// The reply to one submission: [`OutcomeFrame::send`] writes the
+/// outcome to the driver as one `Outcome` frame, on the calling thread
+/// (the scheduler's, for a hosted site). Dropped unsent — the scheduler
+/// was gone at submit, exited with the submission still queued, or died
+/// holding it — it answers `Failed(SCHEDULER_DOWN)`, so the driver never
+/// waits out its own timeout.
+struct OutcomeFrame {
+    shared: Arc<HostShared>,
+    /// The driver that submitted.
+    to: SiteId,
+    corr: u64,
+    answered: bool,
+}
+
+impl OutcomeFrame {
+    fn send(&mut self, outcome: TxnOutcome) {
+        self.answered = true;
+        let msg = CtrlMsg::Outcome {
+            corr: self.corr,
+            txn: outcome.txn,
+            status: outcome.status,
+            response_us: outcome.response_time.as_micros() as u64,
+            results: outcome.results,
+        };
+        reply(&self.shared, self.to, &msg);
     }
 }
 
-/// Sends one control message back over the wire.
-fn reply(shared: &HostShared, to: SiteId, msg: &CtrlMsg) {
-    let _ = shared.sock.send_ctrl(shared.me, to, &msg.encode());
-}
-
-/// Anti-entropy: periodically ships this node's full delta set to every
-/// peer process (idempotent — receivers install only dominating
-/// versions, so re-sending converged state is a no-op).
-fn gossip_loop(shared: Arc<HostShared>, every: Duration) {
-    while !shared.stopping.load(Ordering::Relaxed) {
-        std::thread::sleep(every);
-        let deltas = shared.catalog.export_deltas(shared.me);
-        if deltas.is_empty() {
-            continue;
-        }
-        let peers = shared.gossip_peers.read().clone();
-        for peer in peers {
-            let msg = CtrlMsg::Gossip {
-                deltas: deltas.clone(),
-            };
-            let _ = shared.sock.send_ctrl(shared.me, peer, &msg.encode());
+impl Drop for OutcomeFrame {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.send(scheduler_down());
         }
     }
 }
@@ -538,7 +499,7 @@ impl CtrlClient {
     /// Sends `msg` to `site` (routed to its hosting process).
     pub fn send(&self, site: SiteId, msg: &CtrlMsg) -> Result<(), String> {
         self.sock
-            .send_ctrl(DRIVER_SITE, site, &msg.encode())
+            .send_ctrl(DRIVER_SITE, site, msg)
             .map_err(|e| format!("send to {site}: {e:?}"))
     }
 
@@ -564,6 +525,7 @@ mod tests {
     use super::*;
     use crate::cluster::SCHEDULER_DOWN;
     use crate::op::{OpSpec, TxnSpec};
+    use crate::scheduler::Control;
     use dtx_xpath::Query;
 
     #[test]
@@ -596,6 +558,56 @@ mod tests {
             }
             other => panic!("expected a Failed outcome, got {other:?}"),
         }
+        client.shutdown();
+        host.shutdown();
+    }
+
+    #[test]
+    fn submissions_queued_behind_shutdown_are_each_answered_once_as_failed() {
+        const QUEUED: u64 = 8;
+        let host = SiteHost::start(SiteHostConfig::new(&[SiteId(0)], 1)).expect("host starts");
+        let client = CtrlClient::bind().expect("driver binds");
+        client
+            .connect(&host.local_addr().to_string(), &[SiteId(0)])
+            .expect("driver connects");
+        // `Shutdown` first, then the submissions, all enqueued before the
+        // scheduler is woken: it exits with them still in its channel.
+        let instance = &host.hosted[&SiteId(0)];
+        instance.control.send(Control::Shutdown).expect("queued");
+        let spec = TxnSpec::new(vec![OpSpec::query("d", Query::parse("/a").unwrap())]);
+        let mut corrs: Vec<u64> = (0..QUEUED).map(|_| client.corr()).collect();
+        for &corr in &corrs {
+            let mut frame = OutcomeFrame {
+                shared: Arc::clone(&host.shared),
+                to: DRIVER_SITE,
+                corr,
+                answered: false,
+            };
+            // A send that finds the scheduler already gone drops the
+            // reply just the same.
+            let _ = instance.control.send(Control::Submit {
+                spec: spec.clone(),
+                reply: Box::new(move |outcome| frame.send(outcome)),
+            });
+        }
+        instance.net.wake(SiteId(0));
+        let mut answered = Vec::new();
+        while let Some((_, reply)) = client.recv(Duration::from_millis(500)) {
+            match reply {
+                CtrlMsg::Outcome {
+                    corr,
+                    status: TxnStatus::Failed(why),
+                    ..
+                } => {
+                    assert_eq!(why, SCHEDULER_DOWN);
+                    answered.push(corr);
+                }
+                other => panic!("expected a Failed outcome, got {other:?}"),
+            }
+        }
+        answered.sort();
+        corrs.sort();
+        assert_eq!(answered, corrs, "each queued submission answered once");
         client.shutdown();
         host.shutdown();
     }

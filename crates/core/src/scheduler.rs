@@ -231,14 +231,22 @@ pub struct RecoveredState {
     pub undelivered: Vec<(TxnId, Vec<SiteId>)>,
 }
 
+/// Where a submitted transaction's outcome goes: the scheduler calls it
+/// once, on its own thread, when the transaction terminates. A scheduler
+/// that is gone, or dies before the transaction terminates, drops it
+/// uncalled; each deployment decides what that means (a disconnected
+/// channel in [`crate::Cluster`], a `Failed` frame from
+/// [`crate::SiteHost`]).
+pub type OutcomeReply = Box<dyn FnOnce(TxnOutcome) + Send>;
+
 /// Client-side commands delivered through the Listener.
 pub enum Control {
-    /// Submit a transaction; the outcome is sent on `reply`.
+    /// Submit a transaction; the outcome goes to `reply`.
     Submit {
         /// The transaction.
         spec: TxnSpec,
-        /// Outcome channel.
-        reply: Sender<TxnOutcome>,
+        /// Called once with the outcome.
+        reply: OutcomeReply,
     },
     /// Load a document into this site's store + memory.
     LoadDoc {
@@ -455,7 +463,7 @@ struct CoordTxn {
     decided: bool,
     results: Vec<OpResult>,
     submitted: Instant,
-    reply: Sender<TxnOutcome>,
+    reply: OutcomeReply,
 }
 
 impl CoordTxn {
@@ -902,7 +910,7 @@ impl Scheduler {
         // Abort whatever is still in flight so clients unblock.
         while let Some((id, txn)) = self.txns.pop_last() {
             let _ = self.lockmgr.abort_local(id);
-            let _ = txn.reply.send(TxnOutcome {
+            (txn.reply)(TxnOutcome {
                 txn: id,
                 status: TxnStatus::Aborted(AbortReason::Shutdown),
                 response_time: txn.submitted.elapsed(),
@@ -1807,7 +1815,7 @@ impl Scheduler {
         } else {
             Vec::new()
         };
-        let _ = txn.reply.send(TxnOutcome {
+        (txn.reply)(TxnOutcome {
             txn: id,
             status,
             response_time: now.duration_since(txn.submitted),

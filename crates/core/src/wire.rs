@@ -32,7 +32,6 @@
 //!   table in `WIRE.md` §4 (the doc is parsed by a test; it cannot
 //!   drift).
 
-use crate::gossip::CatalogDelta;
 use crate::msg::{Decision, Message};
 use crate::op::{AbortReason, OpKind, OpResult, OpSpec, TxnSpec, TxnStatus};
 use dtx_locks::{TxnId, WaitForGraph};
@@ -650,26 +649,8 @@ fn read_status(r: &mut WireReader<'_>) -> Result<TxnStatus, WireError> {
     }
 }
 
-fn put_delta(w: &mut WireWriter, d: &CatalogDelta) {
-    w.put_str(&d.doc);
-    w.put_varint(d.version);
-    w.put_seq(&d.sites, |w, &s| put_site(w, s));
-    w.put_bool(d.fragmented);
-    put_site(w, d.origin);
-}
-
-fn read_delta(r: &mut WireReader<'_>) -> Result<CatalogDelta, WireError> {
-    Ok(CatalogDelta {
-        doc: r.str()?,
-        version: r.varint()?,
-        sites: r.seq(1, read_site)?,
-        fragmented: r.bool()?,
-        origin: read_site(r)?,
-    })
-}
-
-/// Control-plane traffic between a driver and `dtx-site` processes (and
-/// between site processes, for gossip): carried in `Ctrl` frames, tagged
+/// Control-plane traffic between a driver and `dtx-site` processes:
+/// carried in `Ctrl` frames, tagged
 /// like [`Message`] (tag table in `WIRE.md` §5). The scheduler never
 /// sees these — a [`crate::process::SiteHost`] control thread decodes
 /// them and calls the same `DtxInstance` surface a local caller would.
@@ -740,11 +721,6 @@ pub enum CtrlMsg {
         /// Per-operation results (empty unless committed).
         results: Vec<OpResult>,
     },
-    /// Node ↔ node: anti-entropy catalog gossip (see [`crate::gossip`]).
-    Gossip {
-        /// The sender's full delta set.
-        deltas: Vec<CatalogDelta>,
-    },
     /// Driver → node: report transport counters.
     StatsRequest {
         /// Correlation id, echoed in the [`CtrlMsg::StatsReply`].
@@ -768,8 +744,9 @@ pub enum CtrlMsg {
 }
 
 /// Every [`CtrlMsg`] variant's wire tag (first body byte of a `Ctrl`
-/// frame), mirroring [`MESSAGE_TAGS`]; frozen by `WIRE.md` §5.
-pub const CTRL_TAGS: [(&str, u8); 11] = [
+/// frame), mirroring [`MESSAGE_TAGS`]; frozen by `WIRE.md` §5. Tag 7
+/// belonged to the retired catalog gossip and stays unassigned.
+pub const CTRL_TAGS: [(&str, u8); 10] = [
     ("Peers", 0),
     ("Ready", 1),
     ("Register", 2),
@@ -777,7 +754,6 @@ pub const CTRL_TAGS: [(&str, u8); 11] = [
     ("Ack", 4),
     ("Submit", 5),
     ("Outcome", 6),
-    ("Gossip", 7),
     ("StatsRequest", 8),
     ("StatsReply", 9),
     ("Shutdown", 10),
@@ -786,10 +762,15 @@ pub const CTRL_TAGS: [(&str, u8); 11] = [
 impl CtrlMsg {
     /// The variant's name in [`CTRL_TAGS`] (and `WIRE.md` §5).
     pub fn label(&self) -> &'static str {
-        CTRL_TAGS[usize::from(self.tag())].0
+        let tag = self.tag();
+        CTRL_TAGS
+            .iter()
+            .find(|&&(_, t)| t == tag)
+            .expect("every tag has a CTRL_TAGS row")
+            .0
     }
 
-    /// The variant's wire tag: its index in [`CTRL_TAGS`].
+    /// The variant's wire tag, as listed in [`CTRL_TAGS`].
     fn tag(&self) -> u8 {
         match self {
             CtrlMsg::Peers { .. } => 0,
@@ -799,7 +780,6 @@ impl CtrlMsg {
             CtrlMsg::Ack { .. } => 4,
             CtrlMsg::Submit { .. } => 5,
             CtrlMsg::Outcome { .. } => 6,
-            CtrlMsg::Gossip { .. } => 7,
             CtrlMsg::StatsRequest { .. } => 8,
             CtrlMsg::StatsReply { .. } => 9,
             CtrlMsg::Shutdown => 10,
@@ -858,9 +838,6 @@ impl WireCodec for CtrlMsg {
                 put_status(w, status);
                 w.put_varint(*response_us);
                 w.put_seq(results, put_op_result);
-            }
-            CtrlMsg::Gossip { deltas } => {
-                w.put_seq(deltas, put_delta);
             }
             CtrlMsg::StatsRequest { corr } => {
                 w.put_varint(*corr);
@@ -924,9 +901,6 @@ impl WireCodec for CtrlMsg {
                 status: read_status(r)?,
                 response_us: r.varint()?,
                 results: r.seq(1, read_op_result)?,
-            }),
-            7 => Ok(CtrlMsg::Gossip {
-                deltas: r.seq(1, read_delta)?,
             }),
             8 => Ok(CtrlMsg::StatsRequest { corr: r.varint()? }),
             9 => Ok(CtrlMsg::StatsReply {
@@ -1220,15 +1194,6 @@ mod tests {
                 response_us: 1234,
                 results: vec![OpResult::Update { affected: 2 }],
             },
-            CtrlMsg::Gossip {
-                deltas: vec![CatalogDelta {
-                    doc: "xmark".into(),
-                    version: 9,
-                    sites: vec![SiteId(0), SiteId(3)],
-                    fragmented: true,
-                    origin: SiteId(0),
-                }],
-            },
             CtrlMsg::StatsRequest { corr: 8 },
             CtrlMsg::StatsReply {
                 corr: 8,
@@ -1259,13 +1224,18 @@ mod tests {
                 ..
             })
         ));
-        assert!(matches!(
-            CtrlMsg::decode(&[200]),
-            Err(WireError::BadTag {
-                what: "CtrlMsg",
-                ..
-            })
-        ));
+        // 200 was never assigned; 7 was, to the retired catalog gossip,
+        // and is not reused.
+        for tag in [200, 7] {
+            assert!(matches!(
+                CtrlMsg::decode(&[tag]),
+                Err(WireError::BadTag {
+                    what: "CtrlMsg",
+                    ..
+                })
+            ));
+            assert!(CTRL_TAGS.iter().all(|&(_, t)| t != tag));
+        }
         assert!(matches!(Message::decode(&[]), Err(WireError::Truncated)));
     }
 
@@ -1381,6 +1351,10 @@ mod tests {
             assert_eq!(spec_name, name, "WIRE.md §5 row order matches CTRL_TAGS");
             assert_eq!(*spec_tag, tag, "WIRE.md §5 tag for {name}");
         }
+        assert!(
+            s5.contains("| 7 | *unassigned* |"),
+            "WIRE.md §5 shows the retired tag 7 as unassigned"
+        );
 
         // Header constants quoted in §2 stay honest too.
         assert!(spec.contains("`0xD7 0x58`"), "§2 quotes MAGIC");

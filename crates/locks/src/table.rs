@@ -225,11 +225,6 @@ impl LockTable {
         self.grants.values().map(Vec::len).sum()
     }
 
-    /// Number of guide nodes with at least one lock.
-    pub fn locked_nodes(&self) -> usize {
-        self.grants.len()
-    }
-
     /// Transactions holding at least one lock.
     pub fn active_txns(&self) -> Vec<TxnId> {
         self.by_txn.keys().copied().collect()
@@ -394,7 +389,7 @@ mod tests {
         t.try_acquire(TxnId(2), g(1), IS);
         t.try_acquire(TxnId(2), g(2), ST);
         assert_eq!(t.holders(g(1)).len(), 2);
-        assert_eq!(t.locked_nodes(), 2);
+        assert_eq!(t.grants.len(), 2, "two guide nodes hold locks");
         assert_eq!(t.total_grants(), 3);
         let mut active = t.active_txns();
         active.sort();

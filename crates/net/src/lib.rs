@@ -569,18 +569,6 @@ impl<M: Wire> Network<M> {
         self.inner.faults_armed.store(armed, Ordering::SeqCst);
     }
 
-    /// Fully partitions `a` from `b` (both directions blocked).
-    pub fn partition(&self, a: SiteId, b: SiteId) {
-        self.block_link(a, b);
-        self.block_link(b, a);
-    }
-
-    /// Heals a full partition of `a` and `b`.
-    pub fn heal(&self, a: SiteId, b: SiteId) {
-        self.heal_link(a, b);
-        self.heal_link(b, a);
-    }
-
     /// Sends `payload` from `from` to `to`, applying the latency model.
     pub fn send(&self, from: SiteId, to: SiteId, payload: M) -> Result<(), NetError> {
         let bytes = payload.wire_size();

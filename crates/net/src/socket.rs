@@ -55,7 +55,7 @@
 //! `Hello` writes them: the one place a reader writes.
 
 use crate::wire::{
-    extract_frame, frame, FrameHeader, FrameKind, WireCodec, WireError, WireReader, WireWriter,
+    extract_frame, frame, with_frame, FrameHeader, FrameKind, WireCodec, WireError, WireReader,
     HEADER_LEN,
 };
 use crate::{Envelope, NetError, SiteId};
@@ -321,15 +321,31 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
     /// peer map and the first send. A closed route answers
     /// [`NetError::Closed`].
     pub fn send_msg(&self, from: SiteId, to: SiteId, payload: &M) -> Result<(), NetError> {
-        let framed = frame(FrameKind::Msg, from, to, &payload.encode());
-        route_frame(&self.inner, to, framed)
+        with_frame(
+            FrameKind::Msg,
+            from,
+            to,
+            |w| payload.encode_body(w),
+            |framed| route_frame(&self.inner, to, framed),
+        )
     }
 
-    /// Writes a control-plane frame (body already encoded by the caller)
-    /// to the process hosting `to`, like [`SocketTransport::send_msg`].
-    pub fn send_ctrl(&self, from: SiteId, to: SiteId, body: &[u8]) -> Result<(), NetError> {
-        let framed = frame(FrameKind::Ctrl, from, to, body);
-        route_frame(&self.inner, to, framed)
+    /// Encodes a control-plane message (whose codec this crate does not
+    /// know) and writes it to the process hosting `to`, like
+    /// [`SocketTransport::send_msg`].
+    pub fn send_ctrl(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        msg: &impl WireCodec,
+    ) -> Result<(), NetError> {
+        with_frame(
+            FrameKind::Ctrl,
+            from,
+            to,
+            |w| msg.encode_body(w),
+            |framed| route_frame(&self.inner, to, framed),
+        )
     }
 
     /// Stops accepting, closes every connection and joins every thread
@@ -367,10 +383,10 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
 /// lowest hosted site (or [`DRIVER_SITE`] for a pure driver); `to` is
 /// unknown at handshake time and carries the same value.
 fn hello<M>(inner: &SockInner<M>) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_seq(&inner.hosted, |w, site| w.put_varint(site.0 as u64));
     let me = inner.hosted.first().copied().unwrap_or(DRIVER_SITE);
-    frame(FrameKind::Hello, me, me, &w.finish())
+    frame(FrameKind::Hello, me, me, |w| {
+        w.put_seq(&inner.hosted, |w, site| w.put_varint(site.0 as u64))
+    })
 }
 
 /// The site list of a `Hello` body, or `None` when it is malformed.
@@ -411,7 +427,7 @@ fn open_conn<M: WireCodec + Send + 'static>(
 
 /// Writes `framed` to the connection routing `to`, or buffers it in the
 /// bounded pending queue when no route exists yet.
-fn route_frame<M>(inner: &SockInner<M>, to: SiteId, framed: Vec<u8>) -> Result<(), NetError> {
+fn route_frame<M>(inner: &SockInner<M>, to: SiteId, framed: &[u8]) -> Result<(), NetError> {
     let routed = inner.routes.read().get(&to).cloned();
     let conn = match routed {
         Some(conn) => conn,
@@ -427,13 +443,13 @@ fn route_frame<M>(inner: &SockInner<M>, to: SiteId, framed: Vec<u8>) -> Result<(
                 if q.len() >= PENDING_CAP {
                     inner.stats.pending_dropped.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    q.push(framed);
+                    q.push(framed.to_vec());
                 }
                 return Ok(());
             }
         }
     };
-    conn.write(&inner.stats, &framed, 1)
+    conn.write(&inner.stats, framed, 1)
 }
 
 /// Routes each of `sites` that has no route yet to `conn`. The frames
@@ -548,7 +564,7 @@ fn dispatch<M: WireCodec + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireError;
+    use crate::wire::{WireError, WireWriter};
     use crossbeam::channel::{unbounded, Receiver};
     use std::time::Instant;
 
@@ -654,11 +670,10 @@ mod tests {
         b.set_ctrl_handler(Some(Arc::new(move |header: FrameHeader, body: Vec<u8>| {
             let _ = tx.send((header.from, body));
         })));
-        a.send_ctrl(DRIVER_SITE, SiteId(1), b"control body")
-            .unwrap();
+        a.send_ctrl(DRIVER_SITE, SiteId(1), &Ping(300)).unwrap();
         let (from, body) = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
         assert_eq!(from, DRIVER_SITE);
-        assert_eq!(body, b"control body");
+        assert_eq!(body, Ping(300).encode());
         a.shutdown();
         b.shutdown();
     }

@@ -90,11 +90,6 @@ impl Workload {
         self.clients.iter().map(Vec::len).sum()
     }
 
-    /// Total operations across all transactions.
-    pub fn total_ops(&self) -> usize {
-        self.clients.iter().flatten().map(|t| t.ops.len()).sum()
-    }
-
     /// Number of transactions containing at least one update.
     pub fn update_txns(&self) -> usize {
         self.clients
@@ -363,7 +358,8 @@ mod tests {
         let w = generate(WorkloadConfig::read_only(10, 1), &f);
         assert_eq!(w.clients.len(), 10);
         assert_eq!(w.total_txns(), 50);
-        assert_eq!(w.total_ops(), 250);
+        let ops: usize = w.clients.iter().flatten().map(|t| t.ops.len()).sum();
+        assert_eq!(ops, 250);
         assert_eq!(w.update_txns(), 0);
     }
 

@@ -410,11 +410,6 @@ impl Document {
         Ok(None)
     }
 
-    /// Number of nodes in the subtree rooted at `id`.
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.descendants(id).count()
-    }
-
     fn alloc(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.len as u32);
         if self.len == self.chunks.len() * CHUNK {
@@ -916,7 +911,7 @@ mod tests {
         let root = doc.root();
         let victim = doc.children(root).unwrap()[0];
         let n_before = doc.node_count();
-        let sz = doc.subtree_size(victim);
+        let sz = doc.descendants(victim).count();
         let removed = doc.remove(victim).unwrap();
         assert_eq!(doc.node_count(), n_before - sz);
         assert!(!doc.is_live(victim));

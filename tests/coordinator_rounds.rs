@@ -91,11 +91,13 @@ impl Harness {
     }
 
     fn submit_op(&self, op: OpSpec) -> Receiver<TxnOutcome> {
-        let (reply, rx) = unbounded();
+        let (tx, rx) = unbounded();
         self.control
             .send(Control::Submit {
                 spec: TxnSpec::new(vec![op]),
-                reply,
+                reply: Box::new(move |outcome| {
+                    let _ = tx.send(outcome);
+                }),
             })
             .unwrap();
         self.net.wake(COORD);

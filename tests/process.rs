@@ -8,10 +8,11 @@
 //! 1. **Distributed commits over the wire** — a fragmented document
 //!    split across the two nodes serves cross-node transactions from
 //!    both coordinators; every submission terminates and a majority
-//!    commits.
-//! 2. **Catalog gossip convergence** — a placement registered on one
-//!    node alone reaches the other node's catalog by anti-entropy
-//!    within a few gossip periods, converging to the dominant version.
+//!    commits. The driver's registration wave leaves every node with the
+//!    same placement version, so no dispatch is refused as stale.
+//! 2. **Placement is what the driver registers** — a document registered
+//!    at one node only is unknown to the other, and a transaction
+//!    submitted there ends in a typed abort, not a hang.
 //! 3. **Per-pair FIFO on the socket transport** — the `tests/net_props.rs`
 //!    storm shape replayed over a real TCP link: concurrent senders on
 //!    size-varying frames, delivery order equals send order per
@@ -20,7 +21,9 @@
 //!    scheduler can answer is answered by the host, as a failure.
 
 use dtx::core::wire::CtrlMsg;
-use dtx::core::{CtrlClient, Message, OpSpec, SiteHost, SiteHostConfig, TxnId, TxnSpec, TxnStatus};
+use dtx::core::{
+    AbortReason, CtrlClient, Message, OpSpec, SiteHost, SiteHostConfig, TxnId, TxnSpec, TxnStatus,
+};
 use dtx::net::socket::{SocketConfig, SocketTransport};
 use dtx::net::SiteId;
 use dtx::xpath::Query;
@@ -32,12 +35,7 @@ use std::time::{Duration, Instant};
 /// connected control client.
 fn mesh(n: u16) -> (Vec<SiteHost>, CtrlClient) {
     let hosts: Vec<SiteHost> = (0..n)
-        .map(|i| {
-            let mut config = SiteHostConfig::new(&[SiteId(i)], n);
-            // Tight gossip so convergence tests finish quickly.
-            config.gossip_every = Duration::from_millis(10);
-            SiteHost::start(config).expect("host starts")
-        })
+        .map(|i| SiteHost::start(SiteHostConfig::new(&[SiteId(i)], n)).expect("host starts"))
         .collect();
     let client = CtrlClient::bind().expect("driver binds");
     for h in &hosts {
@@ -128,6 +126,12 @@ fn two_hosts_commit_distributed_transactions_over_tcp() {
         );
         assert!(ok, "placement registers on {:?}", h.node_id());
     }
+    let versions: Vec<u64> = hosts.iter().map(|h| h.catalog().version_of("d")).collect();
+    assert!(versions[0] > 0, "the placement is registered");
+    assert!(
+        versions.iter().all(|&v| v == versions[0]),
+        "one registration wave, one placement version: {versions:?}"
+    );
 
     // Cross-node reads from both coordinators: resolving `/site/a` needs
     // both fragments, so every transaction crosses the real wire.
@@ -162,6 +166,8 @@ fn two_hosts_commit_distributed_transactions_over_tcp() {
         }
     }
     assert!(committed >= total / 2, "committed only {committed}/{total}");
+    let stale: u64 = hosts.iter().map(|h| h.metrics().stale_reroutes()).sum();
+    assert_eq!(stale, 0, "no dispatch was refused for a stale placement");
 
     // Real bytes crossed the wire on both nodes.
     for h in &hosts {
@@ -180,11 +186,10 @@ fn two_hosts_commit_distributed_transactions_over_tcp() {
 }
 
 #[test]
-fn catalog_gossip_converges_one_sided_registrations() {
+fn a_document_registered_at_one_node_only_aborts_at_the_other() {
     let (hosts, client) = mesh(2);
 
-    // Register a placement on node 0 ONLY — node 1 can learn it from
-    // anti-entropy gossip alone.
+    // Register a placement at node 0 ONLY: node 1 never hears of it.
     let corr = client.corr();
     client
         .send(
@@ -200,18 +205,40 @@ fn catalog_gossip_converges_one_sided_registrations() {
     assert!(recv_match(&client, |m| {
         matches!(m, CtrlMsg::Ack { corr: c, ok: true, .. } if *c == corr)
     }));
+    assert!(hosts[1].catalog().sites_of("lonely").is_empty());
 
+    let corr = client.corr();
+    client
+        .send(
+            SiteId(1),
+            &CtrlMsg::Submit {
+                corr,
+                spec: TxnSpec::new(vec![OpSpec::query(
+                    "lonely",
+                    Query::parse("/a").expect("query parses"),
+                )]),
+            },
+        )
+        .expect("submit sent");
     let deadline = Instant::now() + Duration::from_secs(10);
-    let converged = loop {
-        if !hosts[1].catalog().sites_of("lonely").is_empty() {
-            break true;
+    let status = loop {
+        match client.recv(deadline.saturating_duration_since(Instant::now())) {
+            Some((
+                _,
+                CtrlMsg::Outcome {
+                    corr: c, status, ..
+                },
+            )) if c == corr => break status,
+            Some(_) => continue,
+            None => panic!("the submission at node 1 was never answered"),
         }
-        if Instant::now() >= deadline {
-            break false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
     };
-    assert!(converged, "node 1 never learned the gossiped placement");
+    match status {
+        TxnStatus::Aborted(AbortReason::OperationFailed(why)) => {
+            assert!(why.contains("unknown to catalog"), "{why}");
+        }
+        other => panic!("expected an unknown-document abort, got {other:?}"),
+    }
 
     client.shutdown();
     for h in hosts {

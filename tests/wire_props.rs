@@ -24,9 +24,7 @@
 //! count assertion against the frozen tag tables.
 
 use dtx::core::wire::{CtrlMsg, CTRL_TAGS, MESSAGE_TAGS};
-use dtx::core::{
-    AbortReason, CatalogDelta, Message, OpResult, OpSpec, SiteId, TxnId, TxnSpec, TxnStatus,
-};
+use dtx::core::{AbortReason, Message, OpResult, OpSpec, SiteId, TxnId, TxnSpec, TxnStatus};
 use dtx::dataguide::DataGuide;
 use dtx::locks::wfg::WaitForGraph;
 use dtx::net::wire::{WireCodec, WireError};
@@ -168,15 +166,6 @@ fn ctrl_samples() -> Vec<CtrlMsg> {
             status: TxnStatus::Aborted(AbortReason::Deadlock),
             response_us: 48_113,
             results: vec![OpResult::Update { affected: 2 }],
-        },
-        CtrlMsg::Gossip {
-            deltas: vec![CatalogDelta {
-                doc: "xmark".into(),
-                version: 9,
-                sites: vec![SiteId(0), SiteId(2)],
-                fragmented: true,
-                origin: SiteId(2),
-            }],
         },
         CtrlMsg::StatsRequest { corr: 14 },
         CtrlMsg::StatsReply {
