@@ -9,7 +9,7 @@
 //! collector — the whole "set of sites S = {S1..SN}" of §3.1.
 
 use crate::catalog::Catalog;
-use crate::lockmgr::OpCostModel;
+use crate::lockmgr::{parse, OpCostModel};
 use crate::metrics::Metrics;
 use crate::msg::Message;
 use crate::op::{TxnOutcome, TxnSpec, TxnStatus};
@@ -184,37 +184,17 @@ impl DtxInstance {
             .unwrap_or_else(|_| scheduler_down())
     }
 
-    /// Loads a document (name + raw XML) into this instance's store.
-    pub fn load_document(&self, name: &str, xml: &str) -> Result<(), String> {
-        self.load_document_with_guide(name, xml, None)
-    }
-
-    /// Loads a document with an optional pre-built DataGuide (shipped by
-    /// a source replica): the instance adopts the guide instead of
-    /// rebuilding one from the parsed data.
-    pub fn load_document_with_guide(
-        &self,
-        name: &str,
-        xml: &str,
-        guide: Option<DataGuide>,
-    ) -> Result<(), String> {
-        self.ask(|ack| Control::LoadDoc {
-            name: name.to_owned(),
-            xml: xml.to_owned(),
-            guide: guide.map(Box::new),
-            ack,
-        })?
-    }
-
-    /// Installs an already-built document (streaming ingestion: tree and
-    /// guide come straight from event sinks; nothing is parsed).
+    /// Installs a built document at this instance
+    /// ([`crate::LockManager::install_document`]) — the one way a document
+    /// enters a site. `guide`, when one came with the tree (streaming
+    /// ingest, a replica shipment), is adopted instead of rebuilt.
     pub fn load_built(
         &self,
         name: &str,
         doc: dtx_xml::Document,
         guide: Option<DataGuide>,
     ) -> Result<(), String> {
-        self.ask(|ack| Control::LoadBuilt {
+        self.ask(|ack| Control::Install {
             name: name.to_owned(),
             doc: Box::new(doc),
             guide: guide.map(Box::new),
@@ -368,18 +348,17 @@ impl Cluster {
 
     /// Registers `doc` (raw XML) at the given replica sites and updates
     /// the catalog. With `sites` = all sites this is total replication;
-    /// a singleton is an unreplicated placement.
+    /// a singleton is an unreplicated placement. The text is parsed once;
+    /// each replica installs a [`dtx_xml::Document::clone`] of the tree
+    /// (clones share arena chunks). Text that does not parse installs
+    /// nothing anywhere and registers nothing.
     pub fn load_document(&self, name: &str, xml: &str, sites: &[SiteId]) -> Result<(), String> {
         if sites.is_empty() {
             return Err("replica set must not be empty".into());
         }
+        let doc = parse(name, xml).map_err(|e| e.to_string())?;
         for &s in sites {
-            let inst = self
-                .instances
-                .iter()
-                .find(|i| i.site == s)
-                .ok_or_else(|| format!("unknown site {s}"))?;
-            inst.load_document(name, xml)?;
+            self.site_instance(s)?.load_built(name, doc.clone(), None)?;
         }
         self.env.catalog.register(name, sites);
         Ok(())
@@ -388,22 +367,13 @@ impl Cluster {
     /// Registers `doc` as horizontally fragmented: each `(site, xml)`
     /// pair loads that site's fragment under the shared logical name.
     /// Operations on `doc` will execute on every fragment and merge.
+    /// Every fragment is parsed before any is installed.
     pub fn load_fragments(&self, name: &str, parts: &[(SiteId, String)]) -> Result<(), String> {
-        if parts.is_empty() {
-            return Err("fragment set must not be empty".into());
-        }
-        let mut sites = Vec::with_capacity(parts.len());
-        for (s, xml) in parts {
-            let inst = self
-                .instances
-                .iter()
-                .find(|i| i.site == *s)
-                .ok_or_else(|| format!("unknown site {s}"))?;
-            inst.load_document(name, xml)?;
-            sites.push(*s);
-        }
-        self.env.catalog.register_fragmented(name, &sites);
-        Ok(())
+        let built = parts
+            .iter()
+            .map(|(s, xml)| Ok((*s, parse(name, xml).map_err(|e| e.to_string())?, None)))
+            .collect::<Result<Vec<_>, String>>()?;
+        self.install_fragments(name, built)
     }
 
     /// Registers `doc` as horizontally fragmented from **already-built**
@@ -414,21 +384,39 @@ impl Cluster {
         name: &str,
         parts: Vec<(SiteId, dtx_xml::Document, DataGuide)>,
     ) -> Result<(), String> {
+        let built = parts
+            .into_iter()
+            .map(|(s, doc, guide)| (s, doc, Some(guide)))
+            .collect();
+        self.install_fragments(name, built)
+    }
+
+    /// The body of [`Cluster::load_fragments`] and
+    /// [`Cluster::load_built_fragments`]: installs each site's tree, then
+    /// registers the fragmented placement.
+    fn install_fragments(
+        &self,
+        name: &str,
+        parts: Vec<(SiteId, dtx_xml::Document, Option<DataGuide>)>,
+    ) -> Result<(), String> {
         if parts.is_empty() {
             return Err("fragment set must not be empty".into());
         }
         let mut sites = Vec::with_capacity(parts.len());
         for (s, doc, guide) in parts {
-            let inst = self
-                .instances
-                .iter()
-                .find(|i| i.site == s)
-                .ok_or_else(|| format!("unknown site {s}"))?;
-            inst.load_built(name, doc, Some(guide))?;
+            self.site_instance(s)?.load_built(name, doc, guide)?;
             sites.push(s);
         }
         self.env.catalog.register_fragmented(name, &sites);
         Ok(())
+    }
+
+    /// The instance of `site`, or an error naming it.
+    fn site_instance(&self, site: SiteId) -> Result<&DtxInstance, String> {
+        self.instances
+            .iter()
+            .find(|i| i.site == site)
+            .ok_or_else(|| format!("unknown site {site}"))
     }
 
     /// Online re-replication: copies the replicated document `doc` to
@@ -490,8 +478,8 @@ impl Cluster {
         let shipment = self.instance(src).dump_document(doc)?;
         let guide = DataGuide::from_wire(&shipment.guide_wire)
             .map_err(|e| format!("shipped guide corrupt: {e}"))?;
-        self.instance(to)
-            .load_document_with_guide(doc, &shipment.xml, Some(guide))?;
+        let tree = parse(doc, &shipment.xml).map_err(|e| e.to_string())?;
+        self.instance(to).load_built(doc, tree, Some(guide))?;
         self.env.catalog.add_replica(doc, to)
     }
 
@@ -753,6 +741,30 @@ mod tests {
                 values: vec!["John".to_owned()]
             }]
         );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn malformed_xml_loads_nowhere() {
+        let cluster = Cluster::start(ClusterConfig::new(2, ProtocolKind::Xdgl));
+        let sites = [SiteId(0), SiteId(1)];
+        let err = cluster.load_document("bad", "<a><b>", &sites).unwrap_err();
+        assert!(err.contains("\"bad\""), "{err}");
+        let parts = [(SiteId(0), D1.to_owned()), (SiteId(1), "<a>".to_owned())];
+        assert!(cluster.load_fragments("frag", &parts).is_err());
+        // Every fragment is parsed before any installs: site 0 holds none.
+        assert!(cluster.instance(SiteId(0)).dump_document("frag").is_err());
+        for (doc, path) in [("bad", "/a"), ("frag", "/people")] {
+            for &site in &sites {
+                let out = cluster.submit(site, TxnSpec::new(vec![OpSpec::query(doc, q(path))]));
+                match out.status {
+                    TxnStatus::Aborted(crate::op::AbortReason::OperationFailed(why)) => {
+                        assert!(why.contains("unknown to catalog"), "{doc}@{site}: {why}")
+                    }
+                    other => panic!("{doc}@{site}: {other:?}"),
+                }
+            }
+        }
         cluster.shutdown();
     }
 

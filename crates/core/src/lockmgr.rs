@@ -69,6 +69,12 @@ struct UndoEntry {
     record: UndoRecord,
 }
 
+/// Chunk size of the document images [`LockManager::install_document`]
+/// streams into the WAL: each chunk is one `DocChunk` record, and writing
+/// or replaying an image holds one chunk (plus the element depth) of text
+/// at a time.
+const WAL_DOC_CHUNK: usize = 4096;
+
 /// One acquired lock: document-scoped guide node and mode.
 type AcquiredLock = (dtx_dataguide::GuideId, dtx_locks::LockMode);
 
@@ -211,8 +217,9 @@ impl LockManager {
         self.trace = sink;
     }
 
-    /// Wires the site's write-ahead log: from now on applied updates,
-    /// undos and local 2PC outcomes are logged (see the hooks in
+    /// Wires the site's write-ahead log: from now on installed documents,
+    /// applied updates, undos and local 2PC outcomes are logged (see
+    /// [`LockManager::install_document`] and the hooks in
     /// [`LockManager::process_operation`], [`LockManager::undo_op`],
     /// [`LockManager::commit_local`] and [`LockManager::abort_local`]).
     /// Recovery replays with the log *detached* and attaches it last, so
@@ -221,34 +228,26 @@ impl LockManager {
         self.wal = Some(wal);
     }
 
-    /// Loads `name` from the store into memory and builds its DataGuide
-    /// (the DataManager's "recovering XML data from the storage structure,
-    /// converting it into a proper representation structure").
-    pub fn load_document(&mut self, name: &str) -> StorageResult<()> {
-        let doc = self.store.load(name)?;
-        self.adopt(name, doc, None);
-        Ok(())
-    }
-
-    /// Installs `doc` under `name`: persist to the store and keep in
-    /// memory. With `guide` (shipped by a source replica or built during
-    /// streaming ingest) the DataGuide is **not** rebuilt from the data.
-    /// Returns whether a guide had to be built.
+    /// The one way a document enters this site, whatever built it (XML
+    /// text, streaming ingest, a replica shipment, a WAL image): persist
+    /// `doc` under `name` — one store charge, no load — keep it in memory
+    /// and publish its first snapshot, and, with the log attached, log its
+    /// image straight from the tree. With `guide` (shipped by a source
+    /// replica, built during streaming ingest or replayed from the log)
+    /// the DataGuide is **not** rebuilt from the data. Returns whether a
+    /// guide had to be built.
     pub fn install_document(
         &mut self,
         name: &str,
-        doc: dtx_xml::Document,
+        doc: Document,
         guide: Option<DataGuide>,
     ) -> StorageResult<bool> {
         self.store.persist(name, &doc)?;
-        Ok(self.adopt(name, doc, guide))
-    }
-
-    /// Keeps `doc` (and its guide, building one only when not provided)
-    /// as the hosted state of `name`. Returns whether a guide was built.
-    fn adopt(&mut self, name: &str, doc: dtx_xml::Document, guide: Option<DataGuide>) -> bool {
         let built = guide.is_none();
         let guide = guide.unwrap_or_else(|| DataGuide::build(&doc));
+        if let Some(wal) = &self.wal {
+            wal.append_doc_image(name, &doc, &guide.to_wire(), WAL_DOC_CHUNK)?;
+        }
         // Keep an existing tag on reload; assign the next free one on
         // first load. Tags keep per-document guide ids disjoint in the
         // shared lock table.
@@ -272,7 +271,7 @@ impl LockManager {
             },
         );
         self.publish_snapshot(name, initial);
-        built
+        Ok(built)
     }
 
     /// The committed state of `name`: the live document minus every
@@ -311,23 +310,12 @@ impl LockManager {
         self.snapshots.publish(name, Arc::new(doc), guide);
     }
 
-    /// Stores raw XML and loads it (bulk load path).
+    /// Parses `xml` and installs the tree ([`LockManager::install_document`]
+    /// with no guide); text that does not parse is rejected as
+    /// [`StorageError::Corrupt`] and installs nothing.
     pub fn put_and_load(&mut self, name: &str, xml: &str) -> StorageResult<()> {
-        self.put_and_load_with_guide(name, xml, None).map(|_| ())
-    }
-
-    /// Stores raw XML and loads it; with `guide` the shipped DataGuide is
-    /// adopted instead of rebuilding one from the parsed data (replica
-    /// bootstrap). Returns whether a guide had to be built.
-    pub fn put_and_load_with_guide(
-        &mut self,
-        name: &str,
-        xml: &str,
-        guide: Option<DataGuide>,
-    ) -> StorageResult<bool> {
-        self.store.put_raw(name, xml)?;
-        let doc = self.store.load(name)?;
-        Ok(self.adopt(name, doc, guide))
+        self.install_document(name, parse(name, xml)?, None)
+            .map(|_| ())
     }
 
     /// True when this site hosts `name` in memory.
@@ -804,11 +792,7 @@ impl LockManager {
     /// history built them. Commits never pay for this; only the dump does.
     pub fn dump_committed(&mut self, name: &str) -> StorageResult<String> {
         let xml = self.store.load(name)?.to_xml();
-        let normal = Document::parse(&xml).map_err(|cause| StorageError::Corrupt {
-            name: name.to_owned(),
-            cause,
-        })?;
-        Ok(normal.to_xml())
+        Ok(parse(name, &xml)?.to_xml())
     }
 
     /// [`LockManager::dump_committed`] plus this site's DataGuide for the
@@ -937,6 +921,15 @@ impl LockManager {
     }
 }
 
+/// Parses the XML text of document `name` into the tree a site installs;
+/// text that does not parse is [`StorageError::Corrupt`].
+pub(crate) fn parse(name: &str, xml: &str) -> StorageResult<Document> {
+    Document::parse(xml).map_err(|cause| StorageError::Corrupt {
+        name: name.to_owned(),
+        cause,
+    })
+}
+
 fn not_hosted(name: &str) -> StorageError {
     StorageError::NotFound(name.to_owned())
 }
@@ -972,16 +965,13 @@ mod tests {
     }
 
     fn manager_under(protocol: ProtocolKind) -> LockManager {
-        let mut store = MemStore::free();
-        store
-            .put_raw(
-                "d2",
-                "<products><product><id>4</id><name>Monitor</name><price>120.00</price></product>\
-                 <product><id>14</id><name>Printer</name><price>55.50</price></product></products>",
-            )
-            .unwrap();
-        let mut lm = LockManager::new(protocol.instantiate(), Box::new(store));
-        lm.load_document("d2").unwrap();
+        let mut lm = LockManager::new(protocol.instantiate(), Box::new(MemStore::free()));
+        lm.put_and_load(
+            "d2",
+            "<products><product><id>4</id><name>Monitor</name><price>120.00</price></product>\
+             <product><id>14</id><name>Printer</name><price>55.50</price></product></products>",
+        )
+        .unwrap();
         lm
     }
 
@@ -1033,6 +1023,51 @@ mod tests {
     }
 
     #[test]
+    fn every_install_costs_one_persist_and_no_load() {
+        // Text and a built tree enter the same way: one persist, no load,
+        // the same bytes, and the same logged image.
+        let xml = "<r><a x=\"1\">t &amp; u</a><b/></r>";
+        let fresh = || {
+            let store = Box::new(MemStore::free());
+            let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), store);
+            let wal = Arc::new(Wal::new());
+            lm.set_wal(Arc::clone(&wal));
+            (lm, wal)
+        };
+        let (mut from_text, text_wal) = fresh();
+        from_text.put_and_load("d", xml).unwrap();
+        let (mut from_tree, tree_wal) = fresh();
+        let doc = Document::parse(xml).unwrap();
+        assert!(from_tree.install_document("d", doc, None).unwrap());
+        let stats = from_text.store_stats();
+        assert_eq!(stats, from_tree.store_stats());
+        assert_eq!((stats.persists, stats.loads), (1, 0));
+        assert_eq!(stats.bytes_written, xml.len() as u64);
+        let image = |wal: &Wal| -> String {
+            let records = wal.snapshot();
+            assert!(matches!(records.first(), Some(WalRecord::DocBegin { .. })));
+            assert!(matches!(records.last(), Some(WalRecord::DocEnd { .. })));
+            records
+                .iter()
+                .filter_map(|r| match r {
+                    WalRecord::DocChunk { xml, .. } => Some(xml.as_str()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(image(&text_wal), xml);
+        assert_eq!(image(&tree_wal), xml);
+        // Text that does not parse installs nothing and logs nothing.
+        let (mut bad, bad_wal) = fresh();
+        assert!(matches!(
+            bad.put_and_load("d", "<r><a></r>"),
+            Err(StorageError::Corrupt { .. })
+        ));
+        assert!(!bad.hosts("d") && bad_wal.is_empty());
+        assert_eq!(bad.store_stats(), dtx_storage::StoreStats::default());
+    }
+
+    #[test]
     fn commit_persists_to_store() {
         let mut lm = manager();
         let op = OpSpec::update(
@@ -1047,12 +1082,12 @@ mod tests {
             ProcessResult::Executed(_)
         ));
         lm.commit_local(TxnId(1)).unwrap();
-        assert_eq!(lm.store_stats().persists, 1);
-        // Reload from store: the change survived.
-        lm.load_document("d2").unwrap();
-        let doc = lm.document("d2").unwrap();
-        let prices = dtx_xpath::eval(doc, &q("/products/product[id=4]/price"));
-        assert_eq!(doc.text_of(prices[0]).unwrap(), "99");
+        // The install's persist, then the commit's.
+        assert_eq!(lm.store_stats().persists, 2);
+        // The store holds the change.
+        let stored = Document::parse(&lm.dump_committed("d2").unwrap()).unwrap();
+        let prices = dtx_xpath::eval(&stored, &q("/products/product[id=4]/price"));
+        assert_eq!(stored.text_of(prices[0]).unwrap(), "99");
     }
 
     #[test]
@@ -1271,7 +1306,7 @@ mod tests {
         ));
         let seq = lm.latest_snapshot_seq("d2");
         lm.commit_local(TxnId(2)).unwrap();
-        assert_eq!(lm.store_stats().persists, 0);
+        assert_eq!(lm.store_stats().persists, 1, "the install's persist only");
         assert_eq!(lm.latest_snapshot_seq("d2"), seq);
         assert_eq!(lm.dump_committed("d2").unwrap(), committed);
         lm.abort_local(TxnId(1));
@@ -1286,10 +1321,9 @@ mod tests {
         let xml = "<r><a/><b/><c/></r>";
         let remove = |path: &str| OpSpec::update("r", UpdateOp::Remove { target: q(path) });
         let two_removers = || {
-            let mut store = MemStore::free();
-            store.put_raw("r", xml).unwrap();
-            let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(store));
-            lm.load_document("r").unwrap();
+            let store = Box::new(MemStore::free());
+            let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), store);
+            lm.put_and_load("r", xml).unwrap();
             for (txn, path) in [(1, "/r/a"), (2, "/r/b")] {
                 assert!(matches!(
                     lm.process_operation(TxnId(txn), 0, &remove(path), TxnMode::Updating, false),
@@ -1324,7 +1358,7 @@ mod tests {
         let mut lm = manager();
         let only_t1 = two_writers_on_one_document(&mut lm);
         lm.commit_local(TxnId(1)).unwrap();
-        assert_eq!(lm.store_stats().persists, 1);
+        assert_eq!(lm.store_stats().persists, 2, "the install's and T1's");
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
         // T3 applies after that persist and aborts: the store is left
         // alone.
@@ -1340,15 +1374,15 @@ mod tests {
             ProcessResult::Executed(_)
         ));
         lm.abort_local(TxnId(3));
-        assert_eq!(lm.store_stats().persists, 1);
+        assert_eq!(lm.store_stats().persists, 2);
         lm.abort_local(TxnId(2));
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
-        assert_eq!(lm.store_stats().persists, 1, "an abort persists nothing");
+        assert_eq!(lm.store_stats().persists, 2, "an abort persists nothing");
         // Two more writers, both aborted.
         let _ = two_writers_on_one_document(&mut lm);
         lm.abort_local(TxnId(2));
         lm.abort_local(TxnId(1));
-        assert_eq!(lm.store_stats().persists, 1);
+        assert_eq!(lm.store_stats().persists, 2);
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
     }
 
@@ -1364,7 +1398,7 @@ mod tests {
         lm.undo_op(TxnId(2), 0);
         lm.commit_local(TxnId(2)).unwrap();
         assert_eq!(lm.dump_committed("d2").unwrap(), only_t1);
-        assert_eq!(lm.store_stats().persists, 1);
+        assert_eq!(lm.store_stats().persists, 2);
         assert_eq!(lm.latest_snapshot_seq("d2"), seq);
     }
 
@@ -1785,12 +1819,10 @@ mod tests {
 
     #[test]
     fn multiple_documents_do_not_alias_locks() {
-        let mut store = MemStore::free();
-        store.put_raw("a", "<r><x>1</x></r>").unwrap();
-        store.put_raw("b", "<r><x>1</x></r>").unwrap();
-        let mut lm = LockManager::new(ProtocolKind::DocLock.instantiate(), Box::new(store));
-        lm.load_document("a").unwrap();
-        lm.load_document("b").unwrap();
+        let store = Box::new(MemStore::free());
+        let mut lm = LockManager::new(ProtocolKind::DocLock.instantiate(), store);
+        lm.put_and_load("a", "<r><x>1</x></r>").unwrap();
+        lm.put_and_load("b", "<r><x>1</x></r>").unwrap();
         // t1 exclusively locks doc a (root), t2 exclusively locks doc b.
         let upd_a = OpSpec::update(
             "a",
@@ -2002,10 +2034,9 @@ mod tests {
             ));
         }
         xml.push_str("</products>");
-        let mut store = MemStore::free();
-        store.put_raw("big", &xml).unwrap();
-        let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), Box::new(store));
-        lm.load_document("big").unwrap();
+        let store = Box::new(MemStore::free());
+        let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), store);
+        lm.put_and_load("big", &xml).unwrap();
         let latest = |lm: &LockManager| {
             lm.snapshot_at("big", lm.latest_snapshot_seq("big").unwrap())
                 .unwrap()

@@ -42,7 +42,7 @@
 
 use crate::catalog::Catalog;
 use crate::cluster::{scheduler_down, DtxInstance};
-use crate::lockmgr::OpCostModel;
+use crate::lockmgr::{parse, OpCostModel};
 use crate::metrics::Metrics;
 use crate::msg::Message;
 use crate::op::{TxnOutcome, TxnStatus};
@@ -359,7 +359,9 @@ fn control_loop(
             }
             CtrlMsg::LoadDoc { corr, doc, xml } => {
                 let result = match hosted.get(&header.to) {
-                    Some(instance) => instance.load_document(&doc, &xml),
+                    Some(instance) => parse(&doc, &xml)
+                        .map_err(|e| e.to_string())
+                        .and_then(|tree| instance.load_built(&doc, tree, None)),
                     None => Err(not_hosted(header.to)),
                 };
                 let (ok, detail) = match result {
@@ -608,6 +610,36 @@ mod tests {
         answered.sort();
         corrs.sort();
         assert_eq!(answered, corrs, "each queued submission answered once");
+        client.shutdown();
+        host.shutdown();
+    }
+
+    #[test]
+    fn malformed_xml_is_answered_with_a_failed_ack() {
+        let host = SiteHost::start(SiteHostConfig::new(&[SiteId(0)], 1)).expect("host starts");
+        let client = CtrlClient::bind().expect("driver binds");
+        client
+            .connect(&host.local_addr().to_string(), &[SiteId(0)])
+            .expect("driver connects");
+        for (xml, want) in [("<a><b>", false), ("<a><b/></a>", true)] {
+            let corr = client.corr();
+            let load = CtrlMsg::LoadDoc {
+                corr,
+                doc: "d".into(),
+                xml: xml.into(),
+            };
+            client.send(SiteId(0), &load).expect("load sent");
+            match client.recv(Duration::from_secs(5)).map(|(_, msg)| msg) {
+                Some(CtrlMsg::Ack {
+                    corr: c,
+                    ok,
+                    detail,
+                }) => {
+                    assert_eq!((c, ok), (corr, want), "{xml}: {detail}");
+                }
+                other => panic!("{xml}: expected an Ack, got {other:?}"),
+            }
+        }
         client.shutdown();
         host.shutdown();
     }

@@ -100,11 +100,6 @@ const DRAIN_BATCH: usize = 256;
 /// times, so hitting this cap means placement is churning pathologically.
 const MAX_STALE_REROUTES: u32 = 16;
 
-/// Chunk size for document images streamed into the WAL: the same
-/// event-boundary chunking the replica copy path uses, so logging and
-/// replaying an image both run in O(chunk + depth) transient memory.
-const WAL_DOC_CHUNK: usize = 4096;
-
 /// How soon after a transaction begins to wait the detector round runs:
 /// long enough for a cycle's other waits to be recorded.
 const RETRY_INTERVAL: Duration = Duration::from_millis(2);
@@ -248,27 +243,17 @@ pub enum Control {
         /// Called once with the outcome.
         reply: OutcomeReply,
     },
-    /// Load a document into this site's store + memory.
-    LoadDoc {
-        /// Document name.
-        name: String,
-        /// Raw XML.
-        xml: String,
-        /// A pre-built DataGuide shipped alongside the data (replica
-        /// bootstrap); `None` builds one from the document.
-        guide: Option<Box<DataGuide>>,
-        /// Ack channel (parse/storage errors reported).
-        ack: Sender<Result<(), String>>,
-    },
-    /// Install an already-built document (the streaming ingestion path:
-    /// the tree and guide were produced by event sinks — no XML string
-    /// exists and none is parsed).
-    LoadBuilt {
+    /// Install a built document at this site
+    /// ([`crate::LockManager::install_document`]): every source — XML text
+    /// parsed by the caller, streaming ingest, a replica shipment — builds
+    /// the tree first.
+    Install {
         /// Document name.
         name: String,
         /// The document tree.
         doc: Box<dtx_xml::Document>,
-        /// Its DataGuide, when built during ingest; `None` builds one.
+        /// Its DataGuide, when one came with the tree (built during
+        /// ingest, shipped by a source replica); `None` builds one.
         guide: Option<Box<DataGuide>>,
         /// Ack channel (storage errors reported).
         ack: Sender<Result<(), String>>,
@@ -767,28 +752,7 @@ impl Scheduler {
                             },
                         );
                     }
-                    Ok(Control::LoadDoc {
-                        name,
-                        xml,
-                        guide,
-                        ack,
-                    }) => {
-                        let r = self
-                            .lockmgr
-                            .put_and_load_with_guide(&name, &xml, guide.map(|g| *g))
-                            .map(|built| {
-                                if built {
-                                    self.metrics.note_guide_build();
-                                }
-                            })
-                            .map_err(|e| e.to_string());
-                        if r.is_ok() {
-                            self.log_doc_image(&name);
-                        }
-                        self.publish_snapshot_gauges();
-                        let _ = ack.send(r);
-                    }
-                    Ok(Control::LoadBuilt {
+                    Ok(Control::Install {
                         name,
                         doc,
                         guide,
@@ -803,9 +767,6 @@ impl Scheduler {
                                 }
                             })
                             .map_err(|e| e.to_string());
-                        if r.is_ok() {
-                            self.log_doc_image(&name);
-                        }
                         self.publish_snapshot_gauges();
                         let _ = ack.send(r);
                     }
@@ -881,17 +842,6 @@ impl Scheduler {
             if let Ok(Some(env)) = self.endpoint.recv_timeout(wait) {
                 self.handle_message(env);
             }
-        }
-    }
-
-    /// Logs the just-installed committed image of `name` (data + guide,
-    /// chunk-streamed) so WAL replay can rebuild the document before
-    /// re-applying its redo records.
-    fn log_doc_image(&mut self, name: &str) {
-        if let Ok((xml, guide)) = self.lockmgr.dump_with_guide(name) {
-            let _ = self
-                .wal
-                .append_doc_image(name, &xml, &guide.to_wire(), WAL_DOC_CHUNK);
         }
     }
 

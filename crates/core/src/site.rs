@@ -20,6 +20,7 @@ use dtx_locks::{ProtocolKind, TxnId};
 use dtx_net::{Network, SiteId};
 use dtx_storage::{CostModel, MemStore, Wal, WalRecord};
 use dtx_trace::{EventKind, TraceSink, Tracer};
+use dtx_xml::ChunkAssembler;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,8 +135,10 @@ fn replay_wal(
     lockmgr: &mut LockManager,
 ) -> (RecoveredState, RecoveryReport) {
     let mut report = RecoveryReport::default();
-    // Document images under assembly: name → (guide wire, XML so far).
-    let mut images: HashMap<String, (String, String)> = HashMap::new();
+    // Document images under assembly: name → (guide wire, the tree so
+    // far). An image whose chunk the assembler rejects is dropped here,
+    // so it installs nothing; one without its `DocEnd` never installs.
+    let mut images: HashMap<&str, (&str, ChunkAssembler)> = HashMap::new();
     // Transactions with replayed, un-terminated effects (ordered: the
     // losers among them are rolled back newest first).
     let mut live: BTreeSet<TxnId> = BTreeSet::new();
@@ -146,20 +149,23 @@ fn replay_wal(
     for rec in records {
         match rec {
             WalRecord::DocBegin { doc, guide_wire } => {
-                images.insert(doc.clone(), (guide_wire.clone(), String::new()));
+                images.insert(doc, (guide_wire, ChunkAssembler::new()));
             }
             WalRecord::DocChunk { doc, xml } => {
-                if let Some((_, acc)) = images.get_mut(doc) {
-                    acc.push_str(xml);
+                if let Some((_, image)) = images.get_mut(doc.as_str()) {
+                    if image.chunk(xml).is_err() {
+                        images.remove(doc.as_str());
+                    }
                 }
             }
             WalRecord::DocEnd { doc } => {
-                if let Some((guide_wire, xml)) = images.remove(doc) {
-                    let guide = DataGuide::from_wire(&guide_wire).ok();
-                    if let Ok(parsed) = dtx_xml::parse(&xml) {
-                        if lockmgr.install_document(doc, parsed, guide).is_ok() {
-                            report.docs += 1;
-                        }
+                let Some((guide_wire, image)) = images.remove(doc.as_str()) else {
+                    continue;
+                };
+                let guide = DataGuide::from_wire(guide_wire).ok();
+                if let Ok(tree) = image.finish() {
+                    if lockmgr.install_document(doc, tree, guide).is_ok() {
+                        report.docs += 1;
                     }
                 }
             }
@@ -262,8 +268,9 @@ mod tests {
     fn recovery_arrives_at_the_last_published_view() {
         let xml = "<r><d>1</d><a/><b/></r>";
         let wal = Arc::new(Wal::new());
-        let guide = DataGuide::build(&dtx_xml::parse(xml).unwrap());
-        wal.append_doc_image("doc", xml, &guide.to_wire(), 8)
+        let doc = dtx_xml::parse(xml).unwrap();
+        let guide = DataGuide::build(&doc);
+        wal.append_doc_image("doc", &doc, &guide.to_wire(), 8)
             .unwrap();
         let new_manager = || {
             let store = Box::new(MemStore::free());
@@ -308,5 +315,48 @@ mod tests {
             .snapshot_at("doc", recovered.latest_snapshot_seq("doc").unwrap())
             .unwrap();
         assert_eq!(seen.doc.to_xml(), committed);
+    }
+
+    /// An image cut off before its `DocEnd`, and one with a chunk the
+    /// assembler rejects, install nothing; the records after them replay.
+    #[test]
+    fn a_torn_or_rejected_image_installs_nothing_and_replay_goes_on() {
+        let wal = Wal::new();
+        let good = dtx_xml::parse("<r><x>1</x></r>").unwrap();
+        let guide = DataGuide::build(&good).to_wire();
+        let begin = |doc: &str| WalRecord::DocBegin {
+            doc: doc.into(),
+            guide_wire: guide.clone(),
+        };
+        let chunk = |doc: &str, xml: &str| WalRecord::DocChunk {
+            doc: doc.into(),
+            xml: xml.into(),
+        };
+        wal.append(begin("torn"));
+        wal.append(chunk("torn", "<r><x>1</x>"));
+        wal.append(begin("bad"));
+        wal.append(chunk("bad", "<r><x>1</y>"));
+        wal.append(chunk("bad", "</r>"));
+        wal.append(WalRecord::DocEnd { doc: "bad".into() });
+        wal.append_doc_image("good", &good, &guide, 4).unwrap();
+        wal.append(WalRecord::Applied {
+            txn: TxnId(1),
+            doc: "good".into(),
+            op_seq: 0,
+            op: UpdateOp::Change {
+                target: Query::parse("/r/x").unwrap(),
+                new_value: "2".into(),
+            },
+        });
+        wal.append(WalRecord::Committed { txn: TxnId(1) });
+        let store = Box::new(MemStore::free());
+        let mut lm = LockManager::new(ProtocolKind::Xdgl.instantiate(), store);
+        let (_, report) = replay_wal(&wal.snapshot(), &mut lm);
+        assert_eq!((report.docs, report.redo_applied), (1, 1));
+        assert_eq!(report.committed, 1);
+        assert_eq!(lm.hosted(), vec!["good".to_owned()]);
+        assert_eq!(lm.document("good").unwrap().to_xml(), "<r><x>2</x></r>");
+        let stats = lm.store_stats();
+        assert_eq!((stats.persists, stats.loads), (2, 0), "install + commit");
     }
 }

@@ -682,8 +682,9 @@ pub enum CtrlMsg {
         /// Fragmented (disjoint per-site parts) vs replicated.
         fragmented: bool,
     },
-    /// Driver → node: load a document (or one fragment of it) into the
-    /// destination site's store.
+    /// Driver → node: load a document (or one fragment of it) at the
+    /// destination site. The node parses `xml` and installs the tree;
+    /// text that does not parse is answered `Ack { ok: false }`.
     LoadDoc {
         /// Correlation id, echoed in the [`CtrlMsg::Ack`].
         corr: u64,

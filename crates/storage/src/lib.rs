@@ -37,7 +37,7 @@ pub type StorageResult<T> = Result<T, StorageError>;
 pub enum StorageError {
     /// The named document does not exist in this store.
     NotFound(String),
-    /// The stored bytes failed to parse as XML.
+    /// The document's XML text failed to parse.
     Corrupt {
         /// Document name.
         name: String,
@@ -74,30 +74,18 @@ pub struct StoreStats {
 
 /// The storage interface of a DTX instance (paper §2.1, *DataManager*).
 ///
-/// A store maps document names to XML documents. DTX loads documents into
-/// main memory at startup (or first touch), executes transactions against
-/// the in-memory representation, and persists committed states back.
+/// A store maps document names to XML documents. A document enters a site
+/// as a built tree: the site persists it once and keeps it in memory,
+/// executes transactions against the in-memory representation, and
+/// persists committed states back.
 pub trait DataManager: Send {
-    /// Human-readable backend name.
-    fn backend(&self) -> &'static str;
-
-    /// Lists stored document names (sorted).
-    fn list(&self) -> Vec<String>;
-
-    /// True when `name` is stored.
-    fn contains(&self, name: &str) -> bool;
-
-    /// Stores raw XML under `name` (initial population / bulk load);
-    /// text that does not parse is rejected as [`StorageError::Corrupt`].
-    fn put_raw(&mut self, name: &str, xml: &str) -> StorageResult<()>;
-
     /// Hands out the stored state of `name` as a document of its own:
     /// later writes to it never reach the store.
     fn load(&mut self, name: &str) -> StorageResult<Document>;
 
-    /// Persists the committed state of a document the committing
-    /// transaction wrote (Alg. 5 l. 10
-    /// `LockManager.DataManager.persist`): `doc` holds nothing of any
+    /// Persists the committed state of a document: the state a site
+    /// installs, and the state each commit that wrote it leaves (Alg. 5
+    /// l. 10 `LockManager.DataManager.persist`). `doc` holds nothing of any
     /// transaction still running. The store keeps that state — later
     /// writes to `doc` never reach it — and accounts the write at
     /// `doc.to_xml().len()` bytes. Runs once per written document per

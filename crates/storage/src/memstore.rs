@@ -9,6 +9,9 @@
 //! by the same copy-on-write that isolates snapshots — and asks the
 //! document for its serialized length ([`Document::xml_len`]), so a commit
 //! costs O(chunks it wrote), never a serialization of the document.
+//!
+//! A document enters the store the way every committed state does, by a
+//! persist of its built tree; the store never parses XML text.
 
 use crate::cost::CostModel;
 use crate::{DataManager, StorageError, StorageResult, StoreStats};
@@ -16,8 +19,8 @@ use dtx_xml::Document;
 use std::collections::BTreeMap;
 
 /// One stored document: the tree, and the bytes its XML text occupies
-/// (the raw text's length after [`DataManager::put_raw`], `to_xml().len()`
-/// after a persist) — the size every charge and counter is computed from.
+/// (`to_xml().len()` as of its persist) — the size every charge and
+/// counter is computed from.
 #[derive(Debug)]
 struct Stored {
     doc: Document,
@@ -46,16 +49,6 @@ impl MemStore {
     pub fn free() -> Self {
         Self::new(CostModel::zero())
     }
-
-    /// Size in bytes of a stored document.
-    pub fn size_of(&self, name: &str) -> Option<usize> {
-        self.docs.get(name).map(|s| s.bytes)
-    }
-
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.docs.values().map(|s| s.bytes).sum()
-    }
 }
 
 impl Default for MemStore {
@@ -65,31 +58,6 @@ impl Default for MemStore {
 }
 
 impl DataManager for MemStore {
-    fn backend(&self) -> &'static str {
-        "memstore"
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.docs.keys().cloned().collect()
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.docs.contains_key(name)
-    }
-
-    fn put_raw(&mut self, name: &str, xml: &str) -> StorageResult<()> {
-        // The one parse a bulk load pays: it rejects corrupt documents at
-        // load time, not at first transaction, and its tree is what every
-        // later `load` hands out.
-        let doc = Document::parse(xml).map_err(|cause| StorageError::Corrupt {
-            name: name.to_owned(),
-            cause,
-        })?;
-        let bytes = xml.len();
-        self.docs.insert(name.to_owned(), Stored { doc, bytes });
-        Ok(())
-    }
-
     fn load(&mut self, name: &str) -> StorageResult<Document> {
         let stored = self
             .docs
@@ -130,13 +98,15 @@ mod tests {
     use dtx_xml::document::{Fragment, InsertPos};
     use dtx_xml::NodeId;
 
+    fn parsed(xml: &str) -> Document {
+        Document::parse(xml).unwrap()
+    }
+
     #[test]
     fn put_load_persist_round_trip() {
         let mut s = MemStore::free();
-        s.put_raw("d1", "<people><person><id>4</id></person></people>")
-            .unwrap();
-        assert!(s.contains("d1"));
-        assert_eq!(s.list(), vec!["d1".to_owned()]);
+        let people = parsed("<people><person><id>4</id></person></people>");
+        s.persist("d1", &people).unwrap();
         let mut doc = s.load("d1").unwrap();
         doc.insert_element(doc.root(), "person", dtx_xml::document::InsertPos::Into)
             .unwrap();
@@ -145,7 +115,7 @@ mod tests {
         assert_eq!(again.node_count(), doc.node_count());
         let st = s.stats();
         assert_eq!(st.loads, 2);
-        assert_eq!(st.persists, 1);
+        assert_eq!(st.persists, 2);
         assert!(st.bytes_read > 0 && st.bytes_written > 0);
     }
 
@@ -204,16 +174,18 @@ mod tests {
         let xml = format!("<products>{products}</products>");
         for (name, mutate) in MUTATORS {
             let mut s = MemStore::free();
-            s.put_raw("d", &xml).unwrap();
+            s.persist("d", &parsed(&xml)).unwrap();
             let mut live = s.load("d").unwrap();
             // Persist a state the store did not parse itself.
             live.change_value(child(&live, 0, 1), "committed").unwrap();
             s.persist("d", &live).unwrap();
             let persisted = live.to_xml();
-            assert_eq!(s.size_of("d"), Some(persisted.len()), "{name}");
             mutate(&mut live);
+            let read_before = s.stats().bytes_read;
             let stored = s.load("d").unwrap();
             assert_eq!(stored.to_xml(), persisted, "{name}: the store saw it");
+            let read = s.stats().bytes_read - read_before;
+            assert_eq!(read, persisted.len() as u64, "{name}: load charge");
             stored.check_integrity().unwrap();
             live.check_integrity().unwrap();
             // And a loaded document is the caller's own.
@@ -231,40 +203,25 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_xml_rejected_at_put() {
-        let mut s = MemStore::free();
-        assert!(matches!(
-            s.put_raw("bad", "<a><b>"),
-            Err(StorageError::Corrupt { .. })
-        ));
-        assert!(!s.contains("bad"));
-    }
-
-    #[test]
     fn remove_deletes() {
         let mut s = MemStore::free();
-        s.put_raw("d", "<r/>").unwrap();
+        s.persist("d", &parsed("<r/>")).unwrap();
         s.remove("d").unwrap();
-        assert!(!s.contains("d"));
-        assert_eq!(s.total_bytes(), 0);
+        assert!(matches!(s.load("d"), Err(StorageError::NotFound(_))));
+        assert!(matches!(s.remove("d"), Err(StorageError::NotFound(_))));
     }
 
     #[test]
     fn sizes_tracked() {
+        // A persist is accounted at the compact serialization of the
+        // tree, whatever text it was parsed from, and a load of it at
+        // the same length.
         let mut s = MemStore::free();
-        s.put_raw("d", "<r><a>xyz</a></r>").unwrap();
-        assert_eq!(s.size_of("d"), Some("<r><a>xyz</a></r>".len()));
-        assert!(s.size_of("missing").is_none());
-        // Raw text is accounted at its own length, a persist at the
-        // serialized one — what loads of each are then charged by.
-        let raw = "<r>\n  <a>xyz</a>\n</r>";
-        s.put_raw("d", raw).unwrap();
-        assert_eq!(s.size_of("d"), Some(raw.len()));
+        s.persist("d", &parsed("<r>\n  <a>xyz</a>\n</r>")).unwrap();
+        assert_eq!(s.stats().bytes_written, "<r><a>xyz</a></r>".len() as u64);
         let doc = s.load("d").unwrap();
-        assert_eq!(s.stats().bytes_read, raw.len() as u64);
+        assert_eq!(s.stats().bytes_read, 17);
         s.persist("d", &doc).unwrap();
-        assert_eq!(s.size_of("d"), Some("<r><a>xyz</a></r>".len()));
-        assert_eq!(s.total_bytes(), 17);
-        assert_eq!(s.stats().bytes_written, 17);
+        assert_eq!(s.stats().bytes_written, 34);
     }
 }

@@ -6,11 +6,14 @@
 //! log records three kinds of state:
 //!
 //! * **Document images** — [`WalRecord::DocBegin`] / [`WalRecord::DocChunk`]
-//!   / [`WalRecord::DocEnd`]: the committed state of a document when it
-//!   was installed at the site, streamed through the chunked event layer
-//!   ([`dtx_xml::ChunkedWriter`] → [`dtx_xml::ChunkAssembler`]) so writing
-//!   and replaying an image both run in O(chunk + depth) memory. Replica
-//!   copy ships the same chunks.
+//!   / [`WalRecord::DocEnd`]: the state of a document when it was
+//!   installed at the site. [`Wal::append_doc_image`] streams it from the
+//!   installed tree ([`dtx_xml::stream::document_events`] →
+//!   [`dtx_xml::ChunkedWriter`]), so writing one holds O(chunk + depth)
+//!   beyond the records; replay feeds each image's chunks to one
+//!   [`dtx_xml::ChunkAssembler`] and installs the tree it builds the way
+//!   any other source's is installed. An image without its `DocEnd`, or
+//!   with a chunk the assembler rejects, installs nothing.
 //! * **Redo/undo** — [`WalRecord::Applied`] (one of the five update
 //!   operations applied at this site, with everything needed to re-apply
 //!   it) and [`WalRecord::Undone`] (that application was rolled back).
@@ -39,6 +42,8 @@ use crate::StorageResult;
 use dtx_locks::txn::TxnId;
 use dtx_net::SiteId;
 use dtx_trace::{EventKind, TraceSink};
+use dtx_xml::stream::document_events;
+use dtx_xml::{ChunkedWriter, Document};
 use dtx_xpath::UpdateOp;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,44 +326,40 @@ impl Wal {
         }
     }
 
-    /// Appends a complete document image, streamed through the chunked
-    /// event layer: [`WalRecord::DocBegin`], then `xml` re-chunked at
-    /// event boundaries into [`WalRecord::DocChunk`]s of roughly
-    /// `chunk_size` bytes, then [`WalRecord::DocEnd`]. Peak transient
-    /// memory beyond the stored records is O(chunk + depth).
+    /// Appends a complete document image, streamed from the tree:
+    /// [`WalRecord::DocBegin`], then the events of `doc`
+    /// ([`dtx_xml::stream::document_events`]) written at event boundaries
+    /// into [`WalRecord::DocChunk`]s of roughly `chunk_size` bytes, then
+    /// [`WalRecord::DocEnd`], counted as one force. The chunks concatenate
+    /// to `doc.to_xml()`; beyond the records themselves the transient
+    /// memory is O(chunk + depth), and no text of the whole document is
+    /// built.
     pub fn append_doc_image(
         &self,
-        doc: &str,
-        xml: &str,
+        name: &str,
+        doc: &Document,
         guide_wire: &str,
         chunk_size: usize,
     ) -> StorageResult<()> {
         self.append(WalRecord::DocBegin {
-            doc: doc.to_owned(),
+            doc: name.to_owned(),
             guide_wire: guide_wire.to_owned(),
         });
-        let mut writer = dtx_xml::ChunkedWriter::new(chunk_size, |chunk: &str| {
+        let mut writer = ChunkedWriter::new(chunk_size, |chunk: &str| {
             self.append(WalRecord::DocChunk {
-                doc: doc.to_owned(),
+                doc: name.to_owned(),
                 xml: chunk.to_owned(),
             });
             Ok(())
         });
-        let mut tok = dtx_xml::XmlTokenizer::new(xml);
-        dtx_xml::stream::pump(&mut tok, &mut writer).map_err(|cause| {
-            crate::StorageError::Corrupt {
-                name: doc.to_owned(),
-                cause,
-            }
-        })?;
-        writer
-            .finish()
+        document_events(doc, doc.root(), &mut writer)
+            .and_then(|()| writer.finish())
             .map_err(|cause| crate::StorageError::Corrupt {
-                name: doc.to_owned(),
+                name: name.to_owned(),
                 cause,
             })?;
         self.append(WalRecord::DocEnd {
-            doc: doc.to_owned(),
+            doc: name.to_owned(),
         });
         self.forces.fetch_add(1, Ordering::Relaxed);
         self.trace.read().emit(|| EventKind::WalForce {
@@ -428,24 +429,30 @@ mod tests {
         let wal = Wal::new();
         let mut xml = String::from("<r>");
         for i in 0..40 {
-            xml.push_str(&format!("<x n=\"{i}\">v{i}</x>"));
+            xml.push_str(&format!("<x n=\"{i}\">v{i} &amp; &lt;{i}&gt;</x>"));
         }
         xml.push_str("</r>");
-        wal.append_doc_image("d", &xml, "guide-wire", 64).unwrap();
+        let doc = dtx_xml::parse(&xml).unwrap();
+        wal.append_doc_image("d", &doc, "guide-wire", 64).unwrap();
         let snap = wal.snapshot();
         assert!(matches!(&snap[0], WalRecord::DocBegin { doc, guide_wire }
             if doc == "d" && guide_wire == "guide-wire"));
         assert!(matches!(snap.last().unwrap(), WalRecord::DocEnd { .. }));
         let chunks = snap.len() - 2;
         assert!(chunks > 3, "image split into chunks, got {chunks}");
-        // Reassemble through the same event layer.
+        // The chunks are the document's serialization, cut at event
+        // boundaries, and reassemble through the same event layer.
+        let mut text = String::new();
         let mut asm = dtx_xml::ChunkAssembler::new();
         for rec in &snap {
             if let WalRecord::DocChunk { xml, .. } = rec {
+                text.push_str(xml);
                 asm.chunk(xml).unwrap();
             }
         }
+        assert_eq!(text, doc.to_xml());
         let rebuilt = asm.finish().unwrap();
-        assert_eq!(rebuilt.to_xml(), dtx_xml::parse(&xml).unwrap().to_xml());
+        assert_eq!(rebuilt.to_xml(), doc.to_xml());
+        assert_eq!(wal.forces(), 1);
     }
 }

@@ -100,8 +100,9 @@ fn entity(b: u8, in_attr: bool) -> Option<&'static str> {
 }
 
 /// Escapes XML-special characters, copying the runs between them whole
-/// (the specials are ASCII, so every cut is a char boundary).
-fn escape_into(s: &str, in_attr: bool, out: &mut String) {
+/// (the specials are ASCII, so every cut is a char boundary). The one
+/// escape routine: [`crate::stream::XmlWriter`] writes through it too.
+pub(crate) fn escape_into(s: &str, in_attr: bool, out: &mut String) {
     let mut plain = 0;
     for (i, b) in s.bytes().enumerate() {
         if let Some(e) = entity(b, in_attr) {

@@ -28,6 +28,7 @@
 use crate::document::Document;
 use crate::error::{XmlError, XmlResult};
 use crate::node::NodeId;
+use crate::serializer::escape_into;
 use std::borrow::Cow;
 
 /// One SAX-style event of an XML document stream.
@@ -730,8 +731,10 @@ impl EventSink for TreeBuilder {
 
 /// Serializes an event stream to compact XML text.
 ///
-/// Empty elements self-close (`<x/>`), matching [`crate::Serializer`];
-/// writing through this sink and re-tokenizing yields the same events
+/// Writes the bytes [`crate::Serializer`] writes: empty elements
+/// self-close (`<x/>`) and text and attribute values are escaped by the
+/// serializer's own routine, so [`document_events`] into this sink gives
+/// `to_xml()` exactly. Re-tokenizing the output yields the same events
 /// back (modulo text-run splits).
 pub struct XmlWriter {
     out: String,
@@ -838,20 +841,6 @@ impl EventSink for XmlWriter {
     }
 }
 
-/// Escapes XML-special characters. `in_attr` additionally escapes quotes.
-fn escape_into(s: &str, in_attr: bool, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            '\'' if in_attr => out.push_str("&apos;"),
-            _ => out.push(ch),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Chunked streaming: ChunkedWriter / ChunkAssembler
 // ---------------------------------------------------------------------
@@ -865,8 +854,8 @@ fn escape_into(s: &str, in_attr: bool, out: &mut String) {
 /// Chunks split only at *event boundaries* (never inside a tag, an
 /// attribute, or an escaped character), so each chunk re-tokenizes
 /// independently with [`XmlTokenizer::resume`]; [`ChunkAssembler`] is the
-/// receiving half. WAL document images and replica-copy shipments both
-/// travel this path.
+/// receiving half. WAL document images travel this path: written from the
+/// installed tree through [`document_events`], rebuilt at replay.
 pub struct ChunkedWriter<F: FnMut(&str) -> XmlResult<()>> {
     inner: XmlWriter,
     /// A chunk is handed off once the buffer reaches this many bytes
@@ -1003,8 +992,8 @@ impl ChunkAssembler {
 }
 
 /// Streams the events of an existing document subtree into `sink`
-/// (pre-order; the inverse of [`TreeBuilder`]). Used to ship documents as
-/// event streams without serializing to text first.
+/// (pre-order; the inverse of [`TreeBuilder`]). WAL document images are
+/// written this way, straight from the tree into a [`ChunkedWriter`].
 pub fn document_events(doc: &Document, root: NodeId, sink: &mut impl EventSink) -> XmlResult<()> {
     use crate::node::NodeKind;
     enum Walk {

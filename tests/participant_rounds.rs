@@ -76,9 +76,9 @@ impl Harness {
         let thread = std::thread::spawn(move || scheduler.run());
         let (ack, loaded) = unbounded();
         control
-            .send(Control::LoadDoc {
+            .send(Control::Install {
                 name: "d".into(),
-                xml: "<r><v>0</v></r>".into(),
+                doc: Box::new(dtx::xml::Document::parse("<r><v>0</v></r>").unwrap()),
                 guide: None,
                 ack,
             })
